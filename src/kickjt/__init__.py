@@ -9,7 +9,7 @@ from .model import (ModelParams, NumericsConfig, ValidatedConfig, acot,
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector, SubMap,
                             Trajectory, composed_step, inverse_step, iterate,
                             jacobian_canonical, spin_rotation_matrix, step,
-                            step_arrays, submap)
+                            step_arrays, step_jacobian, submap)
 from .bifurcation import (CriticalCoupling, CriticalCouplings, FixedPoint,
                           PortraitGrid, Stability, bifurcation_residual,
                           branch_scan, critical_couplings, default_seeds,
@@ -20,7 +20,7 @@ from .quantum_floquet import (FloquetSpectrum, FockBasis, Operator,
                               TrackedSample, apply_floquet, apply_kick,
                               build_basis, build_operators, diagonalize,
                               expectation, floquet_operator, h0_phases,
-                              kick_propagator, pes_seed, pgs_seed,
+                              pes_seed, pgs_seed,
                               phase_space_expectations, sector_leakage,
                               track_eigenstate)
 from .observables import (DensityMatrix, EntanglementMeasures, HusimiGrid,

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector,
-                            step_arrays)
+                            step_arrays, step_jacobian)
 from .errors import NoConvergence, PoleProximity
 from .model import ValidatedConfig
 
@@ -129,15 +129,17 @@ def _graph_point(v: np.ndarray, hemi: float) -> PhasePoint:
 
 
 def _graph_jacobian(v: np.ndarray, hemi: float, cfg: ValidatedConfig) -> np.ndarray:
-    h = cfg.fd_step
-    jac = np.empty((6, 6))
-    for j in range(6):
-        vp = v.copy()
-        vm = v.copy()
-        vp[j] += h
-        vm[j] -= h
-        jac[:, j] = (_graph_step(vp, hemi, cfg) - _graph_step(vm, hemi, cfg)) / (2.0 * h)
-    return jac
+    """Exact Jacobian of :func:`_graph_step` from the Cartesian tangent."""
+    q_x, p_x, q_y, p_y, s_x, s_y = v
+    rho = s_x * s_x + s_y * s_y
+    if rho >= _EQUATOR_GUARD:
+        raise _ChartExit
+    s_z = hemi * math.sqrt(0.25 - rho)
+    point = PhasePoint(OscillatorPoint(q_x, q_y, p_x, p_y), SpinVector(s_x, s_y, s_z))
+    axes = [0, 2, 1, 3, 4, 5]   # chart coordinate k is Cartesian coordinate axes[k]
+    embed = np.eye(7)[:, axes]
+    embed[6, 4:6] = -s_x / s_z, -s_y / s_z
+    return step_jacobian(point, cfg)[axes] @ embed
 
 
 def _cartesian_residual(point: PhasePoint, cfg: ValidatedConfig) -> float:

@@ -195,6 +195,40 @@ def submap(kind: SubMap, state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
     raise ValueError(f"unknown sub-map {kind!r}")
 
 
+def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
+    """7x7 Cartesian tangent of one sub-map at the Cartesian point x."""
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = x
+    lam = cfg.lam
+    jac = np.eye(7)
+    if kind is SubMap.KICK_Y:
+        c, s = math.cos(lam * q_y), math.sin(lam * q_y)
+        jac[3, 5] = -lam
+        jac[np.ix_([4, 6], [4, 6])] = [[c, s], [-s, c]]
+        jac[[4, 6], 1] = lam * (s_z * c - s_x * s), -lam * (s_x * c + s_z * s)
+    elif kind is SubMap.KICK_X:
+        c, s = math.cos(lam * q_x), math.sin(lam * q_x)
+        jac[2, 4] = -lam
+        jac[np.ix_([5, 6], [5, 6])] = [[c, -s], [s, c]]
+        jac[[5, 6], 0] = -lam * (s_y * s + s_z * c), lam * (s_y * c - s_z * s)
+    else:   # HARMONIC: constant, rotations of each (q, p) pair and of (s_x, s_y)
+        cw, sw = math.cos(cfg.omega), math.sin(cfg.omega)
+        cd, sd = math.cos(cfg.delta), math.sin(cfg.delta)
+        jac[0:4, 0:4] = [[cw, 0.0, sw, 0.0], [0.0, cw, 0.0, sw],
+                         [-sw, 0.0, cw, 0.0], [0.0, -sw, 0.0, cw]]
+        jac[4:6, 4:6] = [[cd, -sd], [sd, cd]]
+    return jac
+
+
+def step_jacobian(state: PhasePoint, cfg: ValidatedConfig) -> np.ndarray:
+    """Exact 7x7 tangent of :func:`step` in Cartesian coordinates
+    (q_x, q_y, p_x, p_y, s_x, s_y, s_z): the chain rule over the sub-maps
+    Harmonic o KickX o KickY, each tangent taken at that sub-map's input."""
+    mid = submap(SubMap.KICK_Y, state, cfg).as_array()
+    return (_submap_tangent(SubMap.HARMONIC, mid, cfg)
+            @ _submap_tangent(SubMap.KICK_X, mid, cfg)
+            @ _submap_tangent(SubMap.KICK_Y, state.as_array(), cfg))
+
+
 def composed_step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
     """Harmonic o KickX o KickY; must agree with :func:`step` to 1e-10."""
     out = submap(SubMap.KICK_Y, state, cfg)
@@ -273,27 +307,24 @@ def from_canonical(vec: Iterable[float]) -> PhasePoint:
     return PhasePoint(OscillatorPoint(q_x, q_y, p_x, p_y), SpinVector.from_angles(phi, s_z))
 
 
-def _wrap_angle(x: np.ndarray | float):
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def jacobian_canonical(state: PhasePoint, cfg: ValidatedConfig) -> np.ndarray:
-    """Central finite-difference Jacobian of one step in the canonical chart.
+    """Jacobian of one step in the canonical chart, from :func:`step_jacobian`.
 
-    Raises PoleProximity when |s_z| >= 1/2 - 1e-6, where the chart degenerates.
-    The determinant equals 1 to ~1e-6 (area preservation).
+    Raises PoleProximity when |s_z| >= 1/2 - 1e-6 at the point or at its
+    image, where the chart degenerates.  The determinant equals 1 to
+    roundoff (area preservation).
     """
-    center = to_canonical(state)
-    h = cfg.fd_step
-    jac = np.empty((6, 6))
-    for j in range(6):
-        plus = center.copy()
-        minus = center.copy()
-        plus[j] += h
-        minus[j] -= h
-        fp = to_canonical(step(from_canonical(plus), cfg))
-        fm = to_canonical(step(from_canonical(minus), cfg))
-        diff = fp - fm
-        diff[4] = _wrap_angle(diff[4])
-        jac[:, j] = diff / (2.0 * h)
-    return jac
+    to_canonical(state)
+    image = step(state, cfg)
+    to_canonical(image)
+    s_x, s_y, s_z = state.spin.s_x, state.spin.s_y, state.spin.s_z
+    rho = s_x * s_x + s_y * s_y
+    # chart coordinate k sits at Cartesian index axes[k]; phi's entries are filled below
+    axes = [0, 2, 1, 3, 4, 6]
+    embed = np.eye(7)[:, axes]
+    embed[4:6, 4] = -s_y, s_x
+    embed[4:6, 5] = -s_x * s_z / rho, -s_y * s_z / rho
+    i_x, i_y = image.spin.s_x, image.spin.s_y
+    project = np.eye(7)[axes]
+    project[4, 4:6] = np.array([-i_y, i_x]) / (i_x * i_x + i_y * i_y)
+    return project @ step_jacobian(state, cfg) @ embed

@@ -91,7 +91,6 @@ def _numerics(scfg: ScenarioConfig) -> NumericsConfig:
         newton_max_iter=scfg.get_int("numerics.newton_max_iter", 50),
         overlap_threshold=scfg.get_float("numerics.overlap_threshold", 0.01),
         eig_residual_tol=scfg.get_float("numerics.eig_residual_tol", 1e-9),
-        fd_step=scfg.get_float("numerics.fd_step", 1e-6),
     )
 
 

@@ -43,7 +43,6 @@ class NumericsConfig:
     newton_max_iter: int = 50
     overlap_threshold: float = 0.01
     eig_residual_tol: float = 1e-9
-    fd_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class ValidatedConfig:
     newton_max_iter: int
     overlap_threshold: float
     eig_residual_tol: float
-    fd_step: float
 
     def with_lam(self, lam: float) -> "ValidatedConfig":
         """New config at a different coupling, re-validated."""
@@ -80,7 +78,6 @@ class ValidatedConfig:
             newton_max_iter=self.newton_max_iter,
             overlap_threshold=self.overlap_threshold,
             eig_residual_tol=self.eig_residual_tol,
-            fd_step=self.fd_step,
         )
 
 
@@ -103,7 +100,7 @@ def validate_params(params: ModelParams, numerics: NumericsConfig | None = None)
         bad.append(f"lambda must be >= 0, got {params.lam!r}")
     if not (isinstance(numerics.n_t, int) and numerics.n_t >= 0):
         bad.append(f"n_t must be an integer >= 0, got {numerics.n_t!r}")
-    for name in ("newton_tol", "eig_residual_tol", "fd_step"):
+    for name in ("newton_tol", "eig_residual_tol"):
         value = getattr(numerics, name)
         if not value > 0.0:
             bad.append(f"{name} must be > 0, got {value!r}")
@@ -122,7 +119,6 @@ def validate_params(params: ModelParams, numerics: NumericsConfig | None = None)
         newton_max_iter=numerics.newton_max_iter,
         overlap_threshold=numerics.overlap_threshold,
         eig_residual_tol=numerics.eig_residual_tol,
-        fd_step=numerics.fd_step,
     )
 
 

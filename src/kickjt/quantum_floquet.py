@@ -111,12 +111,9 @@ def build_basis(n_t: int) -> FockBasis:
 
 @dataclass
 class Operator:
-    """Dense matrix over a FockBasis with property flags set by constructors."""
+    """Dense matrix over a FockBasis."""
 
     matrix: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
-    diagonal: bool = False
 
     @property
     def dim(self) -> int:
@@ -155,33 +152,37 @@ def state_vector(state) -> np.ndarray:
 
 # --- operator construction -------------------------------------------------
 
+def _ladder(basis: FockBasis, axis: Axis):
+    """Raising step of one mode over the cut oscillator basis.
+
+    Returns (lower, upper, value): oscillator indices of every pair
+    |n> -> |n + 1> of the named mode that stays within the cutoff, and the
+    matrix element sqrt(n + 1)/sqrt(2) of (a + a^dag)/sqrt(2) between them.
+    The osc index of (n_x, n_y) is N (N + 1)/2 + n_x with N = n_x + n_y.
+    """
+    total = basis.osc_nx + basis.osc_ny
+    lower = np.flatnonzero(total < basis.n_t)
+    own = (basis.osc_nx if axis == "x" else basis.osc_ny)[lower]
+    up_total = total[lower] + 1
+    upper = up_total * (up_total + 1) // 2 + basis.osc_nx[lower] + (axis == "x")
+    return lower, upper, np.sqrt(own + 1) / math.sqrt(2.0)
+
+
 def osc_position_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
     """(a + a^dag)/sqrt(2) for one mode, over the cut oscillator basis."""
+    lower, upper, val = _ladder(basis, axis)
     mat = np.zeros((basis.osc_dim, basis.osc_dim))
-    nx, ny = basis.osc_nx, basis.osc_ny
-    for i in range(basis.osc_dim):
-        n_own = nx[i] if axis == "x" else ny[i]
-        up = (nx[i] + 1, ny[i]) if axis == "x" else (nx[i], ny[i] + 1)
-        if up[0] + up[1] <= basis.n_t:
-            j = basis.osc_index(*up)
-            val = math.sqrt(n_own + 1) / math.sqrt(2.0)
-            mat[i, j] = val
-            mat[j, i] = val
+    mat[lower, upper] = val
+    mat[upper, lower] = val
     return mat
 
 
 def osc_momentum_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
     """-i (a - a^dag)/sqrt(2) for one mode, over the cut oscillator basis."""
+    lower, upper, val = _ladder(basis, axis)
     mat = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
-    nx, ny = basis.osc_nx, basis.osc_ny
-    for i in range(basis.osc_dim):
-        n_own = nx[i] if axis == "x" else ny[i]
-        up = (nx[i] + 1, ny[i]) if axis == "x" else (nx[i], ny[i] + 1)
-        if up[0] + up[1] <= basis.n_t:
-            j = basis.osc_index(*up)
-            val = math.sqrt(n_own + 1) / math.sqrt(2.0)
-            mat[i, j] = -1j * val   # <n| p |n+1> for p = -i (a - a^dag)/sqrt(2)
-            mat[j, i] = 1j * val
+    mat[lower, upper] = -1j * val   # <n| p |n+1> for p = -i (a - a^dag)/sqrt(2)
+    mat[upper, lower] = 1j * val
     return mat
 
 
@@ -217,15 +218,12 @@ def build_operators(basis: FockBasis, cfg: ValidatedConfig) -> OperatorSet:
     eye_osc = np.eye(basis.osc_dim)
     ops = {}
     for axis in ("x", "y"):
-        ops[f"q_{axis}"] = Operator(kron_osc_spin(osc_position_matrix(basis, axis), eye2),
-                                    hermitian=True)
-        ops[f"p_{axis}"] = Operator(kron_osc_spin(osc_momentum_matrix(basis, axis), eye2),
-                                    hermitian=True)
+        ops[f"q_{axis}"] = Operator(kron_osc_spin(osc_position_matrix(basis, axis), eye2))
+        ops[f"p_{axis}"] = Operator(kron_osc_spin(osc_momentum_matrix(basis, axis), eye2))
     for axis in ("x", "y", "z"):
-        ops[f"s_{axis}"] = Operator(kron_osc_spin(eye_osc, SPIN_HALF[axis]), hermitian=True)
-    ops["h0_propagator"] = Operator(np.diag(h0_phases(basis, cfg)), unitary=True, diagonal=True)
-    ops["parity"] = Operator(np.diag(basis.parity.astype(complex)),
-                             hermitian=True, unitary=True, diagonal=True)
+        ops[f"s_{axis}"] = Operator(kron_osc_spin(eye_osc, SPIN_HALF[axis]))
+    ops["h0_propagator"] = Operator(np.diag(h0_phases(basis, cfg)))
+    ops["parity"] = Operator(np.diag(basis.parity.astype(complex)))
     return OperatorSet(basis=basis, **ops)
 
 
@@ -240,96 +238,66 @@ def _kick_blocks(basis: FockBasis, axis: Axis):
     cached = basis._kick_cache.get(key)
     if cached is not None:
         return cached
+    position = osc_position_matrix(basis, axis)
     other = basis.osc_ny if axis == "x" else basis.osc_nx
     own = basis.osc_nx if axis == "x" else basis.osc_ny
     blocks = []
     for fixed in range(basis.n_t + 1):
         idx = np.flatnonzero(other == fixed)
         idx = idx[np.argsort(own[idx])]
-        size = idx.size
-        sub = np.zeros((size, size))
-        for k in range(size - 1):
-            sub[k, k + 1] = sub[k + 1, k] = math.sqrt(k + 1) / math.sqrt(2.0)
-        evals, evecs = np.linalg.eigh(sub)
+        evals, evecs = np.linalg.eigh(position[np.ix_(idx, idx)])
         blocks.append((idx, evals, evecs))
     basis._kick_cache[key] = blocks
     return blocks
 
 
-def _osc_kick_exponentials(basis: FockBasis, axis: Axis, lam: float,
-                           spin_eigs: np.ndarray) -> list[np.ndarray]:
-    """exp(-i lam s q_axis) over the oscillator space, one per spin eigenvalue."""
-    blocks = _kick_blocks(basis, axis)
-    out = []
-    for s in spin_eigs:
-        mat = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
-        for idx, evals, evecs in blocks:
-            phase = np.exp(-1j * lam * s * evals)
-            mat[np.ix_(idx, idx)] = (evecs * phase) @ evecs.T
-        out.append(mat)
-    return out
+def apply_kick(vec: np.ndarray, axis: Axis, lam: float, basis: FockBasis,
+               spin_axis: SpinAxis | None = None) -> np.ndarray:
+    """exp(-i lam q_axis s_spin_axis) applied to a state (dim,) or to each
+    column of a (dim, k) matrix, without forming the dense propagator.
 
-
-def kick_propagator(axis: Axis, lam: float, basis: FockBasis,
-                    spin_axis: SpinAxis | None = None) -> Operator:
-    """exp(-i lam q_axis s_spin_axis), exactly unitary by construction.
-
-    The spin factor is diagonalised (a 2x2 rotation) and each spin block
-    receives exp(-+ i lam q/2) through the spectral decomposition of the
-    truncated Hermitian position operator.
+    The spin factor is diagonalised (a 2x2 rotation); both spin
+    eigencomponents then share the spectral decomposition of each block of
+    the truncated Hermitian position operator, so the result is exactly
+    unitary by construction.
     """
     if spin_axis is None:
         spin_axis = axis
     spin_eigs, spin_vecs = np.linalg.eigh(SPIN_HALF[spin_axis])
-    osc_exps = _osc_kick_exponentials(basis, axis, lam, spin_eigs)
-    full = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for k in range(2):
-        proj = np.outer(spin_vecs[:, k], spin_vecs[:, k].conj())
-        full += kron_osc_spin(osc_exps[k], proj)
-    return Operator(full, unitary=True)
+    psi = vec.reshape(basis.osc_dim, 2, -1)
+    comps = spin_vecs.conj().T @ psi      # amplitude on each spin eigenvector
+    out = np.empty_like(comps)
+    for idx, evals, evecs in _kick_blocks(basis, axis):
+        # the block eigenvectors are real, so they multiply the complex data
+        # viewed as interleaved real and imaginary parts: one real GEMM each
+        size = idx.size
+        phase = np.exp(-1j * lam * np.outer(evals, spin_eigs))[:, :, None]
+        rotated = (evecs.T @ comps[idx].reshape(size, -1).view(float)).view(complex)
+        mixed = (phase * rotated.reshape(size, 2, -1)).reshape(size, -1)
+        out[idx] = (evecs @ mixed.view(float)).view(complex).reshape(size, 2, -1)
+    return (spin_vecs @ out).reshape(vec.shape)
 
 
-def apply_kick(vec: np.ndarray, axis: Axis, lam: float, basis: FockBasis,
-               spin_axis: SpinAxis | None = None) -> np.ndarray:
-    """Kick applied to a state vector without forming the dense propagator."""
-    if spin_axis is None:
-        spin_axis = axis
-    spin_eigs, spin_vecs = np.linalg.eigh(SPIN_HALF[spin_axis])
-    blocks = _kick_blocks(basis, axis)
-    psi = vec.reshape(basis.osc_dim, 2)
-    comps = psi @ spin_vecs.conj()        # columns: amplitude on each spin eigenvector
-    out_comps = np.empty_like(comps)
-    for k in range(2):
-        col = comps[:, k]
-        new = np.empty_like(col)
-        for idx, evals, evecs in blocks:
-            phase = np.exp(-1j * lam * spin_eigs[k] * evals)
-            new[idx] = evecs @ (phase * (evecs.T @ col[idx]))
-        out_comps[:, k] = new
-    return (out_comps @ spin_vecs.T).reshape(-1)
+def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, basis: FockBasis) -> np.ndarray:
+    """One period applied to a state (dim,) or to each column of a (dim, k)
+    matrix: kick y, kick x, then H0 phases."""
+    out = apply_kick(vec, "y", cfg.lam, basis)
+    out = apply_kick(out, "x", cfg.lam, basis)
+    phases = h0_phases(basis, cfg)
+    return out * (phases[:, None] if out.ndim == 2 else phases)
 
 
 def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None) -> Operator:
     """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense."""
     if basis is None:
         basis = build_basis(cfg.n_t)
-    k_x = kick_propagator("x", cfg.lam, basis)
-    k_y = kick_propagator("y", cfg.lam, basis)
-    mat = h0_phases(basis, cfg)[:, None] * (k_x.matrix @ k_y.matrix)
-    return Operator(mat, unitary=True)
-
-
-def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, basis: FockBasis) -> np.ndarray:
-    """One period applied to a state vector (kick y, kick x, then H0 phases)."""
-    out = apply_kick(vec, "y", cfg.lam, basis)
-    out = apply_kick(out, "x", cfg.lam, basis)
-    return h0_phases(basis, cfg) * out
+    return Operator(apply_floquet(np.eye(basis.dim, dtype=complex), cfg, basis))
 
 
 # --- diagnostics -----------------------------------------------------------
 
 def expectation(state, op: Operator) -> complex:
-    """<psi|A|psi>; real to 1e-12 when the operator is flagged Hermitian."""
+    """<psi|A|psi>; real to roundoff when the operator is Hermitian."""
     vec = state_vector(state)
     if vec.shape[0] != op.dim:
         raise DimensionMismatch(f"state dim {vec.shape[0]} vs operator dim {op.dim}")
@@ -380,16 +348,25 @@ class FloquetSpectrum:
         return k, float(overlaps[k])
 
 
-def _schur_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and orthonormal eigenvectors of a (near-)unitary matrix.
+def _sector_spectrum(mat: np.ndarray, idx: np.ndarray,
+                     residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases (ascending) and orthonormal eigenvectors of the block
+    mat[idx, idx] of a (near-)unitary matrix.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
-    vectors are true eigenvectors and exactly orthonormal.
+    vectors are true eigenvectors and exactly orthonormal.  Raises
+    EigFailure if any eigenpair residual of the block exceeds residual_tol.
     """
-    t_mat, q_mat = scipy.linalg.schur(matrix, output="complex")
+    sub = mat[np.ix_(idx, idx)]
+    t_mat, q_mat = scipy.linalg.schur(sub, output="complex")
     phases = np.angle(np.diag(t_mat))
     order = np.argsort(phases, kind="stable")
-    return phases[order], q_mat[:, order]
+    phases, vecs = phases[order], q_mat[:, order]
+    residuals = np.linalg.norm(sub @ vecs - vecs * np.exp(1j * phases)[None, :], axis=0)
+    worst = float(np.max(residuals, initial=0.0))
+    if worst > residual_tol:
+        raise EigFailure(worst, residual_tol)
+    return phases, vecs
 
 
 def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
@@ -398,8 +375,8 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
 
     When a parity diagonal is supplied and the operator commutes with it,
     each sector block is diagonalised separately; eigenvectors are then
-    exactly sector pure.  Raises EigFailure if any eigenpair residual
-    exceeds residual_tol.
+    exactly sector pure.  Raises EigFailure if any eigenpair residual,
+    measured against the full operator, exceeds residual_tol.
     """
     mat = op.matrix
     dim = mat.shape[0]
@@ -414,7 +391,7 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
             col = 0
             for label, value in (("O", -1), ("E", 1)):
                 idx = np.flatnonzero(pdiag == value)
-                sub_phases, sub_vecs = _schur_eig(mat[np.ix_(idx, idx)])
+                sub_phases, sub_vecs = _sector_spectrum(mat, idx, residual_tol)
                 block = slice(col, col + idx.size)
                 phases[block] = sub_phases
                 vectors[np.ix_(idx, range(col, col + idx.size))] = sub_vecs
@@ -424,27 +401,14 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
             phases = phases[order]
             vectors = vectors[:, order]
             sectors = sectors[order]
-        else:
-            parity = None
-    if parity is None and sectors is None:
-        phases, vectors = _schur_eig(mat)
+    if sectors is None:
+        phases, vectors = _sector_spectrum(mat, np.arange(dim), residual_tol)
     residuals = np.linalg.norm(mat @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
-    worst = float(np.max(residuals)) if residuals.size else 0.0
+    worst = float(np.max(residuals, initial=0.0))
     if worst > residual_tol:
         raise EigFailure(worst, residual_tol)
     return FloquetSpectrum(eigenphases=phases, vectors=vectors,
                            residuals=residuals, sectors=sectors)
-
-
-def _sector_spectrum(mat: np.ndarray, idx: np.ndarray,
-                     residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    sub = mat[np.ix_(idx, idx)]
-    phases, vecs = _schur_eig(sub)
-    residuals = np.linalg.norm(sub @ vecs - vecs * np.exp(1j * phases)[None, :], axis=0)
-    worst = float(np.max(residuals))
-    if worst > residual_tol:
-        raise EigFailure(worst, residual_tol)
-    return phases, vecs
 
 
 # --- adaptive continuation -------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from kickjt import (OscillatorPoint, PhasePoint, PoleProximity, SpinVector,
                     Stability, SubMap, composed_step, inverse_step, iterate,
                     jacobian_canonical, make_config, spin_rotation_matrix,
-                    step, submap)
+                    step, step_arrays, step_jacobian, submap)
+from kickjt.bifurcation import _graph_jacobian, _graph_step
+from kickjt.classical_map import from_canonical, to_canonical
 from conftest import reference_config
 
 RNG_SEED = 20240915
@@ -23,6 +25,14 @@ def random_point(rng, z_max=0.5):
     return PhasePoint(OscillatorPoint(*q), SpinVector.from_angles(phi, s_z))
 
 
+def random_off_equator_point(rng):
+    """Random point with 0.05 <= |s_z| <= 0.45, where central differences
+    in both spin charts are accurate to 1e-6."""
+    s_z = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.45)
+    return PhasePoint(OscillatorPoint(*rng.uniform(-2, 2, size=4)),
+                      SpinVector.from_angles(rng.uniform(0, 2 * math.pi), s_z))
+
+
 def random_params(rng):
     return make_config(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5),
                        rng.uniform(0.0, 0.6))
@@ -30,6 +40,17 @@ def random_params(rng):
 
 def max_diff(a: PhasePoint, b: PhasePoint) -> float:
     return float(np.max(np.abs(a.as_array() - b.as_array())))
+
+
+def central_difference(f, x, h=1e-6):
+    """Finite-difference oracle for the exact Jacobians: column j is
+    (f(x + h e_j) - f(x - h e_j)) / 2h."""
+    cols = []
+    for j in range(x.size):
+        step_j = np.zeros_like(x)
+        step_j[j] = h
+        cols.append((f(x + step_j) - f(x - step_j)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 class TestSpinVector:
@@ -163,6 +184,38 @@ class TestIterate:
             assert max_diff(state, fp.point) <= 10 * cfg.newton_tol
 
 
+class TestStepJacobian:
+    def test_matches_complex_step_derivative(self):
+        # d f/dx_j = Im f(x + i h e_j) / h exactly up to roundoff: no
+        # subtraction, so h = 1e-30 carries no truncation or cancellation
+        rng = np.random.default_rng(RNG_SEED + 5)
+        h = 1e-30
+        for k in range(60):
+            cfg = random_params(rng)
+            s_z = math.copysign(10 ** rng.uniform(-3, math.log10(0.49)), k % 2 - 0.5)
+            state = PhasePoint(OscillatorPoint(*rng.uniform(-2, 2, size=4)),
+                               SpinVector.from_angles(rng.uniform(0, 2 * math.pi), s_z))
+            x = state.as_array().astype(complex)
+            expected = np.empty((7, 7))
+            for j in range(7):
+                shifted = x.copy()
+                shifted[j] += 1j * h
+                image = step_arrays(*shifted, cfg.omega, cfg.delta, cfg.lam)
+                expected[:, j] = np.imag(np.array(image)) / h
+            assert np.max(np.abs(step_jacobian(state, cfg) - expected)) <= 1e-12
+
+    def test_graph_chart_matches_central_differences(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        for _ in range(20):
+            cfg = random_params(rng)
+            state = random_off_equator_point(rng)
+            o, s = state.osc, state.spin
+            v = np.array([o.q_x, o.p_x, o.q_y, o.p_y, s.s_x, s.s_y])
+            hemi = math.copysign(1.0, s.s_z)
+            fd = central_difference(lambda w: _graph_step(w, hemi, cfg), v)
+            assert np.max(np.abs(_graph_jacobian(v, hemi, cfg) - fd)) <= 1e-6
+
+
 class TestJacobianCanonical:
     def test_zero_coupling_block_structure(self):
         cfg = make_config(0.3, 0.9, 0.0)
@@ -183,7 +236,22 @@ class TestJacobianCanonical:
         for _ in range(100):
             state = random_point(rng, z_max=0.4)
             det = np.linalg.det(jacobian_canonical(state, cfg))
-            assert det == pytest.approx(1.0, abs=1e-6)
+            assert det == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        for _ in range(20):
+            cfg = random_params(rng)
+            state = random_off_equator_point(rng)
+            phi_image = to_canonical(step(state, cfg))[4]
+
+            def canonical_step(c):
+                image = to_canonical(step(from_canonical(c), cfg))
+                image[4] = (image[4] - phi_image + math.pi) % (2 * math.pi) - math.pi
+                return image
+
+            fd = central_difference(canonical_step, to_canonical(state))
+            assert np.max(np.abs(jacobian_canonical(state, cfg) - fd)) <= 1e-6
 
     def test_pole_guard(self):
         cfg = reference_config(0.32)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from kickjt import (DimensionMismatch, EigFailure, Operator, StepUnderflow,
                     apply_floquet, build_basis, build_operators, coherent_state,
-                    diagonalize, expectation, floquet_operator, h0_phases,
-                    kick_propagator, make_config, pes_seed, pgs_seed,
+                    apply_kick, diagonalize, expectation, floquet_operator,
+                    h0_phases, make_config, pes_seed, pgs_seed,
                     product_state, sector_leakage, spin_state, track_eigenstate)
 from kickjt.observables import SpinDirection
 from kickjt.quantum_floquet import SPIN_HALF, kron_osc_spin, osc_position_matrix
@@ -61,7 +62,6 @@ class TestOperators:
         i = basis18.index(1, 0, -1)
         j = basis18.index(0, 0, -1)
         assert ops.q_x.matrix[i, j] == pytest.approx(1 / math.sqrt(2))
-        assert ops.q_x.hermitian
 
     def test_h0_phase_on_ground_state(self, basis18):
         cfg = reference_config(0.0)
@@ -71,32 +71,46 @@ class TestOperators:
         assert value == pytest.approx(0.41129, abs=1e-5)
 
 
+def kick_matrix(axis, lam, basis, spin_axis=None):
+    """Dense kick propagator: the kick applied to every identity column."""
+    return apply_kick(np.eye(basis.dim, dtype=complex), axis, lam, basis, spin_axis)
+
+
 class TestKickPropagator:
     def test_identity_at_zero_coupling(self, basis18):
-        k = kick_propagator("x", 0.0, basis18)
-        assert np.max(np.abs(k.matrix - np.eye(basis18.dim))) <= 1e-14
+        k = kick_matrix("x", 0.0, basis18)
+        assert np.max(np.abs(k - np.eye(basis18.dim))) <= 1e-14
 
     def test_exact_unitarity(self, basis18):
-        k = kick_propagator("x", 0.32, basis18)
-        defect = np.max(np.abs(k.matrix.conj().T @ k.matrix - np.eye(basis18.dim)))
+        k = kick_matrix("x", 0.32, basis18)
+        defect = np.max(np.abs(k.conj().T @ k - np.eye(basis18.dim)))
         assert defect <= 1e-12
-        assert k.unitary
 
     def test_pulse_conjugation_identity(self, basis18):
         rot = scipy.linalg.expm(-1j * (math.pi / 4) * 2 * SPIN_HALF["y"])
         rot_full = kron_osc_spin(np.eye(basis18.osc_dim), rot)
-        k_z = kick_propagator("x", 0.32, basis18, spin_axis="z")
-        k_x = kick_propagator("x", 0.32, basis18, spin_axis="x")
-        conjugated = rot_full @ k_z.matrix @ rot_full.conj().T
-        assert np.max(np.abs(conjugated - k_x.matrix)) <= 1e-12
+        k_z = kick_matrix("x", 0.32, basis18, spin_axis="z")
+        k_x = kick_matrix("x", 0.32, basis18, spin_axis="x")
+        conjugated = rot_full @ k_z @ rot_full.conj().T
+        assert np.max(np.abs(conjugated - k_x)) <= 1e-12
 
     def test_small_instance_matches_expm(self):
         basis = build_basis(3)
         lam = 0.27
         generator = kron_osc_spin(osc_position_matrix(basis, "y"), SPIN_HALF["y"])
         expected = scipy.linalg.expm(-1j * lam * generator)
-        actual = kick_propagator("y", lam, basis).matrix
+        actual = kick_matrix("y", lam, basis)
         assert np.max(np.abs(expected - actual)) <= 1e-12
+
+    @pytest.mark.parametrize("axis,spin_axis", [("x", None), ("y", None), ("x", "z")])
+    def test_matrix_input_equals_column_by_column(self, axis, spin_axis):
+        basis = build_basis(5)
+        rng = np.random.default_rng(13)
+        mat = rng.normal(size=(basis.dim, 4)) + 1j * rng.normal(size=(basis.dim, 4))
+        batched = apply_kick(mat, axis, 0.41, basis, spin_axis)
+        for j in range(mat.shape[1]):
+            column = apply_kick(mat[:, j].copy(), axis, 0.41, basis, spin_axis)
+            assert np.max(np.abs(batched[:, j] - column)) <= 1e-13
 
 
 class TestFloquetOperator:
@@ -132,6 +146,23 @@ class TestFloquetOperator:
         vec /= np.linalg.norm(vec)
         dense = floquet_operator(cfg, basis18).matrix @ vec
         assert np.max(np.abs(apply_floquet(vec, cfg, basis18) - dense)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
+       lam=st.floats(0.0, 2.0), n_t=st.integers(0, 4))
+def test_floquet_operator_properties(omega, delta, lam, n_t):
+    # the dense operator is the period applied column by column, unitary
+    # and parity commuting anywhere in parameter space
+    basis = build_basis(n_t)
+    cfg = make_config(omega, delta, lam, n_t=n_t)
+    u = floquet_operator(cfg, basis).matrix
+    eye = np.eye(basis.dim, dtype=complex)
+    for j in range(basis.dim):
+        assert np.max(np.abs(u[:, j] - apply_floquet(eye[:, j].copy(), cfg, basis))) <= 1e-13
+    assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
+    par = basis.parity
+    assert np.max(np.abs(u * par[None, :] - par[:, None] * u)) <= 1e-12
 
 
 class TestDiagonalize:
@@ -175,7 +206,7 @@ class TestDiagonalize:
         rng = np.random.default_rng(3)
         bad = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         with pytest.raises(EigFailure):
-            diagonalize(Operator(bad, unitary=True))
+            diagonalize(Operator(bad))
 
     @pytest.mark.parametrize("lam", [0.1, 0.32])
     def test_spectral_stability_under_truncation(self, lam):

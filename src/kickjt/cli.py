@@ -4,10 +4,11 @@ Usage: kickjt <subcommand> --config <path> [--out <dir>] [--threads N] [--check]
 
 Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
-codes: 0 success, 2 configuration error, 3 compute error.  Identical
-configurations produce byte-identical files regardless of --threads: work
-items are independent and merged in a fixed order, and floats are written
-with shortest round-trip precision.
+codes: 0 success, 2 configuration error, 3 compute error.  Each scenario
+runs its couplings one after another in grid order, and floats are written
+with shortest round-trip precision, so identical configurations produce
+byte-identical files.  --threads is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,13 +75,6 @@ def _write_table(path: Path, table: Table) -> None:
         raise
 
 
-def _run_parallel(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- configuration helpers ---------------------------------------------------
 
 def _numerics(scfg: ScenarioConfig) -> NumericsConfig:
@@ -123,9 +116,19 @@ def _fp_row(lam: float, fp) -> tuple:
             fp.residual, fp.classification.value, *fp.multiplier_moduli)
 
 
+def _fixed_point_census(scfg: ScenarioConfig):
+    """Yield (lam, fixed points) for each coupling of the grid, in order."""
+    lams = scfg.lambda_values()
+    cfg = _model_config(scfg)
+    radii = scfg.get_floats("fixed_points.radii", list(DEFAULT_RING_RADII))
+    for lam in lams:
+        cfg_l = cfg.with_lam(lam)
+        yield lam, find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
+
+
 # --- scenarios ---------------------------------------------------------------
 
-def scenario_critical_couplings(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
+def scenario_critical_couplings(scfg: ScenarioConfig) -> ScenarioResult:
     cfg = _model_config(scfg)
     couplings = critical_couplings(cfg.omega, cfg.delta)
     rows = [(c.value, c.branch) for c in couplings]
@@ -138,41 +141,28 @@ def scenario_critical_couplings(scfg: ScenarioConfig, threads: int) -> ScenarioR
     )
 
 
-def scenario_fixed_points(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
-    radii = scfg.get_floats("fixed_points.radii", list(DEFAULT_RING_RADII))
-
-    def census(lam: float) -> list[tuple]:
-        cfg_l = cfg.with_lam(lam)
-        fps = find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
-        return [_fp_row(lam, fp) for fp in fps]
-
-    rows = [row for group in _run_parallel(census, lams, threads) for row in group]
+def scenario_fixed_points(scfg: ScenarioConfig) -> ScenarioResult:
+    rows = [_fp_row(lam, fp) for lam, fps in _fixed_point_census(scfg) for fp in fps]
     return ScenarioResult(tables={"fixed_points.csv": Table(_fp_columns(), rows)})
 
 
-def scenario_portrait(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
+def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
     spin = scfg.get_floats("portrait.spin", [0.0, 0.0, -0.5])
     if len(spin) != 3:
         raise ConfigError("portrait.spin needs exactly three components")
-    slope_raw = scfg.get_str("portrait.momentum_slope", "auto")
     grid = PortraitGrid(
         radii=tuple(scfg.get_floats("portrait.radii", list(PortraitGrid.radii))),
         n_angles=scfg.get_int("portrait.angles", 16),
-        momentum_slope=None if slope_raw == "auto" else scfg.get_float("portrait.momentum_slope"),
+        momentum_slope=_momentum_slope(scfg, "portrait.momentum_slope", cfg),
         spin=(spin[0], spin[1], spin[2]),
     )
     n_iter = scfg.get_int("portrait.iterations", 2000)
-
-    def one(lam: float) -> tuple[str, Table]:
-        points = portrait(cfg.with_lam(lam), grid, n_iter)
-        rows = [(lam, float(x), float(y)) for x, y in points]
-        return f"portrait_{_fmt_cell(lam)}.csv", Table(["lam", "q_x", "q_y"], rows, key_cols=0)
-
-    tables = dict(_run_parallel(one, lams, threads))
+    tables = {}
+    for lam in lams:
+        rows = [(lam, float(x), float(y)) for x, y in portrait(cfg.with_lam(lam), grid, n_iter)]
+        tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], rows, key_cols=0)
     return ScenarioResult(tables=tables)
 
 
@@ -189,7 +179,7 @@ def _tracked_path(scfg: ScenarioConfig, cfg: ValidatedConfig, basis: qf.FockBasi
     )
 
 
-def _scenario_track(scfg: ScenarioConfig, threads: int, which: str) -> ScenarioResult:
+def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
     basis = qf.build_basis(cfg.n_t)
@@ -203,15 +193,15 @@ def _scenario_track(scfg: ScenarioConfig, threads: int, which: str) -> ScenarioR
         name: Table(["lam", "eigenphase", "sector_leakage", "dlam_used"], rows)})
 
 
-def scenario_track_pgs(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
-    return _scenario_track(scfg, threads, "pgs")
+def scenario_track_pgs(scfg: ScenarioConfig) -> ScenarioResult:
+    return _scenario_track(scfg, "pgs")
 
 
-def scenario_track_pes(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
-    return _scenario_track(scfg, threads, "pes")
+def scenario_track_pes(scfg: ScenarioConfig) -> ScenarioResult:
+    return _scenario_track(scfg, "pes")
 
 
-def scenario_husimi_section(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
+def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
     basis = qf.build_basis(cfg.n_t)
@@ -227,13 +217,10 @@ def scenario_husimi_section(scfg: ScenarioConfig, threads: int) -> ScenarioResul
 
     coords = np.linspace(-bound, bound, n_pts)
     section = obs.diagonal_line_section(slope)
-
-    def one(lam: float) -> list[tuple]:
-        state = pgs.sample_at(lam).state
-        values = obs.husimi_on_section(state, basis, section, coords).values
-        return [(lam, float(u), float(h)) for u, h in zip(coords, values)]
-
-    rows = [row for group in _run_parallel(one, lams, threads) for row in group]
+    rows = []
+    for lam in lams:
+        values = obs.husimi_on_section(pgs.sample_at(lam).state, basis, section, coords).values
+        rows.extend((lam, float(u), float(h)) for u, h in zip(coords, values))
     tables = {"husimi_section.csv": Table(["lam", "u", "H"], rows, key_cols=2)}
 
     if grid2d_lam is not None:
@@ -250,17 +237,13 @@ def scenario_husimi_section(scfg: ScenarioConfig, threads: int) -> ScenarioResul
     return ScenarioResult(tables=tables)
 
 
-def scenario_entanglement_curves(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
+def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
     basis = qf.build_basis(cfg.n_t)
     path = _tracked_path(scfg, cfg, basis, qf.pgs_seed(basis), lams)
-
-    def measures(lam: float):
-        state = path.sample_at(lam).state
-        return obs.entanglement_measures(state, basis).as_tuple()
-
-    triples = _run_parallel(measures, lams, threads)
+    triples = [obs.entanglement_measures(path.sample_at(lam).state, basis).as_tuple()
+               for lam in lams]
     s_spin = [t[0] for t in triples]
     s_osc = [t[1] for t in triples]
     e_n = [t[2] for t in triples]
@@ -274,14 +257,9 @@ def scenario_entanglement_curves(scfg: ScenarioConfig, threads: int) -> Scenario
     return ScenarioResult(tables={"entanglement_curves.csv": Table(header, rows)})
 
 
-def scenario_detection_prob(scfg: ScenarioConfig, threads: int) -> ScenarioResult:
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
-    radii = scfg.get_floats("fixed_points.radii", list(DEFAULT_RING_RADII))
-
-    def one(lam: float) -> tuple:
-        cfg_l = cfg.with_lam(lam)
-        fps = find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
+def scenario_detection_prob(scfg: ScenarioConfig) -> ScenarioResult:
+    rows = []
+    for lam, fps in _fixed_point_census(scfg):
         stable = [fp for fp in fps if fp.classification is Stability.STABLE]
         if not stable:
             raise ComputeError(f"no stable fixed point at lam = {lam}")
@@ -291,9 +269,7 @@ def scenario_detection_prob(scfg: ScenarioConfig, threads: int) -> ScenarioResul
         alpha_x = math.hypot(o.q_x, o.p_x) / math.sqrt(2.0)
         alpha_y = math.hypot(o.q_y, o.p_y) / math.sqrt(2.0)
         p_plus = obs.detection_probability(direction.theta, alpha_x, alpha_y)
-        return (lam, direction.theta, alpha_x, alpha_y, p_plus)
-
-    rows = _run_parallel(one, lams, threads)
+        rows.append((lam, direction.theta, alpha_x, alpha_y, p_plus))
     header = ["lam", "theta", "alpha_x", "alpha_y", "p_plus"]
     return ScenarioResult(tables={"detection_prob.csv": Table(header, rows)})
 
@@ -351,13 +327,13 @@ def _compare_tables(name: str, base: Table, bumped: Table) -> list[str]:
     return lines
 
 
-def truncation_check(command: str, scfg: ScenarioConfig, threads: int) -> str:
+def truncation_check(command: str, scfg: ScenarioConfig) -> str:
     n_t = scfg.get_int("numerics.n_t", 18)
-    base = SCENARIOS[command](scfg, threads)
+    base = SCENARIOS[command](scfg)
     bumped_cfg = ScenarioConfig.from_text(
         "\n".join(f"{k} = {v.value}" for k, v in scfg._entries.items() if k != "numerics.n_t")
         + f"\nnumerics.n_t = {n_t + 4}\n")
-    bumped = SCENARIOS[command](bumped_cfg, threads)
+    bumped = SCENARIOS[command](bumped_cfg)
     lines = [f"truncation check: n_t = {n_t} vs {n_t + 4}"]
     for name in base.tables:
         if name in bumped.tables:
@@ -378,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario configuration file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (default: available cores)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--check", action="store_true",
                        help="re-run at n_t + 4 and report truncation deviations")
     return parser
@@ -396,7 +372,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
-        result = SCENARIOS[args.command](scfg, max(1, args.threads))
+        result = SCENARIOS[args.command](scfg)
         for name, table in result.tables.items():
             _write_table(out_dir / name, table)
         if result.text:
@@ -404,7 +380,7 @@ def main(argv=None) -> int:
         for name in result.tables:
             print(f"wrote {out_dir / name}")
         if args.check:
-            print(truncation_check(args.command, scfg, max(1, args.threads)))
+            print(truncation_check(args.command, scfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,22 +1,26 @@
 """Flat key/value scenario configuration files.
 
 Grammar: one `section.key = value` per line; `#` starts a comment; blank
-lines ignored.  Values are numbers or arithmetic expressions over pi, e,
-sqrt, sin, cos, tan, atan, acos, asin and acot (so `2*acot(2)` is exact to
-double precision), comma-separated lists of such expressions, inclusive
-grids written `start:stop:step`, or bare words.
+lines ignored.  Values are numbers or arithmetic expressions (int and float
+literals, `+ - * / **`, unary `+ -`, parentheses) over the constants pi and
+e and positional calls to sqrt, sin, cos, tan, atan, acos, asin and acot
+(so `2*acot(2)` is exact to double precision), comma-separated lists of
+such expressions, inclusive grids written `start:stop:step`, or bare words.
+Expressions are evaluated by walking their syntax tree, never by `eval`.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .model import acot
 
-_EVAL_ENV = {
-    "pi": math.pi,
-    "e": math.e,
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_FUNCTIONS = {
     "sqrt": math.sqrt,
     "sin": math.sin,
     "cos": math.cos,
@@ -24,8 +28,33 @@ _EVAL_ENV = {
     "atan": math.atan,
     "asin": math.asin,
     "acos": math.acos,
-    "acot": lambda x: math.atan2(1.0, x),
+    "acot": acot,
 }
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    # float base: an overflowing power raises instead of building a huge int
+    ast.Pow: lambda a, b: float(a) ** b,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _evaluate(node: ast.AST):
+    """Value of an expression tree made only of whitelisted nodes."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _CONSTANTS[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_evaluate(node.operand))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and not node.keywords):
+        return _FUNCTIONS[node.func.id](*(_evaluate(arg) for arg in node.args))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
 @dataclass(frozen=True)
@@ -76,12 +105,12 @@ class ScenarioConfig:
 
     def _eval_number(self, expr: str, line: int) -> float:
         try:
-            value = eval(compile(expr, "<config>", "eval"), {"__builtins__": {}}, _EVAL_ENV)
+            value = float(_evaluate(ast.parse(expr.strip(), mode="eval").body))
         except Exception as exc:
             raise ConfigError(f"cannot evaluate {expr!r}: {exc}", line=line)
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{expr!r} is not a number", line=line)
-        return float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{expr!r} is not finite", line=line)
+        return value
 
     def get_str(self, key: str, default: str | None = None) -> str | None:
         if key not in self._entries:

@@ -49,8 +49,7 @@ class NumericsConfig:
 class ValidatedConfig:
     """Immutable, validated bundle of model parameters and numerics.
 
-    Safe to share read-only across parallel workers; construct only via
-    :func:`validate_params` or :func:`make_config`.
+    Construct only via :func:`validate_params` or :func:`make_config`.
     """
 
     omega: float

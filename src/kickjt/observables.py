@@ -282,7 +282,8 @@ def reduced_density(state, keep: SubsystemTag, basis: FockBasis) -> DensityMatri
     elif keep == "osc_y":
         rho = np.einsum("nas,nbs->ab", psi, psi.conj())
     elif keep == "osc_pair":
-        rho = np.einsum("abs,cds->abcd", psi, psi.conj()).reshape(d * d, d * d)
+        m = psi.reshape(d * d, 2)
+        rho = m @ m.conj().T
     elif keep == "spin_osc_x":
         rho = np.einsum("ans,bnt->asbt", psi, psi.conj()).reshape(2 * d, 2 * d)
     else:

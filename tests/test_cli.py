@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kickjt.cli import main
+from kickjt.cli import build_parser, main
 from kickjt.configfile import ScenarioConfig
 from kickjt.errors import ConfigError
 
@@ -35,6 +35,10 @@ class TestConfigParsing:
         assert values[0] == 0.0
         assert values[-1] == 0.55
         assert len(values) == 56
+
+    def test_grid_parts_may_carry_spaces(self):
+        scfg = ScenarioConfig.from_text("model.lambda_grid = 0 : 0.55 : 0.01\n")
+        assert len(scfg.lambda_values()) == 56
 
     def test_list(self):
         scfg = ScenarioConfig.from_text("model.lambda_list = 0.15, 0.32\n")
@@ -69,6 +73,71 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self):
         scfg = ScenarioConfig.from_text("# header\n\nmodel.omega = 0.1  # trailing\n")
         assert scfg.require_float("model.omega") == 0.1
+
+
+# reference for accepted input: eval with emptied builtins, acot(x) = atan2(1, x)
+_EVAL_ENV = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt, "sin": math.sin,
+             "cos": math.cos, "tan": math.tan, "atan": math.atan, "asin": math.asin,
+             "acos": math.acos, "acot": lambda x: math.atan2(1.0, x)}
+
+
+def _eval_oracle(expr: str) -> float:
+    return float(eval(compile(expr.strip(), "<config>", "eval"), {"__builtins__": {}}, _EVAL_ENV))
+
+
+def _preset_expressions():
+    for preset in sorted(PRESET_DIR.glob("*.cfg")):
+        for key, entry in ScenarioConfig.from_file(preset)._entries.items():
+            for part in entry.value.replace(":", ",").split(","):
+                if part.strip() != "auto":
+                    yield f"{preset.name}:{key}", part
+
+
+# README examples and a few more forms the grammar section allows
+_DOC_EXPRESSIONS = ["2*acot(2)", "pi/60", "0.15", "0.32", "0", "0.55", "0.01", "2*pi",
+                    "-0.5", "+1e-12", "2**-1", "3**2", "sqrt(2)/2", "e**2", "-2**2",
+                    "(1 + 2) * 3 / 4", "acot(-1)", "atan(1) - asin(0.5) + acos(0.5)",
+                    "sin(pi/3) * cos(pi/6) + tan(pi/4)"]
+
+
+class TestSafeEvaluator:
+    @pytest.mark.parametrize("label,expr", list(_preset_expressions())
+                             + [("doc", e) for e in _DOC_EXPRESSIONS])
+    def test_accepted_values_equal_eval(self, label, expr):
+        value = ScenarioConfig.from_text(f"k = {expr}\n").require_float("k")
+        assert value == _eval_oracle(expr), label
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__base__.__subclasses__()[0].__name__.__len__()",
+        "(lambda: 3)()", "[1.0][0]", "True", "fhtagn(2)", "x", "sqrt(x=4)", "sqrt(*[4])",
+        "math.pi", "'1'", "1j", "1 < 2", "(1, 2)", "1 // 2", "7 % 2", "~1", "not 0",
+        "__import__('os')", "sqrt(-1)", "1/0", "sqrt(1, 2)", "9**9**9", "(-8)**(1/3)", "1e400",
+        "1e400 - 1e400", "",
+    ])
+    def test_rejected_with_line_number(self, expr):
+        scfg = ScenarioConfig.from_text(f"# header\n\nk = {expr}\n")
+        with pytest.raises(ConfigError) as err:
+            scfg.require_float("k")
+        assert err.value.line == 3
+
+    def test_rejected_inside_list_and_grid(self):
+        scfg = ScenarioConfig.from_text("a.b = 1, True\nc.d = 0:[1][0]:0.5\n")
+        with pytest.raises(ConfigError) as err:
+            scfg.get_floats("a.b")
+        assert err.value.line == 1
+        with pytest.raises(ConfigError) as err:
+            scfg.get_grid("c.d")
+        assert err.value.line == 2
+
+
+class TestParser:
+    def test_threads_flag_parses_and_defaults_to_one(self):
+        # perfbench's worker records this attribute and passes --threads 1
+        parser = build_parser()
+        args = parser.parse_args(["portrait", "--config", "x.cfg"])
+        assert args.threads == 1
+        args = parser.parse_args(["entanglement-curves", "--config", "x.cfg", "--threads", "4"])
+        assert args.threads == 4
 
 
 class TestExitCodes:

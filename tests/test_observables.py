@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kickjt import (DensityMatrix, GridTooSmall, OutOfRange, SpinDirection,
                     Stability, TruncationLoss, approx_bifurcated_states,
@@ -11,7 +12,7 @@ from kickjt import (DensityMatrix, GridTooSmall, OutOfRange, SpinDirection,
                     husimi_product_grid, log_negativity, plane_section,
                     product_state, reduced_density, section_peaks, spin_state,
                     von_neumann_entropy)
-from kickjt.observables import COHERENT_LOSS_TOL
+from kickjt.observables import COHERENT_LOSS_TOL, state_tensor
 from conftest import OMEGA
 
 
@@ -136,6 +137,20 @@ class TestReducedDensity:
             rho = reduced_density(random_state(rng, basis6), keep, basis6)
             assert np.real(np.trace(rho.matrix)) == pytest.approx(1.0, abs=1e-10)
             assert np.min(rho.eigenvalues()) >= -1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_t=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_osc_pair_matches_outer_product_oracle(self, n_t, seed):
+        # the GEMM partial trace against the explicit outer product summed
+        # over the spin index
+        basis = build_basis(n_t)
+        state = random_state(np.random.default_rng(seed), basis)
+        d = n_t + 1
+        psi = state_tensor(state, basis)
+        oracle = np.einsum("abs,cds->abcd", psi, psi.conj()).reshape(d * d, d * d)
+        rho = reduced_density(state, "osc_pair", basis)
+        assert rho.matrix.shape == (d * d, d * d)
+        assert np.max(np.abs(rho.matrix - oracle)) <= 1e-15
 
     def test_complementary_reductions_share_entropy(self, basis6):
         rng = np.random.default_rng(6)

@@ -2,8 +2,8 @@
 spectra, Husimi functions and entanglement measures."""
 
 from .errors import (ComputeError, ConfigError, DimensionMismatch, EigFailure,
-                     GridTooSmall, KickJTError, NoConvergence, OutOfRange,
-                     PoleProximity, StepUnderflow, TruncationLoss)
+                     GridTooSmall, KickJTError, NoConvergence, NonFiniteState,
+                     OutOfRange, PoleProximity, StepUnderflow, TruncationLoss)
 from .model import (ModelParams, NumericsConfig, ValidatedConfig, acot,
                     make_config, validate_params)
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector, SubMap,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector,
                             step_arrays, step_jacobian)
-from .errors import NoConvergence, PoleProximity
+from .errors import NoConvergence, NonFiniteState, PoleProximity
 from .model import ValidatedConfig
 
 MULTIPLIER_TOL = 1e-4
@@ -159,13 +159,16 @@ def _newton(seed: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
     identity = np.eye(6)
     for _ in range(cfg.newton_max_iter):
         try:
-            candidate = _graph_point(v, hemi)
-            if _cartesian_residual(candidate, cfg) <= cfg.newton_tol:
-                return candidate
-            resid = _graph_step(v, hemi, cfg) - v
-            jac = _graph_jacobian(v, hemi, cfg) - identity
+            with np.errstate(over="raise", invalid="raise"):
+                candidate = _graph_point(v, hemi)
+                if _cartesian_residual(candidate, cfg) <= cfg.newton_tol:
+                    return candidate
+                resid = _graph_step(v, hemi, cfg) - v
+                jac = _graph_jacobian(v, hemi, cfg) - identity
         except _ChartExit:
             raise NoConvergence("Newton iterate reached the spin equator")
+        except FloatingPointError as exc:
+            raise NonFiniteState(f"Newton step is not finite ({exc})") from exc
         try:
             delta_v = np.linalg.solve(jac, -resid)
         except np.linalg.LinAlgError:

@@ -28,11 +28,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import PoleProximity
+from .errors import NonFiniteState, PoleProximity
 from .model import ValidatedConfig
 
 SPIN_RADIUS_SQ = 0.25
 _SPIN_NORM_TOL = 1e-9
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise NonFiniteState(f"{name} = {value!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,7 @@ class SpinVector:
     s_z: float
 
     def __post_init__(self):
+        _require_finite(self, ("s_x", "s_y", "s_z"))
         n = self.s_x * self.s_x + self.s_y * self.s_y + self.s_z * self.s_z
         if not abs(n - SPIN_RADIUS_SQ) <= _SPIN_NORM_TOL:
             raise ValueError(f"spin norm^2 = {n!r}, expected 1/4")
@@ -71,9 +79,7 @@ class OscillatorPoint:
     p_y: float
 
     def __post_init__(self):
-        for name in ("q_x", "q_y", "p_x", "p_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, ("q_x", "q_y", "p_x", "p_y"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q_x, self.q_y, self.p_x, self.p_y])

@@ -29,7 +29,8 @@ from .bifurcation import (DEFAULT_RING_RADII, PortraitGrid, Stability,
                           critical_couplings, default_seeds, find_fixed_points,
                           portrait)
 from .configfile import ScenarioConfig
-from .errors import ComputeError, ConfigError, KickJTError, OutOfRange
+from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
+                     OutOfRange)
 from .model import ModelParams, NumericsConfig, ValidatedConfig, validate_params
 
 
@@ -123,7 +124,11 @@ def _fixed_point_census(scfg: ScenarioConfig):
     radii = scfg.get_floats("fixed_points.radii", list(DEFAULT_RING_RADII))
     for lam in lams:
         cfg_l = cfg.with_lam(lam)
-        yield lam, find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
+        try:
+            fps = find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
+        except NonFiniteState as exc:
+            raise ComputeError(f"fixed-point search at lam = {lam!r}: {exc}") from exc
+        yield lam, fps
 
 
 # --- scenarios ---------------------------------------------------------------

@@ -25,6 +25,10 @@ class PoleProximity(KickJTError):
     """Operation requested too close to a spin pole for the canonical chart."""
 
 
+class NonFiniteState(KickJTError, ValueError):
+    """A classical phase-space coordinate is infinite or NaN."""
+
+
 class NoConvergence(KickJTError):
     """An iterative solver failed to converge for one work item."""
 

@@ -95,8 +95,8 @@ def validate_params(params: ModelParams, numerics: NumericsConfig | None = None)
         bad.append(f"omega must lie in (0, 2*pi), got {params.omega!r}")
     if not (isinstance(params.delta, (int, float)) and 0.0 < params.delta < TWO_PI):
         bad.append(f"delta must lie in (0, 2*pi), got {params.delta!r}")
-    if not (isinstance(params.lam, (int, float)) and params.lam >= 0.0):
-        bad.append(f"lambda must be >= 0, got {params.lam!r}")
+    if not (isinstance(params.lam, (int, float)) and 0.0 <= params.lam < math.inf):
+        bad.append(f"lambda must be finite and >= 0, got {params.lam!r}")
     if not (isinstance(numerics.n_t, int) and numerics.n_t >= 0):
         bad.append(f"n_t must be an integer >= 0, got {numerics.n_t!r}")
     for name in ("newton_tol", "eig_residual_tol"):

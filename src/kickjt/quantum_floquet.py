@@ -443,6 +443,42 @@ class TrackedPath:
 
 
 MIN_TRACK_STEP = 1e-6
+RQI_RESIDUAL_TOL = 1e-12
+RQI_MAX_SOLVES = 5
+
+
+def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Eigenphase, unit eigenvector and residual |sub v - e^{i phase} v| of
+    the eigenpair of the unitary block sub nearest vec, by shift-invert
+    Rayleigh-quotient iteration (Parlett, Math. Comp. 28, 679 (1974)).
+
+    Each solve shifts at the Rayleigh quotient of the current iterate,
+    projected onto the unit circle.  Iteration stops once the residual no
+    longer halves, or after RQI_MAX_SOLVES solves; the iterate with the
+    smallest residual is returned.
+    """
+    eye = np.eye(sub.shape[0])
+
+    def pair(v):
+        v = v / np.linalg.norm(v)
+        image = sub @ v
+        rq = complex(np.vdot(v, image))
+        phase = math.atan2(rq.imag, rq.real)
+        return phase, v, float(np.linalg.norm(image - np.exp(1j * phase) * v))
+
+    best = pair(vec)
+    for _ in range(RQI_MAX_SOLVES):
+        try:
+            w = np.linalg.solve(sub - np.exp(1j * best[0]) * eye, best[1])
+        except np.linalg.LinAlgError:   # shift exactly on an eigenvalue
+            break
+        trial = pair(w)   # a non-finite solve gives a NaN residual: no step
+        halved = trial[2] <= 0.5 * best[2]
+        if trial[2] < best[2]:
+            best = trial
+        if not halved:
+            break
+    return best
 
 
 def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfig,
@@ -459,6 +495,14 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     dlam grows by 1.5x up to max_dlam.  Accepted states are phase aligned
     so consecutive inner products are real positive, and the path lands
     exactly on every requested stop.
+
+    The maximiser is found by Rayleigh-quotient iteration from the current
+    state (:func:`_rayleigh_refine`).  The squared overlaps of the current
+    state with the eigenvectors sum to 1, so an eigenvector with
+    |overlap| > 1/sqrt(2) is the unique maximiser: a refined pair with a
+    roundoff-level residual (<= RQI_RESIDUAL_TOL) that clears 1/sqrt(2)
+    decides the step without a Schur form.  Otherwise the full sector
+    spectrum (:func:`_sector_spectrum`, with its EigFailure check) decides.
 
     The seed must be an eigenvector of U(lam_start) to cfg.eig_residual_tol.
     If it is parity pure the whole continuation runs inside that sector, so
@@ -503,19 +547,21 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
         next_stop = stop_list[0]
         target = min(lam + dlam, next_stop)
         u_t = floquet_operator(cfg.with_lam(target), basis)
-        phases, vecs = _sector_spectrum(u_t.matrix, idx, cfg.eig_residual_tol)
-        overlaps = np.abs(vecs.conj().T @ current)
-        k = int(np.argmax(overlaps))
-        overlap = float(overlaps[k])
+        phase, new, resid = _rayleigh_refine(u_t.matrix[np.ix_(idx, idx)], current)
+        overlap = abs(complex(np.vdot(current, new)))
+        if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):
+            phases, vecs = _sector_spectrum(u_t.matrix, idx, cfg.eig_residual_tol)
+            overlaps = np.abs(vecs.conj().T @ current)
+            k = int(np.argmax(overlaps))
+            phase, new, overlap = float(phases[k]), vecs[:, k].copy(), float(overlaps[k])
         if 1.0 - overlap < cfg.overlap_threshold:
-            new = vecs[:, k].copy()
             inner = complex(np.vdot(current, new))
             if abs(inner) > 0:
                 new *= inner.conjugate() / abs(inner)
             full = np.zeros(basis.dim, dtype=complex)
             full[idx] = new
             samples.append(TrackedSample(lam=target, state=full,
-                                         eigenphase=float(phases[k]),
+                                         eigenphase=phase,
                                          dlam_used=target - lam, overlap=overlap))
             current = new
             lam = target

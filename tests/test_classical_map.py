@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kickjt import (OscillatorPoint, PhasePoint, PoleProximity, SpinVector,
-                    Stability, SubMap, composed_step, inverse_step, iterate,
-                    jacobian_canonical, make_config, spin_rotation_matrix,
+from kickjt import (KickJTError, NonFiniteState, OscillatorPoint, PhasePoint,
+                    PoleProximity, SpinVector, Stability, SubMap, composed_step,
+                    inverse_step, iterate, jacobian_canonical, make_config, spin_rotation_matrix,
                     step, step_arrays, step_jacobian, submap)
 from kickjt.bifurcation import _graph_jacobian, _graph_step
 from kickjt.classical_map import from_canonical, to_canonical
@@ -57,6 +57,14 @@ class TestSpinVector:
     def test_radius_enforced(self):
         with pytest.raises(ValueError):
             SpinVector(0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinates_raise_package_error(self, bad):
+        with pytest.raises(NonFiniteState, match="s_y"):
+            SpinVector(0.5, bad, 0.0)
+        with pytest.raises(NonFiniteState, match="p_x"):
+            OscillatorPoint(0.0, 0.0, bad, 0.0)
+        assert issubclass(NonFiniteState, KickJTError)
 
     def test_from_angles(self):
         s = SpinVector.from_angles(math.pi / 2, 0.3)

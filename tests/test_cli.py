@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
         captured = capsys.readouterr()
         assert "lambda_b" in captured.out
+
+    def test_overflowing_coupling_exits_three_with_located_message(self, tmp_path, capsys):
+        # lam = 1e300 passes validation but the Newton iterates overflow; no
+        # numpy warning may escape, and the error names the coupling
+        cfg = write_config(tmp_path, SMALL_MODEL + "model.lambda_list = 0.1, 1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fixed-points", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("compute error: fixed-point search at lam = 1e+300: ")
+        assert "not finite" in err
 
     def test_compute_error_exits_three(self, tmp_path):
         # an unreachable eigenpair residual makes the seed diagonalisation fail

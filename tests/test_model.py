@@ -31,6 +31,13 @@ def test_negative_coupling_rejected():
     assert "lambda" in str(err.value)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_non_finite_coupling_rejected(lam):
+    with pytest.raises(OutOfRange) as err:
+        make_config(0.1, 1.0, lam)
+    assert "lambda must be finite" in str(err.value)
+
+
 def test_all_violations_reported_together():
     with pytest.raises(OutOfRange) as err:
         validate_params(ModelParams(omega=0.0, delta=7.0, lam=-1.0),

@@ -10,8 +10,10 @@ from kickjt import (DimensionMismatch, EigFailure, Operator, StepUnderflow,
                     apply_kick, diagonalize, expectation, floquet_operator,
                     h0_phases, make_config, pes_seed, pgs_seed,
                     product_state, sector_leakage, spin_state, track_eigenstate)
+from kickjt import quantum_floquet as qf
 from kickjt.observables import SpinDirection
-from kickjt.quantum_floquet import SPIN_HALF, kron_osc_spin, osc_position_matrix
+from kickjt.quantum_floquet import (SPIN_HALF, _sector_spectrum, kron_osc_spin,
+                                    osc_position_matrix)
 from conftest import DELTA, OMEGA, reference_config
 
 
@@ -292,6 +294,145 @@ class TestTracking:
         basis = build_basis(3)
         with pytest.raises(StepUnderflow):
             track_eigenstate(0.0, 0.3, pgs_seed(basis), cfg, basis)
+
+
+def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
+                     initial_dlam=0.01, max_dlam=0.02):
+    """Test oracle: the overlap continuation with the full sector Schur form
+    deciding every trial step, as it ran before Rayleigh-quotient
+    refinement.  Returns (lam, eigenphase, dlam_used, overlap, state) per
+    accepted sample."""
+    vec = seed / np.linalg.norm(seed)
+    u0 = floquet_operator(cfg.with_lam(lam_start), basis).matrix
+    idx = np.arange(basis.dim)
+    for value in (-1, 1):
+        sec = np.flatnonzero(basis.parity == value)
+        if 1.0 - np.sum(np.abs(vec[sec]) ** 2) <= 1e-12:
+            idx = sec
+    current = vec[idx]
+    rayleigh = complex(np.vdot(vec, u0 @ vec))
+    samples = [(lam_start, math.atan2(rayleigh.imag, rayleigh.real), 0.0, 1.0, vec.copy())]
+    stop_list = sorted({float(s) for s in (stops or [])} | {float(lam_end)})
+    stop_list = [s for s in stop_list if lam_start < s <= lam_end + 1e-15]
+    lam, dlam, streak = lam_start, min(initial_dlam, lam_end - lam_start), 0
+    while stop_list:
+        target = min(lam + dlam, stop_list[0])
+        u_t = floquet_operator(cfg.with_lam(target), basis)
+        phases, vecs = _sector_spectrum(u_t.matrix, idx, cfg.eig_residual_tol)
+        overlaps = np.abs(vecs.conj().T @ current)
+        k = int(np.argmax(overlaps))
+        if 1.0 - overlaps[k] < cfg.overlap_threshold:
+            new = vecs[:, k].copy()
+            inner = complex(np.vdot(current, new))
+            new *= inner.conjugate() / abs(inner)
+            full = np.zeros(basis.dim, dtype=complex)
+            full[idx] = new
+            samples.append((target, float(phases[k]), target - lam, float(overlaps[k]), full))
+            current, lam = new, target
+            if abs(lam - stop_list[0]) <= 1e-15:
+                stop_list.pop(0)
+            streak += 1
+            if streak >= 2:
+                dlam, streak = min(dlam * 1.5, max_dlam), 0
+        else:
+            dlam, streak = dlam / 2.0, 0
+            if dlam < 1e-6:
+                raise StepUnderflow(f"continuation step fell below 1e-6 at lam = {lam:.6f}")
+    return samples
+
+
+def compare_with_oracle(lam_end, seed, cfg, basis, step, stops=None):
+    """Run the oracle and track_eigenstate on one case; require identical
+    (lam, dlam_used) sequences, eigenphases to 1e-12 and every accepted
+    pair's residual against the dense U within 1e-12.  Returns
+    (oracle samples, path), or None when both raised StepUnderflow."""
+    try:
+        want = schur_only_track(0.0, lam_end, seed, cfg, basis, stops, step, step)
+    except StepUnderflow:
+        with pytest.raises(StepUnderflow):
+            track_eigenstate(0.0, lam_end, seed, cfg, basis, stops, step, step)
+        return None
+    path = track_eigenstate(0.0, lam_end, seed, cfg, basis, stops, step, step)
+    assert [(s.lam, s.dlam_used) for s in path.samples] == [(w[0], w[2]) for w in want]
+    for sample, w in zip(path.samples, want):
+        assert abs(sample.eigenphase - w[1]) <= 1e-12
+        u = floquet_operator(cfg.with_lam(sample.lam), basis).matrix
+        resid = np.linalg.norm(u @ sample.state - np.exp(1j * sample.eigenphase) * sample.state)
+        assert resid <= 1e-12
+    return want, path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
+       n_t=st.integers(1, 10), step=st.floats(0.01, 1.0), lam_end=st.floats(0.05, 2.0),
+       excited=st.booleans(), with_stops=st.booleans())
+def test_tracking_matches_schur_oracle(omega, delta, n_t, step, lam_end, excited, with_stops):
+    basis = build_basis(n_t)
+    cfg = make_config(omega, delta, 0.0, n_t=n_t)
+    seed = (pes_seed if excited else pgs_seed)(basis)
+    stops = [0.05 * k for k in range(1, int(lam_end / 0.05) + 1)] if with_stops else None
+    compare_with_oracle(lam_end, seed, cfg, basis, step, stops)
+
+
+class CountingSchur:
+    """Stand-in for _sector_spectrum that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return _sector_spectrum(*args, **kwargs)
+
+
+class TestRayleighTracking:
+    @pytest.mark.parametrize("n_t,excited,omega,delta,lam_end,step", [
+        (6, False, OMEGA, DELTA, 2.0, 1.0),
+        (10, True, OMEGA, DELTA, 1.0, 0.1),
+        (10, False, OMEGA, DELTA, 0.55, 0.02),
+        (6, True, 0.05, DELTA, 2.0, 1.0),
+        (4, False, 2.5, 3.9, 2.0, 0.25),
+        (8, False, 1.3, 0.4, 1.5, 0.05),
+    ])
+    def test_states_pinned_to_oracle(self, n_t, excited, omega, delta, lam_end, step):
+        basis = build_basis(n_t)
+        cfg = make_config(omega, delta, 0.0, n_t=n_t)
+        seed = (pes_seed if excited else pgs_seed)(basis)
+        want, path = compare_with_oracle(lam_end, seed, cfg, basis, step)
+        for sample, w in zip(path.samples, want):
+            assert np.max(np.abs(sample.state - w[4])) <= 1e-9
+
+    def test_fallback_decides_unconverged_and_low_overlap_trials(self, monkeypatch):
+        # large steps: some refinements stop short of roundoff, others land on
+        # an eigenvector with |overlap| <= 1/sqrt(2); each must go to Schur
+        refined = []
+        real_refine = qf._rayleigh_refine
+
+        def spy(sub, vec):
+            out = real_refine(sub, vec)
+            refined.append((out[2], abs(np.vdot(vec, out[1]))))
+            return out
+
+        schur = CountingSchur()
+        monkeypatch.setattr(qf, "_rayleigh_refine", spy)
+        monkeypatch.setattr(qf, "_sector_spectrum", schur)
+        basis = build_basis(6)
+        cfg = reference_config(0.0).with_n_t(6)
+        compare_with_oracle(2.0, pgs_seed(basis), cfg, basis, 1.0)
+        unconverged = [r for r, o in refined if r > qf.RQI_RESIDUAL_TOL]
+        low_overlap = [o for r, o in refined
+                       if r <= qf.RQI_RESIDUAL_TOL and o <= math.sqrt(0.5)]
+        assert unconverged and low_overlap
+        assert schur.calls == len(unconverged) + len(low_overlap)
+
+    def test_reference_path_needs_no_schur(self, monkeypatch, pgs_path, base_cfg,
+                                           basis18, lam_grid):
+        schur = CountingSchur()
+        monkeypatch.setattr(qf, "_sector_spectrum", schur)
+        path = track_eigenstate(0.0, 0.55, pgs_seed(basis18), base_cfg, basis18,
+                                stops=[l for l in lam_grid if l > 0])
+        assert schur.calls == 0
+        assert np.array_equal(path.lams(), pgs_path.lams())
 
 
 class TestExpectation:

@@ -371,7 +371,8 @@ def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarra
     """Point cloud of every visited (q_x, q_y), shape (n_points*(n_iter+1), 2).
 
     Points are ordered by iteration index then by initial condition, so the
-    output is deterministic for a fixed grid.
+    output is deterministic for a fixed grid.  Raises NonFiniteState when any
+    point overflows (a coupling far too large for the map to stay bounded).
     """
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
@@ -380,12 +381,18 @@ def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarra
         raise ValueError("portrait grid is empty")
     xs = [q_x.copy()]
     ys = [q_y.copy()]
-    for _ in range(n_iter):
-        q_x, q_y, p_x, p_y, s_x, s_y, s_z = step_arrays(
-            q_x, q_y, p_x, p_y, s_x, s_y, s_z, cfg.omega, cfg.delta, cfg.lam)
-        xs.append(q_x.copy())
-        ys.append(q_y.copy())
-    return np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+    # overflow is checked once on the finished cloud, not per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_iter):
+            q_x, q_y, p_x, p_y, s_x, s_y, s_z = step_arrays(
+                q_x, q_y, p_x, p_y, s_x, s_y, s_z, cfg.omega, cfg.delta, cfg.lam)
+            xs.append(q_x.copy())
+            ys.append(q_y.copy())
+    points = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+    bad = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
+    if bad:
+        raise NonFiniteState(f"{bad} of {len(points)} portrait points are not finite")
+    return points
 
 
 def reflection_symmetry_score(points: np.ndarray, axis_angle_deg: float,

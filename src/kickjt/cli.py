@@ -38,12 +38,19 @@ from .model import ModelParams, NumericsConfig, ValidatedConfig, validate_params
 
 @dataclass
 class Table:
-    """One CSV output: header, rows, and how many leading columns form the
-    row key used by the --check comparison."""
+    """One CSV output: header, one equal-length column per header field, and
+    how many leading columns form the row key used by the --check comparison.
+
+    A column is a float64 ndarray or any sequence of cells."""
 
     header: list[str]
-    rows: list[tuple]
+    columns: list
     key_cols: int = 1
+
+    @classmethod
+    def from_rows(cls, header: list[str], rows: list[tuple], key_cols: int = 1) -> Table:
+        """Transpose a list of row tuples; no rows gives empty columns."""
+        return cls(header, list(zip(*rows)) if rows else [()] * len(header), key_cols)
 
 
 @dataclass
@@ -60,11 +67,20 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _fmt_column(column) -> list[str]:
+    # repr of the Python floats from tolist() is _fmt_cell's text for every
+    # float64 cell, without a per-cell type dispatch
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return [_fmt_cell(c) for c in column]
+
+
 def _write_table(path: Path, table: Table) -> None:
     # temp file in the same directory, then atomic rename: a failed run
     # never leaves a partial CSV behind
-    payload = ",".join(table.header) + "\n"
-    payload += "".join(",".join(_fmt_cell(c) for c in row) + "\n" for row in table.rows)
+    lines = [",".join(table.header)]
+    lines.extend(map(",".join, zip(*map(_fmt_column, table.columns))))
+    payload = "\n".join(lines) + "\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -141,14 +157,15 @@ def scenario_critical_couplings(scfg: ScenarioConfig) -> ScenarioResult:
     if not rows:
         lines.append("(no bifurcation for these parameters)")
     return ScenarioResult(
-        tables={"critical_couplings.csv": Table(["lambda_b", "branch"], rows, key_cols=0)},
+        tables={"critical_couplings.csv": Table.from_rows(["lambda_b", "branch"], rows,
+                                                          key_cols=0)},
         text="\n".join(lines),
     )
 
 
 def scenario_fixed_points(scfg: ScenarioConfig) -> ScenarioResult:
     rows = [_fp_row(lam, fp) for lam, fps in _fixed_point_census(scfg) for fp in fps]
-    return ScenarioResult(tables={"fixed_points.csv": Table(_fp_columns(), rows)})
+    return ScenarioResult(tables={"fixed_points.csv": Table.from_rows(_fp_columns(), rows)})
 
 
 def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
@@ -166,8 +183,13 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     n_iter = scfg.get_int("portrait.iterations", 2000)
     tables = {}
     for lam in lams:
-        rows = [(lam, float(x), float(y)) for x, y in portrait(cfg.with_lam(lam), grid, n_iter)]
-        tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], rows, key_cols=0)
+        try:
+            points = portrait(cfg.with_lam(lam), grid, n_iter)
+        except NonFiniteState as exc:
+            raise ComputeError(f"portrait at lam = {lam!r}: {exc}") from exc
+        columns = [np.full(len(points), lam), points[:, 0], points[:, 1]]
+        tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], columns,
+                                                         key_cols=0)
     return ScenarioResult(tables=tables)
 
 
@@ -195,7 +217,7 @@ def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
             for s in path.samples]
     name = f"track_{which}.csv"
     return ScenarioResult(tables={
-        name: Table(["lam", "eigenphase", "sector_leakage", "dlam_used"], rows)})
+        name: Table.from_rows(["lam", "eigenphase", "sector_leakage", "dlam_used"], rows)})
 
 
 def scenario_track_pgs(scfg: ScenarioConfig) -> ScenarioResult:
@@ -222,11 +244,10 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
 
     coords = np.linspace(-bound, bound, n_pts)
     section = obs.diagonal_line_section(slope)
-    rows = []
-    for lam in lams:
-        values = obs.husimi_on_section(pgs.sample_at(lam).state, basis, section, coords).values
-        rows.extend((lam, float(u), float(h)) for u, h in zip(coords, values))
-    tables = {"husimi_section.csv": Table(["lam", "u", "H"], rows, key_cols=2)}
+    values = [obs.husimi_on_section(pgs.sample_at(lam).state, basis, section, coords).values
+              for lam in lams]
+    columns = [np.repeat(lams, n_pts), np.tile(coords, len(lams)), np.concatenate(values)]
+    tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns, key_cols=2)}
 
     if grid2d_lam is not None:
         pes = _tracked_path(scfg, cfg, basis, qf.pes_seed(basis), [grid2d_lam])
@@ -235,10 +256,9 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
         even = psi_g + psi_e
         even /= np.linalg.norm(even)
         alphas = coords * (1.0 + 1j * slope) / math.sqrt(2.0)
-        values = obs.husimi_product_grid(even, basis, alphas, alphas)
-        rows2 = [(float(qx), float(qy), float(values[i, j]))
-                 for i, qx in enumerate(coords) for j, qy in enumerate(coords)]
-        tables["husimi_grid2d.csv"] = Table(["q_x", "q_y", "H"], rows2, key_cols=2)
+        grid = obs.husimi_product_grid(even, basis, alphas, alphas)
+        columns = [np.repeat(coords, n_pts), np.tile(coords, n_pts), grid.ravel()]
+        tables["husimi_grid2d.csv"] = Table(["q_x", "q_y", "H"], columns, key_cols=2)
     return ScenarioResult(tables=tables)
 
 
@@ -252,14 +272,11 @@ def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     s_spin = [t[0] for t in triples]
     s_osc = [t[1] for t in triples]
     e_n = [t[2] for t in triples]
-    d_spin = obs.curve_derivative(lams, s_spin)
-    d_osc = obs.curve_derivative(lams, s_osc)
-    d_en = obs.curve_derivative(lams, e_n)
-    rows = [(lam, s_spin[k], s_osc[k], e_n[k], float(d_spin[k]), float(d_osc[k]), float(d_en[k]))
-            for k, lam in enumerate(lams)]
+    columns = [lams, s_spin, s_osc, e_n, obs.curve_derivative(lams, s_spin),
+               obs.curve_derivative(lams, s_osc), obs.curve_derivative(lams, e_n)]
     header = ["lam", "S_spin", "S_osc_x", "E_N",
               "dS_spin_dlam", "dS_osc_x_dlam", "dE_N_dlam"]
-    return ScenarioResult(tables={"entanglement_curves.csv": Table(header, rows)})
+    return ScenarioResult(tables={"entanglement_curves.csv": Table(header, columns)})
 
 
 def scenario_detection_prob(scfg: ScenarioConfig) -> ScenarioResult:
@@ -276,7 +293,7 @@ def scenario_detection_prob(scfg: ScenarioConfig) -> ScenarioResult:
         p_plus = obs.detection_probability(direction.theta, alpha_x, alpha_y)
         rows.append((lam, direction.theta, alpha_x, alpha_y, p_plus))
     header = ["lam", "theta", "alpha_x", "alpha_y", "p_plus"]
-    return ScenarioResult(tables={"detection_prob.csv": Table(header, rows)})
+    return ScenarioResult(tables={"detection_prob.csv": Table.from_rows(header, rows)})
 
 
 SCENARIOS = {
@@ -297,12 +314,13 @@ def _compare_tables(name: str, base: Table, bumped: Table) -> list[str]:
     lines = []
     if base.header != bumped.header:
         return [f"{name}: headers differ"]
+    rows_base, rows_bumped = zip(*base.columns), zip(*bumped.columns)
     if base.key_cols == 0:
-        groups_a = {(k,): [row] for k, row in enumerate(base.rows)}
-        groups_b = {(k,): [row] for k, row in enumerate(bumped.rows)}
+        groups_a = {(k,): [row] for k, row in enumerate(rows_base)}
+        groups_b = {(k,): [row] for k, row in enumerate(rows_bumped)}
     else:
         groups_a, groups_b = {}, {}
-        for rows, groups in ((base.rows, groups_a), (bumped.rows, groups_b)):
+        for rows, groups in ((rows_base, groups_a), (rows_bumped, groups_b)):
             for row in rows:
                 groups.setdefault(tuple(_fmt_cell(c) for c in row[:base.key_cols]), []).append(row)
     shared = [k for k in groups_a if k in groups_b]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.signal
 
 from .bifurcation import FixedPoint
 from .classical_map import SpinVector
@@ -224,6 +223,10 @@ def section_peaks(values: np.ndarray, coords: np.ndarray,
 
     Peaks must rise by at least prominence_frac of the global maximum.
     """
+    # imported here, not at module top: loading scipy.signal would add about
+    # a second to every CLI start, and no scenario calls this
+    import scipy.signal
+
     v = np.asarray(values, dtype=float)
     smooth = v.copy()
     smooth[1:-1] = (v[:-2] + v[1:-1] + v[2:]) / 3.0

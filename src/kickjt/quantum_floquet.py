@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import (DimensionMismatch, EigFailure, StepUnderflow)
+from .errors import ComputeError, DimensionMismatch, EigFailure, StepUnderflow
 from .model import ValidatedConfig
 
 Axis = Literal["x", "y"]
@@ -443,6 +443,9 @@ class TrackedPath:
 
 
 MIN_TRACK_STEP = 1e-6
+# least number of steps (span / max_dlam) a continuation may need; the
+# presets need under 30, and a path beyond this would run for hours
+MAX_TRACK_STEPS = 100_000
 RQI_RESIDUAL_TOL = 1e-12
 RQI_MAX_SOLVES = 5
 
@@ -504,12 +507,24 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     decides the step without a Schur form.  Otherwise the full sector
     spectrum (:func:`_sector_spectrum`, with its EigFailure check) decides.
 
+    A span that needs more than MAX_TRACK_STEPS steps of max_dlam, or a step
+    size that is not positive, raises ComputeError before any work.
+
     The seed must be an eigenvector of U(lam_start) to cfg.eig_residual_tol.
     If it is parity pure the whole continuation runs inside that sector, so
     sector leakage is exactly zero along the path.
     """
     if not lam_start < lam_end:
         raise ValueError("lam_start must be < lam_end")
+    if initial_dlam > 0 and max_dlam > 0:
+        min_steps = (lam_end - lam_start) / max_dlam
+    else:
+        min_steps = math.inf
+    if not min_steps <= MAX_TRACK_STEPS:
+        raise ComputeError(
+            f"continuation from lam = {lam_start!r} to lam = {lam_end!r} with steps"
+            f" {initial_dlam!r} up to {max_dlam!r} needs at least {min_steps:.3g} steps,"
+            f" more than {MAX_TRACK_STEPS}")
     if basis is None:
         basis = build_basis(cfg.n_t)
     vec = state_vector(seed)

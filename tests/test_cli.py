@@ -1,15 +1,23 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kickjt.cli import build_parser, main
+from kickjt.bifurcation import PortraitGrid, portrait
+from kickjt.cli import Table, _write_table, build_parser, main
 from kickjt.configfile import ScenarioConfig
 from kickjt.errors import ConfigError
+from kickjt.model import make_config
 
-PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "kickjt" / "presets"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+PRESET_DIR = SRC_DIR / "kickjt" / "presets"
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -176,6 +184,37 @@ class TestExitCodes:
         assert err.startswith("compute error: fixed-point search at lam = 1e+300: ")
         assert "not finite" in err
 
+    def test_overflowing_portrait_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        # the orbits at lam = 1e300 overflow; the error names the coupling and
+        # no file of the run, not even the finite lam = 0.1 portrait, is written
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_list = 0.1, 1e300\n"
+            "portrait.radii = 1.0\nportrait.angles = 4\nportrait.iterations = 3\n"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["portrait", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("compute error: portrait at lam = 1e+300: ")
+        assert "not finite" in err
+        assert list(out.iterdir()) == []
+
+    def test_unbounded_continuation_exits_three(self, tmp_path):
+        # 1e300 / track.max_step steps would run until killed; the step count
+        # is refused before the first Floquet build
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_list = 0.1, 1e300\nnumerics.n_t = 6\n"))
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "kickjt.cli", "track-pgs",
+             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 3
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("compute error: continuation from lam = 0.0 to lam = 1e+300")
+
     def test_compute_error_exits_three(self, tmp_path):
         # an unreachable eigenpair residual makes the seed diagonalisation fail
         cfg = write_config(tmp_path, SMALL_MODEL + (
@@ -258,6 +297,90 @@ class TestScenarioOutputs:
         first = lines[1].split(",")
         assert float(first[4]) == 0.0          # below the bifurcation
         assert float(lines[2].split(",")[4]) > 0.0
+
+
+# the per-row writer before tables became columnar: the byte oracle
+def _oracle_fmt_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def _oracle_payload(header, rows) -> bytes:
+    text = ",".join(header) + "\n"
+    text += "".join(",".join(_oracle_fmt_cell(c) for c in row) + "\n" for row in rows)
+    return text.encode("utf-8")
+
+
+# signed zero, non-finite values, subnormals, the extremes, the points where
+# repr switches to exponent notation and values that need all 17 digits
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+                1e-4, 1e-5, 9.999999999999999e-05, 0.00010000000000000002,
+                0.30000000000000004, 1.2345678901234567, -2.718281828459045, 1e22]
+
+_CELL_KINDS = ["float64 array", "float list", "int list", "int64 array", "int64 list", "str list"]
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(_CELL_KINDS), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        size = dict(min_size=n_rows, max_size=n_rows)
+        if kind.startswith("float"):
+            values = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), **size))
+            columns.append(np.array(values, dtype=np.float64) if kind == "float64 array" else values)
+        elif kind == "int list":
+            columns.append(draw(st.lists(st.integers(-2**70, 2**70), **size)))
+        elif kind.startswith("int64"):
+            values = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), **size)), dtype=np.int64)
+            columns.append(values if kind == "int64 array" else list(values))
+        else:
+            columns.append(draw(st.lists(st.text("abz_+-.", max_size=6), **size)))
+    return [f"c{k}" for k in range(len(kinds))], columns
+
+
+class TestTableWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tables())
+    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        _write_table(path, Table(header, columns))
+        rows = list(zip(*(list(c) for c in columns)))
+        assert path.read_bytes() == _oracle_payload(header, rows)
+
+    def test_no_bifurcation_writes_header_only_file(self, tmp_path):
+        # delta/2 > 3 pi/4 makes both cot(delta/2) +- 1 negative: no lambda_b
+        cfg = write_config(tmp_path, "model.omega = pi/60\nmodel.delta = 5\n")
+        out = tmp_path / "out"
+        assert main(["critical-couplings", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "critical_couplings.csv").read_bytes() == b"lambda_b,branch\n"
+
+    def test_portrait_files_match_row_formatter(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_list = 0.15, 0.32\n"
+            "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"
+            "portrait.momentum_slope = 0.25\n"))
+        out = tmp_path / "out"
+        assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
+        grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3, momentum_slope=0.25)
+        for lam in (0.15, 0.32):
+            points = portrait(make_config(math.pi / 60, 2 * math.atan(0.5), lam), grid, 5)
+            rows = [(lam, float(x), float(y)) for x, y in points]
+            expected = _oracle_payload(["lam", "q_x", "q_y"], rows)
+            assert (out / f"portrait_{lam!r}.csv").read_bytes() == expected
+
+
+def test_cli_start_does_not_load_scipy_signal():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = "import sys, kickjt.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestDeterminismSmoke:

@@ -5,23 +5,27 @@ Usage: kickjt <subcommand> --config <path> [--out <dir>] [--threads N] [--check]
 Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
 codes: 0 success, 2 configuration error, 3 compute error.  Each scenario
-runs its couplings one after another in grid order, and floats are written
-with shortest round-trip precision, so identical configurations produce
-byte-identical files.  --threads is accepted for compatibility and has no
-effect.
+runs its couplings one after another in grid order, BLAS runs on one
+thread, and floats are written with shortest round-trip precision, so
+identical configurations produce byte-identical files.  --threads is
+accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import observables as obs
 from . import quantum_floquet as qf
@@ -71,6 +75,10 @@ def _fmt_column(column) -> list[str]:
     # repr of the Python floats from tolist() is _fmt_cell's text for every
     # float64 cell, without a per-cell type dispatch
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits = column.view(np.int64)
+        if bits.size and (bits == bits[0]).all():
+            # one value, bit for bit (so 0.0 and -0.0 never merge): one repr
+            return [repr(float(column[0]))] * column.size
         return list(map(repr, column.tolist()))
     return [_fmt_cell(c) for c in column]
 
@@ -368,6 +376,51 @@ def truncation_check(command: str, scfg: ScenarioConfig) -> str:
 
 # --- entry point ---------------------------------------------------------------
 
+# (get, set) thread-count entry points of the OpenBLAS builds bundled with
+# numpy (64-bit integer interface) and with scipy
+_OPENBLAS_THREAD_FNS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of the OpenBLAS libraries bundled in
+    numpy.libs and scipy.libs; empty for a BLAS without these entry points."""
+    controls = []
+    for module in (np, scipy):
+        libdir = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for path in sorted(glob.glob(str(libdir / "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for get_name, set_name in _OPENBLAS_THREAD_FNS:
+                get_fn, set_fn = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get_fn is not None and set_fn is not None:
+                    get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                    set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                    controls.append((get_fn, set_fn))
+    return controls
+
+
+@contextmanager
+def _single_thread_blas():
+    """Run the body with the bundled OpenBLAS libraries at one thread, then
+    restore their previous counts, so library callers are left as they were.
+
+    The last digits of the quantum outputs depend on the BLAS thread count;
+    one thread makes them independent of the host and of
+    OPENBLAS_NUM_THREADS.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get_fn() for get_fn, _ in controls]
+    for _, set_fn in controls:
+        set_fn(1)
+    try:
+        yield
+    finally:
+        for (_, set_fn), count in zip(controls, previous):
+            set_fn(count)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kickjt",
@@ -386,6 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    with _single_thread_blas():
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         scfg = ScenarioConfig.from_file(args.config)
         out_dir = Path(args.out)

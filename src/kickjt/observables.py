@@ -304,10 +304,18 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
 def log_negativity(rho_pair: DensityMatrix,
                    transpose_over: Literal["osc_x", "osc_y"] = "osc_x",
                    base: float = 2.0) -> float:
-    """log_base of the trace norm of the partial transpose over one mode.
+    """log_base of the trace norm of the partial transpose over one mode
+    (Vidal & Werner, PRA 65, 032314 (2002)).
 
     Zero (to numerics) for every separable two-mode state; clamped at zero
     from below within 1e-12.
+
+    The reduced state of a parity eigenstate couples only pair states
+    (n_x, n_y) whose n_x + n_y have the same parity, and the partial
+    transpose keeps that grading.  When the partial transpose has exactly
+    zero entries between the two grades, its spectrum is taken block by
+    block (181 + 180 at n_t = 18); any other density matrix is
+    eigensolved whole.
     """
     if rho_pair.subsystem != "osc_pair":
         raise ValueError("logarithmic negativity needs an osc_pair density matrix")
@@ -322,7 +330,16 @@ def log_negativity(rho_pair: DensityMatrix,
         pt = np.transpose(rho4, (0, 3, 2, 1))
     else:
         raise ValueError(f"transpose_over must be osc_x or osc_y, got {transpose_over!r}")
-    eigs = np.linalg.eigvalsh(pt.reshape(dim, dim))
+    pt = pt.reshape(dim, dim)
+    grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+    even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
+    # pt is exactly Hermitian (DensityMatrix symmetrises), so one off-block
+    # being zero makes it block diagonal
+    if not np.any(pt[np.ix_(even, odd)]):
+        eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(even, even)]),
+                               np.linalg.eigvalsh(pt[np.ix_(odd, odd)])])
+    else:
+        eigs = np.linalg.eigvalsh(pt)
     trace_norm = float(np.sum(np.abs(eigs)))
     value = math.log(trace_norm, base)
     if value < -1e-12:

@@ -287,11 +287,23 @@ def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, basis: FockBasis) -> np
     return out * (phases[:, None] if out.ndim == 2 else phases)
 
 
-def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None) -> Operator:
-    """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense."""
+def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None,
+                     sector: str | None = None) -> Operator:
+    """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense.
+
+    With a sector label ("O" or "E") only the block U[idx, idx] over that
+    parity sector's indices idx (basis.sector_indices) is built: the period
+    applied to the sector's identity columns, restricted to the sector's
+    rows.  U commutes with parity, so the block is the whole action of U
+    on the sector, at half the columns of the full build.
+    """
     if basis is None:
         basis = build_basis(cfg.n_t)
-    return Operator(apply_floquet(np.eye(basis.dim, dtype=complex), cfg, basis))
+    eye = np.eye(basis.dim, dtype=complex)
+    if sector is None:
+        return Operator(apply_floquet(eye, cfg, basis))
+    idx = basis.sector_indices(sector)
+    return Operator(apply_floquet(eye[:, idx], cfg, basis)[idx])
 
 
 # --- diagnostics -----------------------------------------------------------
@@ -348,16 +360,15 @@ class FloquetSpectrum:
         return k, float(overlaps[k])
 
 
-def _sector_spectrum(mat: np.ndarray, idx: np.ndarray,
+def _sector_spectrum(sub: np.ndarray,
                      residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases (ascending) and orthonormal eigenvectors of the block
-    mat[idx, idx] of a (near-)unitary matrix.
+    """Eigenphases (ascending) and orthonormal eigenvectors of a
+    (near-)unitary matrix, typically one parity block of U.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
     vectors are true eigenvectors and exactly orthonormal.  Raises
-    EigFailure if any eigenpair residual of the block exceeds residual_tol.
+    EigFailure if any eigenpair residual of sub exceeds residual_tol.
     """
-    sub = mat[np.ix_(idx, idx)]
     t_mat, q_mat = scipy.linalg.schur(sub, output="complex")
     phases = np.angle(np.diag(t_mat))
     order = np.argsort(phases, kind="stable")
@@ -391,7 +402,7 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
             col = 0
             for label, value in (("O", -1), ("E", 1)):
                 idx = np.flatnonzero(pdiag == value)
-                sub_phases, sub_vecs = _sector_spectrum(mat, idx, residual_tol)
+                sub_phases, sub_vecs = _sector_spectrum(mat[np.ix_(idx, idx)], residual_tol)
                 block = slice(col, col + idx.size)
                 phases[block] = sub_phases
                 vectors[np.ix_(idx, range(col, col + idx.size))] = sub_vecs
@@ -402,7 +413,7 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
             vectors = vectors[:, order]
             sectors = sectors[order]
     if sectors is None:
-        phases, vectors = _sector_spectrum(mat, np.arange(dim), residual_tol)
+        phases, vectors = _sector_spectrum(mat, residual_tol)
     residuals = np.linalg.norm(mat @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
     worst = float(np.max(residuals, initial=0.0))
     if worst > residual_tol:
@@ -510,9 +521,12 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     A span that needs more than MAX_TRACK_STEPS steps of max_dlam, or a step
     size that is not positive, raises ComputeError before any work.
 
-    The seed must be an eigenvector of U(lam_start) to cfg.eig_residual_tol.
-    If it is parity pure the whole continuation runs inside that sector, so
-    sector leakage is exactly zero along the path.
+    The seed must be an eigenvector of U(lam_start) to cfg.eig_residual_tol,
+    checked by applying one period to it (no matrix is built).  If it is
+    parity pure the whole continuation runs inside that sector: each trial
+    step builds only the sector block of U (floquet_operator with a
+    sector), and sector leakage is exactly zero along the path.  Any other
+    seed is followed with the full matrix.
     """
     if not lam_start < lam_end:
         raise ValueError("lam_start must be < lam_end")
@@ -530,24 +544,20 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     vec = state_vector(seed)
     vec = vec / np.linalg.norm(vec)
 
-    u_start = floquet_operator(cfg.with_lam(lam_start), basis)
-    rayleigh = complex(np.vdot(vec, u_start.matrix @ vec))
+    image = apply_floquet(vec, cfg.with_lam(lam_start), basis)
+    rayleigh = complex(np.vdot(vec, image))
     phase0 = math.atan2(rayleigh.imag, rayleigh.real)
-    resid = np.linalg.norm(u_start.matrix @ vec - np.exp(1j * phase0) * vec)
+    resid = np.linalg.norm(image - np.exp(1j * phase0) * vec)
     if resid > cfg.eig_residual_tol:
         raise EigFailure(resid, cfg.eig_residual_tol)
 
-    parity = basis.parity
     sector = None
-    for label, value in (("O", -1), ("E", 1)):
-        idx = np.flatnonzero(parity == value)
-        if 1.0 - float(np.sum(np.abs(vec[idx]) ** 2)) <= 1e-12:
-            sector = label
+    idx = np.arange(basis.dim)
+    for label in ("O", "E"):
+        sec = basis.sector_indices(label)
+        if 1.0 - float(np.sum(np.abs(vec[sec]) ** 2)) <= 1e-12:
+            sector, idx = label, sec
             break
-    if sector is not None:
-        idx = basis.sector_indices(sector)
-    else:
-        idx = np.arange(basis.dim)
 
     current = vec[idx]
     samples = [TrackedSample(lam=lam_start, state=vec.copy(), eigenphase=phase0,
@@ -561,11 +571,11 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     while stop_list:
         next_stop = stop_list[0]
         target = min(lam + dlam, next_stop)
-        u_t = floquet_operator(cfg.with_lam(target), basis)
-        phase, new, resid = _rayleigh_refine(u_t.matrix[np.ix_(idx, idx)], current)
+        sub = floquet_operator(cfg.with_lam(target), basis, sector).matrix
+        phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):
-            phases, vecs = _sector_spectrum(u_t.matrix, idx, cfg.eig_residual_tol)
+            phases, vecs = _sector_spectrum(sub, cfg.eig_residual_tol)
             overlaps = np.abs(vecs.conj().T @ current)
             k = int(np.argmax(overlaps))
             phase, new, overlap = float(phases[k]), vecs[:, k].copy(), float(overlaps[k])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kickjt.bifurcation import PortraitGrid, portrait
+from kickjt import cli
 from kickjt.cli import Table, _write_table, build_parser, main
 from kickjt.configfile import ScenarioConfig
 from kickjt.errors import ConfigError
@@ -355,6 +356,16 @@ class TestTableWriter:
         rows = list(zip(*(list(c) for c in columns)))
         assert path.read_bytes() == _oracle_payload(header, rows)
 
+    @pytest.mark.parametrize("column", [np.full(5, v) for v in _EDGE_FLOATS]
+                             + [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
+                                np.array([math.nan, -math.nan]), np.array([]), np.array([7.5])])
+    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, column):
+        # a column of one value is formatted once; only bit-identical cells
+        # count as one value, so 0.0 and -0.0 keep their own text
+        path = tmp_path / "t.csv"
+        _write_table(path, Table(["c"], [column]))
+        assert path.read_bytes() == _oracle_payload(["c"], [(v,) for v in column.tolist()])
+
     def test_no_bifurcation_writes_header_only_file(self, tmp_path):
         # delta/2 > 3 pi/4 makes both cot(delta/2) +- 1 negative: no lambda_b
         cfg = write_config(tmp_path, "model.omega = pi/60\nmodel.delta = 5\n")
@@ -395,6 +406,45 @@ class TestDeterminismSmoke:
             digests.append(hashlib.sha256(
                 (out / "entanglement_curves.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+
+    def test_quantum_preset_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # main runs BLAS on one thread, whatever OPENBLAS_NUM_THREADS says
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=str(SRC_DIR), OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "kickjt.cli", "track-pgs", "--config",
+                            str(PRESET_DIR / "track_pgs.cfg"), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            digests.append(hashlib.sha256((out / "track_pgs.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_main_pins_blas_to_one_thread_and_restores_it(self, tmp_path, monkeypatch):
+        controls = cli._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS thread controls")
+        before = [get_fn() for get_fn, _ in controls]
+        seen = []
+        real = cli.SCENARIOS["critical-couplings"]
+
+        def spy(scfg):
+            seen.append([get_fn() for get_fn, _ in controls])
+            return real(scfg)
+
+        monkeypatch.setitem(cli.SCENARIOS, "critical-couplings", spy)
+        try:
+            for _, set_fn in controls:
+                set_fn(2)
+            outside = [get_fn() for get_fn, _ in controls]
+            cfg = write_config(tmp_path, SMALL_MODEL)
+            assert main(["critical-couplings", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+            assert seen == [[1] * len(controls)]
+            assert [get_fn() for get_fn, _ in controls] == outside
+        finally:
+            for (_, set_fn), count in zip(controls, before):
+                set_fn(count)
 
 
 class TestTruncationCheckFlag:

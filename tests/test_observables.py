@@ -217,6 +217,38 @@ def short_coherent_amps(alpha, n_max):
     return out / np.linalg.norm(out)
 
 
+def full_log_negativity(rho, transpose_over):
+    """Test oracle: log2 of the trace norm of the whole partial transpose,
+    one eigvalsh of the full matrix, clamped at zero."""
+    d = int(round(math.sqrt(rho.dim)))
+    axes = (2, 1, 0, 3) if transpose_over == "osc_x" else (0, 3, 2, 1)
+    pt = np.transpose(rho.matrix.reshape(d, d, d, d), axes).reshape(d * d, d * d)
+    return max(math.log2(float(np.sum(np.abs(np.linalg.eigvalsh(pt))))), 0.0)
+
+
+def parity_pure_state(rng, basis, sector):
+    """Random normalised state supported on one parity sector."""
+    idx = basis.sector_indices(sector)
+    vec = np.zeros(basis.dim, dtype=complex)
+    vec[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    return vec / np.linalg.norm(vec)
+
+
+def eigvalsh_sizes(fn, *args):
+    """fn(*args) and the orders of the matrices it passed to eigvalsh."""
+    sizes = []
+    real = np.linalg.eigvalsh
+
+    def spy(mat):
+        sizes.append(mat.shape[0])
+        return real(mat)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", spy)
+        value = fn(*args)
+    return sizes, value
+
+
 class TestLogNegativity:
     def test_product_state_zero(self, basis6):
         state = exact_mode_product(basis6, short_coherent_amps(0.5, 3),
@@ -251,6 +283,31 @@ class TestLogNegativity:
                 rho += w * rho_w
             mixture = DensityMatrix(rho, "osc_pair")
             assert log_negativity(mixture) <= 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_t=st.integers(0, 10), sector=st.sampled_from(["O", "E"]),
+           transpose_over=st.sampled_from(["osc_x", "osc_y"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_parity_pure_states_take_the_blocks(self, n_t, sector, transpose_over, seed):
+        basis = build_basis(n_t)
+        rho = reduced_density(parity_pure_state(np.random.default_rng(seed), basis, sector),
+                              "osc_pair", basis)
+        sizes, value = eigvalsh_sizes(log_negativity, rho, transpose_over)
+        d2 = (n_t + 1) ** 2
+        assert sizes == [(d2 + 1) // 2, d2 // 2]
+        assert abs(value - full_log_negativity(rho, transpose_over)) <= 1e-13
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n_t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_ungraded_density_matrix_takes_the_full_path(self, n_t, seed):
+        d2 = (n_t + 1) ** 2
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+        rho_mat = g @ g.conj().T
+        rho = DensityMatrix(rho_mat / np.trace(rho_mat).real, "osc_pair")
+        sizes, value = eigvalsh_sizes(log_negativity, rho, "osc_x")
+        assert sizes == [d2]
+        assert abs(value - full_log_negativity(rho, "osc_x")) <= 1e-13
 
     def test_requires_pair_subsystem(self, basis6):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2, "spin")

@@ -167,6 +167,32 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
     assert np.max(np.abs(u * par[None, :] - par[:, None] * u)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
+       lam=st.floats(0.0, 2.0), n_t=st.integers(0, 10), sector=st.sampled_from(["O", "E"]))
+def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
+    # the sector build is the block U[idx, idx] of the full build
+    basis = build_basis(n_t)
+    cfg = make_config(omega, delta, lam, n_t=n_t)
+    idx = basis.sector_indices(sector)
+    block = floquet_operator(cfg, basis, sector).matrix
+    full = floquet_operator(cfg, basis).matrix
+    assert block.shape == (idx.size, idx.size)
+    assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-14
+
+
+@pytest.mark.parametrize("sector", ["O", "E"])
+@pytest.mark.parametrize("lam", [0.0, 0.32, 0.55])
+def test_sector_build_bit_equal_at_reference_truncation(basis18, lam, sector):
+    # continuation outputs at the preset truncation stay byte-identical
+    # only while the block is the sliced full build bit for bit
+    cfg = reference_config(lam)
+    idx = basis18.sector_indices(sector)
+    full = floquet_operator(cfg, basis18).matrix
+    assert np.array_equal(floquet_operator(cfg, basis18, sector).matrix,
+                          full[np.ix_(idx, idx)])
+
+
 class TestDiagonalize:
     def test_zero_coupling_matches_analytic_diagonal(self, basis18):
         cfg = reference_config(0.0)
@@ -318,7 +344,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
     while stop_list:
         target = min(lam + dlam, stop_list[0])
         u_t = floquet_operator(cfg.with_lam(target), basis)
-        phases, vecs = _sector_spectrum(u_t.matrix, idx, cfg.eig_residual_tol)
+        phases, vecs = _sector_spectrum(u_t.matrix[np.ix_(idx, idx)], cfg.eig_residual_tol)
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
         if 1.0 - overlaps[k] < cfg.overlap_threshold:
@@ -432,6 +458,27 @@ class TestRayleighTracking:
         path = track_eigenstate(0.0, 0.55, pgs_seed(basis18), base_cfg, basis18,
                                 stops=[l for l in lam_grid if l > 0])
         assert schur.calls == 0
+        assert np.array_equal(path.lams(), pgs_path.lams())
+
+
+    def test_reference_path_builds_only_sector_blocks(self, monkeypatch, pgs_path,
+                                                      base_cfg, basis18, lam_grid):
+        # the start check applies one period to the seed, and every trial
+        # step builds the odd block alone: no full-space matrix
+        shapes = []
+        real_build = qf.floquet_operator
+
+        def spy(*args, **kwargs):
+            op = real_build(*args, **kwargs)
+            shapes.append(op.matrix.shape)
+            return op
+
+        monkeypatch.setattr(qf, "floquet_operator", spy)
+        path = track_eigenstate(0.0, 0.55, pgs_seed(basis18), base_cfg, basis18,
+                                stops=[l for l in lam_grid if l > 0])
+        odd = basis18.sector_indices("O").size
+        assert len(shapes) >= len(path.samples) - 1
+        assert set(shapes) == {(odd, odd)}
         assert np.array_equal(path.lams(), pgs_path.lams())
 
 

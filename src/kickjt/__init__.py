@@ -1,9 +1,9 @@
 """Kicked two-mode Jahn-Teller model: classical map, bifurcations, Floquet
 spectra, Husimi functions and entanglement measures."""
 
-from .errors import (ComputeError, ConfigError, DimensionMismatch, EigFailure,
-                     GridTooSmall, KickJTError, NoConvergence, NonFiniteState,
-                     OutOfRange, PoleProximity, StepUnderflow, TruncationLoss)
+from .errors import (ComputeError, ConfigError, EigFailure, GridTooSmall,
+                     KickJTError, NoConvergence, NonFiniteState, OutOfRange,
+                     PoleProximity, StepUnderflow, TruncationLoss)
 from .model import (ModelParams, NumericsConfig, ValidatedConfig, acot,
                     make_config, validate_params)
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector, SubMap,
@@ -12,15 +12,13 @@ from .classical_map import (OscillatorPoint, PhasePoint, SpinVector, SubMap,
                             step_arrays, step_jacobian, submap)
 from .bifurcation import (CriticalCoupling, CriticalCouplings, FixedPoint,
                           PortraitGrid, Stability, bifurcation_residual,
-                          branch_scan, critical_couplings, default_seeds,
+                          critical_couplings, default_seeds,
                           find_fixed_points, portrait,
                           reflection_symmetry_score)
-from .quantum_floquet import (FloquetSpectrum, FockBasis, Operator,
-                              OperatorSet, QuantumState, TrackedPath,
-                              TrackedSample, apply_floquet, apply_kick,
-                              build_basis, build_operators, diagonalize,
-                              expectation, floquet_operator, h0_phases,
-                              pes_seed, pgs_seed,
+from .quantum_floquet import (FloquetSpectrum, FockBasis, QuantumState,
+                              TrackedPath, TrackedSample, apply_floquet,
+                              apply_kick, build_basis, diagonalize,
+                              floquet_operator, h0_phases, pes_seed, pgs_seed,
                               phase_space_expectations, sector_leakage,
                               track_eigenstate)
 from .observables import (DensityMatrix, EntanglementMeasures, HusimiGrid,
@@ -28,7 +26,7 @@ from .observables import (DensityMatrix, EntanglementMeasures, HusimiGrid,
                           approx_bifurcated_states, coherent_amplitudes,
                           coherent_state, curve_derivative,
                           detection_probability, diagonal_line_section,
-                          entanglement_measures, husimi, husimi_on_section,
+                          entanglement_measures, husimi_on_section,
                           husimi_product_grid, husimi_values, log_negativity,
                           plane_section, product_state, reduced_density,
                           section_peaks, spin_state, state_tensor,

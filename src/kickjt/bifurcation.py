@@ -1,5 +1,5 @@
 """Fixed points of the kicked map: critical couplings, Newton search,
-stability classification, branch continuation and phase portraits.
+stability classification and phase portraits.
 
 The trivial fixed points sit at the oscillator origin with the spin at a
 pole, so root finding runs in the hemisphere graph chart
@@ -34,6 +34,8 @@ from .model import ValidatedConfig
 MULTIPLIER_TOL = 1e-4
 DEDUP_DISTANCE = 1e-6
 DEFAULT_RING_RADII = (0.5, 1.0, 2.0, 4.0)
+SYMMETRY_BINS = 41
+SYMMETRY_BOUND = 6.0
 _EQUATOR_GUARD = 0.25 - 1e-5
 
 
@@ -194,21 +196,21 @@ def _symplectic_form(s_z: float) -> np.ndarray:
     return form
 
 
-def classify_multipliers(jac: np.ndarray, s_z: float,
-                         tol_c: float = MULTIPLIER_TOL) -> tuple[Stability, tuple[float, ...]]:
+def classify_multipliers(jac: np.ndarray, s_z: float) -> tuple[Stability, tuple[float, ...]]:
     """Stability class and sorted multiplier moduli from a 6x6 linearisation.
 
-    s_z is the axial spin component of the fixed point, needed to evaluate
-    the symplectic form of the graph chart for the Krein signs.
+    Moduli within MULTIPLIER_TOL of 1 count as on the unit circle.  s_z is
+    the axial spin component of the fixed point, needed to evaluate the
+    symplectic form of the graph chart for the Krein signs.
     """
     eigvals, eigvecs = np.linalg.eig(jac)
     moduli = np.sort(np.abs(eigvals))
-    expanding = int(np.sum(moduli > 1.0 + tol_c))
-    contracting = int(np.sum(moduli < 1.0 - tol_c))
+    expanding = int(np.sum(moduli > 1.0 + MULTIPLIER_TOL))
+    contracting = int(np.sum(moduli < 1.0 - MULTIPLIER_TOL))
     if expanding == 0 and contracting == 0:
         near_parabolic = np.any(
             (np.abs(eigvals.imag) < 1e-6)
-            & (np.minimum(np.abs(eigvals.real - 1.0), np.abs(eigvals.real + 1.0)) <= tol_c))
+            & (np.minimum(np.abs(eigvals.real - 1.0), np.abs(eigvals.real + 1.0)) <= MULTIPLIER_TOL))
         if near_parabolic:
             cls = Stability.DEGENERATE
         else:
@@ -234,20 +236,18 @@ def classify_multipliers(jac: np.ndarray, s_z: float,
     return cls, tuple(float(m) for m in moduli)
 
 
-def _classify_point(point: PhasePoint, cfg: ValidatedConfig,
-                    tol_c: float) -> tuple[Stability, tuple[float, ...]]:
+def _classify_point(point: PhasePoint, cfg: ValidatedConfig) -> tuple[Stability, tuple[float, ...]]:
     s = point.spin
     hemi = 1.0 if s.s_z >= 0 else -1.0
     o = point.osc
     v = np.array([o.q_x, o.p_x, o.q_y, o.p_y, s.s_x, s.s_y], dtype=float)
     jac = _graph_jacobian(v, hemi, cfg)
     s_z = hemi * math.sqrt(max(0.25 - s.s_x ** 2 - s.s_y ** 2, 1e-12))
-    return classify_multipliers(jac, s_z, tol_c)
+    return classify_multipliers(jac, s_z)
 
 
 def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
-                      failures: list | None = None,
-                      tol_c: float = MULTIPLIER_TOL) -> list[FixedPoint]:
+                      failures: list | None = None) -> list[FixedPoint]:
     """Newton search from every seed, deduplicated and classified.
 
     Per-seed failures (no convergence, chart exit) are recorded in
@@ -268,7 +268,7 @@ def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
         roots.append(root)
     out = []
     for root in roots:
-        cls, moduli = _classify_point(root, cfg, tol_c)
+        cls, moduli = _classify_point(root, cfg)
         out.append(FixedPoint(point=root,
                               residual=_cartesian_residual(root, cfg),
                               classification=cls,
@@ -298,45 +298,6 @@ def default_seeds(cfg: ValidatedConfig,
                             OscillatorPoint(q_x, q_y, slope * q_x, slope * q_y),
                             SpinVector.from_angles(phi, s_z0)))
     return seeds
-
-
-def branch_scan(cfg: ValidatedConfig, lam_values: Sequence[float],
-                seeds: Sequence[PhasePoint] | None = None,
-                failures: list | None = None) -> list[tuple[float, list[FixedPoint]]]:
-    """Fixed-point census over an ascending coupling grid.
-
-    Roots found at one coupling are reused as seeds at the next, and output
-    lists are ordered by nearest-neighbour matching between consecutive
-    grid points so branches keep a stable position in the table.
-    """
-    lam_values = list(lam_values)
-    if any(b <= a for a, b in zip(lam_values, lam_values[1:])):
-        raise ValueError("coupling grid must be strictly ascending")
-    table: list[tuple[float, list[FixedPoint]]] = []
-    previous: list[FixedPoint] = []
-    for lam in lam_values:
-        cfg_l = cfg.with_lam(lam)
-        seed_list = list(seeds) if seeds is not None else default_seeds(cfg_l)
-        seed_list.extend(fp.point for fp in previous)
-        fps = find_fixed_points(cfg_l, seed_list, failures=failures)
-        if previous:
-            fps = _match_order(previous, fps)
-        table.append((lam, fps))
-        previous = fps
-    return table
-
-
-def _match_order(previous: list[FixedPoint], current: list[FixedPoint]) -> list[FixedPoint]:
-    remaining = list(current)
-    ordered: list[FixedPoint] = []
-    for prev in previous:
-        if not remaining:
-            break
-        dists = [np.max(np.abs(prev.point.as_array() - fp.point.as_array()))
-                 for fp in remaining]
-        ordered.append(remaining.pop(int(np.argmin(dists))))
-    ordered.extend(remaining)
-    return ordered
 
 
 # --- phase portraits -------------------------------------------------------
@@ -395,19 +356,20 @@ def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarra
     return points
 
 
-def reflection_symmetry_score(points: np.ndarray, axis_angle_deg: float,
-                              bins: int = 41, bound: float = 6.0) -> float:
+def reflection_symmetry_score(points: np.ndarray, axis_angle_deg: float) -> float:
     """Histogram overlap between a point cloud and its mirror image.
 
     1.0 means the binned density is exactly symmetric under reflection
-    across the line through the origin at the given angle.
+    across the line through the origin at the given angle.  Both clouds are
+    binned on SYMMETRY_BINS x SYMMETRY_BINS cells over the square of half
+    width SYMMETRY_BOUND; points outside it are not counted.
     """
     theta = math.radians(axis_angle_deg)
     c, s = math.cos(2 * theta), math.sin(2 * theta)
     q_x, q_y = points[:, 0], points[:, 1]
     r_x = c * q_x + s * q_y
     r_y = s * q_x - c * q_y
-    edges = np.linspace(-bound, bound, bins + 1)
+    edges = np.linspace(-SYMMETRY_BOUND, SYMMETRY_BOUND, SYMMETRY_BINS + 1)
     h0, _, _ = np.histogram2d(q_x, q_y, bins=(edges, edges))
     h1, _, _ = np.histogram2d(r_x, r_y, bins=(edges, edges))
     total = h0.sum() + h1.sum()

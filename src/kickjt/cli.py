@@ -8,7 +8,9 @@ codes: 0 success, 2 configuration error, 3 compute error.  Each scenario
 runs its couplings one after another in grid order, BLAS runs on one
 thread, and floats are written with shortest round-trip precision, so
 identical configurations produce byte-identical files.  --threads is
-accepted for compatibility and has no effect.
+accepted for compatibility and has no effect.  --check reruns the quantum
+scenarios at n_t + 4 and reports the deviations; the scenarios in
+UNTRUNCATED have no truncation and report that instead.
 """
 
 from __future__ import annotations
@@ -358,9 +360,16 @@ def _compare_tables(name: str, base: Table, bumped: Table) -> list[str]:
     return lines
 
 
-def truncation_check(command: str, scfg: ScenarioConfig) -> str:
+# scenarios that never read numerics.n_t: --check has nothing to vary
+UNTRUNCATED = frozenset({"critical-couplings", "fixed-points", "portrait", "detection-prob"})
+
+
+def truncation_check(command: str, scfg: ScenarioConfig, base: ScenarioResult) -> str:
+    """Rerun the scenario at n_t + 4 and compare its tables with base, the
+    result of the run at the configured n_t."""
+    if command in UNTRUNCATED:
+        return f"truncation check: {command} has no truncation parameter"
     n_t = scfg.get_int("numerics.n_t", 18)
-    base = SCENARIOS[command](scfg)
     bumped_cfg = ScenarioConfig.from_text(
         "\n".join(f"{k} = {v.value}" for k, v in scfg._entries.items() if k != "numerics.n_t")
         + f"\nnumerics.n_t = {n_t + 4}\n")
@@ -433,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--check", action="store_true",
-                       help="re-run at n_t + 4 and report truncation deviations")
+                       help="re-run at n_t + 4 and report truncation deviations"
+                            " (scenarios without n_t only say so)")
     return parser
 
 
@@ -461,7 +471,7 @@ def _run(args: argparse.Namespace) -> int:
         for name in result.tables:
             print(f"wrote {out_dir / name}")
         if args.check:
-            print(truncation_check(args.command, scfg))
+            print(truncation_check(args.command, scfg, result))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -54,10 +54,6 @@ class StepUnderflow(KickJTError):
     """Adaptive continuation step shrank below the minimum without acceptance."""
 
 
-class DimensionMismatch(KickJTError):
-    """Operands are defined over incompatible spaces."""
-
-
 class GridTooSmall(KickJTError):
     """A grid has too few points for the requested stencil."""
 

@@ -24,19 +24,21 @@ from .classical_map import SpinVector
 from .errors import GridTooSmall, OutOfRange, TruncationLoss
 from .quantum_floquet import FockBasis, QuantumState, state_vector
 
-SubsystemTag = Literal["spin", "osc_x", "osc_y", "osc_pair", "spin_osc_x"]
+SubsystemTag = Literal["spin", "osc_x", "osc_pair"]
 
 COHERENT_LOSS_TOL = 1e-6
+HUSIMI_CHUNK = 4096
+PEAK_PROMINENCE_FRAC = 0.05
 
 
 # --- coherent states -------------------------------------------------------
 
-def _mode_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """alpha^n / sqrt(n!) for n = 0..n_max, by cumulative products."""
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = 1.0
+def _mode_powers(alphas: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows alpha^n / sqrt(n!) for each alpha; shape (len(alphas), n_max+1)."""
+    out = np.empty((alphas.shape[0], n_max + 1), dtype=complex)
+    out[:, 0] = 1.0
     for n in range(1, n_max + 1):
-        out[n] = out[n - 1] * alpha / math.sqrt(n)
+        out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
     return out
 
 
@@ -48,22 +50,20 @@ def coherent_amplitudes(alpha_x: complex, alpha_y: complex,
     off by the truncation.
     """
     prefactor = math.exp(-(abs(alpha_x) ** 2 + abs(alpha_y) ** 2) / 2.0)
-    ax = _mode_amplitudes(alpha_x, basis.n_t)
-    ay = _mode_amplitudes(alpha_y, basis.n_t)
+    ax, ay = _mode_powers(np.array([alpha_x, alpha_y], dtype=complex), basis.n_t)
     amps = prefactor * ax[basis.osc_nx] * ay[basis.osc_ny]
     loss = 1.0 - float(np.sum(np.abs(amps) ** 2))
     return amps, loss
 
 
-def coherent_state(alpha_x: complex, alpha_y: complex, basis: FockBasis,
-                   max_loss: float = COHERENT_LOSS_TOL) -> QuantumState:
+def coherent_state(alpha_x: complex, alpha_y: complex, basis: FockBasis) -> QuantumState:
     """Normalised truncated coherent state (oscillator factor only).
 
-    Raises TruncationLoss when more than max_loss of the weight falls
+    Raises TruncationLoss when COHERENT_LOSS_TOL or more of the weight falls
     outside the basis.
     """
     amps, loss = coherent_amplitudes(alpha_x, alpha_y, basis)
-    if loss >= max_loss:
+    if loss >= COHERENT_LOSS_TOL:
         raise TruncationLoss(loss, f"coherent state loses {loss:.3e} beyond n_t={basis.n_t}")
     return QuantumState.normalized(amps)
 
@@ -107,38 +107,22 @@ def product_state(osc, spinor: np.ndarray) -> np.ndarray:
 
 # --- Husimi function -------------------------------------------------------
 
-def husimi(state, alpha_x: complex, alpha_y: complex, basis: FockBasis) -> float:
-    """Spin-traced Husimi value sum_sigma |<alpha, sigma | psi>|^2."""
-    psi = state_vector(state).reshape(basis.osc_dim, 2)
-    amps, _ = coherent_amplitudes(alpha_x, alpha_y, basis)
-    projected = amps.conj() @ psi
-    return float(np.sum(np.abs(projected) ** 2))
-
-
 def husimi_values(state, basis: FockBasis, alphas_x: np.ndarray,
-                  alphas_y: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Husimi along paired arrays of coherent amplitudes."""
+                  alphas_y: np.ndarray) -> np.ndarray:
+    """Spin-traced Husimi sum_sigma |<alpha, sigma | psi>|^2 along paired
+    arrays of coherent amplitudes, HUSIMI_CHUNK points at a time."""
     psi = state_vector(state).reshape(basis.osc_dim, 2)
     alphas_x = np.asarray(alphas_x, dtype=complex)
     alphas_y = np.asarray(alphas_y, dtype=complex)
     out = np.empty(alphas_x.shape[0])
-    for start in range(0, alphas_x.shape[0], chunk):
-        sl = slice(start, min(start + chunk, alphas_x.shape[0]))
+    for start in range(0, alphas_x.shape[0], HUSIMI_CHUNK):
+        sl = slice(start, min(start + HUSIMI_CHUNK, alphas_x.shape[0]))
         pref = np.exp(-(np.abs(alphas_x[sl]) ** 2 + np.abs(alphas_y[sl]) ** 2) / 2.0)
         ax = _mode_powers(alphas_x[sl], basis.n_t)
         ay = _mode_powers(alphas_y[sl], basis.n_t)
         amps = pref[:, None] * ax[:, basis.osc_nx] * ay[:, basis.osc_ny]
         projected = amps.conj() @ psi
         out[sl] = np.sum(np.abs(projected) ** 2, axis=1)
-    return out
-
-
-def _mode_powers(alphas: np.ndarray, n_max: int) -> np.ndarray:
-    """Rows alpha^n / sqrt(n!) for each alpha; shape (len(alphas), n_max+1)."""
-    out = np.empty((alphas.shape[0], n_max + 1), dtype=complex)
-    out[:, 0] = 1.0
-    for n in range(1, n_max + 1):
-        out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
     return out
 
 
@@ -217,11 +201,10 @@ def husimi_on_section(state, basis: FockBasis, section: PhaseSection,
                       values=values)
 
 
-def section_peaks(values: np.ndarray, coords: np.ndarray,
-                  prominence_frac: float = 0.05) -> np.ndarray:
+def section_peaks(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Coordinates of local maxima after 3-point smoothing.
 
-    Peaks must rise by at least prominence_frac of the global maximum.
+    Peaks must rise by at least PEAK_PROMINENCE_FRAC of the global maximum.
     """
     # imported here, not at module top: loading scipy.signal would add about
     # a second to every CLI start, and no scenario calls this
@@ -230,7 +213,7 @@ def section_peaks(values: np.ndarray, coords: np.ndarray,
     v = np.asarray(values, dtype=float)
     smooth = v.copy()
     smooth[1:-1] = (v[:-2] + v[1:-1] + v[2:]) / 3.0
-    idx, _ = scipy.signal.find_peaks(smooth, prominence=prominence_frac * float(smooth.max()))
+    idx, _ = scipy.signal.find_peaks(smooth, prominence=PEAK_PROMINENCE_FRAC * float(smooth.max()))
     return np.asarray(coords)[idx]
 
 
@@ -282,29 +265,26 @@ def reduced_density(state, keep: SubsystemTag, basis: FockBasis) -> DensityMatri
         rho = np.einsum("abs,abt->st", psi, psi.conj())
     elif keep == "osc_x":
         rho = np.einsum("ans,bns->ab", psi, psi.conj())
-    elif keep == "osc_y":
-        rho = np.einsum("nas,nbs->ab", psi, psi.conj())
     elif keep == "osc_pair":
         m = psi.reshape(d * d, 2)
         rho = m @ m.conj().T
-    elif keep == "spin_osc_x":
-        rho = np.einsum("ans,bnt->asbt", psi, psi.conj()).reshape(2 * d, 2 * d)
     else:
         raise ValueError(f"unknown subsystem tag {keep!r}")
     return DensityMatrix(matrix=rho, subsystem=keep)
 
 
-def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
-    """-sum p log p over the spectrum, dropping eigenvalues below 1e-14."""
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-sum p log2 p over the spectrum, dropping eigenvalues below 1e-14;
+    clamped at zero, since roundoff can put a pure state's eigenvalue an
+    ulp above 1."""
     probs = rho.eigenvalues()
     probs = probs[probs > 1e-14]
-    return float(-np.sum(probs * np.log(probs)) / math.log(base)) + 0.0
+    return max(float(-np.sum(probs * np.log(probs)) / math.log(2.0)), 0.0) + 0.0
 
 
 def log_negativity(rho_pair: DensityMatrix,
-                   transpose_over: Literal["osc_x", "osc_y"] = "osc_x",
-                   base: float = 2.0) -> float:
-    """log_base of the trace norm of the partial transpose over one mode
+                   transpose_over: Literal["osc_x", "osc_y"] = "osc_x") -> float:
+    """log2 of the trace norm of the partial transpose over one mode
     (Vidal & Werner, PRA 65, 032314 (2002)).
 
     Zero (to numerics) for every separable two-mode state; clamped at zero
@@ -341,7 +321,7 @@ def log_negativity(rho_pair: DensityMatrix,
     else:
         eigs = np.linalg.eigvalsh(pt)
     trace_norm = float(np.sum(np.abs(eigs)))
-    value = math.log(trace_norm, base)
+    value = math.log(trace_norm, 2.0)
     if value < -1e-12:
         raise ValueError(f"trace norm {trace_norm!r} below 1; partial transpose is broken")
     return max(value, 0.0)

@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import ComputeError, DimensionMismatch, EigFailure, StepUnderflow
+from .errors import ComputeError, EigFailure, StepUnderflow
 from .model import ValidatedConfig
 
 Axis = Literal["x", "y"]
@@ -96,8 +96,10 @@ class FockBasis:
         return [self.entry(k) for k in range(self.dim)]
 
     def sector_indices(self, sector: str) -> np.ndarray:
-        value = -1 if sector == "O" else 1
-        return np.flatnonzero(self.parity == value)
+        """Indices of the parity sector "O" (parity -1) or "E" (parity +1)."""
+        if sector not in ("O", "E"):
+            raise ValueError(f"sector must be 'O' or 'E', got {sector!r}")
+        return np.flatnonzero(self.parity == (-1 if sector == "O" else 1))
 
     def basis_state(self, n_x: int, n_y: int, sigma: int) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
@@ -107,17 +109,6 @@ class FockBasis:
 
 def build_basis(n_t: int) -> FockBasis:
     return FockBasis(n_t)
-
-
-@dataclass
-class Operator:
-    """Dense matrix over a FockBasis."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -186,45 +177,10 @@ def osc_momentum_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
     return mat
 
 
-def kron_osc_spin(osc_mat: np.ndarray, spin_mat: np.ndarray) -> np.ndarray:
-    """Full-space matrix from oscillator and spin factors (spin index fastest)."""
-    return np.kron(osc_mat, spin_mat)
-
-
 def h0_phases(basis: FockBasis, cfg: ValidatedConfig) -> np.ndarray:
     """Diagonal of exp(-i H0 tau): entries exp(-i [omega (N+1) + delta sigma/2])."""
     angle = cfg.omega * (basis.total + 1) + cfg.delta * basis.sigma / 2.0
     return np.exp(-1j * angle)
-
-
-@dataclass
-class OperatorSet:
-    """Dense operators over the full basis used by diagnostics and tests."""
-
-    basis: FockBasis
-    q_x: Operator
-    q_y: Operator
-    p_x: Operator
-    p_y: Operator
-    s_x: Operator
-    s_y: Operator
-    s_z: Operator
-    h0_propagator: Operator
-    parity: Operator
-
-
-def build_operators(basis: FockBasis, cfg: ValidatedConfig) -> OperatorSet:
-    eye2 = np.eye(2)
-    eye_osc = np.eye(basis.osc_dim)
-    ops = {}
-    for axis in ("x", "y"):
-        ops[f"q_{axis}"] = Operator(kron_osc_spin(osc_position_matrix(basis, axis), eye2))
-        ops[f"p_{axis}"] = Operator(kron_osc_spin(osc_momentum_matrix(basis, axis), eye2))
-    for axis in ("x", "y", "z"):
-        ops[f"s_{axis}"] = Operator(kron_osc_spin(eye_osc, SPIN_HALF[axis]))
-    ops["h0_propagator"] = Operator(np.diag(h0_phases(basis, cfg)))
-    ops["parity"] = Operator(np.diag(basis.parity.astype(complex)))
-    return OperatorSet(basis=basis, **ops)
 
 
 # --- kick propagators ------------------------------------------------------
@@ -288,7 +244,7 @@ def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, basis: FockBasis) -> np
 
 
 def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None,
-                     sector: str | None = None) -> Operator:
+                     sector: str | None = None) -> np.ndarray:
     """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense.
 
     With a sector label ("O" or "E") only the block U[idx, idx] over that
@@ -301,20 +257,12 @@ def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None,
         basis = build_basis(cfg.n_t)
     eye = np.eye(basis.dim, dtype=complex)
     if sector is None:
-        return Operator(apply_floquet(eye, cfg, basis))
+        return apply_floquet(eye, cfg, basis)
     idx = basis.sector_indices(sector)
-    return Operator(apply_floquet(eye[:, idx], cfg, basis)[idx])
+    return apply_floquet(eye[:, idx], cfg, basis)[idx]
 
 
 # --- diagnostics -----------------------------------------------------------
-
-def expectation(state, op: Operator) -> complex:
-    """<psi|A|psi>; real to roundoff when the operator is Hermitian."""
-    vec = state_vector(state)
-    if vec.shape[0] != op.dim:
-        raise DimensionMismatch(f"state dim {vec.shape[0]} vs operator dim {op.dim}")
-    return complex(np.vdot(vec, op.matrix @ vec))
-
 
 def phase_space_expectations(state, basis: FockBasis) -> dict[str, float]:
     """<q>, <p> and <s> components without forming full-space operators."""
@@ -332,6 +280,9 @@ def phase_space_expectations(state, basis: FockBasis) -> dict[str, float]:
 
 
 # --- spectra ---------------------------------------------------------------
+
+EIG_RESIDUAL_TOL = 1e-9
+
 
 @dataclass
 class FloquetSpectrum:
@@ -354,11 +305,6 @@ class FloquetSpectrum:
     def state(self, k: int) -> QuantumState:
         return QuantumState(self.vectors[:, k])
 
-    def best_overlap(self, vec: np.ndarray) -> tuple[int, float]:
-        overlaps = np.abs(self.vectors.conj().T @ vec)
-        k = int(np.argmax(overlaps))
-        return k, float(overlaps[k])
-
 
 def _sector_spectrum(sub: np.ndarray,
                      residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -380,20 +326,18 @@ def _sector_spectrum(sub: np.ndarray,
     return phases, vecs
 
 
-def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
-                residual_tol: float = 1e-9) -> FloquetSpectrum:
-    """Eigenphases and eigenvectors of a unitary operator.
+def diagonalize(mat: np.ndarray, parity: np.ndarray | None = None) -> FloquetSpectrum:
+    """Eigenphases and eigenvectors of a unitary matrix.
 
-    When a parity diagonal is supplied and the operator commutes with it,
+    When a parity diagonal is supplied and the matrix commutes with it,
     each sector block is diagonalised separately; eigenvectors are then
     exactly sector pure.  Raises EigFailure if any eigenpair residual,
-    measured against the full operator, exceeds residual_tol.
+    measured against the full matrix, exceeds EIG_RESIDUAL_TOL.
     """
-    mat = op.matrix
     dim = mat.shape[0]
     sectors = None
     if parity is not None:
-        pdiag = np.real(np.diag(parity.matrix)) if isinstance(parity, Operator) else np.asarray(parity)
+        pdiag = np.asarray(parity)
         commutator = mat * pdiag[None, :] - pdiag[:, None] * mat
         if np.max(np.abs(commutator)) <= 1e-8:
             phases = np.empty(dim)
@@ -402,7 +346,7 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
             col = 0
             for label, value in (("O", -1), ("E", 1)):
                 idx = np.flatnonzero(pdiag == value)
-                sub_phases, sub_vecs = _sector_spectrum(mat[np.ix_(idx, idx)], residual_tol)
+                sub_phases, sub_vecs = _sector_spectrum(mat[np.ix_(idx, idx)], EIG_RESIDUAL_TOL)
                 block = slice(col, col + idx.size)
                 phases[block] = sub_phases
                 vectors[np.ix_(idx, range(col, col + idx.size))] = sub_vecs
@@ -413,11 +357,11 @@ def diagonalize(op: Operator, parity: np.ndarray | Operator | None = None,
             vectors = vectors[:, order]
             sectors = sectors[order]
     if sectors is None:
-        phases, vectors = _sector_spectrum(mat, residual_tol)
+        phases, vectors = _sector_spectrum(mat, EIG_RESIDUAL_TOL)
     residuals = np.linalg.norm(mat @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
     worst = float(np.max(residuals, initial=0.0))
-    if worst > residual_tol:
-        raise EigFailure(worst, residual_tol)
+    if worst > EIG_RESIDUAL_TOL:
+        raise EigFailure(worst, EIG_RESIDUAL_TOL)
     return FloquetSpectrum(eigenphases=phases, vectors=vectors,
                            residuals=residuals, sectors=sectors)
 
@@ -571,7 +515,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     while stop_list:
         next_stop = stop_list[0]
         target = min(lam + dlam, next_stop)
-        sub = floquet_operator(cfg.with_lam(target), basis, sector).matrix
+        sub = floquet_operator(cfg.with_lam(target), basis, sector)
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):

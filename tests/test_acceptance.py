@@ -127,13 +127,13 @@ def test_criterion_05_quantum_structural_invariants(basis18):
     cfg = reference_config(0.32)
     u = floquet_operator(cfg, basis18)
     eye = np.eye(basis18.dim)
-    unitarity = float(np.max(np.abs(u.matrix.conj().T @ u.matrix - eye)))
+    unitarity = float(np.max(np.abs(u.conj().T @ u - eye)))
     par = basis18.parity
-    parity_comm = float(np.max(np.abs(u.matrix * par[None, :] - par[:, None] * u.matrix)))
+    parity_comm = float(np.max(np.abs(u * par[None, :] - par[:, None] * u)))
     t0 = time.perf_counter()
     spec = diagonalize(u, parity=par)
     diag_elapsed = time.perf_counter() - t0
-    eigvals = np.linalg.eigvals(u.matrix)
+    eigvals = np.linalg.eigvals(u)
     moduli_err = float(np.max(np.abs(np.abs(eigvals) - 1.0)))
     cfg0 = reference_config(0.0)
     spec0 = diagonalize(floquet_operator(cfg0, basis18), parity=par)
@@ -152,11 +152,11 @@ def test_criterion_06_small_instance_spectral_oracle():
     basis = build_basis(2)
     lam = 0.1
     cfg = make_config(OMEGA, DELTA, lam)
-    from kickjt.quantum_floquet import SPIN_HALF, kron_osc_spin, osc_position_matrix
-    q_x = kron_osc_spin(osc_position_matrix(basis, "x"), np.eye(2))
-    q_y = kron_osc_spin(osc_position_matrix(basis, "y"), np.eye(2))
-    s_x = kron_osc_spin(np.eye(basis.osc_dim), SPIN_HALF["x"])
-    s_y = kron_osc_spin(np.eye(basis.osc_dim), SPIN_HALF["y"])
+    from kickjt.quantum_floquet import SPIN_HALF, osc_position_matrix
+    q_x = np.kron(osc_position_matrix(basis, "x"), np.eye(2))
+    q_y = np.kron(osc_position_matrix(basis, "y"), np.eye(2))
+    s_x = np.kron(np.eye(basis.osc_dim), SPIN_HALF["x"])
+    s_y = np.kron(np.eye(basis.osc_dim), SPIN_HALF["y"])
     h0 = np.diag(cfg.omega * (basis.total + 1) + cfg.delta * basis.sigma / 2)
     brute = (scipy.linalg.expm(-1j * h0)
              @ scipy.linalg.expm(-1j * lam * q_x @ s_x)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kickjt import (OscillatorPoint, PhasePoint, PortraitGrid, SpinVector,
-                    Stability, bifurcation_residual, branch_scan,
-                    critical_couplings, default_seeds, find_fixed_points,
-                    make_config, portrait, reflection_symmetry_score, step)
+                    Stability, bifurcation_residual, critical_couplings,
+                    find_fixed_points, portrait, reflection_symmetry_score, step)
+from kickjt.cli import _fixed_point_census
+from kickjt.configfile import ScenarioConfig
 from conftest import DELTA, OMEGA, reference_config
 
 
@@ -106,19 +107,27 @@ class TestCensus:
         assert len(failures) == 1 and failures[0][0] == 0
 
 
+def census_table(lams):
+    """The CLI census (fresh default seeds at every coupling) over a list
+    of couplings at the reference model, as (lam, fixed points) pairs."""
+    scfg = ScenarioConfig.from_text(
+        "model.omega = pi/60\nmodel.delta = 2*acot(2)\n"
+        f"model.lambda_list = {', '.join(repr(l) for l in lams)}\n")
+    return list(_fixed_point_census(scfg))
+
+
 class TestBranchScan:
     def test_single_branch_below_first_bifurcation(self):
-        cfg = reference_config(0.1)
-        table = branch_scan(cfg, [0.05, 0.10, 0.15, 0.20, 0.25])
+        table = census_table([0.05, 0.10, 0.15, 0.20, 0.25])
         for _, fps in table:
             stable = [fp for fp in fps if fp.classification is Stability.STABLE]
             assert len(stable) == 1
             assert abs(stable[0].point.osc.q_x) <= 1e-8
 
     def test_two_branches_with_monotone_separation(self):
-        cfg = reference_config(0.3)
         lams = [round(0.27 + 0.02 * k, 12) for k in range(10)]
-        table = branch_scan(cfg, lams)
+        table = census_table(lams)
+        assert [lam for lam, _ in table] == lams
         separations = []
         for _, fps in table:
             stable = [fp for fp in fps if fp.classification is Stability.STABLE]
@@ -128,20 +137,14 @@ class TestBranchScan:
         assert all(s2 > s1 for s1, s2 in zip(separations, separations[1:]))
 
     def test_branch_birth_matches_critical_coupling(self):
-        cfg = reference_config(0.25)
         step_size = 0.005
         lams = [round(0.25 + step_size * k, 12) for k in range(8)]
-        table = branch_scan(cfg, lams)
+        table = census_table(lams)
         births = [lam for lam, fps in table
                   if any(abs(fp.point.osc.q_x) > 1e-6 for fp in fps)]
         lam_b1 = critical_couplings(OMEGA, DELTA).couplings()[0]
         assert births
         assert abs(births[0] - lam_b1) <= step_size
-
-    def test_grid_must_ascend(self):
-        cfg = reference_config(0.1)
-        with pytest.raises(ValueError):
-            branch_scan(cfg, [0.2, 0.1])
 
 
 class TestPortrait:

@@ -458,6 +458,47 @@ class TestTruncationCheckFlag:
         assert "truncation check: n_t = 6 vs 10" in captured.out
         assert "max relative deviation" in captured.out
 
+    @pytest.mark.parametrize("command,extra", [
+        ("critical-couplings", ""),
+        ("fixed-points", "model.lambda = 0.15\n"),
+        ("portrait", "model.lambda = 0.15\nportrait.radii = 1.0\n"
+                     "portrait.angles = 4\nportrait.iterations = 3\n"),
+        ("detection-prob", "model.lambda = 0.1\n"),
+    ])
+    def test_scenarios_without_truncation_run_once(self, tmp_path, capsys, monkeypatch,
+                                                   command, extra):
+        calls = []
+        real = cli.SCENARIOS[command]
+
+        def spy(scfg):
+            calls.append(scfg)
+            return real(scfg)
+
+        monkeypatch.setitem(cli.SCENARIOS, command, spy)
+        cfg = write_config(tmp_path, SMALL_MODEL + extra)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--check"]) == 0
+        assert f"truncation check: {command} has no truncation parameter" in \
+            capsys.readouterr().out.splitlines()
+        assert len(calls) == 1
+
+    def test_truncated_scenario_reruns_only_at_the_bumped_truncation(self, tmp_path,
+                                                                     monkeypatch):
+        # the written run is the comparison base; only n_t + 4 is run again
+        seen = []
+        real = cli.SCENARIOS["track-pgs"]
+
+        def spy(scfg):
+            seen.append(scfg.get_int("numerics.n_t"))
+            return real(scfg)
+
+        monkeypatch.setitem(cli.SCENARIOS, "track-pgs", spy)
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"))
+        assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--check"]) == 0
+        assert seen == [4, 8]
+
 
 def test_presets_parse():
     for preset in sorted(PRESET_DIR.glob("*.cfg")):

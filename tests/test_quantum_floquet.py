@@ -5,15 +5,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from kickjt import (DimensionMismatch, EigFailure, Operator, StepUnderflow,
-                    apply_floquet, build_basis, build_operators, coherent_state,
-                    apply_kick, diagonalize, expectation, floquet_operator,
+from kickjt import (EigFailure, StepUnderflow, apply_floquet, build_basis,
+                    coherent_state, apply_kick, diagonalize, floquet_operator,
                     h0_phases, make_config, pes_seed, pgs_seed,
-                    product_state, sector_leakage, spin_state, track_eigenstate)
+                    phase_space_expectations, product_state, sector_leakage,
+                    spin_state, track_eigenstate)
 from kickjt import quantum_floquet as qf
 from kickjt.observables import SpinDirection
-from kickjt.quantum_floquet import (SPIN_HALF, _sector_spectrum, kron_osc_spin,
-                                    osc_position_matrix)
+from kickjt.quantum_floquet import SPIN_HALF, _sector_spectrum, osc_position_matrix
 from conftest import DELTA, OMEGA, reference_config
 
 
@@ -29,6 +28,22 @@ class TestBasis:
         assert basis.dim == 6
         odd = {basis.entry(k) for k in basis.sector_indices("O")}
         assert odd == {(0, 0, -1), (1, 0, 1), (0, 1, 1)}
+
+    @pytest.mark.parametrize("label", ["odd", "o", "", None])
+    def test_unknown_sector_label_rejected(self, label):
+        # a mistyped label must not select a sector; floquet_operator takes
+        # None as "no sector", the whole space
+        basis = build_basis(2)
+        cfg = reference_config(0.3).with_n_t(2)
+        with pytest.raises(ValueError, match=f"got {label!r}"):
+            basis.sector_indices(label)
+        with pytest.raises(ValueError, match=f"got {label!r}"):
+            sector_leakage(pgs_seed(basis), basis, label)
+        if label is None:
+            assert floquet_operator(cfg, basis, label).shape == (basis.dim, basis.dim)
+        else:
+            with pytest.raises(ValueError, match=f"got {label!r}"):
+                floquet_operator(cfg, basis, label)
 
     def test_reference_truncation_counts(self, basis18):
         assert basis18.dim == 380
@@ -59,11 +74,10 @@ class TestOperators:
         assert np.all(basis18.parity ** 2 == 1)
 
     def test_position_matrix_element(self, basis18):
-        cfg = reference_config()
-        ops = build_operators(basis18, cfg)
+        q_x = np.kron(osc_position_matrix(basis18, "x"), np.eye(2))
         i = basis18.index(1, 0, -1)
         j = basis18.index(0, 0, -1)
-        assert ops.q_x.matrix[i, j] == pytest.approx(1 / math.sqrt(2))
+        assert q_x[i, j] == pytest.approx(1 / math.sqrt(2))
 
     def test_h0_phase_on_ground_state(self, basis18):
         cfg = reference_config(0.0)
@@ -90,7 +104,7 @@ class TestKickPropagator:
 
     def test_pulse_conjugation_identity(self, basis18):
         rot = scipy.linalg.expm(-1j * (math.pi / 4) * 2 * SPIN_HALF["y"])
-        rot_full = kron_osc_spin(np.eye(basis18.osc_dim), rot)
+        rot_full = np.kron(np.eye(basis18.osc_dim), rot)
         k_z = kick_matrix("x", 0.32, basis18, spin_axis="z")
         k_x = kick_matrix("x", 0.32, basis18, spin_axis="x")
         conjugated = rot_full @ k_z @ rot_full.conj().T
@@ -99,7 +113,7 @@ class TestKickPropagator:
     def test_small_instance_matches_expm(self):
         basis = build_basis(3)
         lam = 0.27
-        generator = kron_osc_spin(osc_position_matrix(basis, "y"), SPIN_HALF["y"])
+        generator = np.kron(osc_position_matrix(basis, "y"), SPIN_HALF["y"])
         expected = scipy.linalg.expm(-1j * lam * generator)
         actual = kick_matrix("y", lam, basis)
         assert np.max(np.abs(expected - actual)) <= 1e-12
@@ -119,23 +133,23 @@ class TestFloquetOperator:
     def test_diagonal_at_zero_coupling(self, basis18):
         cfg = reference_config(0.0)
         u = floquet_operator(cfg, basis18)
-        off = u.matrix - np.diag(np.diag(u.matrix))
+        off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) <= 1e-14
 
     def test_unitarity(self, basis18):
         cfg = reference_config(0.46)
         u = floquet_operator(cfg, basis18)
-        assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(basis18.dim))) <= 1e-10
+        assert np.max(np.abs(u.conj().T @ u - np.eye(basis18.dim))) <= 1e-10
 
     def test_commutes_with_parity(self, basis18):
         cfg = reference_config(0.32)
-        u = floquet_operator(cfg, basis18).matrix
+        u = floquet_operator(cfg, basis18)
         par = basis18.parity
         assert np.max(np.abs(u * par[None, :] - par[:, None] * u)) <= 1e-10
 
     def test_parity_block_structure(self, basis18):
         cfg = reference_config(0.32)
-        u = floquet_operator(cfg, basis18).matrix
+        u = floquet_operator(cfg, basis18)
         odd = basis18.sector_indices("O")
         even = basis18.sector_indices("E")
         assert np.max(np.abs(u[np.ix_(odd, even)])) <= 1e-10
@@ -146,7 +160,7 @@ class TestFloquetOperator:
         rng = np.random.default_rng(7)
         vec = rng.normal(size=basis18.dim) + 1j * rng.normal(size=basis18.dim)
         vec /= np.linalg.norm(vec)
-        dense = floquet_operator(cfg, basis18).matrix @ vec
+        dense = floquet_operator(cfg, basis18) @ vec
         assert np.max(np.abs(apply_floquet(vec, cfg, basis18) - dense)) <= 1e-12
 
 
@@ -158,7 +172,7 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
     # and parity commuting anywhere in parameter space
     basis = build_basis(n_t)
     cfg = make_config(omega, delta, lam, n_t=n_t)
-    u = floquet_operator(cfg, basis).matrix
+    u = floquet_operator(cfg, basis)
     eye = np.eye(basis.dim, dtype=complex)
     for j in range(basis.dim):
         assert np.max(np.abs(u[:, j] - apply_floquet(eye[:, j].copy(), cfg, basis))) <= 1e-13
@@ -175,8 +189,8 @@ def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
     basis = build_basis(n_t)
     cfg = make_config(omega, delta, lam, n_t=n_t)
     idx = basis.sector_indices(sector)
-    block = floquet_operator(cfg, basis, sector).matrix
-    full = floquet_operator(cfg, basis).matrix
+    block = floquet_operator(cfg, basis, sector)
+    full = floquet_operator(cfg, basis)
     assert block.shape == (idx.size, idx.size)
     assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-14
 
@@ -188,8 +202,8 @@ def test_sector_build_bit_equal_at_reference_truncation(basis18, lam, sector):
     # only while the block is the sliced full build bit for bit
     cfg = reference_config(lam)
     idx = basis18.sector_indices(sector)
-    full = floquet_operator(cfg, basis18).matrix
-    assert np.array_equal(floquet_operator(cfg, basis18, sector).matrix,
+    full = floquet_operator(cfg, basis18)
+    assert np.array_equal(floquet_operator(cfg, basis18, sector),
                           full[np.ix_(idx, idx)])
 
 
@@ -206,10 +220,10 @@ class TestDiagonalize:
         assert basis.dim == 12
         lam = 0.1
         cfg = make_config(OMEGA, DELTA, lam)
-        q_x = kron_osc_spin(osc_position_matrix(basis, "x"), np.eye(2))
-        q_y = kron_osc_spin(osc_position_matrix(basis, "y"), np.eye(2))
-        s_x = kron_osc_spin(np.eye(basis.osc_dim), SPIN_HALF["x"])
-        s_y = kron_osc_spin(np.eye(basis.osc_dim), SPIN_HALF["y"])
+        q_x = np.kron(osc_position_matrix(basis, "x"), np.eye(2))
+        q_y = np.kron(osc_position_matrix(basis, "y"), np.eye(2))
+        s_x = np.kron(np.eye(basis.osc_dim), SPIN_HALF["x"])
+        s_y = np.kron(np.eye(basis.osc_dim), SPIN_HALF["y"])
         h0 = np.diag(cfg.omega * (basis.total + 1) + cfg.delta * basis.sigma / 2)
         brute = (scipy.linalg.expm(-1j * h0)
                  @ scipy.linalg.expm(-1j * lam * q_x @ s_x)
@@ -227,14 +241,14 @@ class TestDiagonalize:
     def test_eigenvalue_moduli_on_unit_circle(self, basis18):
         cfg = reference_config(0.32)
         u = floquet_operator(cfg, basis18)
-        eigvals = np.linalg.eigvals(u.matrix)
+        eigvals = np.linalg.eigvals(u)
         assert np.max(np.abs(np.abs(eigvals) - 1.0)) <= 1e-8
 
     def test_residual_failure_raises(self):
         rng = np.random.default_rng(3)
         bad = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         with pytest.raises(EigFailure):
-            diagonalize(Operator(bad))
+            diagonalize(bad)
 
     @pytest.mark.parametrize("lam", [0.1, 0.32])
     def test_spectral_stability_under_truncation(self, lam):
@@ -297,8 +311,9 @@ class TestTracking:
         cfg = reference_config(0.32)
         spec = diagonalize(floquet_operator(cfg, basis18))
         tracked = pgs_path.sample_at(0.32).state
-        k, overlap = spec.best_overlap(tracked)
-        assert overlap > 0.9999
+        overlaps = np.abs(spec.vectors.conj().T @ tracked)
+        k = int(np.argmax(overlaps))
+        assert overlaps[k] > 0.9999
         assert sector_leakage(spec.vectors[:, k], basis18, "O") <= 1e-8
 
     def test_pes_is_doublet_partner(self, pgs_path, pes_path_032):
@@ -329,7 +344,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
     refinement.  Returns (lam, eigenphase, dlam_used, overlap, state) per
     accepted sample."""
     vec = seed / np.linalg.norm(seed)
-    u0 = floquet_operator(cfg.with_lam(lam_start), basis).matrix
+    u0 = floquet_operator(cfg.with_lam(lam_start), basis)
     idx = np.arange(basis.dim)
     for value in (-1, 1):
         sec = np.flatnonzero(basis.parity == value)
@@ -344,7 +359,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
     while stop_list:
         target = min(lam + dlam, stop_list[0])
         u_t = floquet_operator(cfg.with_lam(target), basis)
-        phases, vecs = _sector_spectrum(u_t.matrix[np.ix_(idx, idx)], cfg.eig_residual_tol)
+        phases, vecs = _sector_spectrum(u_t[np.ix_(idx, idx)], cfg.eig_residual_tol)
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
         if 1.0 - overlaps[k] < cfg.overlap_threshold:
@@ -382,7 +397,7 @@ def compare_with_oracle(lam_end, seed, cfg, basis, step, stops=None):
     assert [(s.lam, s.dlam_used) for s in path.samples] == [(w[0], w[2]) for w in want]
     for sample, w in zip(path.samples, want):
         assert abs(sample.eigenphase - w[1]) <= 1e-12
-        u = floquet_operator(cfg.with_lam(sample.lam), basis).matrix
+        u = floquet_operator(cfg.with_lam(sample.lam), basis)
         resid = np.linalg.norm(u @ sample.state - np.exp(1j * sample.eigenphase) * sample.state)
         assert resid <= 1e-12
     return want, path
@@ -469,9 +484,9 @@ class TestRayleighTracking:
         real_build = qf.floquet_operator
 
         def spy(*args, **kwargs):
-            op = real_build(*args, **kwargs)
-            shapes.append(op.matrix.shape)
-            return op
+            mat = real_build(*args, **kwargs)
+            shapes.append(mat.shape)
+            return mat
 
         monkeypatch.setattr(qf, "floquet_operator", spy)
         path = track_eigenstate(0.0, 0.55, pgs_seed(basis18), base_cfg, basis18,
@@ -484,31 +499,14 @@ class TestRayleighTracking:
 
 class TestExpectation:
     def test_ground_state_values(self, basis18):
-        cfg = reference_config()
-        ops = build_operators(basis18, cfg)
         ground = basis18.basis_state(0, 0, -1)
-        assert expectation(ground, ops.q_x) == pytest.approx(0.0, abs=1e-15)
-        assert expectation(ground, ops.s_z) == pytest.approx(-0.5)
-
-    def test_hermitian_expectation_is_real(self, basis18):
-        cfg = reference_config()
-        ops = build_operators(basis18, cfg)
-        rng = np.random.default_rng(11)
-        vec = rng.normal(size=basis18.dim) + 1j * rng.normal(size=basis18.dim)
-        vec /= np.linalg.norm(vec)
-        assert abs(expectation(vec, ops.s_x).imag) <= 1e-12
+        values = phase_space_expectations(ground, basis18)
+        assert values["q_x"] == pytest.approx(0.0, abs=1e-15)
+        assert values["s_z"] == pytest.approx(-0.5)
 
     def test_coherent_state_position(self, basis18):
         osc = coherent_state(2.0, 0.0, basis18)
         state = product_state(osc, spin_state(SpinDirection(math.pi, 0.0)))
-        cfg = reference_config()
-        ops = build_operators(basis18, cfg)
-        value = expectation(state, ops.q_x).real
+        value = phase_space_expectations(state, basis18)["q_x"]
         assert value == pytest.approx(2 * math.sqrt(2), rel=0.01)
         assert value == pytest.approx(2.828, abs=0.03)
-
-    def test_dimension_mismatch(self, basis18):
-        cfg = reference_config()
-        ops = build_operators(basis18, cfg)
-        with pytest.raises(DimensionMismatch):
-            expectation(np.ones(3) / math.sqrt(3), ops.q_x)

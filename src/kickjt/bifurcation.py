@@ -5,8 +5,10 @@ The trivial fixed points sit at the oscillator origin with the spin at a
 pole, so root finding runs in the hemisphere graph chart
 (q_x, p_x, q_y, p_y, s_x, s_y) with s_z = +/- sqrt(1/4 - s_x^2 - s_y^2),
 which is regular at the poles and only degenerates at the spin equator
-(where no fixed point of interest lives).  Multiplier moduli are invariant
-under the chart choice at a fixed point, so classification is unaffected.
+(where no fixed point of interest lives).  Multiplier moduli are
+invariant under the chart choice at a fixed point, so classification is
+unaffected.  Newton's method runs on all seeds of a coupling at once, as
+one stack of chart points.
 
 Classification uses the unit-circle placement of the multipliers.  For a
 fully elliptic point the pairs are additionally required to share a single
@@ -28,7 +30,7 @@ import numpy as np
 
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector,
                             step_arrays, step_jacobian)
-from .errors import NoConvergence, NonFiniteState, PoleProximity
+from .errors import NoConvergence, NonFiniteState
 from .model import ValidatedConfig
 
 MULTIPLIER_TOL = 1e-4
@@ -109,82 +111,121 @@ class FixedPoint:
     multiplier_moduli: tuple[float, ...]
 
 
-class _ChartExit(Exception):
-    """Newton iterate left the hemisphere graph chart (spin equator)."""
+_CHART_AXES = [0, 2, 1, 3, 4, 5]   # chart coordinate k is Cartesian coordinate _CHART_AXES[k]
 
 
-def _graph_step(v: np.ndarray, hemi: float, cfg: ValidatedConfig) -> np.ndarray:
-    q_x, p_x, q_y, p_y, s_x, s_y = v
-    rho = s_x * s_x + s_y * s_y
-    if rho >= _EQUATOR_GUARD:
-        raise _ChartExit
-    s_z = hemi * math.sqrt(0.25 - rho)
-    nqx, nqy, npx, npy, nsx, nsy, _ = step_arrays(
-        q_x, q_y, p_x, p_y, s_x, s_y, s_z, cfg.omega, cfg.delta, cfg.lam)
-    return np.array([nqx, npx, nqy, npy, nsx, nsy], dtype=float)
+def _to_chart(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart coordinates (..., 6) and hemisphere signs (...) of the
+    Cartesian points x (..., 7); the sign follows the sign bit of s_z."""
+    return x[..., _CHART_AXES], np.copysign(1.0, x[..., 6])
 
 
-def _graph_point(v: np.ndarray, hemi: float) -> PhasePoint:
-    q_x, p_x, q_y, p_y, s_x, s_y = (float(c) for c in v)
-    s_z = hemi * math.sqrt(max(0.25 - s_x * s_x - s_y * s_y, 0.0))
-    return PhasePoint(OscillatorPoint(q_x, q_y, p_x, p_y), SpinVector(s_x, s_y, s_z))
+def _from_chart(v: np.ndarray, hemi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian points (..., 7) of the chart points v (..., 6) on the
+    hemispheres hemi, and their s_x^2 + s_y^2 (s_z is 0 past the equator)."""
+    rho = v[..., 4] * v[..., 4] + v[..., 5] * v[..., 5]
+    x = np.empty(v.shape[:-1] + (7,))
+    x[..., _CHART_AXES] = v
+    x[..., 6] = hemi * np.sqrt(np.maximum(0.25 - rho, 0.0))
+    return x, rho
 
 
-def _graph_jacobian(v: np.ndarray, hemi: float, cfg: ValidatedConfig) -> np.ndarray:
-    """Exact Jacobian of :func:`_graph_step` from the Cartesian tangent."""
-    q_x, p_x, q_y, p_y, s_x, s_y = v
-    rho = s_x * s_x + s_y * s_y
-    if rho >= _EQUATOR_GUARD:
-        raise _ChartExit
-    s_z = hemi * math.sqrt(0.25 - rho)
-    point = PhasePoint(OscillatorPoint(q_x, q_y, p_x, p_y), SpinVector(s_x, s_y, s_z))
-    axes = [0, 2, 1, 3, 4, 5]   # chart coordinate k is Cartesian coordinate axes[k]
-    embed = np.eye(7)[:, axes]
-    embed[6, 4:6] = -s_x / s_z, -s_y / s_z
-    return step_jacobian(point, cfg)[axes] @ embed
+def _chart_jacobian(x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
+    """Exact (..., 6, 6) Jacobian of one step in the hemisphere chart at the
+    Cartesian points x (..., 7), from the Cartesian tangent."""
+    embed = np.zeros(x.shape[:-1] + (7, 6))
+    embed[..., _CHART_AXES, range(6)] = 1.0
+    embed[..., 6, 4] = -x[..., 4] / x[..., 6]
+    embed[..., 6, 5] = -x[..., 5] / x[..., 6]
+    return step_jacobian(x, cfg)[..., _CHART_AXES, :] @ embed
 
 
-def _cartesian_residual(point: PhasePoint, cfg: ValidatedConfig) -> float:
-    x = point.as_array()
-    image = step_arrays(x[0], x[1], x[2], x[3], x[4], x[5], x[6],
-                        cfg.omega, cfg.delta, cfg.lam)
-    return float(np.max(np.abs(np.array(image) - x)))
-
-
-def _newton(seed: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    s = seed.spin
-    if s.s_z == 0.0:
-        raise NoConvergence("seed on the spin equator is outside both chart hemispheres")
-    hemi = 1.0 if s.s_z > 0 else -1.0
-    o = seed.osc
-    v = np.array([o.q_x, o.p_x, o.q_y, o.p_y, s.s_x, s.s_y], dtype=float)
-    identity = np.eye(6)
-    for _ in range(cfg.newton_max_iter):
+def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps for a stack of systems and a mask of the singular ones,
+    whose steps are left at zero."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.zeros(len(jac), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(rhs)
+    singular = np.zeros(len(jac), dtype=bool)
+    for k in range(len(jac)):
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                candidate = _graph_point(v, hemi)
-                if _cartesian_residual(candidate, cfg) <= cfg.newton_tol:
-                    return candidate
-                resid = _graph_step(v, hemi, cfg) - v
-                jac = _graph_jacobian(v, hemi, cfg) - identity
-        except _ChartExit:
-            raise NoConvergence("Newton iterate reached the spin equator")
-        except FloatingPointError as exc:
-            raise NonFiniteState(f"Newton step is not finite ({exc})") from exc
-        try:
-            delta_v = np.linalg.solve(jac, -resid)
+            steps[k] = np.linalg.solve(jac[k], rhs[k])
         except np.linalg.LinAlgError:
-            raise NoConvergence("singular Newton Jacobian")
-        new_v = v + delta_v
-        backtracks = 0
-        while new_v[4] ** 2 + new_v[5] ** 2 >= _EQUATOR_GUARD and backtracks < 30:
-            delta_v = delta_v / 2.0
+            singular[k] = True
+    return steps, singular
+
+
+def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
+                  ) -> tuple[dict[int, tuple[np.ndarray, float]], dict[int, NoConvergence]]:
+    """Newton's method in the hemisphere chart from every seed row of x0
+    (k, 7) at once.
+
+    Returns the converged Cartesian points with their residuals and the
+    per-seed NoConvergence, both keyed by seed index.  Every iteration
+    evaluates the map once for all running seeds and settles each seed by
+    the first of: converged, on the spin equator, singular Jacobian, and,
+    after its step is halved back off the equator, diverged; seeds still
+    running after newton_max_iter iterations fail.  A seed's result does
+    not depend on which other seeds run beside it.  Raises NonFiniteState,
+    naming the lowest such seed, when a seed's map image or Jacobian is not
+    finite.
+    """
+    roots: dict[int, tuple[np.ndarray, float]] = {}
+    failures: dict[int, NoConvergence] = {}
+
+    def fail(idx, mask, reason):
+        """Record `reason` for the seeds idx[mask]; return the mask of the others."""
+        for k in np.flatnonzero(mask):
+            failures[int(idx[k])] = NoConvergence(reason)
+        return ~mask
+
+    idx = np.arange(len(x0))
+    v, hemi = _to_chart(x0)
+    keep = fail(idx, x0[:, 6] == 0.0,
+                "seed on the spin equator is outside both chart hemispheres")
+    idx, v, hemi = idx[keep], v[keep], hemi[keep]
+    identity = np.eye(6)
+    # non-finite values are looked for per seed below, so numpy must not raise on them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(cfg.newton_max_iter):
+            if idx.size == 0:
+                break
+            x, rho = _from_chart(v, hemi)
+            image = np.stack(step_arrays(*x.T, cfg.omega, cfg.delta, cfg.lam), axis=-1)
+            residual = np.max(np.abs(image - x), axis=-1)
+            converged = residual <= cfg.newton_tol
+            for k in np.flatnonzero(converged):
+                roots[int(idx[k])] = (x[k], float(residual[k]))
+            equator = ~converged & (rho >= _EQUATOR_GUARD)
+            keep = ~converged & fail(idx, equator, "Newton iterate reached the spin equator")
+            idx, v, hemi, x, image = idx[keep], v[keep], hemi[keep], x[keep], image[keep]
+            resid = image[:, _CHART_AXES] - v
+            jac = _chart_jacobian(x, cfg) - identity
+            finite = (np.isfinite(x).all(axis=-1) & np.isfinite(resid).all(axis=-1)
+                      & np.isfinite(jac).all(axis=(-2, -1)))
+            if not finite.all():
+                seed = int(idx[np.flatnonzero(~finite)[0]])
+                raise NonFiniteState(
+                    f"Newton step from seed {seed} at (q_x, q_y, p_x, p_y, s_x, s_y, s_z) = "
+                    f"{tuple(x0[seed].tolist())} is not finite")
+            delta_v, singular = _solve_each(jac, -resid)
+            keep = fail(idx, singular, "singular Newton Jacobian")
+            idx, v, hemi, delta_v = idx[keep], v[keep], hemi[keep], delta_v[keep]
             new_v = v + delta_v
-            backtracks += 1
-        v = new_v
-        if np.max(np.abs(v)) > 1e3:
-            raise NoConvergence("Newton iterate diverged")
-    raise NoConvergence(f"no convergence within {cfg.newton_max_iter} iterations")
+            for _ in range(30):
+                past = new_v[:, 4] ** 2 + new_v[:, 5] ** 2 >= _EQUATOR_GUARD
+                if not past.any():
+                    break
+                delta_v[past] = delta_v[past] / 2.0
+                new_v[past] = v[past] + delta_v[past]
+            v = new_v
+            keep = fail(idx, np.max(np.abs(v), axis=-1) > 1e3, "Newton iterate diverged")
+            idx, v, hemi = idx[keep], v[keep], hemi[keep]
+    fail(idx, np.ones(idx.size, dtype=bool),
+         f"no convergence within {cfg.newton_max_iter} iterations")
+    return roots, failures
 
 
 def _symplectic_form(s_z: float) -> np.ndarray:
@@ -236,14 +277,20 @@ def classify_multipliers(jac: np.ndarray, s_z: float) -> tuple[Stability, tuple[
     return cls, tuple(float(m) for m in moduli)
 
 
-def _classify_point(point: PhasePoint, cfg: ValidatedConfig) -> tuple[Stability, tuple[float, ...]]:
-    s = point.spin
-    hemi = 1.0 if s.s_z >= 0 else -1.0
-    o = point.osc
-    v = np.array([o.q_x, o.p_x, o.q_y, o.p_y, s.s_x, s.s_y], dtype=float)
-    jac = _graph_jacobian(v, hemi, cfg)
-    s_z = hemi * math.sqrt(max(0.25 - s.s_x ** 2 - s.s_y ** 2, 1e-12))
-    return classify_multipliers(jac, s_z)
+def _classify_points(points: np.ndarray, cfg: ValidatedConfig
+                     ) -> list[tuple[Stability, tuple[float, ...]]]:
+    """Stability class and multiplier moduli of each Cartesian fixed point
+    (r, 7), from one batched chart Jacobian."""
+    _, hemi = _to_chart(points)
+    s_z = hemi * np.sqrt(np.maximum(0.25 - points[:, 4] ** 2 - points[:, 5] ** 2, 1e-12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jacs = _chart_jacobian(points, cfg)
+    finite = np.isfinite(jacs).all(axis=(-2, -1))
+    if not finite.all():
+        point = points[np.flatnonzero(~finite)[0]]
+        raise NonFiniteState(f"linearisation at the fixed point {tuple(point.tolist())} "
+                             "is not finite")
+    return [classify_multipliers(jac, float(s_z_k)) for jac, s_z_k in zip(jacs, s_z)]
 
 
 def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
@@ -251,28 +298,26 @@ def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
     """Newton search from every seed, deduplicated and classified.
 
     Per-seed failures (no convergence, chart exit) are recorded in
-    `failures` as (seed_index, exception) when a list is supplied; they
-    never abort the search.
+    `failures` as (seed_index, exception), in ascending seed index, when a
+    list is supplied; they never abort the search.  NonFiniteState, raised
+    when a Newton step or a root's linearisation overflows, does.
     """
-    roots: list[PhasePoint] = []
-    for idx, seed in enumerate(seeds):
-        try:
-            root = _newton(seed, cfg)
-        except (NoConvergence, PoleProximity) as exc:
-            if failures is not None:
-                failures.append((idx, exc))
+    x0 = np.array([seed.as_array() for seed in seeds], dtype=float).reshape(-1, 7)
+    converged, failed = _newton_batch(x0, cfg)
+    if failures is not None:
+        failures.extend(sorted(failed.items()))
+    roots: list[tuple[np.ndarray, float]] = []
+    for idx in sorted(converged):
+        vec, residual = converged[idx]
+        if any(np.max(np.abs(vec - r)) < DEDUP_DISTANCE for r, _ in roots):
             continue
-        vec = root.as_array()
-        if any(np.max(np.abs(vec - r.as_array())) < DEDUP_DISTANCE for r in roots):
-            continue
-        roots.append(root)
-    out = []
-    for root in roots:
-        cls, moduli = _classify_point(root, cfg)
-        out.append(FixedPoint(point=root,
-                              residual=_cartesian_residual(root, cfg),
-                              classification=cls,
-                              multiplier_moduli=moduli))
+        roots.append((vec, residual))
+    classes = _classify_points(np.array([vec for vec, _ in roots]).reshape(-1, 7), cfg)
+    out = [FixedPoint(point=PhasePoint.from_values(*(float(c) for c in vec)),
+                      residual=residual,
+                      classification=cls,
+                      multiplier_moduli=moduli)
+           for (vec, residual), (cls, moduli) in zip(roots, classes)]
     out.sort(key=lambda fp: (fp.point.osc.q_x, fp.point.osc.q_y, fp.point.spin.s_z))
     return out
 

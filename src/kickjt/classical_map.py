@@ -175,64 +175,76 @@ def step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
     return PhasePoint.from_values(*(float(v) for v in out))
 
 
-def submap(kind: SubMap, state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    """One of the three elementary maps whose composition equals :func:`step`."""
-    o, s = state.osc, state.spin
+def _submap_arrays(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
+    """One elementary map applied to the Cartesian points x of shape (..., 7)."""
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = np.moveaxis(x, -1, 0)
     lam = cfg.lam
     if kind is SubMap.KICK_Y:
-        a = lam * o.q_y
-        ca, sa = math.cos(a), math.sin(a)
-        return PhasePoint.from_values(
-            o.q_x, o.q_y, o.p_x, o.p_y - lam * s.s_y,
-            s.s_x * ca + s.s_z * sa, s.s_y, -s.s_x * sa + s.s_z * ca)
-    if kind is SubMap.KICK_X:
-        b = lam * o.q_x
-        cb, sb = math.cos(b), math.sin(b)
-        return PhasePoint.from_values(
-            o.q_x, o.q_y, o.p_x - lam * s.s_x, o.p_y,
-            s.s_x, s.s_y * cb - s.s_z * sb, s.s_y * sb + s.s_z * cb)
-    if kind is SubMap.HARMONIC:
+        ca, sa = np.cos(lam * q_y), np.sin(lam * q_y)
+        out = (q_x, q_y, p_x, p_y - lam * s_y,
+               s_x * ca + s_z * sa, s_y, -s_x * sa + s_z * ca)
+    elif kind is SubMap.KICK_X:
+        cb, sb = np.cos(lam * q_x), np.sin(lam * q_x)
+        out = (q_x, q_y, p_x - lam * s_x, p_y,
+               s_x, s_y * cb - s_z * sb, s_y * sb + s_z * cb)
+    elif kind is SubMap.HARMONIC:
         cw, sw = math.cos(cfg.omega), math.sin(cfg.omega)
         cd, sd = math.cos(cfg.delta), math.sin(cfg.delta)
-        return PhasePoint.from_values(
-            o.q_x * cw + o.p_x * sw, o.q_y * cw + o.p_y * sw,
-            o.p_x * cw - o.q_x * sw, o.p_y * cw - o.q_y * sw,
-            s.s_x * cd - s.s_y * sd, s.s_x * sd + s.s_y * cd, s.s_z)
-    raise ValueError(f"unknown sub-map {kind!r}")
+        out = (q_x * cw + p_x * sw, q_y * cw + p_y * sw,
+               p_x * cw - q_x * sw, p_y * cw - q_y * sw,
+               s_x * cd - s_y * sd, s_x * sd + s_y * cd, s_z)
+    else:
+        raise ValueError(f"unknown sub-map {kind!r}")
+    return np.stack(np.broadcast_arrays(*out), axis=-1)
+
+
+def submap(kind: SubMap, state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
+    """One of the three elementary maps whose composition equals :func:`step`."""
+    out = _submap_arrays(kind, state.as_array(), cfg)
+    return PhasePoint.from_values(*(float(v) for v in out))
 
 
 def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
-    """7x7 Cartesian tangent of one sub-map at the Cartesian point x."""
-    q_x, q_y, p_x, p_y, s_x, s_y, s_z = x
+    """(..., 7, 7) Cartesian tangent of one sub-map at the Cartesian points x (..., 7)."""
     lam = cfg.lam
-    jac = np.eye(7)
+    jac = np.zeros(x.shape[:-1] + (7, 7))
+    jac[..., range(7), range(7)] = 1.0
     if kind is SubMap.KICK_Y:
-        c, s = math.cos(lam * q_y), math.sin(lam * q_y)
-        jac[3, 5] = -lam
-        jac[np.ix_([4, 6], [4, 6])] = [[c, s], [-s, c]]
-        jac[[4, 6], 1] = lam * (s_z * c - s_x * s), -lam * (s_x * c + s_z * s)
+        c, s = np.cos(lam * x[..., 1]), np.sin(lam * x[..., 1])
+        s_x, s_z = x[..., 4], x[..., 6]
+        jac[..., 3, 5] = -lam
+        jac[..., 4, 4], jac[..., 4, 6] = c, s
+        jac[..., 6, 4], jac[..., 6, 6] = -s, c
+        jac[..., 4, 1] = lam * (s_z * c - s_x * s)
+        jac[..., 6, 1] = -lam * (s_x * c + s_z * s)
     elif kind is SubMap.KICK_X:
-        c, s = math.cos(lam * q_x), math.sin(lam * q_x)
-        jac[2, 4] = -lam
-        jac[np.ix_([5, 6], [5, 6])] = [[c, -s], [s, c]]
-        jac[[5, 6], 0] = -lam * (s_y * s + s_z * c), lam * (s_y * c - s_z * s)
+        c, s = np.cos(lam * x[..., 0]), np.sin(lam * x[..., 0])
+        s_y, s_z = x[..., 5], x[..., 6]
+        jac[..., 2, 4] = -lam
+        jac[..., 5, 5], jac[..., 5, 6] = c, -s
+        jac[..., 6, 5], jac[..., 6, 6] = s, c
+        jac[..., 5, 0] = -lam * (s_y * s + s_z * c)
+        jac[..., 6, 0] = lam * (s_y * c - s_z * s)
     else:   # HARMONIC: constant, rotations of each (q, p) pair and of (s_x, s_y)
         cw, sw = math.cos(cfg.omega), math.sin(cfg.omega)
         cd, sd = math.cos(cfg.delta), math.sin(cfg.delta)
-        jac[0:4, 0:4] = [[cw, 0.0, sw, 0.0], [0.0, cw, 0.0, sw],
-                         [-sw, 0.0, cw, 0.0], [0.0, -sw, 0.0, cw]]
-        jac[4:6, 4:6] = [[cd, -sd], [sd, cd]]
+        jac[..., 0:4, 0:4] = [[cw, 0.0, sw, 0.0], [0.0, cw, 0.0, sw],
+                              [-sw, 0.0, cw, 0.0], [0.0, -sw, 0.0, cw]]
+        jac[..., 4:6, 4:6] = [[cd, -sd], [sd, cd]]
     return jac
 
 
-def step_jacobian(state: PhasePoint, cfg: ValidatedConfig) -> np.ndarray:
-    """Exact 7x7 tangent of :func:`step` in Cartesian coordinates
-    (q_x, q_y, p_x, p_y, s_x, s_y, s_z): the chain rule over the sub-maps
-    Harmonic o KickX o KickY, each tangent taken at that sub-map's input."""
-    mid = submap(SubMap.KICK_Y, state, cfg).as_array()
+def step_jacobian(x, cfg: ValidatedConfig) -> np.ndarray:
+    """Exact tangent of :func:`step` at Cartesian points x of shape (..., 7),
+    (q_x, q_y, p_x, p_y, s_x, s_y, s_z) each, as an array of shape (..., 7, 7):
+    the chain rule over the sub-maps Harmonic o KickX o KickY, each tangent
+    taken at that sub-map's input.  A stack of points gives, bit for bit,
+    the tangents of the points taken one at a time."""
+    x = np.asarray(x, dtype=float)
+    mid = _submap_arrays(SubMap.KICK_Y, x, cfg)
     return (_submap_tangent(SubMap.HARMONIC, mid, cfg)
             @ _submap_tangent(SubMap.KICK_X, mid, cfg)
-            @ _submap_tangent(SubMap.KICK_Y, state.as_array(), cfg))
+            @ _submap_tangent(SubMap.KICK_Y, x, cfg))
 
 
 def composed_step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
@@ -333,4 +345,4 @@ def jacobian_canonical(state: PhasePoint, cfg: ValidatedConfig) -> np.ndarray:
     i_x, i_y = image.spin.s_x, image.spin.s_y
     project = np.eye(7)[axes]
     project[4, 4:6] = np.array([-i_y, i_x]) / (i_x * i_x + i_y * i_y)
-    return project @ step_jacobian(state, cfg) @ embed
+    return project @ step_jacobian(state.as_array(), cfg) @ embed

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kickjt import (OscillatorPoint, PhasePoint, PortraitGrid, SpinVector,
-                    Stability, bifurcation_residual, critical_couplings,
-                    find_fixed_points, portrait, reflection_symmetry_score, step)
+import kickjt.bifurcation as bifurcation
+from kickjt import (NonFiniteState, OscillatorPoint, PhasePoint, PortraitGrid,
+                    SpinVector, Stability, bifurcation_residual,
+                    critical_couplings, default_seeds, find_fixed_points,
+                    make_config, portrait, reflection_symmetry_score, step)
 from kickjt.cli import _fixed_point_census
 from kickjt.configfile import ScenarioConfig
 from conftest import DELTA, OMEGA, reference_config
@@ -105,6 +108,78 @@ class TestCensus:
         fps = find_fixed_points(cfg, [equator_seed], failures=failures)
         assert fps == []
         assert len(failures) == 1 and failures[0][0] == 0
+
+    def test_map_evaluations_do_not_scale_with_seeds(self, monkeypatch):
+        # one step_arrays call per Newton iteration for the whole seed stack;
+        # a per-seed loop would make about 66 calls per iteration
+        cfg = reference_config(0.32)
+        calls = []
+        inner = bifurcation.step_arrays
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(bifurcation, "step_arrays", counted)
+        seeds = default_seeds(cfg)
+        find_fixed_points(cfg, seeds)
+        once = len(calls)
+        assert 0 < once <= 2 * cfg.newton_max_iter + 2
+        calls.clear()
+        find_fixed_points(cfg, seeds * 3)
+        assert len(calls) == once
+
+
+def _newton_outcomes(x0, cfg):
+    """Per-row outcome of one batched Newton run: (point, residual) or the
+    failure reason; the whole run is 'non-finite' when it raises."""
+    try:
+        roots, failures = bifurcation._newton_batch(x0, cfg)
+    except NonFiniteState:
+        return "non-finite"
+    return [(roots[k][0].tolist(), roots[k][1]) if k in roots else str(failures[k])
+            for k in range(len(x0))]
+
+
+def assert_batch_independent(cfg, seeds, chosen):
+    """Newton on the seeds `chosen` (indices into `seeds`, in that order)
+    gives each seed, bit for bit, its outcome when run alone, and the census
+    reports the failures in ascending index."""
+    x0 = np.array([seeds[i].as_array() for i in chosen])
+    alone = [_newton_outcomes(x0[k:k + 1], cfg) for k in range(len(chosen))]
+    batch = _newton_outcomes(x0, cfg)
+    if batch == "non-finite":
+        assert "non-finite" in alone
+        return
+    assert batch == [a[0] for a in alone]
+    failures = []
+    try:
+        find_fixed_points(cfg, [seeds[i] for i in chosen], failures=failures)
+    except NonFiniteState:
+        # lam^2 overflows the tangent of any root, as it does every Newton step
+        assert cfg.lam == 1e300
+        return
+    indices = [k for k, _ in failures]
+    assert indices == sorted(indices)
+    assert [str(exc) for _, exc in failures] == [batch[k] for k in indices]
+
+
+class TestBatchIndependence:
+    def test_reference_census_in_reverse_order(self):
+        cfg = reference_config(0.45)
+        seeds = default_seeds(cfg)
+        assert_batch_independent(cfg, seeds, list(reversed(range(len(seeds)))))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.01, 2 * math.pi - 0.01),
+           delta=st.floats(0.01, 2 * math.pi - 0.01),
+           lam=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 5.0), st.just(1e300)),
+           data=st.data())
+    def test_seed_outcome_equals_its_lone_run(self, omega, delta, lam, data):
+        cfg = make_config(omega, delta, lam)
+        seeds = default_seeds(cfg)
+        order = data.draw(st.permutations(range(len(seeds))))
+        assert_batch_independent(cfg, seeds, order[:data.draw(st.integers(1, 24))])
 
 
 def census_table(lams):

@@ -7,7 +7,7 @@ from kickjt import (KickJTError, NonFiniteState, OscillatorPoint, PhasePoint,
                     PoleProximity, SpinVector, Stability, SubMap, composed_step,
                     inverse_step, iterate, jacobian_canonical, make_config, spin_rotation_matrix,
                     step, step_arrays, step_jacobian, submap)
-from kickjt.bifurcation import _graph_jacobian, _graph_step
+from kickjt.bifurcation import _CHART_AXES, _chart_jacobian, _from_chart
 from kickjt.classical_map import from_canonical, to_canonical
 from conftest import reference_config
 
@@ -210,18 +210,33 @@ class TestStepJacobian:
                 shifted[j] += 1j * h
                 image = step_arrays(*shifted, cfg.omega, cfg.delta, cfg.lam)
                 expected[:, j] = np.imag(np.array(image)) / h
-            assert np.max(np.abs(step_jacobian(state, cfg) - expected)) <= 1e-12
+            assert np.max(np.abs(step_jacobian(state.as_array(), cfg) - expected)) <= 1e-12
+
+    def test_stack_equals_points_bit_for_bit(self):
+        rng = np.random.default_rng(RNG_SEED + 8)
+        cfg = random_params(rng)
+        stack = np.array([random_point(rng).as_array() for _ in range(24)]).reshape(2, 12, 7)
+        jacs = step_jacobian(stack, cfg)
+        assert jacs.shape == (2, 12, 7, 7)
+        for i in range(2):
+            for j in range(12):
+                assert np.array_equal(jacs[i, j], step_jacobian(stack[i, j], cfg))
 
     def test_graph_chart_matches_central_differences(self):
         rng = np.random.default_rng(RNG_SEED + 7)
         for _ in range(20):
             cfg = random_params(rng)
             state = random_off_equator_point(rng)
-            o, s = state.osc, state.spin
-            v = np.array([o.q_x, o.p_x, o.q_y, o.p_y, s.s_x, s.s_y])
-            hemi = math.copysign(1.0, s.s_z)
-            fd = central_difference(lambda w: _graph_step(w, hemi, cfg), v)
-            assert np.max(np.abs(_graph_jacobian(v, hemi, cfg) - fd)) <= 1e-6
+            v = state.as_array()[_CHART_AXES]
+            hemi = math.copysign(1.0, state.spin.s_z)
+
+            def chart_step(w):
+                image = step_arrays(*_from_chart(w, hemi)[0], cfg.omega, cfg.delta, cfg.lam)
+                return np.array(image)[_CHART_AXES]
+
+            fd = central_difference(chart_step, v)
+            jac = _chart_jacobian(_from_chart(v, hemi)[0], cfg)
+            assert np.max(np.abs(jac - fd)) <= 1e-6
 
 
 class TestJacobianCanonical:

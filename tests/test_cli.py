@@ -174,7 +174,9 @@ class TestExitCodes:
 
     def test_overflowing_coupling_exits_three_with_located_message(self, tmp_path, capsys):
         # lam = 1e300 passes validation but the Newton iterates overflow; no
-        # numpy warning may escape, and the error names the coupling
+        # numpy warning may escape, and the error names the coupling and the
+        # seed: seeds 0 and 1 (the poles at the origin) are fixed at any
+        # coupling, seed 2 is the first ring seed
         cfg = write_config(tmp_path, SMALL_MODEL + "model.lambda_list = 0.1, 1e300\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -184,6 +186,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("compute error: fixed-point search at lam = 1e+300: ")
         assert "not finite" in err
+        assert "seed 2 at (q_x, q_y, p_x, p_y, s_x, s_y, s_z) = (0.3535" in err
 
     def test_overflowing_portrait_exits_three_and_writes_nothing(self, tmp_path, capsys):
         # the orbits at lam = 1e300 overflow; the error names the coupling and

@@ -4,32 +4,29 @@ spectra, Husimi functions and entanglement measures."""
 from .errors import (ComputeError, ConfigError, EigFailure, GridTooSmall,
                      KickJTError, NoConvergence, NonFiniteState, OutOfRange,
                      PoleProximity, StepUnderflow, TruncationLoss)
-from .model import (ModelParams, NumericsConfig, ValidatedConfig, acot,
-                    make_config, validate_params)
+from .model import ValidatedConfig, acot
 from .classical_map import (OscillatorPoint, PhasePoint, SpinVector, SubMap,
-                            Trajectory, composed_step, inverse_step, iterate,
-                            jacobian_canonical, spin_rotation_matrix, step,
-                            step_arrays, step_jacobian, submap)
+                            composed_step, inverse_step, jacobian_canonical,
+                            spin_rotation_matrix, step, step_arrays,
+                            step_jacobian, submap)
 from .bifurcation import (CriticalCoupling, CriticalCouplings, FixedPoint,
                           PortraitGrid, Stability, bifurcation_residual,
                           critical_couplings, default_seeds,
                           find_fixed_points, portrait,
                           reflection_symmetry_score)
-from .quantum_floquet import (FloquetSpectrum, FockBasis, QuantumState,
-                              TrackedPath, TrackedSample, apply_floquet,
-                              apply_kick, build_basis, diagonalize,
-                              floquet_operator, h0_phases, pes_seed, pgs_seed,
+from .quantum_floquet import (FloquetSpectrum, FockBasis, TrackedPath,
+                              TrackedSample, apply_floquet, apply_kick,
+                              build_basis, diagonalize, floquet_operator,
+                              h0_phases, pes_seed, pgs_seed,
                               phase_space_expectations, sector_leakage,
                               track_eigenstate)
-from .observables import (DensityMatrix, EntanglementMeasures, HusimiGrid,
-                          PhaseSection, SpinDirection,
+from .observables import (DensityMatrix, EntanglementMeasures, SpinDirection,
                           approx_bifurcated_states, coherent_amplitudes,
                           coherent_state, curve_derivative,
-                          detection_probability, diagonal_line_section,
-                          entanglement_measures, husimi_on_section,
-                          husimi_product_grid, husimi_values, log_negativity,
-                          plane_section, product_state, reduced_density,
-                          section_peaks, spin_state, state_tensor,
-                          von_neumann_entropy)
+                          detection_probability, entanglement_measures,
+                          husimi_on_section, husimi_product_grid,
+                          husimi_values, log_negativity, product_state,
+                          reduced_density, section_amplitudes, section_peaks,
+                          spin_state, state_tensor, von_neumann_entropy)
 
 __version__ = "0.1.0"

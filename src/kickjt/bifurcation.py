@@ -306,18 +306,22 @@ def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
     converged, failed = _newton_batch(x0, cfg)
     if failures is not None:
         failures.extend(sorted(failed.items()))
-    roots: list[tuple[np.ndarray, float]] = []
+    # keep each converged point, in seed order, unless it lies within
+    # DEDUP_DISTANCE (max norm) of a point already kept
+    kept = np.empty((0, 7))
+    residuals: list[float] = []
     for idx in sorted(converged):
         vec, residual = converged[idx]
-        if any(np.max(np.abs(vec - r)) < DEDUP_DISTANCE for r, _ in roots):
+        if (np.max(np.abs(kept - vec), axis=1) < DEDUP_DISTANCE).any():
             continue
-        roots.append((vec, residual))
-    classes = _classify_points(np.array([vec for vec, _ in roots]).reshape(-1, 7), cfg)
+        kept = np.vstack([kept, vec])
+        residuals.append(residual)
+    classes = _classify_points(kept, cfg)
     out = [FixedPoint(point=PhasePoint.from_values(*(float(c) for c in vec)),
                       residual=residual,
                       classification=cls,
                       multiplier_moduli=moduli)
-           for (vec, residual), (cls, moduli) in zip(roots, classes)]
+           for vec, residual, (cls, moduli) in zip(kept, residuals, classes)]
     out.sort(key=lambda fp: (fp.point.osc.q_x, fp.point.osc.q_y, fp.point.spin.s_z))
     return out
 

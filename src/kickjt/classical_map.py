@@ -101,23 +101,6 @@ class PhasePoint:
         return np.concatenate([self.osc.as_array(), self.spin.as_array()])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered orbit segment; element 0 is the initial condition."""
-
-    points: tuple[PhasePoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, k: int) -> PhasePoint:
-        return self.points[k]
-
-    def positions(self) -> np.ndarray:
-        """(n+1, 2) array of the visited (q_x, q_y)."""
-        return np.array([(p.osc.q_x, p.osc.q_y) for p in self.points])
-
-
 class SubMap(enum.Enum):
     KICK_Y = "kick_y"
     KICK_X = "kick_x"
@@ -286,18 +269,6 @@ def inverse_step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
     out = _inverse_submap(SubMap.HARMONIC, state, cfg)
     out = _inverse_submap(SubMap.KICK_X, out, cfg)
     return _inverse_submap(SubMap.KICK_Y, out, cfg)
-
-
-def iterate(state: PhasePoint, n: int, cfg: ValidatedConfig) -> Trajectory:
-    """Orbit segment of n steps; returned trajectory has length n + 1."""
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    points = [state]
-    current = state
-    for _ in range(n):
-        current = step(current, cfg)
-        points.append(current)
-    return Trajectory(tuple(points))
 
 
 # --- canonical chart -------------------------------------------------------

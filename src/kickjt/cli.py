@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .bifurcation import (DEFAULT_RING_RADII, PortraitGrid, Stability,
 from .configfile import ScenarioConfig
 from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
                      OutOfRange)
-from .model import ModelParams, NumericsConfig, ValidatedConfig, validate_params
+from .model import ValidatedConfig
 
 
 # --- result plumbing ---------------------------------------------------------
@@ -104,21 +104,19 @@ def _write_table(path: Path, table: Table) -> None:
 
 # --- configuration helpers ---------------------------------------------------
 
-def _numerics(scfg: ScenarioConfig) -> NumericsConfig:
-    return NumericsConfig(
-        n_t=scfg.get_int("numerics.n_t", 18),
-        newton_tol=scfg.get_float("numerics.newton_tol", 1e-12),
-        newton_max_iter=scfg.get_int("numerics.newton_max_iter", 50),
-        overlap_threshold=scfg.get_float("numerics.overlap_threshold", 0.01),
-        eig_residual_tol=scfg.get_float("numerics.eig_residual_tol", 1e-9),
-    )
-
-
-def _model_config(scfg: ScenarioConfig, lam: float = 0.0) -> ValidatedConfig:
+def _model_config(scfg: ScenarioConfig) -> ValidatedConfig:
+    """The config at lam = 0; a numerics.<field> key sets the config field
+    of that name, and an unset one keeps the field's default."""
     omega = scfg.require_float("model.omega")
     delta = scfg.require_float("model.delta")
+    numerics = {}
+    for f in fields(ValidatedConfig):
+        key = f"numerics.{f.name}"
+        if f.default is not MISSING and scfg.has(key):
+            get = scfg.get_int if isinstance(f.default, int) else scfg.get_float
+            numerics[f.name] = get(key)
     try:
-        return validate_params(ModelParams(omega, delta, lam), _numerics(scfg))
+        return ValidatedConfig(omega, delta, 0.0, **numerics)
     except OutOfRange as exc:
         raise ConfigError(str(exc))
 
@@ -149,7 +147,7 @@ def _fixed_point_census(scfg: ScenarioConfig):
     cfg = _model_config(scfg)
     radii = scfg.get_floats("fixed_points.radii", list(DEFAULT_RING_RADII))
     for lam in lams:
-        cfg_l = cfg.with_lam(lam)
+        cfg_l = replace(cfg, lam=lam)
         try:
             fps = find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
         except NonFiniteState as exc:
@@ -194,7 +192,7 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     tables = {}
     for lam in lams:
         try:
-            points = portrait(cfg.with_lam(lam), grid, n_iter)
+            points = portrait(replace(cfg, lam=lam), grid, n_iter)
         except NonFiniteState as exc:
             raise ComputeError(f"portrait at lam = {lam!r}: {exc}") from exc
         columns = [np.full(len(points), lam), points[:, 0], points[:, 1]]
@@ -253,8 +251,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     pgs = _tracked_path(scfg, cfg, basis, qf.pgs_seed(basis), stops)
 
     coords = np.linspace(-bound, bound, n_pts)
-    section = obs.diagonal_line_section(slope)
-    values = [obs.husimi_on_section(pgs.sample_at(lam).state, basis, section, coords).values
+    values = [obs.husimi_on_section(pgs.sample_at(lam).state, basis, slope, coords)
               for lam in lams]
     columns = [np.repeat(lams, n_pts), np.tile(coords, len(lams)), np.concatenate(values)]
     tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns, key_cols=2)}
@@ -265,7 +262,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
         psi_e = pes.sample_at(grid2d_lam).state
         even = psi_g + psi_e
         even /= np.linalg.norm(even)
-        alphas = coords * (1.0 + 1j * slope) / math.sqrt(2.0)
+        alphas = obs.section_amplitudes(coords, slope)
         grid = obs.husimi_product_grid(even, basis, alphas, alphas)
         columns = [np.repeat(coords, n_pts), np.tile(coords, n_pts), grid.ravel()]
         tables["husimi_grid2d.csv"] = Table(["q_x", "q_y", "H"], columns, key_cols=2)
@@ -369,7 +366,7 @@ def truncation_check(command: str, scfg: ScenarioConfig, base: ScenarioResult) -
     result of the run at the configured n_t."""
     if command in UNTRUNCATED:
         return f"truncation check: {command} has no truncation parameter"
-    n_t = scfg.get_int("numerics.n_t", 18)
+    n_t = _model_config(scfg).n_t
     bumped_cfg = ScenarioConfig.from_text(
         "\n".join(f"{k} = {v.value}" for k, v in scfg._entries.items() if k != "numerics.n_t")
         + f"\nnumerics.n_t = {n_t + 4}\n")

@@ -4,12 +4,17 @@ Everything downstream works in the dimensionless variables (omega, delta,
 lam): the phase advance per period, the spin splitting per period and the
 kick coupling strength, with mass fixed by m = 1/omega_tilde and hbar = 1.
 No module ever sees a bare frequency or a kick period.
+
+:class:`ValidatedConfig` is the one configuration type: the parameter
+triple plus the numerics knobs, whose field defaults are the numerics
+defaults.  It validates itself on every construction, so
+``dataclasses.replace(cfg, lam=...)`` re-checks the new value too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import OutOfRange
 
@@ -21,106 +26,55 @@ def acot(x: float) -> float:
     return math.atan2(1.0, x)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """The dimensionless parameter triple driving every computation.
-
-    omega and delta are angles in radians accumulated over one kick period;
-    lam is the dimensionless kick coupling.
-    """
-
-    omega: float
-    delta: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Truncation and tolerance knobs shared across modules."""
-
-    n_t: int = 18
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    overlap_threshold: float = 0.01
-    eig_residual_tol: float = 1e-9
+def _real(value) -> bool:
+    return isinstance(value, (int, float))
 
 
 @dataclass(frozen=True)
 class ValidatedConfig:
     """Immutable, validated bundle of model parameters and numerics.
 
-    Construct only via :func:`validate_params` or :func:`make_config`.
+    omega and delta are angles in radians accumulated over one kick period;
+    lam is the dimensionless kick coupling.  The remaining fields are the
+    truncation and tolerance knobs; a field without a default is a model
+    parameter, a field with one is a numerics knob.
+
+    Raises
+    ------
+    OutOfRange
+        On construction, listing *all* violated fields, not just the first.
     """
 
     omega: float
     delta: float
     lam: float
-    n_t: int
-    newton_tol: float
-    newton_max_iter: int
-    overlap_threshold: float
-    eig_residual_tol: float
+    n_t: int = 18
+    newton_tol: float = 1e-12
+    newton_max_iter: int = 50
+    overlap_threshold: float = 0.01
+    eig_residual_tol: float = 1e-9
 
-    def with_lam(self, lam: float) -> "ValidatedConfig":
-        """New config at a different coupling, re-validated."""
-        return validate_params(ModelParams(self.omega, self.delta, lam), self.numerics())
-
-    def with_n_t(self, n_t: int) -> "ValidatedConfig":
-        """New config at a different truncation, re-validated."""
-        return validate_params(ModelParams(self.omega, self.delta, self.lam),
-                               replace(self.numerics(), n_t=n_t))
-
-    def numerics(self) -> NumericsConfig:
-        return NumericsConfig(
-            n_t=self.n_t,
-            newton_tol=self.newton_tol,
-            newton_max_iter=self.newton_max_iter,
-            overlap_threshold=self.overlap_threshold,
-            eig_residual_tol=self.eig_residual_tol,
+    def __post_init__(self):
+        checks = (
+            (_real(self.omega) and 0.0 < self.omega < TWO_PI,
+             "omega must lie in (0, 2*pi)", self.omega),
+            (_real(self.delta) and 0.0 < self.delta < TWO_PI,
+             "delta must lie in (0, 2*pi)", self.delta),
+            (_real(self.lam) and 0.0 <= self.lam < math.inf,
+             "lambda must be finite and >= 0", self.lam),
+            (isinstance(self.n_t, int) and self.n_t >= 0,
+             "n_t must be an integer >= 0", self.n_t),
+            (_real(self.newton_tol) and self.newton_tol > 0.0,
+             "newton_tol must be > 0", self.newton_tol),
+            (_real(self.eig_residual_tol) and self.eig_residual_tol > 0.0,
+             "eig_residual_tol must be > 0", self.eig_residual_tol),
+            (isinstance(self.newton_max_iter, int) and self.newton_max_iter > 0,
+             "newton_max_iter must be a positive integer", self.newton_max_iter),
+            (_real(self.overlap_threshold) and 0.0 < self.overlap_threshold < 1.0,
+             "overlap_threshold must lie in (0, 1)", self.overlap_threshold),
         )
-
-
-def validate_params(params: ModelParams, numerics: NumericsConfig | None = None) -> ValidatedConfig:
-    """Check every invariant of the parameter set and freeze the result.
-
-    Raises
-    ------
-    OutOfRange
-        Listing *all* violated fields, not just the first.
-    """
-    if numerics is None:
-        numerics = NumericsConfig()
-    bad = []
-    if not (isinstance(params.omega, (int, float)) and 0.0 < params.omega < TWO_PI):
-        bad.append(f"omega must lie in (0, 2*pi), got {params.omega!r}")
-    if not (isinstance(params.delta, (int, float)) and 0.0 < params.delta < TWO_PI):
-        bad.append(f"delta must lie in (0, 2*pi), got {params.delta!r}")
-    if not (isinstance(params.lam, (int, float)) and 0.0 <= params.lam < math.inf):
-        bad.append(f"lambda must be finite and >= 0, got {params.lam!r}")
-    if not (isinstance(numerics.n_t, int) and numerics.n_t >= 0):
-        bad.append(f"n_t must be an integer >= 0, got {numerics.n_t!r}")
-    for name in ("newton_tol", "eig_residual_tol"):
-        value = getattr(numerics, name)
-        if not value > 0.0:
-            bad.append(f"{name} must be > 0, got {value!r}")
-    if not (isinstance(numerics.newton_max_iter, int) and numerics.newton_max_iter > 0):
-        bad.append(f"newton_max_iter must be a positive integer, got {numerics.newton_max_iter!r}")
-    if not 0.0 < numerics.overlap_threshold < 1.0:
-        bad.append(f"overlap_threshold must lie in (0, 1), got {numerics.overlap_threshold!r}")
-    if bad:
-        raise OutOfRange(bad)
-    return ValidatedConfig(
-        omega=float(params.omega),
-        delta=float(params.delta),
-        lam=float(params.lam),
-        n_t=numerics.n_t,
-        newton_tol=numerics.newton_tol,
-        newton_max_iter=numerics.newton_max_iter,
-        overlap_threshold=numerics.overlap_threshold,
-        eig_residual_tol=numerics.eig_residual_tol,
-    )
-
-
-def make_config(omega: float, delta: float, lam: float, **numerics) -> ValidatedConfig:
-    """Convenience constructor: validate a parameter triple plus overrides."""
-    return validate_params(ModelParams(omega, delta, lam), NumericsConfig(**numerics))
+        bad = [f"{message}, got {value!r}" for ok, message, value in checks if not ok]
+        if bad:
+            raise OutOfRange(bad)
+        for name in ("omega", "delta", "lam"):
+            object.__setattr__(self, name, float(getattr(self, name)))

@@ -22,7 +22,7 @@ import numpy as np
 from .bifurcation import FixedPoint
 from .classical_map import SpinVector
 from .errors import GridTooSmall, OutOfRange, TruncationLoss
-from .quantum_floquet import FockBasis, QuantumState, state_vector
+from .quantum_floquet import FockBasis
 
 SubsystemTag = Literal["spin", "osc_x", "osc_pair"]
 
@@ -56,7 +56,7 @@ def coherent_amplitudes(alpha_x: complex, alpha_y: complex,
     return amps, loss
 
 
-def coherent_state(alpha_x: complex, alpha_y: complex, basis: FockBasis) -> QuantumState:
+def coherent_state(alpha_x: complex, alpha_y: complex, basis: FockBasis) -> np.ndarray:
     """Normalised truncated coherent state (oscillator factor only).
 
     Raises TruncationLoss when COHERENT_LOSS_TOL or more of the weight falls
@@ -65,7 +65,7 @@ def coherent_state(alpha_x: complex, alpha_y: complex, basis: FockBasis) -> Quan
     amps, loss = coherent_amplitudes(alpha_x, alpha_y, basis)
     if loss >= COHERENT_LOSS_TOL:
         raise TruncationLoss(loss, f"coherent state loses {loss:.3e} beyond n_t={basis.n_t}")
-    return QuantumState.normalized(amps)
+    return amps / np.linalg.norm(amps)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def spin_state(direction: SpinDirection) -> np.ndarray:
 
 def product_state(osc, spinor: np.ndarray) -> np.ndarray:
     """Full-basis vector from an oscillator factor and a 2-spinor."""
-    return np.kron(state_vector(osc), np.asarray(spinor, dtype=complex))
+    return np.kron(np.asarray(osc, dtype=complex), np.asarray(spinor, dtype=complex))
 
 
 # --- Husimi function -------------------------------------------------------
@@ -111,7 +111,7 @@ def husimi_values(state, basis: FockBasis, alphas_x: np.ndarray,
                   alphas_y: np.ndarray) -> np.ndarray:
     """Spin-traced Husimi sum_sigma |<alpha, sigma | psi>|^2 along paired
     arrays of coherent amplitudes, HUSIMI_CHUNK points at a time."""
-    psi = state_vector(state).reshape(basis.osc_dim, 2)
+    psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
     alphas_x = np.asarray(alphas_x, dtype=complex)
     alphas_y = np.asarray(alphas_y, dtype=complex)
     out = np.empty(alphas_x.shape[0])
@@ -148,57 +148,18 @@ def husimi_product_grid(state, basis: FockBasis, alphas_x: np.ndarray,
     return (wx[:, None] ** 2) * values * (wy[None, :] ** 2)
 
 
-@dataclass(frozen=True)
-class PhaseSection:
-    """Affine slice of the oscillator phase space.
-
-    Maps one or two section coordinates u to a phase point
-    (q_x, q_y, p_x, p_y) = origin + sum_k u_k * axes[k].
-    """
-
-    origin: tuple[float, float, float, float]
-    axes: tuple[tuple[float, float, float, float], ...]
-
-    def phase_points(self, *coords: np.ndarray) -> tuple[np.ndarray, ...]:
-        if len(coords) != len(self.axes):
-            raise ValueError("coordinate count does not match section dimension")
-        grids = np.meshgrid(*coords, indexing="ij") if len(coords) > 1 else [np.asarray(coords[0])]
-        point = [np.full_like(grids[0], o, dtype=float) for o in self.origin]
-        for axis, grid in zip(self.axes, grids):
-            for comp in range(4):
-                point[comp] = point[comp] + axis[comp] * grid
-        return tuple(point)
+def section_amplitudes(coords: np.ndarray, momentum_slope: float) -> np.ndarray:
+    """Coherent amplitudes alpha = (q + i p)/sqrt(2) of the points q = coords,
+    p = momentum_slope * q of one oscillator mode."""
+    return np.asarray(coords) * (1.0 + 1j * momentum_slope) / math.sqrt(2.0)
 
 
-def diagonal_line_section(momentum_slope: float) -> PhaseSection:
-    """1D section q_x = q_y = u with p_chi = slope * u."""
-    return PhaseSection(origin=(0.0, 0.0, 0.0, 0.0),
-                        axes=((1.0, 1.0, momentum_slope, momentum_slope),))
-
-
-def plane_section(momentum_slope: float) -> PhaseSection:
-    """2D section over (q_x, q_y) with p_chi = slope * q_chi."""
-    return PhaseSection(origin=(0.0, 0.0, 0.0, 0.0),
-                        axes=((1.0, 0.0, momentum_slope, 0.0),
-                              (0.0, 1.0, 0.0, momentum_slope)))
-
-
-@dataclass
-class HusimiGrid:
-    section: PhaseSection
-    coords: tuple[np.ndarray, ...]
-    values: np.ndarray
-
-
-def husimi_on_section(state, basis: FockBasis, section: PhaseSection,
-                      *coords: np.ndarray) -> HusimiGrid:
-    """Sample the Husimi function on an affine section."""
-    q_x, q_y, p_x, p_y = section.phase_points(*coords)
-    alphas_x = ((q_x + 1j * p_x) / math.sqrt(2.0)).ravel()
-    alphas_y = ((q_y + 1j * p_y) / math.sqrt(2.0)).ravel()
-    values = husimi_values(state, basis, alphas_x, alphas_y).reshape(q_x.shape)
-    return HusimiGrid(section=section, coords=tuple(np.asarray(c) for c in coords),
-                      values=values)
+def husimi_on_section(state, basis: FockBasis, momentum_slope: float,
+                      coords: np.ndarray) -> np.ndarray:
+    """Husimi function on the diagonal line q_x = q_y = u, p_chi = slope * u,
+    at the section coordinates u = coords."""
+    alphas = section_amplitudes(coords, momentum_slope)
+    return husimi_values(state, basis, alphas, alphas)
 
 
 def section_peaks(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -224,7 +185,7 @@ def state_tensor(state, basis: FockBasis) -> np.ndarray:
     the total-number simplex."""
     d = basis.n_t + 1
     out = np.zeros((d, d, 2), dtype=complex)
-    psi = state_vector(state).reshape(basis.osc_dim, 2)
+    psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
     out[basis.osc_nx, basis.osc_ny, :] = psi
     return out
 
@@ -349,13 +310,17 @@ def entanglement_measures(state, basis: FockBasis) -> EntanglementMeasures:
 
 # --- approximate post-bifurcation states ------------------------------------
 
-def approx_bifurcated_states(fp: FixedPoint, basis: FockBasis) -> tuple[QuantumState, QuantumState]:
+def approx_bifurcated_states(fp: FixedPoint, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Coherent x spin combinations localised at a bifurcated fixed point.
 
     Builds |alpha>|n> from the fixed point's oscillator coordinates and
     spin direction, its parity image |-alpha>|n'> (azimuth shifted by pi),
     and returns the normalised odd (-) and even (+) combinations; the odd
     one carries parity -1 and the even one +1.
+
+    Raises ValueError when either combination has norm <= 1e-8: at an
+    on-axis fixed point (the oscillator origin with the spin at a pole) the
+    image is the state itself up to a phase, so one combination is zero.
     """
     o = fp.point.osc
     alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2.0)
@@ -365,9 +330,16 @@ def approx_bifurcated_states(fp: FixedPoint, basis: FockBasis) -> tuple[QuantumS
                          spin_state(direction))
     minus = product_state(coherent_state(-alpha_x, -alpha_y, basis),
                           spin_state(direction.antipodal_azimuth()))
-    psi_g = QuantumState.normalized(plus - minus)
-    psi_e = QuantumState.normalized(plus + minus)
-    return psi_g, psi_e
+    out = []
+    for name, combo in (("odd", plus - minus), ("even", plus + minus)):
+        norm = np.linalg.norm(combo)
+        if not norm > 1e-8:
+            raise ValueError(
+                f"the {name} combination at the fixed point "
+                f"{tuple(fp.point.as_array().tolist())} has norm {norm:.3e}: "
+                "the point is its own parity image")
+        out.append(combo / norm)
+    return out[0], out[1]
 
 
 def detection_probability(theta: float, alpha_x: float, alpha_y: float) -> float:

@@ -17,7 +17,7 @@ parity sectors O (parity -1) and E (parity +1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -109,36 +109,6 @@ class FockBasis:
 
 def build_basis(n_t: int) -> FockBasis:
     return FockBasis(n_t)
-
-
-@dataclass
-class QuantumState:
-    """Normalised vector over a FockBasis."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=complex)
-        n = np.linalg.norm(self.vector)
-        if not abs(n - 1.0) <= 1e-12:
-            raise ValueError(f"state norm {n!r} is not 1 within 1e-12")
-
-    @classmethod
-    def normalized(cls, vector: np.ndarray) -> "QuantumState":
-        vector = np.asarray(vector, dtype=complex)
-        n = np.linalg.norm(vector)
-        if n == 0:
-            raise ValueError("cannot normalise the zero vector")
-        return cls(vector / n)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-def state_vector(state) -> np.ndarray:
-    """Accept a QuantumState or a raw ndarray."""
-    return np.asarray(getattr(state, "vector", state), dtype=complex)
 
 
 # --- operator construction -------------------------------------------------
@@ -266,7 +236,7 @@ def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None,
 
 def phase_space_expectations(state, basis: FockBasis) -> dict[str, float]:
     """<q>, <p> and <s> components without forming full-space operators."""
-    psi = state_vector(state).reshape(basis.osc_dim, 2)
+    psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
     out = {}
     for axis in ("x", "y"):
         q = osc_position_matrix(basis, axis)
@@ -280,9 +250,6 @@ def phase_space_expectations(state, basis: FockBasis) -> dict[str, float]:
 
 
 # --- spectra ---------------------------------------------------------------
-
-EIG_RESIDUAL_TOL = 1e-9
-
 
 @dataclass
 class FloquetSpectrum:
@@ -301,9 +268,6 @@ class FloquetSpectrum:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    def state(self, k: int) -> QuantumState:
-        return QuantumState(self.vectors[:, k])
 
 
 def _sector_spectrum(sub: np.ndarray,
@@ -332,8 +296,10 @@ def diagonalize(mat: np.ndarray, parity: np.ndarray | None = None) -> FloquetSpe
     When a parity diagonal is supplied and the matrix commutes with it,
     each sector block is diagonalised separately; eigenvectors are then
     exactly sector pure.  Raises EigFailure if any eigenpair residual,
-    measured against the full matrix, exceeds EIG_RESIDUAL_TOL.
+    measured against the full matrix, exceeds the default
+    ValidatedConfig.eig_residual_tol.
     """
+    tol = ValidatedConfig.eig_residual_tol
     dim = mat.shape[0]
     sectors = None
     if parity is not None:
@@ -346,7 +312,7 @@ def diagonalize(mat: np.ndarray, parity: np.ndarray | None = None) -> FloquetSpe
             col = 0
             for label, value in (("O", -1), ("E", 1)):
                 idx = np.flatnonzero(pdiag == value)
-                sub_phases, sub_vecs = _sector_spectrum(mat[np.ix_(idx, idx)], EIG_RESIDUAL_TOL)
+                sub_phases, sub_vecs = _sector_spectrum(mat[np.ix_(idx, idx)], tol)
                 block = slice(col, col + idx.size)
                 phases[block] = sub_phases
                 vectors[np.ix_(idx, range(col, col + idx.size))] = sub_vecs
@@ -357,11 +323,11 @@ def diagonalize(mat: np.ndarray, parity: np.ndarray | None = None) -> FloquetSpe
             vectors = vectors[:, order]
             sectors = sectors[order]
     if sectors is None:
-        phases, vectors = _sector_spectrum(mat, EIG_RESIDUAL_TOL)
+        phases, vectors = _sector_spectrum(mat, tol)
     residuals = np.linalg.norm(mat @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
     worst = float(np.max(residuals, initial=0.0))
-    if worst > EIG_RESIDUAL_TOL:
-        raise EigFailure(worst, EIG_RESIDUAL_TOL)
+    if worst > tol:
+        raise EigFailure(worst, tol)
     return FloquetSpectrum(eigenphases=phases, vectors=vectors,
                            residuals=residuals, sectors=sectors)
 
@@ -485,10 +451,10 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
             f" more than {MAX_TRACK_STEPS}")
     if basis is None:
         basis = build_basis(cfg.n_t)
-    vec = state_vector(seed)
+    vec = np.asarray(seed, dtype=complex)
     vec = vec / np.linalg.norm(vec)
 
-    image = apply_floquet(vec, cfg.with_lam(lam_start), basis)
+    image = apply_floquet(vec, replace(cfg, lam=lam_start), basis)
     rayleigh = complex(np.vdot(vec, image))
     phase0 = math.atan2(rayleigh.imag, rayleigh.real)
     resid = np.linalg.norm(image - np.exp(1j * phase0) * vec)
@@ -515,7 +481,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     while stop_list:
         next_stop = stop_list[0]
         target = min(lam + dlam, next_stop)
-        sub = floquet_operator(cfg.with_lam(target), basis, sector)
+        sub = floquet_operator(replace(cfg, lam=target), basis, sector)
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):
@@ -551,9 +517,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
 
 def sector_leakage(state, basis: FockBasis, sector: str) -> float:
     """Probability weight outside the named parity sector."""
-    vec = state_vector(state)
-    idx = basis.sector_indices(sector)
-    return float(1.0 - np.sum(np.abs(vec[idx]) ** 2))
+    return float(1.0 - np.sum(np.abs(state[basis.sector_indices(sector)]) ** 2))
 
 
 def pgs_seed(basis: FockBasis) -> np.ndarray:

@@ -6,16 +6,17 @@ import time
 import numpy as np
 import pytest
 
-from kickjt import (build_basis, default_seeds, entanglement_measures,
-                    find_fixed_points, make_config, pes_seed, pgs_seed,
-                    reduced_density, track_eigenstate, von_neumann_entropy)
+from kickjt import (ValidatedConfig, build_basis, default_seeds,
+                    entanglement_measures, find_fixed_points, pes_seed,
+                    pgs_seed, reduced_density, track_eigenstate,
+                    von_neumann_entropy)
 
 OMEGA = math.pi / 60
 DELTA = 2 * math.atan(0.5)
 
 
 def reference_config(lam=0.32, **numerics):
-    return make_config(OMEGA, DELTA, lam, **numerics)
+    return ValidatedConfig(OMEGA, DELTA, lam, **numerics)
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +82,7 @@ def entropy_grid():
 def spin_entropy_22(entropy_grid):
     """Spin entropy of the tracked state at n_t = 22."""
     basis = build_basis(22)
-    cfg = reference_config(0.5).with_n_t(22)
+    cfg = reference_config(0.5, n_t=22)
     path = track_eigenstate(0.0, 0.5, pgs_seed(basis), cfg, basis,
                             stops=[l for l in entropy_grid if l > 0])
     return np.array([von_neumann_entropy(

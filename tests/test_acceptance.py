@@ -12,11 +12,11 @@ import pytest
 import scipy.linalg
 
 from kickjt import (OscillatorPoint, PhasePoint, SpinDirection, SpinVector,
-                    Stability, build_basis, coherent_state, critical_couplings,
-                    curve_derivative, default_seeds, diagonal_line_section,
+                    Stability, ValidatedConfig, build_basis, coherent_state,
+                    critical_couplings, curve_derivative, default_seeds,
                     diagonalize, find_fixed_points, floquet_operator,
                     husimi_on_section, husimi_product_grid, h0_phases,
-                    jacobian_canonical, make_config, phase_space_expectations,
+                    jacobian_canonical, phase_space_expectations,
                     product_state, section_peaks, spin_state, step,
                     step_arrays, apply_floquet)
 from kickjt.classical_map import composed_step
@@ -88,8 +88,8 @@ def test_criterion_03_classical_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
-        cfg = make_config(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5),
-                          rng.uniform(0.0, 0.6))
+        cfg = ValidatedConfig(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5),
+                              rng.uniform(0.0, 0.6))
         for _ in range(100):
             state = random_phase_point(rng, z_max=0.5)
             a = step(state, cfg).as_array()
@@ -151,7 +151,7 @@ def test_criterion_05_quantum_structural_invariants(basis18):
 def test_criterion_06_small_instance_spectral_oracle():
     basis = build_basis(2)
     lam = 0.1
-    cfg = make_config(OMEGA, DELTA, lam)
+    cfg = ValidatedConfig(OMEGA, DELTA, lam)
     from kickjt.quantum_floquet import SPIN_HALF, osc_position_matrix
     q_x = np.kron(osc_position_matrix(basis, "x"), np.eye(2))
     q_y = np.kron(osc_position_matrix(basis, "y"), np.eye(2))
@@ -169,12 +169,12 @@ def test_criterion_06_small_instance_spectral_oracle():
 
 
 def test_criterion_07_husimi_bifurcation_signature(pgs_path, basis18):
-    section = diagonal_line_section(-math.tan(OMEGA / 2))
+    slope = -math.tan(OMEGA / 2)
     u = np.linspace(-6.0, 6.0, 161)
     peaks = {}
     for lam in (0.15, 0.32):
         values = husimi_on_section(pgs_path.sample_at(lam).state, basis18,
-                                   section, u).values
+                                   slope, u)
         peaks[lam] = section_peaks(values, u)
     unimodal = len(peaks[0.15]) == 1
     bimodal = len(peaks[0.32]) == 2
@@ -243,7 +243,7 @@ def test_criterion_11_ehrenfest_property():
     theta, phi = 2.2, 0.7
     psi = product_state(coherent_state(alpha_x, alpha_y, basis),
                         spin_state(SpinDirection(theta, phi)))
-    cfg = make_config(OMEGA, DELTA, 0.05, n_t=n_t)
+    cfg = ValidatedConfig(OMEGA, DELTA, 0.05, n_t=n_t)
     quantum = phase_space_expectations(apply_floquet(psi, cfg, basis), basis)
     classical = step(PhasePoint(
         OscillatorPoint(math.sqrt(2) * alpha_x.real, math.sqrt(2) * alpha_y.real,

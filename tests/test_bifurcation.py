@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import kickjt.bifurcation as bifurcation
 from kickjt import (NonFiniteState, OscillatorPoint, PhasePoint, PortraitGrid,
-                    SpinVector, Stability, bifurcation_residual,
-                    critical_couplings, default_seeds, find_fixed_points,
-                    make_config, portrait, reflection_symmetry_score, step)
+                    SpinVector, Stability, ValidatedConfig,
+                    bifurcation_residual, critical_couplings, default_seeds,
+                    find_fixed_points, portrait, reflection_symmetry_score,
+                    step)
 from kickjt.cli import _fixed_point_census
 from kickjt.configfile import ScenarioConfig
 from conftest import DELTA, OMEGA, reference_config
@@ -176,7 +177,7 @@ class TestBatchIndependence:
            lam=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 5.0), st.just(1e300)),
            data=st.data())
     def test_seed_outcome_equals_its_lone_run(self, omega, delta, lam, data):
-        cfg = make_config(omega, delta, lam)
+        cfg = ValidatedConfig(omega, delta, lam)
         seeds = default_seeds(cfg)
         order = data.draw(st.permutations(range(len(seeds))))
         assert_batch_independent(cfg, seeds, order[:data.draw(st.integers(1, 24))])

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kickjt import (KickJTError, NonFiniteState, OscillatorPoint, PhasePoint,
-                    PoleProximity, SpinVector, Stability, SubMap, composed_step,
-                    inverse_step, iterate, jacobian_canonical, make_config, spin_rotation_matrix,
-                    step, step_arrays, step_jacobian, submap)
+                    PoleProximity, SpinVector, Stability, SubMap,
+                    ValidatedConfig, composed_step, inverse_step,
+                    jacobian_canonical, spin_rotation_matrix, step,
+                    step_arrays, step_jacobian, submap)
 from kickjt.bifurcation import _CHART_AXES, _chart_jacobian, _from_chart
 from kickjt.classical_map import from_canonical, to_canonical
 from conftest import reference_config
@@ -34,8 +36,8 @@ def random_off_equator_point(rng):
 
 
 def random_params(rng):
-    return make_config(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5),
-                       rng.uniform(0.0, 0.6))
+    return ValidatedConfig(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5),
+                           rng.uniform(0.0, 0.6))
 
 
 def max_diff(a: PhasePoint, b: PhasePoint) -> float:
@@ -75,25 +77,25 @@ class TestSpinVector:
 
 class TestSubmaps:
     def test_harmonic_quarter_turn(self):
-        cfg = make_config(math.pi / 2, 1.0, 0.0)
+        cfg = ValidatedConfig(math.pi / 2, 1.0, 0.0)
         out = submap(SubMap.HARMONIC, point(q_x=1.0), cfg)
         assert out.osc.q_x == pytest.approx(0.0, abs=1e-15)
         assert out.osc.p_x == pytest.approx(-1.0)
 
     def test_harmonic_rotates_spin_about_z(self):
-        cfg = make_config(0.3, math.pi / 2, 0.0)
+        cfg = ValidatedConfig(0.3, math.pi / 2, 0.0)
         out = submap(SubMap.HARMONIC, point(s=(0.5, 0.0, 0.0)), cfg)
         assert out.spin.s_x == pytest.approx(0.0, abs=1e-15)
         assert out.spin.s_y == pytest.approx(0.5)
         assert out.spin.s_z == 0.0
 
     def test_kick_x_identity_at_zero_coupling(self):
-        cfg = make_config(0.3, 1.0, 0.0)
+        cfg = ValidatedConfig(0.3, 1.0, 0.0)
         state = point(q_x=1.2, p_y=-0.7, s=(0.1, 0.2, math.sqrt(0.25 - 0.05)))
         assert max_diff(submap(SubMap.KICK_X, state, cfg), state) == 0.0
 
     def test_kick_y_momentum_shift(self):
-        cfg = make_config(0.3, 1.0, 0.32)
+        cfg = ValidatedConfig(0.3, 1.0, 0.32)
         state = point(s=(0.0, 0.5, 0.0))
         out = submap(SubMap.KICK_Y, state, cfg)
         assert out.osc.p_y == pytest.approx(-0.16)
@@ -103,14 +105,14 @@ class TestSubmaps:
 
 class TestStep:
     def test_trivial_fixed_point(self):
-        cfg = make_config(math.pi / 60, 2 * math.atan(0.5), 0.0)
+        cfg = ValidatedConfig(math.pi / 60, 2 * math.atan(0.5), 0.0)
         state = point()
         assert max_diff(step(state, cfg), state) == 0.0
-        cfg32 = cfg.with_lam(0.32)
+        cfg32 = replace(cfg, lam=0.32)
         assert max_diff(step(state, cfg32), state) == 0.0
 
     def test_zero_coupling_decouples(self):
-        cfg = make_config(0.4, 0.9, 0.0)
+        cfg = ValidatedConfig(0.4, 0.9, 0.0)
         state = point(q_x=1.0, q_y=-0.5, p_x=0.2, p_y=0.3,
                       s=SpinVector.from_angles(1.1, 0.2).as_array())
         out = step(state, cfg)
@@ -167,18 +169,26 @@ class TestSpinRotationMatrix:
         assert np.max(np.abs(out.spin.as_array() - expected)) <= 1e-14
 
 
+def orbit(state: PhasePoint, n: int, cfg) -> list[PhasePoint]:
+    """The state and its n images under step, in order."""
+    points = [state]
+    for _ in range(n):
+        points.append(step(points[-1], cfg))
+    return points
+
+
 class TestIterate:
     def test_zero_iterations(self):
         cfg = reference_config(0.32)
         state = point(q_x=1.0)
-        traj = iterate(state, 0, cfg)
+        traj = orbit(state, 0, cfg)
         assert len(traj) == 1 and traj[0] is state
 
     def test_oscillator_period_at_zero_coupling(self):
-        cfg = make_config(math.pi / 60, 2 * math.atan(0.5), 0.0)
+        cfg = ValidatedConfig(math.pi / 60, 2 * math.atan(0.5), 0.0)
         state = point(q_x=1.3, q_y=-0.4, p_x=0.2, p_y=0.9,
                       s=SpinVector.from_angles(0.3, 0.1).as_array())
-        traj = iterate(state, 120, cfg)
+        traj = orbit(state, 120, cfg)
         end = traj[120]
         assert np.max(np.abs(end.osc.as_array() - state.osc.as_array())) <= 1e-9
 
@@ -187,8 +197,8 @@ class TestIterate:
         stable = [fp for fp in census_032
                   if fp.classification is Stability.STABLE and fp.point.osc.q_x > 0]
         fp = stable[0]
-        traj = iterate(fp.point, 200, cfg)
-        for state in traj.points:
+        traj = orbit(fp.point, 200, cfg)
+        for state in traj:
             assert max_diff(state, fp.point) <= 10 * cfg.newton_tol
 
 
@@ -241,7 +251,7 @@ class TestStepJacobian:
 
 class TestJacobianCanonical:
     def test_zero_coupling_block_structure(self):
-        cfg = make_config(0.3, 0.9, 0.0)
+        cfg = ValidatedConfig(0.3, 0.9, 0.0)
         state = point(q_x=0.5, q_y=0.2, p_x=-0.1, p_y=0.3,
                       s=SpinVector.from_angles(0.7, 0.15).as_array())
         jac = jacobian_canonical(state, cfg)

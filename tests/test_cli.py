@@ -15,7 +15,7 @@ from kickjt import cli
 from kickjt.cli import Table, _write_table, build_parser, main
 from kickjt.configfile import ScenarioConfig
 from kickjt.errors import ConfigError
-from kickjt.model import make_config
+from kickjt.model import ValidatedConfig
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 PRESET_DIR = SRC_DIR / "kickjt" / "presets"
@@ -385,7 +385,7 @@ class TestTableWriter:
         assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
         grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3, momentum_slope=0.25)
         for lam in (0.15, 0.32):
-            points = portrait(make_config(math.pi / 60, 2 * math.atan(0.5), lam), grid, 5)
+            points = portrait(ValidatedConfig(math.pi / 60, 2 * math.atan(0.5), lam), grid, 5)
             rows = [(lam, float(x), float(y)) for x, y in points]
             expected = _oracle_payload(["lam", "q_x", "q_y"], rows)
             assert (out / f"portrait_{lam!r}.csv").read_bytes() == expected

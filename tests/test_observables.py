@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kickjt import (DensityMatrix, GridTooSmall, OutOfRange, SpinDirection,
                     Stability, TruncationLoss, approx_bifurcated_states,
                     build_basis, coherent_amplitudes, coherent_state,
-                    curve_derivative, detection_probability,
-                    diagonal_line_section, husimi_on_section,
+                    curve_derivative, detection_probability, husimi_on_section,
                     husimi_product_grid, husimi_values, log_negativity,
                     product_state, reduced_density, section_peaks, spin_state,
                     von_neumann_entropy)
@@ -31,13 +30,13 @@ class TestCoherentStates:
     def test_vacuum(self, basis18):
         state = coherent_state(0.0, 0.0, basis18)
         k = basis18.osc_index(0, 0)
-        assert abs(state.vector[k] - 1.0) <= 1e-15
-        assert np.sum(np.abs(state.vector) > 0) == 1
+        assert abs(state[k] - 1.0) <= 1e-15
+        assert np.sum(np.abs(state) > 0) == 1
 
     def test_overlap_identity(self, basis18):
         a = coherent_state(1.0, 0.0, basis18)
         b = coherent_state(0.0, 0.0, basis18)
-        assert abs(np.vdot(b.vector, a.vector)) == pytest.approx(math.exp(-0.5), abs=1e-6)
+        assert abs(np.vdot(b, a)) == pytest.approx(math.exp(-0.5), abs=1e-6)
 
     def test_truncation_guard(self, basis18):
         with pytest.raises(TruncationLoss) as err:
@@ -127,18 +126,16 @@ class TestHusimi:
 
     def test_section_unimodal_below_bifurcation(self, pgs_path, basis18):
         u = np.linspace(-6, 6, 161)
-        section = diagonal_line_section(-math.tan(OMEGA / 2))
         values = husimi_on_section(pgs_path.sample_at(0.15).state, basis18,
-                                   section, u).values
+                                   -math.tan(OMEGA / 2), u)
         peaks = section_peaks(values, u)
         assert len(peaks) == 1
         assert abs(peaks[0]) <= 0.1
 
     def test_section_bimodal_between_bifurcations(self, pgs_path, basis18):
         u = np.linspace(-6, 6, 161)
-        section = diagonal_line_section(-math.tan(OMEGA / 2))
         values = husimi_on_section(pgs_path.sample_at(0.32).state, basis18,
-                                   section, u).values
+                                   -math.tan(OMEGA / 2), u)
         peaks = section_peaks(values, u)
         assert len(peaks) == 2
         assert abs(abs(peaks[0]) - abs(peaks[1])) <= 0.05 * max(abs(peaks))
@@ -357,16 +354,16 @@ class TestApproxBifurcatedStates:
     def test_definite_opposite_parities(self, approx_pair, basis18):
         _, (psi_g, psi_e) = approx_pair
         par = basis18.parity
-        assert np.max(np.abs(par * psi_g.vector + psi_g.vector)) <= 1e-8
-        assert np.max(np.abs(par * psi_e.vector - psi_e.vector)) <= 1e-8
+        assert np.max(np.abs(par * psi_g + psi_g)) <= 1e-8
+        assert np.max(np.abs(par * psi_e - psi_e)) <= 1e-8
 
     def test_orthogonal_combinations(self, approx_pair):
         _, (psi_g, psi_e) = approx_pair
-        assert abs(np.vdot(psi_g.vector, psi_e.vector)) <= 1e-8
+        assert abs(np.vdot(psi_g, psi_e)) <= 1e-8
 
     def test_even_combination_recovers_localised_product(self, approx_pair, basis18):
         fp, (psi_g, psi_e) = approx_pair
-        combo = psi_g.vector + psi_e.vector
+        combo = psi_g + psi_e
         combo /= np.linalg.norm(combo)
         o = fp.point.osc
         alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2)
@@ -375,6 +372,19 @@ class TestApproxBifurcatedStates:
         localised = product_state(coherent_state(alpha_x, alpha_y, basis18),
                                   spin_state(direction))
         assert abs(np.vdot(localised, combo)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_on_axis_fixed_points_rejected(self, census_015, basis18):
+        # below lambda_b1 the census holds only the two trivial points, the
+        # oscillator origin with the spin at either pole; each is its own
+        # parity image, so one combination vanishes (the even one to 1.7e-16
+        # at the lower pole, the odd one exactly at the upper)
+        assert len(census_015) == 2
+        for fp, name in zip(sorted(census_015, key=lambda fp: fp.point.spin.s_z),
+                            ("even", "odd")):
+            assert not np.any(fp.point.osc.as_array())
+            with pytest.raises(ValueError, match=f"the {name} combination at the fixed point "
+                                                 r"\(0\.0, 0\.0, 0\.0, 0\.0, 0\.0, 0\.0, "):
+                approx_bifurcated_states(fp, basis18)
 
     def test_truncation_guard_propagates(self, census_032):
         tiny = build_basis(2)

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from kickjt import (EigFailure, StepUnderflow, apply_floquet, build_basis,
-                    coherent_state, apply_kick, diagonalize, floquet_operator,
-                    h0_phases, make_config, pes_seed, pgs_seed,
+from kickjt import (EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
+                    build_basis, coherent_state, apply_kick, diagonalize,
+                    floquet_operator, h0_phases, pes_seed, pgs_seed,
                     phase_space_expectations, product_state, sector_leakage,
                     spin_state, track_eigenstate)
 from kickjt import quantum_floquet as qf
@@ -34,7 +35,7 @@ class TestBasis:
         # a mistyped label must not select a sector; floquet_operator takes
         # None as "no sector", the whole space
         basis = build_basis(2)
-        cfg = reference_config(0.3).with_n_t(2)
+        cfg = reference_config(0.3, n_t=2)
         with pytest.raises(ValueError, match=f"got {label!r}"):
             basis.sector_indices(label)
         with pytest.raises(ValueError, match=f"got {label!r}"):
@@ -171,7 +172,7 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
     # the dense operator is the period applied column by column, unitary
     # and parity commuting anywhere in parameter space
     basis = build_basis(n_t)
-    cfg = make_config(omega, delta, lam, n_t=n_t)
+    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
     u = floquet_operator(cfg, basis)
     eye = np.eye(basis.dim, dtype=complex)
     for j in range(basis.dim):
@@ -187,7 +188,7 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
 def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
     # the sector build is the block U[idx, idx] of the full build
     basis = build_basis(n_t)
-    cfg = make_config(omega, delta, lam, n_t=n_t)
+    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
     idx = basis.sector_indices(sector)
     block = floquet_operator(cfg, basis, sector)
     full = floquet_operator(cfg, basis)
@@ -219,7 +220,7 @@ class TestDiagonalize:
         basis = build_basis(2)
         assert basis.dim == 12
         lam = 0.1
-        cfg = make_config(OMEGA, DELTA, lam)
+        cfg = ValidatedConfig(OMEGA, DELTA, lam)
         q_x = np.kron(osc_position_matrix(basis, "x"), np.eye(2))
         q_y = np.kron(osc_position_matrix(basis, "y"), np.eye(2))
         s_x = np.kron(np.eye(basis.osc_dim), SPIN_HALF["x"])
@@ -260,7 +261,7 @@ class TestDiagonalize:
         phases = {}
         for n_t in (18, 22):
             basis = build_basis(n_t)
-            cfg = reference_config(lam).with_n_t(n_t)
+            cfg = reference_config(lam, n_t=n_t)
             spec = diagonalize(floquet_operator(cfg, basis), parity=basis.parity)
             phases[n_t] = spec.eigenphases
         def circ_dist(a, b):
@@ -275,7 +276,7 @@ class TestDiagonalize:
         phases = {}
         for n_t in (18, 22):
             basis = build_basis(n_t)
-            cfg = reference_config(0.32).with_n_t(n_t)
+            cfg = reference_config(0.32, n_t=n_t)
             path = track_eigenstate(0.0, 0.32, pgs_seed(basis), cfg, basis)
             phases[n_t] = path.final().eigenphase
         move = abs((phases[18] - phases[22] + math.pi) % (2 * math.pi) - math.pi)
@@ -331,7 +332,7 @@ class TestTracking:
             track_eigenstate(0.0, 0.1, vec, base_cfg, basis18)
 
     def test_step_underflow_on_impossible_threshold(self):
-        cfg = make_config(OMEGA, DELTA, 0.3, n_t=3, overlap_threshold=1e-15)
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3, overlap_threshold=1e-15)
         basis = build_basis(3)
         with pytest.raises(StepUnderflow):
             track_eigenstate(0.0, 0.3, pgs_seed(basis), cfg, basis)
@@ -344,7 +345,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
     refinement.  Returns (lam, eigenphase, dlam_used, overlap, state) per
     accepted sample."""
     vec = seed / np.linalg.norm(seed)
-    u0 = floquet_operator(cfg.with_lam(lam_start), basis)
+    u0 = floquet_operator(replace(cfg, lam=lam_start), basis)
     idx = np.arange(basis.dim)
     for value in (-1, 1):
         sec = np.flatnonzero(basis.parity == value)
@@ -358,7 +359,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
     lam, dlam, streak = lam_start, min(initial_dlam, lam_end - lam_start), 0
     while stop_list:
         target = min(lam + dlam, stop_list[0])
-        u_t = floquet_operator(cfg.with_lam(target), basis)
+        u_t = floquet_operator(replace(cfg, lam=target), basis)
         phases, vecs = _sector_spectrum(u_t[np.ix_(idx, idx)], cfg.eig_residual_tol)
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
@@ -397,7 +398,7 @@ def compare_with_oracle(lam_end, seed, cfg, basis, step, stops=None):
     assert [(s.lam, s.dlam_used) for s in path.samples] == [(w[0], w[2]) for w in want]
     for sample, w in zip(path.samples, want):
         assert abs(sample.eigenphase - w[1]) <= 1e-12
-        u = floquet_operator(cfg.with_lam(sample.lam), basis)
+        u = floquet_operator(replace(cfg, lam=sample.lam), basis)
         resid = np.linalg.norm(u @ sample.state - np.exp(1j * sample.eigenphase) * sample.state)
         assert resid <= 1e-12
     return want, path
@@ -409,7 +410,7 @@ def compare_with_oracle(lam_end, seed, cfg, basis, step, stops=None):
        excited=st.booleans(), with_stops=st.booleans())
 def test_tracking_matches_schur_oracle(omega, delta, n_t, step, lam_end, excited, with_stops):
     basis = build_basis(n_t)
-    cfg = make_config(omega, delta, 0.0, n_t=n_t)
+    cfg = ValidatedConfig(omega, delta, 0.0, n_t=n_t)
     seed = (pes_seed if excited else pgs_seed)(basis)
     stops = [0.05 * k for k in range(1, int(lam_end / 0.05) + 1)] if with_stops else None
     compare_with_oracle(lam_end, seed, cfg, basis, step, stops)
@@ -437,7 +438,7 @@ class TestRayleighTracking:
     ])
     def test_states_pinned_to_oracle(self, n_t, excited, omega, delta, lam_end, step):
         basis = build_basis(n_t)
-        cfg = make_config(omega, delta, 0.0, n_t=n_t)
+        cfg = ValidatedConfig(omega, delta, 0.0, n_t=n_t)
         seed = (pes_seed if excited else pgs_seed)(basis)
         want, path = compare_with_oracle(lam_end, seed, cfg, basis, step)
         for sample, w in zip(path.samples, want):
@@ -458,7 +459,7 @@ class TestRayleighTracking:
         monkeypatch.setattr(qf, "_rayleigh_refine", spy)
         monkeypatch.setattr(qf, "_sector_spectrum", schur)
         basis = build_basis(6)
-        cfg = reference_config(0.0).with_n_t(6)
+        cfg = reference_config(0.0, n_t=6)
         compare_with_oracle(2.0, pgs_seed(basis), cfg, basis, 1.0)
         unconverged = [r for r, o in refined if r > qf.RQI_RESIDUAL_TOL]
         low_overlap = [o for r, o in refined

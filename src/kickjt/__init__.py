@@ -16,7 +16,7 @@ from .bifurcation import (CriticalCoupling, CriticalCouplings, FixedPoint,
                           reflection_symmetry_score)
 from .quantum_floquet import (FloquetSpectrum, FockBasis, TrackedPath,
                               TrackedSample, apply_floquet, apply_kick,
-                              build_basis, diagonalize, floquet_operator,
+                              build_basis, floquet_operator, floquet_spectrum,
                               h0_phases, pes_seed, pgs_seed,
                               phase_space_expectations, sector_leakage,
                               track_eigenstate)

@@ -34,6 +34,7 @@ from . import quantum_floquet as qf
 from .bifurcation import (DEFAULT_RING_RADII, PortraitGrid, Stability,
                           critical_couplings, default_seeds, find_fixed_points,
                           portrait)
+from .classical_map import SpinVector
 from .configfile import ScenarioConfig
 from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
                      OutOfRange)
@@ -54,9 +55,9 @@ class Table:
     key_cols: int = 1
 
     @classmethod
-    def from_rows(cls, header: list[str], rows: list[tuple], key_cols: int = 1) -> Table:
+    def from_rows(cls, header: list[str], rows: list[tuple]) -> Table:
         """Transpose a list of row tuples; no rows gives empty columns."""
-        return cls(header, list(zip(*rows)) if rows else [()] * len(header), key_cols)
+        return cls(header, list(zip(*rows)) if rows else [()] * len(header))
 
 
 @dataclass
@@ -121,6 +122,13 @@ def _model_config(scfg: ScenarioConfig) -> ValidatedConfig:
         raise ConfigError(str(exc))
 
 
+def _int_at_least(scfg: ScenarioConfig, key: str, default: int, least: int) -> int:
+    value = scfg.get_int(key, default)
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
 def _momentum_slope(scfg: ScenarioConfig, key: str, cfg: ValidatedConfig) -> float:
     raw = scfg.get_str(key, "auto")
     if raw == "auto":
@@ -165,8 +173,7 @@ def scenario_critical_couplings(scfg: ScenarioConfig) -> ScenarioResult:
     if not rows:
         lines.append("(no bifurcation for these parameters)")
     return ScenarioResult(
-        tables={"critical_couplings.csv": Table.from_rows(["lambda_b", "branch"], rows,
-                                                          key_cols=0)},
+        tables={"critical_couplings.csv": Table.from_rows(["lambda_b", "branch"], rows)},
         text="\n".join(lines),
     )
 
@@ -182,13 +189,17 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     spin = scfg.get_floats("portrait.spin", [0.0, 0.0, -0.5])
     if len(spin) != 3:
         raise ConfigError("portrait.spin needs exactly three components")
+    try:
+        SpinVector(*spin)
+    except ValueError as exc:
+        raise ConfigError(f"portrait.spin: {exc}")
     grid = PortraitGrid(
         radii=tuple(scfg.get_floats("portrait.radii", list(PortraitGrid.radii))),
-        n_angles=scfg.get_int("portrait.angles", 16),
+        n_angles=_int_at_least(scfg, "portrait.angles", 16, 1),
         momentum_slope=_momentum_slope(scfg, "portrait.momentum_slope", cfg),
         spin=(spin[0], spin[1], spin[2]),
     )
-    n_iter = scfg.get_int("portrait.iterations", 2000)
+    n_iter = _int_at_least(scfg, "portrait.iterations", 2000, 0)
     tables = {}
     for lam in lams:
         try:
@@ -196,8 +207,7 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
         except NonFiniteState as exc:
             raise ComputeError(f"portrait at lam = {lam!r}: {exc}") from exc
         columns = [np.full(len(points), lam), points[:, 0], points[:, 1]]
-        tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], columns,
-                                                         key_cols=0)
+        tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], columns)
     return ScenarioResult(tables=tables)
 
 
@@ -206,12 +216,12 @@ def _tracked_path(scfg: ScenarioConfig, cfg: ValidatedConfig, basis: qf.FockBasi
     end = max(stops)
     if end <= 0.0:
         raise ConfigError("tracking needs a coupling grid reaching beyond 0")
-    return qf.track_eigenstate(
-        0.0, end, seed, cfg, basis,
-        stops=[s for s in stops if s > 0.0],
-        initial_dlam=scfg.get_float("track.initial_step", 0.01),
-        max_dlam=scfg.get_float("track.max_step", 0.02),
-    )
+    # an unset key keeps track_eigenstate's own default
+    steps = {arg: scfg.get_float(key)
+             for arg, key in (("initial_dlam", "track.initial_step"),
+                              ("max_dlam", "track.max_step")) if scfg.has(key)}
+    return qf.track_eigenstate(0.0, end, seed, cfg, basis,
+                               stops=[s for s in stops if s > 0.0], **steps)
 
 
 def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
@@ -220,8 +230,7 @@ def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
     basis = qf.build_basis(cfg.n_t)
     seed = qf.pgs_seed(basis) if which == "pgs" else qf.pes_seed(basis)
     path = _tracked_path(scfg, cfg, basis, seed, lams)
-    sector = path.sector or "O"
-    rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, basis, sector), s.dlam_used)
+    rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, basis, path.sector), s.dlam_used)
             for s in path.samples]
     name = f"track_{which}.csv"
     return ScenarioResult(tables={
@@ -241,9 +250,11 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     cfg = _model_config(scfg)
     basis = qf.build_basis(cfg.n_t)
     bound = scfg.get_float("husimi.section_bound", 6.0)
-    n_pts = scfg.get_int("husimi.section_points", 161)
+    n_pts = _int_at_least(scfg, "husimi.section_points", 161, 2)
     slope = _momentum_slope(scfg, "husimi.momentum_slope", cfg)
     grid2d_lam = scfg.get_float("husimi.grid2d_lambda")
+    if grid2d_lam is not None and grid2d_lam <= 0.0:
+        raise ConfigError(f"husimi.grid2d_lambda must be > 0, got {grid2d_lam!r}")
 
     stops = list(lams)
     if grid2d_lam is not None:
@@ -317,43 +328,26 @@ SCENARIOS = {
 
 # --- truncation convergence check (--check) -----------------------------------
 
+def _keyed_rows(table: Table) -> dict:
+    """Row key (the leading key_cols cells, as written) -> value cells."""
+    keys = zip(*map(_fmt_column, table.columns[:table.key_cols]))
+    return dict(zip(keys, np.column_stack(table.columns[table.key_cols:])))
+
+
 def _compare_tables(name: str, base: Table, bumped: Table) -> list[str]:
-    lines = []
     if base.header != bumped.header:
         return [f"{name}: headers differ"]
-    rows_base, rows_bumped = zip(*base.columns), zip(*bumped.columns)
-    if base.key_cols == 0:
-        groups_a = {(k,): [row] for k, row in enumerate(rows_base)}
-        groups_b = {(k,): [row] for k, row in enumerate(rows_bumped)}
-    else:
-        groups_a, groups_b = {}, {}
-        for rows, groups in ((rows_base, groups_a), (rows_bumped, groups_b)):
-            for row in rows:
-                groups.setdefault(tuple(_fmt_cell(c) for c in row[:base.key_cols]), []).append(row)
-    shared = [k for k in groups_a if k in groups_b]
-    n_cols = len(base.header)
-    worst = np.zeros(n_cols)
-    scale = np.full(n_cols, 1e-300)
-    mismatched_groups = 0
-    for key in shared:
-        rows_a, rows_b = groups_a[key], groups_b[key]
-        if len(rows_a) != len(rows_b):
-            mismatched_groups += 1
-            continue
-        for ra, rb in zip(rows_a, rows_b):
-            for j in range(base.key_cols, n_cols):
-                a, b = ra[j], rb[j]
-                if isinstance(a, (int, float, np.floating, np.integer)):
-                    scale[j] = max(scale[j], abs(float(a)))
-                    worst[j] = max(worst[j], abs(float(a) - float(b)))
-                elif a != b:
-                    worst[j] = max(worst[j], 1.0)
-                    scale[j] = max(scale[j], 1.0)
-    for j in range(base.key_cols, n_cols):
-        if scale[j] > 1e-300 or worst[j] > 0:
-            rel = worst[j] / max(scale[j], 1e-300)
-            lines.append(f"{name}: column {base.header[j]}: max relative deviation {rel:.3e}")
-    lines.append(f"{name}: {len(shared)} shared keys, {mismatched_groups} row-count mismatches")
+    rows_a, rows_b = _keyed_rows(base), _keyed_rows(bumped)
+    shared = [key for key in rows_a if key in rows_b]
+    width = len(base.header) - base.key_cols
+    a = np.reshape([rows_a[key] for key in shared], (-1, width))
+    b = np.reshape([rows_b[key] for key in shared], (-1, width))
+    worst = np.max(np.abs(a - b), axis=0, initial=0.0)
+    scale = np.max(np.abs(a), axis=0, initial=1e-300)
+    lines = [f"{name}: column {col}: max relative deviation {w / s:.3e}"
+             for col, w, s in zip(base.header[base.key_cols:], worst, scale)
+             if s > 1e-300 or w > 0]
+    lines.append(f"{name}: {len(shared)} shared keys")
     return lines
 
 

@@ -17,7 +17,7 @@ parity sectors O (parity -1) and E (parity +1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -37,16 +37,9 @@ SPIN_HALF = {
 }
 
 
-@dataclass
 class FockBasis:
-    """Enumeration of (n_x, n_y, sigma) states with n_x + n_y <= n_t."""
-
-    n_t: int
-    n_x: np.ndarray = field(repr=False)
-    n_y: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    osc_nx: np.ndarray = field(repr=False)
-    osc_ny: np.ndarray = field(repr=False)
+    """Enumeration of (n_x, n_y, sigma) states with n_x + n_y <= n_t;
+    compared and hashed by identity."""
 
     def __init__(self, n_t: int):
         if n_t < 0:
@@ -60,6 +53,9 @@ class FockBasis:
         self.sigma = np.tile(np.array([-1, 1]), len(osc))
         self._osc_index = {pair: k for k, pair in enumerate(osc)}
         self._kick_cache: dict = {}
+
+    def __repr__(self) -> str:
+        return f"FockBasis(n_t={self.n_t})"
 
     @property
     def dim(self) -> int:
@@ -77,11 +73,6 @@ class FockBasis:
     def parity(self) -> np.ndarray:
         """Diagonal of the parity operator: sigma * (-1)^(n_x + n_y), exactly +/-1."""
         return self.sigma * np.where(self.total % 2 == 0, 1, -1)
-
-    @property
-    def parity_class(self) -> np.ndarray:
-        """'O' where the parity eigenvalue is -1, 'E' where it is +1."""
-        return np.where(self.parity < 0, "O", "E")
 
     def index(self, n_x: int, n_y: int, sigma: int) -> int:
         return 2 * self._osc_index[(n_x, n_y)] + (0 if sigma < 0 else 1)
@@ -253,31 +244,24 @@ def phase_space_expectations(state, basis: FockBasis) -> dict[str, float]:
 
 @dataclass
 class FloquetSpectrum:
-    """Full eigendecomposition of a Floquet unitary.
-
-    Eigenphases lie in (-pi, pi]; vectors are orthonormal columns.  When the
-    operator commutes with parity the decomposition is done per sector and
-    each column carries its sector label.
-    """
+    """Eigendecomposition of a Floquet unitary: eigenphases in (-pi, pi]
+    ascending, orthonormal eigenvector columns over the full basis (each
+    zero outside its parity sector) and the eigenpair residuals."""
 
     eigenphases: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    sectors: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _sector_spectrum(sub: np.ndarray,
-                     residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases (ascending) and orthonormal eigenvectors of a
-    (near-)unitary matrix, typically one parity block of U.
+                     residual_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenphases (ascending), orthonormal eigenvectors and eigenpair
+    residuals |sub v - e^{i phase} v| of a (near-)unitary matrix, typically
+    one parity block of U.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
     vectors are true eigenvectors and exactly orthonormal.  Raises
-    EigFailure if any eigenpair residual of sub exceeds residual_tol.
+    EigFailure if any residual exceeds residual_tol.
     """
     t_mat, q_mat = scipy.linalg.schur(sub, output="complex")
     phases = np.angle(np.diag(t_mat))
@@ -287,49 +271,32 @@ def _sector_spectrum(sub: np.ndarray,
     worst = float(np.max(residuals, initial=0.0))
     if worst > residual_tol:
         raise EigFailure(worst, residual_tol)
-    return phases, vecs
+    return phases, vecs, residuals
 
 
-def diagonalize(mat: np.ndarray, parity: np.ndarray | None = None) -> FloquetSpectrum:
-    """Eigenphases and eigenvectors of a unitary matrix.
+def floquet_spectrum(cfg: ValidatedConfig, basis: FockBasis | None = None) -> FloquetSpectrum:
+    """Eigenphases and eigenvectors of U, one parity sector at a time.
 
-    When a parity diagonal is supplied and the matrix commutes with it,
-    each sector block is diagonalised separately; eigenvectors are then
-    exactly sector pure.  Raises EigFailure if any eigenpair residual,
-    measured against the full matrix, exceeds the default
-    ValidatedConfig.eig_residual_tol.
+    Each sector block (floquet_operator with a sector label, "O" then "E")
+    is eigensolved by :func:`_sector_spectrum`, which raises EigFailure
+    past cfg.eig_residual_tol; the vectors are embedded as full-space
+    columns and all pairs are sorted by eigenphase (stable sort).
     """
-    tol = ValidatedConfig.eig_residual_tol
-    dim = mat.shape[0]
-    sectors = None
-    if parity is not None:
-        pdiag = np.asarray(parity)
-        commutator = mat * pdiag[None, :] - pdiag[:, None] * mat
-        if np.max(np.abs(commutator)) <= 1e-8:
-            phases = np.empty(dim)
-            vectors = np.zeros((dim, dim), dtype=complex)
-            sectors = np.empty(dim, dtype="<U1")
-            col = 0
-            for label, value in (("O", -1), ("E", 1)):
-                idx = np.flatnonzero(pdiag == value)
-                sub_phases, sub_vecs = _sector_spectrum(mat[np.ix_(idx, idx)], tol)
-                block = slice(col, col + idx.size)
-                phases[block] = sub_phases
-                vectors[np.ix_(idx, range(col, col + idx.size))] = sub_vecs
-                sectors[block] = label
-                col += idx.size
-            order = np.argsort(phases, kind="stable")
-            phases = phases[order]
-            vectors = vectors[:, order]
-            sectors = sectors[order]
-    if sectors is None:
-        phases, vectors = _sector_spectrum(mat, tol)
-    residuals = np.linalg.norm(mat @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
-    worst = float(np.max(residuals, initial=0.0))
-    if worst > tol:
-        raise EigFailure(worst, tol)
-    return FloquetSpectrum(eigenphases=phases, vectors=vectors,
-                           residuals=residuals, sectors=sectors)
+    if basis is None:
+        basis = build_basis(cfg.n_t)
+    phases = np.empty(basis.dim)
+    residuals = np.empty(basis.dim)
+    vectors = np.zeros((basis.dim, basis.dim), dtype=complex)
+    col = 0
+    for label in ("O", "E"):
+        idx = basis.sector_indices(label)
+        block = slice(col, col + idx.size)
+        phases[block], vectors[idx, block], residuals[block] = _sector_spectrum(
+            floquet_operator(cfg, basis, label), cfg.eig_residual_tol)
+        col += idx.size
+    order = np.argsort(phases, kind="stable")
+    return FloquetSpectrum(eigenphases=phases[order], vectors=vectors[:, order],
+                           residuals=residuals[order])
 
 
 # --- adaptive continuation -------------------------------------------------
@@ -348,7 +315,7 @@ class TrackedPath:
     """Eigenstate followed through the coupling sweep by overlap continuation."""
 
     samples: list[TrackedSample]
-    sector: str | None
+    sector: str
 
     def lams(self) -> np.ndarray:
         return np.array([s.lam for s in self.samples])
@@ -432,11 +399,12 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     size that is not positive, raises ComputeError before any work.
 
     The seed must be an eigenvector of U(lam_start) to cfg.eig_residual_tol,
-    checked by applying one period to it (no matrix is built).  If it is
-    parity pure the whole continuation runs inside that sector: each trial
-    step builds only the sector block of U (floquet_operator with a
-    sector), and sector leakage is exactly zero along the path.  Any other
-    seed is followed with the full matrix.
+    checked by applying one period to it (no matrix is built), and parity
+    pure: a seed whose sector_leakage exceeds 1e-12 from both sectors
+    raises ValueError naming both.  The whole continuation runs inside the
+    seed's sector: each trial step builds only the sector block of U
+    (floquet_operator with a sector), and sector leakage is exactly zero
+    along the path.
     """
     if not lam_start < lam_end:
         raise ValueError("lam_start must be < lam_end")
@@ -461,13 +429,13 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     if resid > cfg.eig_residual_tol:
         raise EigFailure(resid, cfg.eig_residual_tol)
 
-    sector = None
-    idx = np.arange(basis.dim)
-    for label in ("O", "E"):
-        sec = basis.sector_indices(label)
-        if 1.0 - float(np.sum(np.abs(vec[sec]) ** 2)) <= 1e-12:
-            sector, idx = label, sec
-            break
+    leakage = {label: sector_leakage(vec, basis, label) for label in ("O", "E")}
+    pure = [label for label, leak in leakage.items() if leak <= 1e-12]
+    if not pure:
+        raise ValueError(f"seed is not parity pure: sector leakage {leakage['O']:.3e}"
+                         f" from O and {leakage['E']:.3e} from E")
+    sector = pure[0]
+    idx = basis.sector_indices(sector)
 
     current = vec[idx]
     samples = [TrackedSample(lam=lam_start, state=vec.copy(), eigenphase=phase0,
@@ -485,7 +453,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):
-            phases, vecs = _sector_spectrum(sub, cfg.eig_residual_tol)
+            phases, vecs, _ = _sector_spectrum(sub, cfg.eig_residual_tol)
             overlaps = np.abs(vecs.conj().T @ current)
             k = int(np.argmax(overlaps))
             phase, new, overlap = float(phases[k]), vecs[:, k].copy(), float(overlaps[k])

@@ -14,7 +14,7 @@ import scipy.linalg
 from kickjt import (OscillatorPoint, PhasePoint, SpinDirection, SpinVector,
                     Stability, ValidatedConfig, build_basis, coherent_state,
                     critical_couplings, curve_derivative, default_seeds,
-                    diagonalize, find_fixed_points, floquet_operator,
+                    find_fixed_points, floquet_operator, floquet_spectrum,
                     husimi_on_section, husimi_product_grid, h0_phases,
                     jacobian_canonical, phase_space_expectations,
                     product_state, section_peaks, spin_state, step,
@@ -131,12 +131,12 @@ def test_criterion_05_quantum_structural_invariants(basis18):
     par = basis18.parity
     parity_comm = float(np.max(np.abs(u * par[None, :] - par[:, None] * u)))
     t0 = time.perf_counter()
-    spec = diagonalize(u, parity=par)
+    spec = floquet_spectrum(cfg, basis18)
     diag_elapsed = time.perf_counter() - t0
     eigvals = np.linalg.eigvals(u)
     moduli_err = float(np.max(np.abs(np.abs(eigvals) - 1.0)))
     cfg0 = reference_config(0.0)
-    spec0 = diagonalize(floquet_operator(cfg0, basis18), parity=par)
+    spec0 = floquet_spectrum(cfg0, basis18)
     analytic = -(cfg0.omega * (basis18.total + 1) + cfg0.delta * basis18.sigma / 2)
     analytic = (analytic + math.pi) % (2 * math.pi) - math.pi
     phase_err = float(np.max(np.abs(np.sort(spec0.eigenphases) - np.sort(analytic))))
@@ -162,7 +162,7 @@ def test_criterion_06_small_instance_spectral_oracle():
              @ scipy.linalg.expm(-1j * lam * q_x @ s_x)
              @ scipy.linalg.expm(-1j * lam * q_y @ s_y))
     brute_phases = np.sort(np.angle(np.linalg.eigvals(brute)))
-    mine = np.sort(diagonalize(floquet_operator(cfg, basis), parity=basis.parity).eigenphases)
+    mine = np.sort(floquet_spectrum(cfg, basis).eigenphases)
     err = float(np.max(np.abs(mine - brute_phases)))
     check(6, f"12x12 brute-force eigenphase deviation {err:.2e}",
           basis.dim == 12 and err <= 1e-10)

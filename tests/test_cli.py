@@ -227,6 +227,28 @@ class TestExitCodes:
         assert main(["entanglement-curves", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("key,value", [
+        ("portrait.angles", "0"),
+        ("portrait.iterations", "-1"),
+        ("portrait.spin", "0, 0, 5"),
+        ("husimi.section_points", "-3"),
+        ("husimi.section_points", "0"),
+        ("husimi.grid2d_lambda", "-0.1"),
+    ])
+    def test_out_of_range_scenario_key_exits_two_naming_it(self, tmp_path, capsys, key, value):
+        if key.startswith("portrait"):
+            command, extra = "portrait", "model.lambda = 0.1\n"
+        else:
+            command, extra = "husimi-section", "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"
+        extra += f"{key} = {value}\n"
+        cfg = write_config(tmp_path, SMALL_MODEL + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and key in err
+        assert list(out.iterdir()) == []
+
 
 class TestScenarioOutputs:
     def test_critical_couplings_file(self, tmp_path):
@@ -268,6 +290,24 @@ class TestScenarioOutputs:
         assert lines[0] == "lam,eigenphase,sector_leakage,dlam_used"
         assert float(lines[1].split(",")[0]) == 0.0
         assert float(lines[-1].split(",")[0]) == 0.1
+
+    @pytest.mark.parametrize("steps", [{}, {"initial_dlam": 0.03, "max_dlam": 0.05}])
+    def test_track_steps_passed_only_when_set(self, tmp_path, monkeypatch, steps):
+        # an unset track.* key leaves the step to track_eigenstate's default
+        seen = []
+        real = cli.qf.track_eigenstate
+
+        def spy(*args, **kwargs):
+            seen.append({k: kwargs[k] for k in ("initial_dlam", "max_dlam") if k in kwargs})
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.qf, "track_eigenstate", spy)
+        keys = {"initial_dlam": "track.initial_step", "max_dlam": "track.max_step"}
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n")
+            + "".join(f"{keys[k]} = {v}\n" for k, v in steps.items()))
+        assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [steps]
 
     def test_entanglement_curves_small(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_MODEL + (

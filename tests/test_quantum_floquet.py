@@ -7,8 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from kickjt import (EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
-                    build_basis, coherent_state, apply_kick, diagonalize,
-                    floquet_operator, h0_phases, pes_seed, pgs_seed,
+                    build_basis, coherent_state, apply_kick, floquet_operator,
+                    floquet_spectrum, h0_phases, pes_seed, pgs_seed,
                     phase_space_expectations, product_state, sector_leakage,
                     spin_state, track_eigenstate)
 from kickjt import quantum_floquet as qf
@@ -22,7 +22,16 @@ class TestBasis:
         basis = build_basis(0)
         assert basis.dim == 2
         assert basis.entries() == [(0, 0, -1), (0, 0, 1)]
-        assert list(basis.parity_class) == ["O", "E"]
+        assert list(basis.sector_indices("O")) == [0]
+        assert list(basis.sector_indices("E")) == [1]
+
+    def test_bases_compare_by_identity_and_hash(self):
+        # the arrays of two equal-n_t bases must not be compared elementwise
+        a, b = build_basis(2), build_basis(2)
+        assert (a == b) is False
+        assert a == a
+        assert {a: 1, b: 2}[a] == 1
+        assert repr(a) == "FockBasis(n_t=2)"
 
     def test_one_phonon_truncation(self):
         basis = build_basis(1)
@@ -208,10 +217,35 @@ def test_sector_build_bit_equal_at_reference_truncation(basis18, lam, sector):
                           full[np.ix_(idx, idx)])
 
 
-class TestDiagonalize:
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
+       lam=st.floats(0.0, 2.0), n_t=st.integers(0, 8))
+def test_sector_spectrum_matches_full_matrix_spectrum(omega, delta, lam, n_t):
+    # the per-sector spectrum is the spectrum of the whole matrix, with
+    # sector-pure orthonormal vectors and residuals within tolerance
+    basis = build_basis(n_t)
+    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
+    spec = floquet_spectrum(cfg, basis)
+    full_phases, _, _ = _sector_spectrum(floquet_operator(cfg, basis), cfg.eig_residual_tol)
+    # compare the two phase multisets on the unit circle, cut open in the
+    # middle of the widest gap between neighbouring eigenphases
+    ours = spec.eigenphases
+    gaps = np.diff(np.append(ours, ours[0] + 2 * math.pi))
+    cut = ours[np.argmax(gaps)] + gaps.max() / 2
+    assert np.max(np.abs(np.sort((ours - cut) % (2 * math.pi))
+                         - np.sort((full_phases - cut) % (2 * math.pi)))) <= 1e-10
+    in_odd = np.any(spec.vectors[basis.sector_indices("O")] != 0, axis=0)
+    in_even = np.any(spec.vectors[basis.sector_indices("E")] != 0, axis=0)
+    assert not np.any(in_odd & in_even)
+    gram = spec.vectors.conj().T @ spec.vectors
+    assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-12
+    assert np.max(spec.residuals) <= cfg.eig_residual_tol
+
+
+class TestFloquetSpectrum:
     def test_zero_coupling_matches_analytic_diagonal(self, basis18):
         cfg = reference_config(0.0)
-        spec = diagonalize(floquet_operator(cfg, basis18), parity=basis18.parity)
+        spec = floquet_spectrum(cfg, basis18)
         analytic = -(cfg.omega * (basis18.total + 1) + cfg.delta * basis18.sigma / 2)
         analytic = (analytic + math.pi) % (2 * math.pi) - math.pi
         assert np.max(np.abs(np.sort(spec.eigenphases) - np.sort(analytic))) <= 1e-12
@@ -230,12 +264,12 @@ class TestDiagonalize:
                  @ scipy.linalg.expm(-1j * lam * q_x @ s_x)
                  @ scipy.linalg.expm(-1j * lam * q_y @ s_y))
         brute_phases = np.sort(np.angle(np.linalg.eigvals(brute)))
-        spec = diagonalize(floquet_operator(cfg, basis), parity=basis.parity)
+        spec = floquet_spectrum(cfg, basis)
         assert np.max(np.abs(np.sort(spec.eigenphases) - brute_phases)) <= 1e-10
 
     def test_eigenvector_orthonormality(self, basis18):
         cfg = reference_config(0.32)
-        spec = diagonalize(floquet_operator(cfg, basis18), parity=basis18.parity)
+        spec = floquet_spectrum(cfg, basis18)
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(basis18.dim))) <= 1e-9
 
@@ -249,7 +283,7 @@ class TestDiagonalize:
         rng = np.random.default_rng(3)
         bad = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         with pytest.raises(EigFailure):
-            diagonalize(bad)
+            _sector_spectrum(bad, ValidatedConfig.eig_residual_tol)
 
     @pytest.mark.parametrize("lam", [0.1, 0.32])
     def test_spectral_stability_under_truncation(self, lam):
@@ -262,7 +296,7 @@ class TestDiagonalize:
         for n_t in (18, 22):
             basis = build_basis(n_t)
             cfg = reference_config(lam, n_t=n_t)
-            spec = diagonalize(floquet_operator(cfg, basis), parity=basis.parity)
+            spec = floquet_spectrum(cfg, basis)
             phases[n_t] = spec.eigenphases
         def circ_dist(a, b):
             return np.abs((a - b + math.pi) % (2 * math.pi) - math.pi)
@@ -310,12 +344,12 @@ class TestTracking:
         # plain Schur on the full matrix, no parity hint: the matching
         # eigenvector must still live in the odd sector
         cfg = reference_config(0.32)
-        spec = diagonalize(floquet_operator(cfg, basis18))
+        _, vectors, _ = _sector_spectrum(floquet_operator(cfg, basis18), cfg.eig_residual_tol)
         tracked = pgs_path.sample_at(0.32).state
-        overlaps = np.abs(spec.vectors.conj().T @ tracked)
+        overlaps = np.abs(vectors.conj().T @ tracked)
         k = int(np.argmax(overlaps))
         assert overlaps[k] > 0.9999
-        assert sector_leakage(spec.vectors[:, k], basis18, "O") <= 1e-8
+        assert sector_leakage(vectors[:, k], basis18, "O") <= 1e-8
 
     def test_pes_is_doublet_partner(self, pgs_path, pes_path_032):
         g = pgs_path.sample_at(0.32)
@@ -330,6 +364,15 @@ class TestTracking:
         vec /= np.linalg.norm(vec)
         with pytest.raises(EigFailure):
             track_eigenstate(0.0, 0.1, vec, base_cfg, basis18)
+
+    def test_mixed_parity_eigenvector_seed_rejected(self):
+        # at lam = 0 with delta = 2 omega, |0,0,+> (E) and |2,0,-> (O) share
+        # an eigenphase, so their sum is an eigenvector in neither sector
+        cfg = ValidatedConfig(0.3, 0.6, 0.0, n_t=3)
+        basis = build_basis(3)
+        seed = (basis.basis_state(0, 0, 1) + basis.basis_state(2, 0, -1)) / math.sqrt(2.0)
+        with pytest.raises(ValueError, match="5.000e-01 from O and 5.000e-01 from E"):
+            track_eigenstate(0.0, 0.1, seed, cfg, basis)
 
     def test_step_underflow_on_impossible_threshold(self):
         cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3, overlap_threshold=1e-15)
@@ -360,7 +403,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, basis, stops=None,
     while stop_list:
         target = min(lam + dlam, stop_list[0])
         u_t = floquet_operator(replace(cfg, lam=target), basis)
-        phases, vecs = _sector_spectrum(u_t[np.ix_(idx, idx)], cfg.eig_residual_tol)
+        phases, vecs, _ = _sector_spectrum(u_t[np.ix_(idx, idx)], cfg.eig_residual_tol)
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
         if 1.0 - overlaps[k] < cfg.overlap_threshold:

@@ -20,9 +20,8 @@ from .quantum_floquet import (FloquetSpectrum, FockBasis, TrackedPath,
                               h0_phases, pes_seed, pgs_seed,
                               phase_space_expectations, sector_leakage,
                               track_eigenstate)
-from .observables import (DensityMatrix, EntanglementMeasures, SpinDirection,
-                          approx_bifurcated_states, coherent_amplitudes,
-                          coherent_state, curve_derivative,
+from .observables import (SpinDirection, approx_bifurcated_states,
+                          coherent_amplitudes, coherent_state, curve_derivative,
                           detection_probability, entanglement_measures,
                           husimi_on_section, husimi_product_grid,
                           husimi_values, log_negativity, product_state,

@@ -250,6 +250,8 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     cfg = _model_config(scfg)
     basis = qf.build_basis(cfg.n_t)
     bound = scfg.get_float("husimi.section_bound", 6.0)
+    if not bound > 0.0:
+        raise ConfigError(f"husimi.section_bound must be > 0, got {bound!r}")
     n_pts = _int_at_least(scfg, "husimi.section_points", 161, 2)
     slope = _momentum_slope(scfg, "husimi.momentum_slope", cfg)
     grid2d_lam = scfg.get_float("husimi.grid2d_lambda")
@@ -285,7 +287,7 @@ def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     cfg = _model_config(scfg)
     basis = qf.build_basis(cfg.n_t)
     path = _tracked_path(scfg, cfg, basis, qf.pgs_seed(basis), lams)
-    triples = [obs.entanglement_measures(path.sample_at(lam).state, basis).as_tuple()
+    triples = [obs.entanglement_measures(path.sample_at(lam).state, basis)
                for lam in lams]
     s_spin = [t[0] for t in triples]
     s_osc = [t[1] for t in triples]

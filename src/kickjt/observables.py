@@ -24,7 +24,7 @@ from .classical_map import SpinVector
 from .errors import GridTooSmall, OutOfRange, TruncationLoss
 from .quantum_floquet import FockBasis
 
-SubsystemTag = Literal["spin", "osc_x", "osc_pair"]
+SubsystemTag = Literal["spin", "osc_x"]
 
 COHERENT_LOSS_TOL = 1e-6
 HUSIMI_CHUNK = 4096
@@ -190,97 +190,61 @@ def state_tensor(state, basis: FockBasis) -> np.ndarray:
     return out
 
 
-@dataclass
-class DensityMatrix:
-    """Reduced density matrix of the named subsystem (trace over the rest)."""
-
-    matrix: np.ndarray
-    subsystem: str
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > 1e-12:
-            raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.2e})")
-        self.matrix = (mat + mat.conj().T) / 2.0
-        tr = float(np.real(np.trace(self.matrix)))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-def reduced_density(state, keep: SubsystemTag, basis: FockBasis) -> DensityMatrix:
-    """Partial trace over the complement of the kept subsystem."""
+def reduced_density(state, keep: SubsystemTag, basis: FockBasis) -> np.ndarray:
+    """Partial trace over the complement of the kept subsystem: the spin
+    (2x2) or the x mode ((n_t+1)x(n_t+1)), as a Hermitian matrix of trace 1."""
     psi = state_tensor(state, basis)
-    d = basis.n_t + 1
     if keep == "spin":
         rho = np.einsum("abs,abt->st", psi, psi.conj())
     elif keep == "osc_x":
         rho = np.einsum("ans,bns->ab", psi, psi.conj())
-    elif keep == "osc_pair":
-        m = psi.reshape(d * d, 2)
-        rho = m @ m.conj().T
     else:
         raise ValueError(f"unknown subsystem tag {keep!r}")
-    return DensityMatrix(matrix=rho, subsystem=keep)
+    herm_defect = np.max(np.abs(rho - rho.conj().T))
+    if herm_defect > 1e-12:
+        raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.2e})")
+    rho = (rho + rho.conj().T) / 2.0
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density matrix trace {tr!r} differs from 1")
+    return rho
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum p log2 p over the spectrum, dropping eigenvalues below 1e-14;
-    clamped at zero, since roundoff can put a pure state's eigenvalue an
-    ulp above 1."""
-    probs = rho.eigenvalues()
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """-sum p log2 p over the spectrum of a Hermitian density matrix,
+    dropping eigenvalues below 1e-14; clamped at zero, since roundoff can
+    put a pure state's eigenvalue an ulp above 1."""
+    probs = np.linalg.eigvalsh(rho)
     probs = probs[probs > 1e-14]
     return max(float(-np.sum(probs * np.log(probs)) / math.log(2.0)), 0.0) + 0.0
 
 
-def log_negativity(rho_pair: DensityMatrix,
-                   transpose_over: Literal["osc_x", "osc_y"] = "osc_x") -> float:
-    """log2 of the trace norm of the partial transpose over one mode
-    (Vidal & Werner, PRA 65, 032314 (2002)).
+def log_negativity(state, basis: FockBasis) -> float:
+    """log2 of the trace norm of the partial transpose over the x mode of
+    the state's oscillator-pair reduction (Vidal & Werner, PRA 65, 032314
+    (2002)).
 
     Zero (to numerics) for every separable two-mode state; clamped at zero
     from below within 1e-12.
 
-    The reduced state of a parity eigenstate couples only pair states
+    The pair reduction of a parity eigenstate couples only pair states
     (n_x, n_y) whose n_x + n_y have the same parity, and the partial
-    transpose keeps that grading.  When the partial transpose has exactly
-    zero entries between the two grades, its spectrum is taken block by
-    block (181 + 180 at n_t = 18); any other density matrix is
-    eigensolved whole.
+    transpose keeps that grading, so its spectrum is taken block by block
+    (181 + 180 at n_t = 18).  A state whose partial transpose has any
+    nonzero entry between the two grades is not parity pure: ValueError.
     """
-    if rho_pair.subsystem != "osc_pair":
-        raise ValueError("logarithmic negativity needs an osc_pair density matrix")
-    dim = rho_pair.dim
-    d = int(round(math.sqrt(dim)))
-    if d * d != dim:
-        raise ValueError("osc_pair density matrix dimension is not a perfect square")
-    rho4 = rho_pair.matrix.reshape(d, d, d, d)
-    if transpose_over == "osc_x":
-        pt = np.transpose(rho4, (2, 1, 0, 3))
-    elif transpose_over == "osc_y":
-        pt = np.transpose(rho4, (0, 3, 2, 1))
-    else:
-        raise ValueError(f"transpose_over must be osc_x or osc_y, got {transpose_over!r}")
-    pt = pt.reshape(dim, dim)
+    d = basis.n_t + 1
+    pairs = state_tensor(state, basis).reshape(d * d, 2)
+    pt = (pairs @ pairs.conj().T).reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
     grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
     even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
-    # pt is exactly Hermitian (DensityMatrix symmetrises), so one off-block
-    # being zero makes it block diagonal
-    if not np.any(pt[np.ix_(even, odd)]):
-        eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(even, even)]),
-                               np.linalg.eigvalsh(pt[np.ix_(odd, odd)])])
-    else:
-        eigs = np.linalg.eigvalsh(pt)
+    # pt is Hermitian (the partial transpose of a Hermitian product), so
+    # its odd x even block is the conjugate transpose of this one
+    if np.any(pt[np.ix_(even, odd)]):
+        raise ValueError("state is not parity pure: its partial transpose couples"
+                         " the even and odd n_x + n_y grades")
+    eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(even, even)]),
+                           np.linalg.eigvalsh(pt[np.ix_(odd, odd)])])
     trace_norm = float(np.sum(np.abs(eigs)))
     value = math.log(trace_norm, 2.0)
     if value < -1e-12:
@@ -288,24 +252,11 @@ def log_negativity(rho_pair: DensityMatrix,
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class EntanglementMeasures:
-    """The three base-2 entanglement diagnostics of a pure joint state."""
-
-    spin_entropy: float
-    osc_x_entropy: float
-    pair_log_negativity: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.spin_entropy, self.osc_x_entropy, self.pair_log_negativity)
-
-
-def entanglement_measures(state, basis: FockBasis) -> EntanglementMeasures:
-    return EntanglementMeasures(
-        spin_entropy=von_neumann_entropy(reduced_density(state, "spin", basis)),
-        osc_x_entropy=von_neumann_entropy(reduced_density(state, "osc_x", basis)),
-        pair_log_negativity=log_negativity(reduced_density(state, "osc_pair", basis)),
-    )
+def entanglement_measures(state, basis: FockBasis) -> tuple[float, float, float]:
+    """(S_spin, S_osc_x, E_N) of a pure joint state, all base 2."""
+    return (von_neumann_entropy(reduced_density(state, "spin", basis)),
+            von_neumann_entropy(reduced_density(state, "osc_x", basis)),
+            log_negativity(state, basis))
 
 
 # --- approximate post-bifurcation states ------------------------------------

@@ -51,7 +51,7 @@ class FockBasis:
         self.n_x = np.repeat(self.osc_nx, 2)
         self.n_y = np.repeat(self.osc_ny, 2)
         self.sigma = np.tile(np.array([-1, 1]), len(osc))
-        self._osc_index = {pair: k for k, pair in enumerate(osc)}
+        self._pair_index = {pair: k for k, pair in enumerate(osc)}
         self._kick_cache: dict = {}
 
     def __repr__(self) -> str:
@@ -75,10 +75,7 @@ class FockBasis:
         return self.sigma * np.where(self.total % 2 == 0, 1, -1)
 
     def index(self, n_x: int, n_y: int, sigma: int) -> int:
-        return 2 * self._osc_index[(n_x, n_y)] + (0 if sigma < 0 else 1)
-
-    def osc_index(self, n_x: int, n_y: int) -> int:
-        return self._osc_index[(n_x, n_y)]
+        return 2 * self._pair_index[(n_x, n_y)] + (0 if sigma < 0 else 1)
 
     def entry(self, k: int) -> tuple[int, int, int]:
         return int(self.n_x[k]), int(self.n_y[k]), int(self.sigma[k])
@@ -326,9 +323,6 @@ class TrackedPath:
                 return s
         raise KeyError(f"no tracked sample at lam = {lam!r}")
 
-    def final(self) -> TrackedSample:
-        return self.samples[-1]
-
 
 MIN_TRACK_STEP = 1e-6
 # least number of steps (span / max_dlam) a continuation may need; the
@@ -440,7 +434,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     current = vec[idx]
     samples = [TrackedSample(lam=lam_start, state=vec.copy(), eigenphase=phase0,
                              dlam_used=0.0, overlap=1.0)]
-    stop_list = sorted({float(s) for s in (stops or [])} | {float(lam_end)})
+    stop_list = sorted({float(s) for s in (() if stops is None else stops)} | {float(lam_end)})
     stop_list = [s for s in stop_list if lam_start < s <= lam_end + 1e-15]
 
     lam = lam_start

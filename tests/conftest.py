@@ -65,7 +65,7 @@ def curve18(pgs_path, basis18, lam_grid, timings):
     rows = {}
     for lam in lam_grid:
         state = pgs_path.sample_at(lam).state
-        rows[lam] = entanglement_measures(state, basis18).as_tuple()
+        rows[lam] = entanglement_measures(state, basis18)
     lams = np.array(lam_grid)
     values = np.array([rows[l] for l in lam_grid])
     timings["curve18"] = time.perf_counter() - t0

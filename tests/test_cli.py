@@ -234,6 +234,8 @@ class TestExitCodes:
         ("husimi.section_points", "-3"),
         ("husimi.section_points", "0"),
         ("husimi.grid2d_lambda", "-0.1"),
+        ("husimi.section_bound", "0"),
+        ("husimi.section_bound", "-3"),
     ])
     def test_out_of_range_scenario_key_exits_two_naming_it(self, tmp_path, capsys, key, value):
         if key.startswith("portrait"):

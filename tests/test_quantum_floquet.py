@@ -312,7 +312,7 @@ class TestFloquetSpectrum:
             basis = build_basis(n_t)
             cfg = reference_config(0.32, n_t=n_t)
             path = track_eigenstate(0.0, 0.32, pgs_seed(basis), cfg, basis)
-            phases[n_t] = path.final().eigenphase
+            phases[n_t] = path.samples[-1].eigenphase
         move = abs((phases[18] - phases[22] + math.pi) % (2 * math.pi) - math.pi)
         assert move < 1e-3
 
@@ -373,6 +373,19 @@ class TestTracking:
         seed = (basis.basis_state(0, 0, 1) + basis.basis_state(2, 0, -1)) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="5.000e-01 from O and 5.000e-01 from E"):
             track_eigenstate(0.0, 0.1, seed, cfg, basis)
+
+    @pytest.mark.parametrize("stops", [[0.05, 0.08], []])
+    def test_stops_may_be_an_array(self, stops):
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.1, n_t=4)
+        basis = build_basis(4)
+        want = track_eigenstate(0.0, 0.1, pgs_seed(basis), cfg, basis, stops=stops)
+        got = track_eigenstate(0.0, 0.1, pgs_seed(basis), cfg, basis, stops=np.array(stops))
+        assert set(stops) <= set(got.lams())
+        assert len(got.samples) == len(want.samples)
+        for g, w in zip(got.samples, want.samples):
+            assert (g.lam, g.eigenphase, g.dlam_used, g.overlap) == \
+                (w.lam, w.eigenphase, w.dlam_used, w.overlap)
+            assert np.array_equal(g.state, w.state)
 
     def test_step_underflow_on_impossible_threshold(self):
         cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3, overlap_threshold=1e-15)

@@ -211,8 +211,8 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(tables=tables)
 
 
-def _tracked_path(scfg: ScenarioConfig, cfg: ValidatedConfig, basis: qf.FockBasis,
-                  seed: np.ndarray, stops: list[float]):
+def _tracked_path(scfg: ScenarioConfig, cfg: ValidatedConfig, seed: np.ndarray,
+                  stops: list[float]):
     end = max(stops)
     if end <= 0.0:
         raise ConfigError("tracking needs a coupling grid reaching beyond 0")
@@ -220,17 +220,16 @@ def _tracked_path(scfg: ScenarioConfig, cfg: ValidatedConfig, basis: qf.FockBasi
     steps = {arg: scfg.get_float(key)
              for arg, key in (("initial_dlam", "track.initial_step"),
                               ("max_dlam", "track.max_step")) if scfg.has(key)}
-    return qf.track_eigenstate(0.0, end, seed, cfg, basis,
+    return qf.track_eigenstate(0.0, end, seed, cfg,
                                stops=[s for s in stops if s > 0.0], **steps)
 
 
 def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
-    basis = qf.build_basis(cfg.n_t)
-    seed = qf.pgs_seed(basis) if which == "pgs" else qf.pes_seed(basis)
-    path = _tracked_path(scfg, cfg, basis, seed, lams)
-    rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, basis, path.sector), s.dlam_used)
+    seed = qf.pgs_seed(cfg.n_t) if which == "pgs" else qf.pes_seed(cfg.n_t)
+    path = _tracked_path(scfg, cfg, seed, lams)
+    rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, path.sector), s.dlam_used)
             for s in path.samples]
     name = f"track_{which}.csv"
     return ScenarioResult(tables={
@@ -248,7 +247,6 @@ def scenario_track_pes(scfg: ScenarioConfig) -> ScenarioResult:
 def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
-    basis = qf.build_basis(cfg.n_t)
     bound = scfg.get_float("husimi.section_bound", 6.0)
     if not bound > 0.0:
         raise ConfigError(f"husimi.section_bound must be > 0, got {bound!r}")
@@ -261,22 +259,22 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     stops = list(lams)
     if grid2d_lam is not None:
         stops = sorted(set(stops) | {grid2d_lam})
-    pgs = _tracked_path(scfg, cfg, basis, qf.pgs_seed(basis), stops)
+    pgs = _tracked_path(scfg, cfg, qf.pgs_seed(cfg.n_t), stops)
 
     coords = np.linspace(-bound, bound, n_pts)
-    values = [obs.husimi_on_section(pgs.sample_at(lam).state, basis, slope, coords)
+    values = [obs.husimi_on_section(pgs.sample_at(lam).state, slope, coords)
               for lam in lams]
     columns = [np.repeat(lams, n_pts), np.tile(coords, len(lams)), np.concatenate(values)]
     tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns, key_cols=2)}
 
     if grid2d_lam is not None:
-        pes = _tracked_path(scfg, cfg, basis, qf.pes_seed(basis), [grid2d_lam])
+        pes = _tracked_path(scfg, cfg, qf.pes_seed(cfg.n_t), [grid2d_lam])
         psi_g = pgs.sample_at(grid2d_lam).state
         psi_e = pes.sample_at(grid2d_lam).state
         even = psi_g + psi_e
         even /= np.linalg.norm(even)
         alphas = obs.section_amplitudes(coords, slope)
-        grid = obs.husimi_product_grid(even, basis, alphas, alphas)
+        grid = obs.husimi_product_grid(even, alphas, alphas)
         columns = [np.repeat(coords, n_pts), np.tile(coords, n_pts), grid.ravel()]
         tables["husimi_grid2d.csv"] = Table(["q_x", "q_y", "H"], columns, key_cols=2)
     return ScenarioResult(tables=tables)
@@ -285,9 +283,8 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
 def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
-    basis = qf.build_basis(cfg.n_t)
-    path = _tracked_path(scfg, cfg, basis, qf.pgs_seed(basis), lams)
-    triples = [obs.entanglement_measures(path.sample_at(lam).state, basis)
+    path = _tracked_path(scfg, cfg, qf.pgs_seed(cfg.n_t), lams)
+    triples = [obs.entanglement_measures(path.sample_at(lam).state)
                for lam in lams]
     s_spin = [t[0] for t in triples]
     s_osc = [t[1] for t in triples]

@@ -22,7 +22,7 @@ import numpy as np
 from .bifurcation import FixedPoint
 from .classical_map import SpinVector
 from .errors import GridTooSmall, OutOfRange, TruncationLoss
-from .quantum_floquet import FockBasis
+from .quantum_floquet import basis_of, build_basis
 
 SubsystemTag = Literal["spin", "osc_x"]
 
@@ -43,28 +43,29 @@ def _mode_powers(alphas: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def coherent_amplitudes(alpha_x: complex, alpha_y: complex,
-                        basis: FockBasis) -> tuple[np.ndarray, float]:
+                        n_t: int) -> tuple[np.ndarray, float]:
     """Exact truncated coherent coefficients over the oscillator basis.
 
     Returns (amplitudes, loss) where loss = 1 - sum |c|^2 is the weight cut
     off by the truncation.
     """
+    basis = build_basis(n_t)
     prefactor = math.exp(-(abs(alpha_x) ** 2 + abs(alpha_y) ** 2) / 2.0)
-    ax, ay = _mode_powers(np.array([alpha_x, alpha_y], dtype=complex), basis.n_t)
+    ax, ay = _mode_powers(np.array([alpha_x, alpha_y], dtype=complex), n_t)
     amps = prefactor * ax[basis.osc_nx] * ay[basis.osc_ny]
     loss = 1.0 - float(np.sum(np.abs(amps) ** 2))
     return amps, loss
 
 
-def coherent_state(alpha_x: complex, alpha_y: complex, basis: FockBasis) -> np.ndarray:
+def coherent_state(alpha_x: complex, alpha_y: complex, n_t: int) -> np.ndarray:
     """Normalised truncated coherent state (oscillator factor only).
 
     Raises TruncationLoss when COHERENT_LOSS_TOL or more of the weight falls
     outside the basis.
     """
-    amps, loss = coherent_amplitudes(alpha_x, alpha_y, basis)
+    amps, loss = coherent_amplitudes(alpha_x, alpha_y, n_t)
     if loss >= COHERENT_LOSS_TOL:
-        raise TruncationLoss(loss, f"coherent state loses {loss:.3e} beyond n_t={basis.n_t}")
+        raise TruncationLoss(loss, f"coherent state loses {loss:.3e} beyond n_t={n_t}")
     return amps / np.linalg.norm(amps)
 
 
@@ -107,10 +108,10 @@ def product_state(osc, spinor: np.ndarray) -> np.ndarray:
 
 # --- Husimi function -------------------------------------------------------
 
-def husimi_values(state, basis: FockBasis, alphas_x: np.ndarray,
-                  alphas_y: np.ndarray) -> np.ndarray:
+def husimi_values(state, alphas_x: np.ndarray, alphas_y: np.ndarray) -> np.ndarray:
     """Spin-traced Husimi sum_sigma |<alpha, sigma | psi>|^2 along paired
     arrays of coherent amplitudes, HUSIMI_CHUNK points at a time."""
+    basis = basis_of(state)
     psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
     alphas_x = np.asarray(alphas_x, dtype=complex)
     alphas_y = np.asarray(alphas_y, dtype=complex)
@@ -126,19 +127,18 @@ def husimi_values(state, basis: FockBasis, alphas_x: np.ndarray,
     return out
 
 
-def husimi_product_grid(state, basis: FockBasis, alphas_x: np.ndarray,
-                        alphas_y: np.ndarray) -> np.ndarray:
+def husimi_product_grid(state, alphas_x: np.ndarray, alphas_y: np.ndarray) -> np.ndarray:
     """Husimi on the tensor grid alphas_x (x) alphas_y, shape (len x, len y).
 
     Exploits the product structure of the coherent amplitudes, so large 2D
     or 4D grids reduce to two dense contractions.
     """
-    psi3 = state_tensor(state, basis)                       # (d, d, 2)
-    gx = _mode_powers(np.asarray(alphas_x, dtype=complex), basis.n_t)
-    gy = _mode_powers(np.asarray(alphas_y, dtype=complex), basis.n_t)
+    psi3 = state_tensor(state)                              # (d, d, 2)
+    d = psi3.shape[0]
+    gx = _mode_powers(np.asarray(alphas_x, dtype=complex), d - 1)
+    gy = _mode_powers(np.asarray(alphas_y, dtype=complex), d - 1)
     wx = np.exp(-np.abs(np.asarray(alphas_x)) ** 2 / 2.0)
     wy = np.exp(-np.abs(np.asarray(alphas_y)) ** 2 / 2.0)
-    d = basis.n_t + 1
     t = gx.conj() @ psi3.reshape(d, d * 2)                  # (nx_pts, d*2)
     t = t.reshape(-1, d, 2)
     values = np.zeros((gx.shape[0], gy.shape[0]))
@@ -154,12 +154,11 @@ def section_amplitudes(coords: np.ndarray, momentum_slope: float) -> np.ndarray:
     return np.asarray(coords) * (1.0 + 1j * momentum_slope) / math.sqrt(2.0)
 
 
-def husimi_on_section(state, basis: FockBasis, momentum_slope: float,
-                      coords: np.ndarray) -> np.ndarray:
+def husimi_on_section(state, momentum_slope: float, coords: np.ndarray) -> np.ndarray:
     """Husimi function on the diagonal line q_x = q_y = u, p_chi = slope * u,
     at the section coordinates u = coords."""
     alphas = section_amplitudes(coords, momentum_slope)
-    return husimi_values(state, basis, alphas, alphas)
+    return husimi_values(state, alphas, alphas)
 
 
 def section_peaks(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -180,9 +179,10 @@ def section_peaks(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 # --- reductions and entanglement -------------------------------------------
 
-def state_tensor(state, basis: FockBasis) -> np.ndarray:
+def state_tensor(state) -> np.ndarray:
     """Embed a state vector into the (n_x, n_y, sigma) tensor, zero outside
     the total-number simplex."""
+    basis = basis_of(state)
     d = basis.n_t + 1
     out = np.zeros((d, d, 2), dtype=complex)
     psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
@@ -190,10 +190,10 @@ def state_tensor(state, basis: FockBasis) -> np.ndarray:
     return out
 
 
-def reduced_density(state, keep: SubsystemTag, basis: FockBasis) -> np.ndarray:
+def reduced_density(state, keep: SubsystemTag) -> np.ndarray:
     """Partial trace over the complement of the kept subsystem: the spin
     (2x2) or the x mode ((n_t+1)x(n_t+1)), as a Hermitian matrix of trace 1."""
-    psi = state_tensor(state, basis)
+    psi = state_tensor(state)
     if keep == "spin":
         rho = np.einsum("abs,abt->st", psi, psi.conj())
     elif keep == "osc_x":
@@ -219,7 +219,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return max(float(-np.sum(probs * np.log(probs)) / math.log(2.0)), 0.0) + 0.0
 
 
-def log_negativity(state, basis: FockBasis) -> float:
+def log_negativity(state) -> float:
     """log2 of the trace norm of the partial transpose over the x mode of
     the state's oscillator-pair reduction (Vidal & Werner, PRA 65, 032314
     (2002)).
@@ -233,8 +233,9 @@ def log_negativity(state, basis: FockBasis) -> float:
     (181 + 180 at n_t = 18).  A state whose partial transpose has any
     nonzero entry between the two grades is not parity pure: ValueError.
     """
-    d = basis.n_t + 1
-    pairs = state_tensor(state, basis).reshape(d * d, 2)
+    psi3 = state_tensor(state)
+    d = psi3.shape[0]
+    pairs = psi3.reshape(d * d, 2)
     pt = (pairs @ pairs.conj().T).reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
     grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
     even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
@@ -252,16 +253,16 @@ def log_negativity(state, basis: FockBasis) -> float:
     return max(value, 0.0)
 
 
-def entanglement_measures(state, basis: FockBasis) -> tuple[float, float, float]:
+def entanglement_measures(state) -> tuple[float, float, float]:
     """(S_spin, S_osc_x, E_N) of a pure joint state, all base 2."""
-    return (von_neumann_entropy(reduced_density(state, "spin", basis)),
-            von_neumann_entropy(reduced_density(state, "osc_x", basis)),
-            log_negativity(state, basis))
+    return (von_neumann_entropy(reduced_density(state, "spin")),
+            von_neumann_entropy(reduced_density(state, "osc_x")),
+            log_negativity(state))
 
 
 # --- approximate post-bifurcation states ------------------------------------
 
-def approx_bifurcated_states(fp: FixedPoint, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+def approx_bifurcated_states(fp: FixedPoint, n_t: int) -> tuple[np.ndarray, np.ndarray]:
     """Coherent x spin combinations localised at a bifurcated fixed point.
 
     Builds |alpha>|n> from the fixed point's oscillator coordinates and
@@ -277,9 +278,9 @@ def approx_bifurcated_states(fp: FixedPoint, basis: FockBasis) -> tuple[np.ndarr
     alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2.0)
     alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2.0)
     direction = SpinDirection.from_spin_vector(fp.point.spin)
-    plus = product_state(coherent_state(alpha_x, alpha_y, basis),
+    plus = product_state(coherent_state(alpha_x, alpha_y, n_t),
                          spin_state(direction))
-    minus = product_state(coherent_state(-alpha_x, -alpha_y, basis),
+    minus = product_state(coherent_state(-alpha_x, -alpha_y, n_t),
                           spin_state(direction.antipodal_azimuth()))
     out = []
     for name, combo in (("odd", plus - minus), ("even", plus + minus)):

@@ -5,7 +5,8 @@ cutoff n_x + n_y <= N_t and a spin-1/2 factor, ordered by ascending
 (N, n_x, sigma) with sigma = -1 before +1; the spin index is fastest, so a
 state vector reshapes to (osc_dim, 2).  The truncated space is an exact
 tensor product of the cut oscillator space with the spin space, which keeps
-every propagator below exactly unitary.
+every propagator below exactly unitary.  A state over n_t has
+(n_t + 1)(n_t + 2) entries, and that length is its truncation.
 
 One period applies exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y)
 with H0 diagonal in this basis (eigenphase -(omega (N+1) + delta m_sigma)).
@@ -16,6 +17,7 @@ parity sectors O (parity -1) and E (parity +1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
@@ -38,8 +40,8 @@ SPIN_HALF = {
 
 
 class FockBasis:
-    """Enumeration of (n_x, n_y, sigma) states with n_x + n_y <= n_t;
-    compared and hashed by identity."""
+    """Enumeration of (n_x, n_y, sigma) states with n_x + n_y <= n_t, in
+    read-only arrays; compared and hashed by identity."""
 
     def __init__(self, n_t: int):
         if n_t < 0:
@@ -51,8 +53,9 @@ class FockBasis:
         self.n_x = np.repeat(self.osc_nx, 2)
         self.n_y = np.repeat(self.osc_ny, 2)
         self.sigma = np.tile(np.array([-1, 1]), len(osc))
+        for arr in (self.osc_nx, self.osc_ny, self.n_x, self.n_y, self.sigma):
+            arr.flags.writeable = False
         self._pair_index = {pair: k for k, pair in enumerate(osc)}
-        self._kick_cache: dict = {}
 
     def __repr__(self) -> str:
         return f"FockBasis(n_t={self.n_t})"
@@ -77,12 +80,6 @@ class FockBasis:
     def index(self, n_x: int, n_y: int, sigma: int) -> int:
         return 2 * self._pair_index[(n_x, n_y)] + (0 if sigma < 0 else 1)
 
-    def entry(self, k: int) -> tuple[int, int, int]:
-        return int(self.n_x[k]), int(self.n_y[k]), int(self.sigma[k])
-
-    def entries(self) -> list[tuple[int, int, int]]:
-        return [self.entry(k) for k in range(self.dim)]
-
     def sector_indices(self, sector: str) -> np.ndarray:
         """Indices of the parity sector "O" (parity -1) or "E" (parity +1)."""
         if sector not in ("O", "E"):
@@ -95,8 +92,20 @@ class FockBasis:
         return vec
 
 
+@functools.cache
 def build_basis(n_t: int) -> FockBasis:
+    """The one shared FockBasis of the cutoff n_t."""
     return FockBasis(n_t)
+
+
+def basis_of(state) -> FockBasis:
+    """The basis of a state (dim,) or of columns (dim, k), whose length is
+    dim = (n_t + 1)(n_t + 2); any other length is a ValueError naming it."""
+    dim = np.shape(state)[0]
+    n_t = (math.isqrt(4 * dim + 1) - 3) // 2
+    if n_t < 0 or (n_t + 1) * (n_t + 2) != dim:
+        raise ValueError(f"a state of length {dim} is not (n_t + 1)(n_t + 2) for any n_t")
+    return build_basis(n_t)
 
 
 # --- operator construction -------------------------------------------------
@@ -117,8 +126,9 @@ def _ladder(basis: FockBasis, axis: Axis):
     return lower, upper, np.sqrt(own + 1) / math.sqrt(2.0)
 
 
-def osc_position_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
+def osc_position_matrix(n_t: int, axis: Axis) -> np.ndarray:
     """(a + a^dag)/sqrt(2) for one mode, over the cut oscillator basis."""
+    basis = build_basis(n_t)
     lower, upper, val = _ladder(basis, axis)
     mat = np.zeros((basis.osc_dim, basis.osc_dim))
     mat[lower, upper] = val
@@ -126,8 +136,9 @@ def osc_position_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
     return mat
 
 
-def osc_momentum_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
+def osc_momentum_matrix(n_t: int, axis: Axis) -> np.ndarray:
     """-i (a - a^dag)/sqrt(2) for one mode, over the cut oscillator basis."""
+    basis = build_basis(n_t)
     lower, upper, val = _ladder(basis, axis)
     mat = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
     mat[lower, upper] = -1j * val   # <n| p |n+1> for p = -i (a - a^dag)/sqrt(2)
@@ -135,8 +146,9 @@ def osc_momentum_matrix(basis: FockBasis, axis: Axis) -> np.ndarray:
     return mat
 
 
-def h0_phases(basis: FockBasis, cfg: ValidatedConfig) -> np.ndarray:
+def h0_phases(cfg: ValidatedConfig) -> np.ndarray:
     """Diagonal of exp(-i H0 tau): entries exp(-i [omega (N+1) + delta sigma/2])."""
+    basis = build_basis(cfg.n_t)
     angle = cfg.omega * (basis.total + 1) + cfg.delta * basis.sigma / 2.0
     return np.exp(-1j * angle)
 
@@ -147,12 +159,10 @@ def h0_phases(basis: FockBasis, cfg: ValidatedConfig) -> np.ndarray:
 # block diagonal over n_y (and vice versa).  Each block is diagonalised
 # once per (n_t, axis) and reused for every coupling value.
 
-def _kick_blocks(basis: FockBasis, axis: Axis):
-    key = ("blocks", axis)
-    cached = basis._kick_cache.get(key)
-    if cached is not None:
-        return cached
-    position = osc_position_matrix(basis, axis)
+@functools.cache
+def _kick_blocks(n_t: int, axis: Axis):
+    basis = build_basis(n_t)
+    position = osc_position_matrix(n_t, axis)
     other = basis.osc_ny if axis == "x" else basis.osc_nx
     own = basis.osc_nx if axis == "x" else basis.osc_ny
     blocks = []
@@ -161,11 +171,10 @@ def _kick_blocks(basis: FockBasis, axis: Axis):
         idx = idx[np.argsort(own[idx])]
         evals, evecs = np.linalg.eigh(position[np.ix_(idx, idx)])
         blocks.append((idx, evals, evecs))
-    basis._kick_cache[key] = blocks
     return blocks
 
 
-def apply_kick(vec: np.ndarray, axis: Axis, lam: float, basis: FockBasis,
+def apply_kick(vec: np.ndarray, axis: Axis, lam: float,
                spin_axis: SpinAxis | None = None) -> np.ndarray:
     """exp(-i lam q_axis s_spin_axis) applied to a state (dim,) or to each
     column of a (dim, k) matrix, without forming the dense propagator.
@@ -177,11 +186,12 @@ def apply_kick(vec: np.ndarray, axis: Axis, lam: float, basis: FockBasis,
     """
     if spin_axis is None:
         spin_axis = axis
+    basis = basis_of(vec)
     spin_eigs, spin_vecs = np.linalg.eigh(SPIN_HALF[spin_axis])
     psi = vec.reshape(basis.osc_dim, 2, -1)
     comps = spin_vecs.conj().T @ psi      # amplitude on each spin eigenvector
     out = np.empty_like(comps)
-    for idx, evals, evecs in _kick_blocks(basis, axis):
+    for idx, evals, evecs in _kick_blocks(basis.n_t, axis):
         # the block eigenvectors are real, so they multiply the complex data
         # viewed as interleaved real and imaginary parts: one real GEMM each
         size = idx.size
@@ -192,17 +202,19 @@ def apply_kick(vec: np.ndarray, axis: Axis, lam: float, basis: FockBasis,
     return (spin_vecs @ out).reshape(vec.shape)
 
 
-def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, basis: FockBasis) -> np.ndarray:
+def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
     """One period applied to a state (dim,) or to each column of a (dim, k)
-    matrix: kick y, kick x, then H0 phases."""
-    out = apply_kick(vec, "y", cfg.lam, basis)
-    out = apply_kick(out, "x", cfg.lam, basis)
-    phases = h0_phases(basis, cfg)
+    matrix over cfg.n_t (else ValueError): kick y, kick x, then H0 phases."""
+    n_t = basis_of(vec).n_t
+    if n_t != cfg.n_t:
+        raise ValueError(f"state over n_t = {n_t}, config n_t = {cfg.n_t}")
+    out = apply_kick(vec, "y", cfg.lam)
+    out = apply_kick(out, "x", cfg.lam)
+    phases = h0_phases(cfg)
     return out * (phases[:, None] if out.ndim == 2 else phases)
 
 
-def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None,
-                     sector: str | None = None) -> np.ndarray:
+def floquet_operator(cfg: ValidatedConfig, sector: str | None = None) -> np.ndarray:
     """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense.
 
     With a sector label ("O" or "E") only the block U[idx, idx] over that
@@ -211,24 +223,24 @@ def floquet_operator(cfg: ValidatedConfig, basis: FockBasis | None = None,
     rows.  U commutes with parity, so the block is the whole action of U
     on the sector, at half the columns of the full build.
     """
-    if basis is None:
-        basis = build_basis(cfg.n_t)
+    basis = build_basis(cfg.n_t)
     eye = np.eye(basis.dim, dtype=complex)
     if sector is None:
-        return apply_floquet(eye, cfg, basis)
+        return apply_floquet(eye, cfg)
     idx = basis.sector_indices(sector)
-    return apply_floquet(eye[:, idx], cfg, basis)[idx]
+    return apply_floquet(eye[:, idx], cfg)[idx]
 
 
 # --- diagnostics -----------------------------------------------------------
 
-def phase_space_expectations(state, basis: FockBasis) -> dict[str, float]:
+def phase_space_expectations(state) -> dict[str, float]:
     """<q>, <p> and <s> components without forming full-space operators."""
+    basis = basis_of(state)
     psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
     out = {}
     for axis in ("x", "y"):
-        q = osc_position_matrix(basis, axis)
-        p = osc_momentum_matrix(basis, axis)
+        q = osc_position_matrix(basis.n_t, axis)
+        p = osc_momentum_matrix(basis.n_t, axis)
         out[f"q_{axis}"] = float(np.real(np.sum(psi.conj() * (q @ psi))))
         out[f"p_{axis}"] = float(np.real(np.sum(psi.conj() * (p @ psi))))
     rho_spin = psi.conj().T @ psi
@@ -271,7 +283,7 @@ def _sector_spectrum(sub: np.ndarray,
     return phases, vecs, residuals
 
 
-def floquet_spectrum(cfg: ValidatedConfig, basis: FockBasis | None = None) -> FloquetSpectrum:
+def floquet_spectrum(cfg: ValidatedConfig) -> FloquetSpectrum:
     """Eigenphases and eigenvectors of U, one parity sector at a time.
 
     Each sector block (floquet_operator with a sector label, "O" then "E")
@@ -279,8 +291,7 @@ def floquet_spectrum(cfg: ValidatedConfig, basis: FockBasis | None = None) -> Fl
     past cfg.eig_residual_tol; the vectors are embedded as full-space
     columns and all pairs are sorted by eigenphase (stable sort).
     """
-    if basis is None:
-        basis = build_basis(cfg.n_t)
+    basis = build_basis(cfg.n_t)
     phases = np.empty(basis.dim)
     residuals = np.empty(basis.dim)
     vectors = np.zeros((basis.dim, basis.dim), dtype=complex)
@@ -289,7 +300,7 @@ def floquet_spectrum(cfg: ValidatedConfig, basis: FockBasis | None = None) -> Fl
         idx = basis.sector_indices(label)
         block = slice(col, col + idx.size)
         phases[block], vectors[idx, block], residuals[block] = _sector_spectrum(
-            floquet_operator(cfg, basis, label), cfg.eig_residual_tol)
+            floquet_operator(cfg, label), cfg.eig_residual_tol)
         col += idx.size
     order = np.argsort(phases, kind="stable")
     return FloquetSpectrum(eigenphases=phases[order], vectors=vectors[:, order],
@@ -317,9 +328,9 @@ class TrackedPath:
     def lams(self) -> np.ndarray:
         return np.array([s.lam for s in self.samples])
 
-    def sample_at(self, lam: float, tol: float = 1e-12) -> TrackedSample:
+    def sample_at(self, lam: float) -> TrackedSample:
         for s in self.samples:
-            if abs(s.lam - lam) <= tol:
+            if abs(s.lam - lam) <= 1e-12:
                 return s
         raise KeyError(f"no tracked sample at lam = {lam!r}")
 
@@ -367,7 +378,6 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
 
 
 def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfig,
-                     basis: FockBasis | None = None,
                      stops: Sequence[float] | None = None,
                      initial_dlam: float = 0.01,
                      max_dlam: float = 0.02) -> TrackedPath:
@@ -392,7 +402,8 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     A span that needs more than MAX_TRACK_STEPS steps of max_dlam, or a step
     size that is not positive, raises ComputeError before any work.
 
-    The seed must be an eigenvector of U(lam_start) to cfg.eig_residual_tol,
+    The seed must be a state over cfg.n_t (else ValueError naming both
+    cutoffs), an eigenvector of U(lam_start) to cfg.eig_residual_tol,
     checked by applying one period to it (no matrix is built), and parity
     pure: a seed whose sector_leakage exceeds 1e-12 from both sectors
     raises ValueError naming both.  The whole continuation runs inside the
@@ -411,19 +422,18 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
             f"continuation from lam = {lam_start!r} to lam = {lam_end!r} with steps"
             f" {initial_dlam!r} up to {max_dlam!r} needs at least {min_steps:.3g} steps,"
             f" more than {MAX_TRACK_STEPS}")
-    if basis is None:
-        basis = build_basis(cfg.n_t)
+    basis = build_basis(cfg.n_t)
     vec = np.asarray(seed, dtype=complex)
     vec = vec / np.linalg.norm(vec)
 
-    image = apply_floquet(vec, replace(cfg, lam=lam_start), basis)
+    image = apply_floquet(vec, replace(cfg, lam=lam_start))
     rayleigh = complex(np.vdot(vec, image))
     phase0 = math.atan2(rayleigh.imag, rayleigh.real)
     resid = np.linalg.norm(image - np.exp(1j * phase0) * vec)
     if resid > cfg.eig_residual_tol:
         raise EigFailure(resid, cfg.eig_residual_tol)
 
-    leakage = {label: sector_leakage(vec, basis, label) for label in ("O", "E")}
+    leakage = {label: sector_leakage(vec, label) for label in ("O", "E")}
     pure = [label for label, leak in leakage.items() if leak <= 1e-12]
     if not pure:
         raise ValueError(f"seed is not parity pure: sector leakage {leakage['O']:.3e}"
@@ -443,7 +453,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     while stop_list:
         next_stop = stop_list[0]
         target = min(lam + dlam, next_stop)
-        sub = floquet_operator(replace(cfg, lam=target), basis, sector)
+        sub = floquet_operator(replace(cfg, lam=target), sector)
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):
@@ -477,17 +487,17 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     return TrackedPath(samples=samples, sector=sector)
 
 
-def sector_leakage(state, basis: FockBasis, sector: str) -> float:
+def sector_leakage(state, sector: str) -> float:
     """Probability weight outside the named parity sector."""
-    return float(1.0 - np.sum(np.abs(state[basis.sector_indices(sector)]) ** 2))
+    return float(1.0 - np.sum(np.abs(state[basis_of(state).sector_indices(sector)]) ** 2))
 
 
-def pgs_seed(basis: FockBasis) -> np.ndarray:
+def pgs_seed(n_t: int) -> np.ndarray:
     """Zero-coupling pseudo-ground state: |0,0>|-> in the O sector."""
-    return basis.basis_state(0, 0, -1)
+    return build_basis(n_t).basis_state(0, 0, -1)
 
 
-def pes_seed(basis: FockBasis) -> np.ndarray:
+def pes_seed(n_t: int) -> np.ndarray:
     """Zero-coupling pseudo-excited state: the symmetric one-phonon level
     (|1,0> + |0,1>)/sqrt(2) |-> in the E sector.
 
@@ -495,5 +505,6 @@ def pes_seed(basis: FockBasis) -> np.ndarray:
     this is the first excitation above the ground state, and it continues
     into the even localised partner of the bifurcation doublet.
     """
+    basis = build_basis(n_t)
     vec = basis.basis_state(1, 0, -1) + basis.basis_state(0, 1, -1)
     return vec / math.sqrt(2.0)

@@ -42,30 +42,29 @@ def timings():
 
 
 @pytest.fixture(scope="session")
-def pgs_path(base_cfg, basis18, lam_grid, timings):
+def pgs_path(base_cfg, lam_grid, timings):
     """Pseudo-ground state continued from 0 to 0.55 with stops on the grid."""
     t0 = time.perf_counter()
-    path = track_eigenstate(0.0, 0.55, pgs_seed(basis18), base_cfg, basis18,
+    path = track_eigenstate(0.0, 0.55, pgs_seed(18), base_cfg,
                             stops=[l for l in lam_grid if l > 0])
     timings["pgs_path"] = time.perf_counter() - t0
     return path
 
 
 @pytest.fixture(scope="session")
-def pes_path_032(base_cfg, basis18):
+def pes_path_032(base_cfg):
     """Pseudo-excited state continued from 0 to 0.32."""
-    return track_eigenstate(0.0, 0.32, pes_seed(basis18), base_cfg, basis18,
-                            stops=[0.15])
+    return track_eigenstate(0.0, 0.32, pes_seed(18), base_cfg, stops=[0.15])
 
 
 @pytest.fixture(scope="session")
-def curve18(pgs_path, basis18, lam_grid, timings):
+def curve18(pgs_path, lam_grid, timings):
     """Entanglement measures of the tracked state on the coupling grid."""
     t0 = time.perf_counter()
     rows = {}
     for lam in lam_grid:
         state = pgs_path.sample_at(lam).state
-        rows[lam] = entanglement_measures(state, basis18)
+        rows[lam] = entanglement_measures(state)
     lams = np.array(lam_grid)
     values = np.array([rows[l] for l in lam_grid])
     timings["curve18"] = time.perf_counter() - t0
@@ -81,12 +80,11 @@ def entropy_grid():
 @pytest.fixture(scope="session")
 def spin_entropy_22(entropy_grid):
     """Spin entropy of the tracked state at n_t = 22."""
-    basis = build_basis(22)
     cfg = reference_config(0.5, n_t=22)
-    path = track_eigenstate(0.0, 0.5, pgs_seed(basis), cfg, basis,
+    path = track_eigenstate(0.0, 0.5, pgs_seed(22), cfg,
                             stops=[l for l in entropy_grid if l > 0])
     return np.array([von_neumann_entropy(
-        reduced_density(path.sample_at(l).state, "spin", basis))
+        reduced_density(path.sample_at(l).state, "spin"))
         for l in entropy_grid])
 
 

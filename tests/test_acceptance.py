@@ -125,18 +125,18 @@ def test_criterion_04_conservation_and_symplecticity():
 
 def test_criterion_05_quantum_structural_invariants(basis18):
     cfg = reference_config(0.32)
-    u = floquet_operator(cfg, basis18)
+    u = floquet_operator(cfg)
     eye = np.eye(basis18.dim)
     unitarity = float(np.max(np.abs(u.conj().T @ u - eye)))
     par = basis18.parity
     parity_comm = float(np.max(np.abs(u * par[None, :] - par[:, None] * u)))
     t0 = time.perf_counter()
-    spec = floquet_spectrum(cfg, basis18)
+    spec = floquet_spectrum(cfg)
     diag_elapsed = time.perf_counter() - t0
     eigvals = np.linalg.eigvals(u)
     moduli_err = float(np.max(np.abs(np.abs(eigvals) - 1.0)))
     cfg0 = reference_config(0.0)
-    spec0 = floquet_spectrum(cfg0, basis18)
+    spec0 = floquet_spectrum(cfg0)
     analytic = -(cfg0.omega * (basis18.total + 1) + cfg0.delta * basis18.sigma / 2)
     analytic = (analytic + math.pi) % (2 * math.pi) - math.pi
     phase_err = float(np.max(np.abs(np.sort(spec0.eigenphases) - np.sort(analytic))))
@@ -151,10 +151,10 @@ def test_criterion_05_quantum_structural_invariants(basis18):
 def test_criterion_06_small_instance_spectral_oracle():
     basis = build_basis(2)
     lam = 0.1
-    cfg = ValidatedConfig(OMEGA, DELTA, lam)
+    cfg = ValidatedConfig(OMEGA, DELTA, lam, n_t=2)
     from kickjt.quantum_floquet import SPIN_HALF, osc_position_matrix
-    q_x = np.kron(osc_position_matrix(basis, "x"), np.eye(2))
-    q_y = np.kron(osc_position_matrix(basis, "y"), np.eye(2))
+    q_x = np.kron(osc_position_matrix(2, "x"), np.eye(2))
+    q_y = np.kron(osc_position_matrix(2, "y"), np.eye(2))
     s_x = np.kron(np.eye(basis.osc_dim), SPIN_HALF["x"])
     s_y = np.kron(np.eye(basis.osc_dim), SPIN_HALF["y"])
     h0 = np.diag(cfg.omega * (basis.total + 1) + cfg.delta * basis.sigma / 2)
@@ -162,19 +162,18 @@ def test_criterion_06_small_instance_spectral_oracle():
              @ scipy.linalg.expm(-1j * lam * q_x @ s_x)
              @ scipy.linalg.expm(-1j * lam * q_y @ s_y))
     brute_phases = np.sort(np.angle(np.linalg.eigvals(brute)))
-    mine = np.sort(floquet_spectrum(cfg, basis).eigenphases)
+    mine = np.sort(floquet_spectrum(cfg).eigenphases)
     err = float(np.max(np.abs(mine - brute_phases)))
     check(6, f"12x12 brute-force eigenphase deviation {err:.2e}",
           basis.dim == 12 and err <= 1e-10)
 
 
-def test_criterion_07_husimi_bifurcation_signature(pgs_path, basis18):
+def test_criterion_07_husimi_bifurcation_signature(pgs_path):
     slope = -math.tan(OMEGA / 2)
     u = np.linspace(-6.0, 6.0, 161)
     peaks = {}
     for lam in (0.15, 0.32):
-        values = husimi_on_section(pgs_path.sample_at(lam).state, basis18,
-                                   slope, u)
+        values = husimi_on_section(pgs_path.sample_at(lam).state, slope, u)
         peaks[lam] = section_peaks(values, u)
     unimodal = len(peaks[0.15]) == 1
     bimodal = len(peaks[0.32]) == 2
@@ -186,7 +185,7 @@ def test_criterion_07_husimi_bifurcation_signature(pgs_path, basis18):
 
 
 def test_criterion_08_localisation_at_classical_fixed_point(
-        pgs_path, pes_path_032, census_032, basis18):
+        pgs_path, pes_path_032, census_032):
     psi_g = pgs_path.sample_at(0.32).state
     psi_e = pes_path_032.sample_at(0.32).state
     even = psi_g + psi_e
@@ -194,7 +193,7 @@ def test_criterion_08_localisation_at_classical_fixed_point(
     slope = -math.tan(OMEGA / 2)
     coords = np.linspace(-6.0, 6.0, 161)
     alphas = coords * (1.0 + 1j * slope) / math.sqrt(2.0)
-    values = husimi_product_grid(even, basis18, alphas, alphas)
+    values = husimi_product_grid(even, alphas, alphas)
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     q_max = (coords[i], coords[j])
     stable = [fp for fp in census_032 if fp.classification is Stability.STABLE]
@@ -237,14 +236,13 @@ def test_criterion_10_truncation_convergence(curve18, entropy_grid, spin_entropy
 
 def test_criterion_11_ehrenfest_property():
     n_t = 62
-    basis = build_basis(n_t)
     alpha_x = 4.0 * np.exp(0.3j)
     alpha_y = 4.0 * np.exp(-1.1j)
     theta, phi = 2.2, 0.7
-    psi = product_state(coherent_state(alpha_x, alpha_y, basis),
+    psi = product_state(coherent_state(alpha_x, alpha_y, n_t),
                         spin_state(SpinDirection(theta, phi)))
     cfg = ValidatedConfig(OMEGA, DELTA, 0.05, n_t=n_t)
-    quantum = phase_space_expectations(apply_floquet(psi, cfg, basis), basis)
+    quantum = phase_space_expectations(apply_floquet(psi, cfg))
     classical = step(PhasePoint(
         OscillatorPoint(math.sqrt(2) * alpha_x.real, math.sqrt(2) * alpha_y.real,
                         math.sqrt(2) * alpha_x.imag, math.sqrt(2) * alpha_y.imag),

@@ -27,34 +27,34 @@ def random_state(rng, basis):
     return vec / np.linalg.norm(vec)
 
 
-def pair_density_oracle(state, basis):
+def pair_density_oracle(state):
     """Test oracle: the oscillator-pair reduced density matrix as the
     explicit outer product of the state tensor summed over the spin index,
     over the (n_x, n_y) grid, (n_t+1)^2 square."""
-    d = basis.n_t + 1
-    psi = state_tensor(state, basis)
+    psi = state_tensor(state)
+    d = psi.shape[0]
     return np.einsum("abs,cds->abcd", psi, psi.conj()).reshape(d * d, d * d)
 
 
 class TestCoherentStates:
     def test_vacuum(self, basis18):
-        state = coherent_state(0.0, 0.0, basis18)
+        state = coherent_state(0.0, 0.0, 18)
         k = basis18.index(0, 0, -1) // 2
         assert abs(state[k] - 1.0) <= 1e-15
         assert np.sum(np.abs(state) > 0) == 1
 
-    def test_overlap_identity(self, basis18):
-        a = coherent_state(1.0, 0.0, basis18)
-        b = coherent_state(0.0, 0.0, basis18)
+    def test_overlap_identity(self):
+        a = coherent_state(1.0, 0.0, 18)
+        b = coherent_state(0.0, 0.0, 18)
         assert abs(np.vdot(b, a)) == pytest.approx(math.exp(-0.5), abs=1e-6)
 
-    def test_truncation_guard(self, basis18):
+    def test_truncation_guard(self):
         with pytest.raises(TruncationLoss) as err:
-            coherent_state(math.sqrt(30.0), 0.0, basis18)
+            coherent_state(math.sqrt(30.0), 0.0, 18)
         assert err.value.loss >= COHERENT_LOSS_TOL
 
-    def test_reported_loss_matches_poisson_tail(self, basis18):
-        _, loss = coherent_amplitudes(1.0, 1.0, basis18)
+    def test_reported_loss_matches_poisson_tail(self):
+        _, loss = coherent_amplitudes(1.0, 1.0, 18)
         # two-mode coherent state: total phonon number is Poisson(2)
         from scipy.stats import poisson
         assert loss == pytest.approx(poisson.sf(18, 2.0), rel=1e-6)
@@ -70,7 +70,7 @@ class TestCoherentStates:
         # relative precision
         basis = build_basis(n_t)
         a_x, a_y = cmath.rect(r_x, phi_x), cmath.rect(r_y, phi_y)
-        amps, _ = coherent_amplitudes(a_x, a_y, basis)
+        amps, _ = coherent_amplitudes(a_x, a_y, n_t)
         pref = math.exp(-(abs(a_x) ** 2 + abs(a_y) ** 2) / 2)
         closed = np.array([
             pref * a_x ** n_x * a_y ** n_y
@@ -85,7 +85,7 @@ class TestHusimi:
         ax = np.array([0.3, 1 + 0.5j, 2.0])
         ay = np.array([-0.2, -0.3, 1.0j])
         expected = np.exp(-(np.abs(ax) ** 2 + np.abs(ay) ** 2))
-        values = husimi_values(ground, basis18, ax, ay)
+        values = husimi_values(ground, ax, ay)
         assert np.max(np.abs(values - expected)) <= 1e-12
 
     def test_nonnegative_on_random_states(self, basis6):
@@ -94,25 +94,25 @@ class TestHusimi:
             state = random_state(rng, basis6)
             ax = rng.normal(size=5) + 1j * rng.normal(size=5)
             ay = rng.normal(size=5) + 1j * rng.normal(size=5)
-            assert np.all(husimi_values(state, basis6, ax, ay) >= -1e-12)
+            assert np.all(husimi_values(state, ax, ay) >= -1e-12)
 
-    def test_coherent_spin_state_peaks_at_own_point(self, basis18):
+    def test_coherent_spin_state_peaks_at_own_point(self):
         alpha_x, alpha_y = 1.2 - 0.4j, -0.8 + 0.3j
-        state = product_state(coherent_state(alpha_x, alpha_y, basis18),
+        state = product_state(coherent_state(alpha_x, alpha_y, 18),
                               spin_state(SpinDirection(1.0, 2.0)))
-        peak = husimi_values(state, basis18, np.array([alpha_x]), np.array([alpha_y]))[0]
+        peak = husimi_values(state, np.array([alpha_x]), np.array([alpha_y]))[0]
         assert peak == pytest.approx(1.0, abs=1e-6)
         rng = np.random.default_rng(3)
         ax = alpha_x + rng.normal(scale=0.8, size=50) + 1j * rng.normal(scale=0.8, size=50)
         ay = alpha_y + rng.normal(scale=0.8, size=50) + 1j * rng.normal(scale=0.8, size=50)
-        assert np.all(husimi_values(state, basis18, ax, ay) <= peak + 1e-12)
+        assert np.all(husimi_values(state, ax, ay) <= peak + 1e-12)
 
-    def test_normalization_by_quadrature(self, pgs_path, basis18):
+    def test_normalization_by_quadrature(self, pgs_path):
         state = pgs_path.sample_at(0.0).state
         grid = np.linspace(-5.0, 5.0, 21)
         re, im = np.meshgrid(grid, grid, indexing="ij")
         alphas = (re + 1j * im).ravel()
-        values = husimi_product_grid(state, basis18, alphas, alphas)
+        values = husimi_product_grid(state, alphas, alphas)
         h = grid[1] - grid[0]
         integral = values.sum() * h ** 4 / math.pi ** 2
         assert integral == pytest.approx(1.0, abs=0.01)
@@ -128,48 +128,46 @@ class TestHusimi:
         state = random_state(rng, basis)
         ax = rng.normal(scale=1.5, size=n_x) + 1j * rng.normal(scale=1.5, size=n_x)
         ay = rng.normal(scale=1.5, size=n_y) + 1j * rng.normal(scale=1.5, size=n_y)
-        grid = husimi_product_grid(state, basis, ax, ay)
+        grid = husimi_product_grid(state, ax, ay)
         mesh_x, mesh_y = np.meshgrid(ax, ay, indexing="ij")
-        pointwise = husimi_values(state, basis, mesh_x.ravel(), mesh_y.ravel())
+        pointwise = husimi_values(state, mesh_x.ravel(), mesh_y.ravel())
         assert grid.shape == (n_x, n_y)
         assert np.max(np.abs(grid - pointwise.reshape(n_x, n_y))) <= 1e-12
 
-    def test_section_unimodal_below_bifurcation(self, pgs_path, basis18):
+    def test_section_unimodal_below_bifurcation(self, pgs_path):
         u = np.linspace(-6, 6, 161)
-        values = husimi_on_section(pgs_path.sample_at(0.15).state, basis18,
-                                   -math.tan(OMEGA / 2), u)
+        values = husimi_on_section(pgs_path.sample_at(0.15).state, -math.tan(OMEGA / 2), u)
         peaks = section_peaks(values, u)
         assert len(peaks) == 1
         assert abs(peaks[0]) <= 0.1
 
-    def test_section_bimodal_between_bifurcations(self, pgs_path, basis18):
+    def test_section_bimodal_between_bifurcations(self, pgs_path):
         u = np.linspace(-6, 6, 161)
-        values = husimi_on_section(pgs_path.sample_at(0.32).state, basis18,
-                                   -math.tan(OMEGA / 2), u)
+        values = husimi_on_section(pgs_path.sample_at(0.32).state, -math.tan(OMEGA / 2), u)
         peaks = section_peaks(values, u)
         assert len(peaks) == 2
         assert abs(abs(peaks[0]) - abs(peaks[1])) <= 0.05 * max(abs(peaks))
 
 
 class TestReducedDensity:
-    def test_product_state_spin_reduction_is_pure(self, basis18):
-        state = product_state(coherent_state(0.7, -0.2, basis18),
+    def test_product_state_spin_reduction_is_pure(self):
+        state = product_state(coherent_state(0.7, -0.2, 18),
                               spin_state(SpinDirection(0.0, 0.0)))
-        rho = reduced_density(state, "spin", basis18)
+        rho = reduced_density(state, "spin")
         eigs = np.sort(np.linalg.eigvalsh(rho))
         assert eigs[-1] == pytest.approx(1.0, abs=1e-10)
         assert eigs[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_schmidt_pair_gives_maximally_mixed_spin(self, basis6):
         state = (basis6.basis_state(0, 0, 1) + basis6.basis_state(1, 0, -1)) / math.sqrt(2)
-        rho = reduced_density(state, "spin", basis6)
+        rho = reduced_density(state, "spin")
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     @pytest.mark.parametrize("keep", ["spin", "osc_x"])
     def test_trace_one_on_random_states(self, basis6, keep):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            rho = reduced_density(random_state(rng, basis6), keep, basis6)
+            rho = reduced_density(random_state(rng, basis6), keep)
             assert np.array_equal(rho, rho.conj().T)
             assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-10)
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
@@ -177,11 +175,11 @@ class TestReducedDensity:
     def test_pair_tag_rejected(self, basis6):
         # the pair reduction exists only inside log_negativity
         with pytest.raises(ValueError, match="unknown subsystem tag"):
-            reduced_density(basis6.basis_state(0, 0, -1), "osc_pair", basis6)
+            reduced_density(basis6.basis_state(0, 0, -1), "osc_pair")
 
     def test_unnormalised_state_rejected(self, basis6):
         with pytest.raises(ValueError, match="trace"):
-            reduced_density(2.0 * basis6.basis_state(0, 0, -1), "spin", basis6)
+            reduced_density(2.0 * basis6.basis_state(0, 0, -1), "spin")
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_t=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
@@ -190,10 +188,10 @@ class TestReducedDensity:
         # carry the same entropy
         basis = build_basis(n_t)
         state = random_state(np.random.default_rng(seed), basis)
-        s_spin = von_neumann_entropy(reduced_density(state, "spin", basis))
-        s_pair = von_neumann_entropy(pair_density_oracle(state, basis))
+        s_spin = von_neumann_entropy(reduced_density(state, "spin"))
+        s_pair = von_neumann_entropy(pair_density_oracle(state))
         assert abs(s_spin - s_pair) <= 1e-9
-        assert von_neumann_entropy(reduced_density(state, "osc_x", basis)) >= 0
+        assert von_neumann_entropy(reduced_density(state, "osc_x")) >= 0
 
 
 class TestEntropy:
@@ -219,12 +217,12 @@ class TestEntropy:
 
     def test_zero_iff_pure(self, basis6):
         rng = np.random.default_rng(8)
-        pure = reduced_density(product_state(coherent_state(0.4, 0.1, basis6),
+        pure = reduced_density(product_state(coherent_state(0.4, 0.1, 6),
                                              spin_state(SpinDirection(1.2, 0.3))),
-                               "spin", basis6)
+                               "spin")
         assert np.real(np.trace(pure @ pure)) == pytest.approx(1.0, abs=1e-10)
         assert von_neumann_entropy(pure) <= 1e-9
-        mixed = reduced_density(random_state(rng, basis6), "spin", basis6)
+        mixed = reduced_density(random_state(rng, basis6), "spin")
         if np.real(np.trace(mixed @ mixed)) < 1.0 - 1e-6:
             assert von_neumann_entropy(mixed) > 1e-6
 
@@ -287,11 +285,11 @@ class TestLogNegativity:
         even_n = np.array([1.0, 0.0, 1.0, 0.0])
         state = exact_mode_product(basis6, short_coherent_amps(0.5, 3) * even_n,
                                    short_coherent_amps(-0.3, 3) * even_n)
-        assert log_negativity(state, basis6) <= 1e-10
+        assert log_negativity(state) <= 1e-10
 
     def test_two_mode_bell_like_state(self, basis6):
         state = (basis6.basis_state(0, 0, -1) + basis6.basis_state(1, 1, -1)) / math.sqrt(2)
-        assert log_negativity(state, basis6) == pytest.approx(1.0, abs=1e-10)
+        assert log_negativity(state) == pytest.approx(1.0, abs=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_t=st.integers(0, 10), sector=st.sampled_from(["O", "E"]),
@@ -299,10 +297,10 @@ class TestLogNegativity:
     def test_parity_pure_states_take_the_blocks(self, n_t, sector, seed):
         basis = build_basis(n_t)
         state = parity_pure_state(np.random.default_rng(seed), basis, sector)
-        sizes, value = eigvalsh_sizes(log_negativity, state, basis)
+        sizes, value = eigvalsh_sizes(log_negativity, state)
         d2 = (n_t + 1) ** 2
         assert sizes == [(d2 + 1) // 2, d2 // 2]
-        rho = pair_density_oracle(state, basis)
+        rho = pair_density_oracle(state)
         for transpose_over in ("osc_x", "osc_y"):
             assert abs(value - full_log_negativity(rho, transpose_over)) <= 1e-13
 
@@ -312,7 +310,7 @@ class TestLogNegativity:
         basis = build_basis(n_t)
         state = random_state(np.random.default_rng(seed), basis)
         with pytest.raises(ValueError, match="not parity pure"):
-            log_negativity(state, basis)
+            log_negativity(state)
 
 
 class TestEntanglementMeasures:
@@ -329,16 +327,16 @@ class TestEntanglementMeasures:
 
             monkeypatch.setattr(observables, name, spy)
         state = parity_pure_state(np.random.default_rng(11), basis6, "O")
-        triple = observables.entanglement_measures(state, basis6)
+        triple = observables.entanglement_measures(state)
         assert calls == {"reduced_density": 2, "von_neumann_entropy": 2, "log_negativity": 1}
         assert isinstance(triple, tuple) and len(triple) == 3
 
 
 @pytest.fixture()
-def approx_pair(census_032, basis18):
+def approx_pair(census_032):
     stable = [fp for fp in census_032
               if fp.classification is Stability.STABLE and fp.point.osc.q_x > 0]
-    return stable[0], approx_bifurcated_states(stable[0], basis18)
+    return stable[0], approx_bifurcated_states(stable[0], 18)
 
 
 class TestApproxBifurcatedStates:
@@ -353,7 +351,7 @@ class TestApproxBifurcatedStates:
         _, (psi_g, psi_e) = approx_pair
         assert abs(np.vdot(psi_g, psi_e)) <= 1e-8
 
-    def test_even_combination_recovers_localised_product(self, approx_pair, basis18):
+    def test_even_combination_recovers_localised_product(self, approx_pair):
         fp, (psi_g, psi_e) = approx_pair
         combo = psi_g + psi_e
         combo /= np.linalg.norm(combo)
@@ -361,11 +359,11 @@ class TestApproxBifurcatedStates:
         alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2)
         alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2)
         direction = SpinDirection.from_spin_vector(fp.point.spin)
-        localised = product_state(coherent_state(alpha_x, alpha_y, basis18),
+        localised = product_state(coherent_state(alpha_x, alpha_y, 18),
                                   spin_state(direction))
         assert abs(np.vdot(localised, combo)) == pytest.approx(1.0, abs=1e-6)
 
-    def test_on_axis_fixed_points_rejected(self, census_015, basis18):
+    def test_on_axis_fixed_points_rejected(self, census_015):
         # below lambda_b1 the census holds only the two trivial points, the
         # oscillator origin with the spin at either pole; each is its own
         # parity image, so one combination vanishes (the even one to 1.7e-16
@@ -376,13 +374,12 @@ class TestApproxBifurcatedStates:
             assert not np.any(fp.point.osc.as_array())
             with pytest.raises(ValueError, match=f"the {name} combination at the fixed point "
                                                  r"\(0\.0, 0\.0, 0\.0, 0\.0, 0\.0, 0\.0, "):
-                approx_bifurcated_states(fp, basis18)
+                approx_bifurcated_states(fp, 18)
 
     def test_truncation_guard_propagates(self, census_032):
-        tiny = build_basis(2)
         stable = [fp for fp in census_032 if fp.classification is Stability.STABLE]
         with pytest.raises(TruncationLoss):
-            approx_bifurcated_states(stable[0], tiny)
+            approx_bifurcated_states(stable[0], 2)
 
 
 class TestDetectionProbability:

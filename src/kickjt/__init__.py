@@ -24,8 +24,8 @@ from .observables import (SpinDirection, approx_bifurcated_states,
                           coherent_amplitudes, coherent_state, curve_derivative,
                           detection_probability, entanglement_measures,
                           husimi_on_section, husimi_product_grid,
-                          husimi_values, log_negativity, product_state,
-                          reduced_density, section_amplitudes, section_peaks,
-                          spin_state, state_tensor, von_neumann_entropy)
+                          husimi_values, log_negativity, reduced_density,
+                          section_amplitudes, section_peaks, spin_state,
+                          state_tensor, von_neumann_entropy)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .model import ValidatedConfig
 MULTIPLIER_TOL = 1e-4
 DEDUP_DISTANCE = 1e-6
 DEFAULT_RING_RADII = (0.5, 1.0, 2.0, 4.0)
+NEWTON_MAX_ITER = 50
 SYMMETRY_BINS = 41
 SYMMETRY_BOUND = 6.0
 _EQUATOR_GUARD = 0.25 - 1e-5
@@ -167,7 +168,7 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
     evaluates the map once for all running seeds and settles each seed by
     the first of: converged, on the spin equator, singular Jacobian, and,
     after its step is halved back off the equator, diverged; seeds still
-    running after newton_max_iter iterations fail.  A seed's result does
+    running after NEWTON_MAX_ITER iterations fail.  A seed's result does
     not depend on which other seeds run beside it.  Raises NonFiniteState,
     naming the lowest such seed, when a seed's map image or Jacobian is not
     finite.
@@ -189,7 +190,7 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
     identity = np.eye(6)
     # non-finite values are looked for per seed below, so numpy must not raise on them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(cfg.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if idx.size == 0:
                 break
             x, rho = _from_chart(v, hemi)
@@ -224,7 +225,7 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
             keep = fail(idx, np.max(np.abs(v), axis=-1) > 1e3, "Newton iterate diverged")
             idx, v, hemi = idx[keep], v[keep], hemi[keep]
     fail(idx, np.ones(idx.size, dtype=bool),
-         f"no convergence within {cfg.newton_max_iter} iterations")
+         f"no convergence within {NEWTON_MAX_ITER} iterations")
     return roots, failures
 
 
@@ -326,10 +327,10 @@ def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
     return out
 
 
-def default_seeds(cfg: ValidatedConfig,
-                  radii: Iterable[float] = DEFAULT_RING_RADII) -> list[PhasePoint]:
-    """Trivial pole points plus rings along both symmetry lines q_y = +/-q_x
-    with the fixed-point momentum rule p = -tan(omega/2) q."""
+def default_seeds(cfg: ValidatedConfig) -> list[PhasePoint]:
+    """Trivial pole points plus rings of DEFAULT_RING_RADII along both
+    symmetry lines q_y = +/-q_x with the fixed-point momentum rule
+    p = -tan(omega/2) q."""
     seeds = [
         PhasePoint(OscillatorPoint(0, 0, 0, 0), SpinVector(0.0, 0.0, -0.5)),
         PhasePoint(OscillatorPoint(0, 0, 0, 0), SpinVector(0.0, 0.0, 0.5)),
@@ -337,7 +338,7 @@ def default_seeds(cfg: ValidatedConfig,
     slope = -math.tan(cfg.omega / 2.0)
     for line_sign, phis in ((1.0, (math.pi / 4, 5 * math.pi / 4)),
                             (-1.0, (3 * math.pi / 4, 7 * math.pi / 4))):
-        for radius in radii:
+        for radius in DEFAULT_RING_RADII:
             for u_sign in (1.0, -1.0):
                 u = u_sign * radius / math.sqrt(2.0)
                 q_x, q_y = u, line_sign * u
@@ -355,26 +356,20 @@ def default_seeds(cfg: ValidatedConfig,
 class PortraitGrid:
     """Ring-shaped initial conditions in the (q_x, q_y) plane.
 
-    Momenta follow p = slope * q (slope defaults to -tan(omega/2), the
-    fixed-point momentum rule) and the spin starts at the given Cartesian
-    components, by default the aligned pole.
+    Momenta follow the fixed-point momentum rule p = -tan(omega/2) q and
+    the spin starts at the aligned pole (0, 0, -1/2).
     """
 
     radii: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
     n_angles: int = 16
-    momentum_slope: float | None = None
-    spin: tuple[float, float, float] = (0.0, 0.0, -0.5)
 
     def initial_arrays(self, cfg: ValidatedConfig):
-        slope = self.momentum_slope
-        if slope is None:
-            slope = -math.tan(cfg.omega / 2.0)
+        slope = -math.tan(cfg.omega / 2.0)
         angles = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
         q_x = np.concatenate([r * np.cos(angles) for r in self.radii])
         q_y = np.concatenate([r * np.sin(angles) for r in self.radii])
-        ones = np.ones_like(q_x)
         return (q_x, q_y, slope * q_x, slope * q_y,
-                self.spin[0] * ones, self.spin[1] * ones, self.spin[2] * ones)
+                np.zeros_like(q_x), np.zeros_like(q_x), np.full_like(q_x, -0.5))
 
 
 def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarray:

@@ -4,9 +4,10 @@ Usage: kickjt <subcommand> --config <path> [--out <dir>] [--threads N] [--check]
 
 Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
-codes: 0 success, 2 configuration error, 3 compute error.  Each scenario
-runs its couplings one after another in grid order, BLAS runs on one
-thread, and floats are written with shortest round-trip precision, so
+codes: 0 success, 2 configuration error, 3 compute error; a key the config
+file sets that the scenario never reads is a configuration error.  Each
+scenario runs its couplings one after another in grid order, BLAS runs on
+one thread, and floats are written with shortest round-trip precision, so
 identical configurations produce byte-identical files.  --threads is
 accepted for compatibility and has no effect.  --check reruns the quantum
 scenarios at n_t + 4 and reports the deviations; the scenarios in
@@ -31,10 +32,8 @@ import scipy
 
 from . import observables as obs
 from . import quantum_floquet as qf
-from .bifurcation import (DEFAULT_RING_RADII, PortraitGrid, Stability,
-                          critical_couplings, default_seeds, find_fixed_points,
-                          portrait)
-from .classical_map import SpinVector
+from .bifurcation import (PortraitGrid, Stability, critical_couplings,
+                          default_seeds, find_fixed_points, portrait)
 from .configfile import ScenarioConfig
 from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
                      OutOfRange)
@@ -112,10 +111,9 @@ def _model_config(scfg: ScenarioConfig) -> ValidatedConfig:
     delta = scfg.require_float("model.delta")
     numerics = {}
     for f in fields(ValidatedConfig):
-        key = f"numerics.{f.name}"
-        if f.default is not MISSING and scfg.has(key):
+        if f.default is not MISSING:
             get = scfg.get_int if isinstance(f.default, int) else scfg.get_float
-            numerics[f.name] = get(key)
+            numerics[f.name] = get(f"numerics.{f.name}", f.default)
     try:
         return ValidatedConfig(omega, delta, 0.0, **numerics)
     except OutOfRange as exc:
@@ -126,15 +124,6 @@ def _int_at_least(scfg: ScenarioConfig, key: str, default: int, least: int) -> i
     value = scfg.get_int(key, default)
     if value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
-    return value
-
-
-def _momentum_slope(scfg: ScenarioConfig, key: str, cfg: ValidatedConfig) -> float:
-    raw = scfg.get_str(key, "auto")
-    if raw == "auto":
-        return -math.tan(cfg.omega / 2.0)
-    value = scfg.get_float(key)
-    assert value is not None
     return value
 
 
@@ -153,11 +142,10 @@ def _fixed_point_census(scfg: ScenarioConfig):
     """Yield (lam, fixed points) for each coupling of the grid, in order."""
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
-    radii = scfg.get_floats("fixed_points.radii", list(DEFAULT_RING_RADII))
     for lam in lams:
         cfg_l = replace(cfg, lam=lam)
         try:
-            fps = find_fixed_points(cfg_l, default_seeds(cfg_l, radii))
+            fps = find_fixed_points(cfg_l, default_seeds(cfg_l))
         except NonFiniteState as exc:
             raise ComputeError(f"fixed-point search at lam = {lam!r}: {exc}") from exc
         yield lam, fps
@@ -186,18 +174,9 @@ def scenario_fixed_points(scfg: ScenarioConfig) -> ScenarioResult:
 def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
-    spin = scfg.get_floats("portrait.spin", [0.0, 0.0, -0.5])
-    if len(spin) != 3:
-        raise ConfigError("portrait.spin needs exactly three components")
-    try:
-        SpinVector(*spin)
-    except ValueError as exc:
-        raise ConfigError(f"portrait.spin: {exc}")
     grid = PortraitGrid(
         radii=tuple(scfg.get_floats("portrait.radii", list(PortraitGrid.radii))),
         n_angles=_int_at_least(scfg, "portrait.angles", 16, 1),
-        momentum_slope=_momentum_slope(scfg, "portrait.momentum_slope", cfg),
-        spin=(spin[0], spin[1], spin[2]),
     )
     n_iter = _int_at_least(scfg, "portrait.iterations", 2000, 0)
     tables = {}
@@ -211,24 +190,18 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(tables=tables)
 
 
-def _tracked_path(scfg: ScenarioConfig, cfg: ValidatedConfig, seed: np.ndarray,
-                  stops: list[float]):
+def _tracked_path(cfg: ValidatedConfig, seed: np.ndarray, stops: list[float]):
     end = max(stops)
     if end <= 0.0:
         raise ConfigError("tracking needs a coupling grid reaching beyond 0")
-    # an unset key keeps track_eigenstate's own default
-    steps = {arg: scfg.get_float(key)
-             for arg, key in (("initial_dlam", "track.initial_step"),
-                              ("max_dlam", "track.max_step")) if scfg.has(key)}
-    return qf.track_eigenstate(0.0, end, seed, cfg,
-                               stops=[s for s in stops if s > 0.0], **steps)
+    return qf.track_eigenstate(0.0, end, seed, cfg, stops=[s for s in stops if s > 0.0])
 
 
 def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
     seed = qf.pgs_seed(cfg.n_t) if which == "pgs" else qf.pes_seed(cfg.n_t)
-    path = _tracked_path(scfg, cfg, seed, lams)
+    path = _tracked_path(cfg, seed, lams)
     rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, path.sector), s.dlam_used)
             for s in path.samples]
     name = f"track_{which}.csv"
@@ -251,7 +224,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     if not bound > 0.0:
         raise ConfigError(f"husimi.section_bound must be > 0, got {bound!r}")
     n_pts = _int_at_least(scfg, "husimi.section_points", 161, 2)
-    slope = _momentum_slope(scfg, "husimi.momentum_slope", cfg)
+    slope = -math.tan(cfg.omega / 2.0)
     grid2d_lam = scfg.get_float("husimi.grid2d_lambda")
     if grid2d_lam is not None and grid2d_lam <= 0.0:
         raise ConfigError(f"husimi.grid2d_lambda must be > 0, got {grid2d_lam!r}")
@@ -259,7 +232,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     stops = list(lams)
     if grid2d_lam is not None:
         stops = sorted(set(stops) | {grid2d_lam})
-    pgs = _tracked_path(scfg, cfg, qf.pgs_seed(cfg.n_t), stops)
+    pgs = _tracked_path(cfg, qf.pgs_seed(cfg.n_t), stops)
 
     coords = np.linspace(-bound, bound, n_pts)
     values = [obs.husimi_on_section(pgs.sample_at(lam).state, slope, coords)
@@ -268,7 +241,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns, key_cols=2)}
 
     if grid2d_lam is not None:
-        pes = _tracked_path(scfg, cfg, qf.pes_seed(cfg.n_t), [grid2d_lam])
+        pes = _tracked_path(cfg, qf.pes_seed(cfg.n_t), [grid2d_lam])
         psi_g = pgs.sample_at(grid2d_lam).state
         psi_e = pes.sample_at(grid2d_lam).state
         even = psi_g + psi_e
@@ -283,7 +256,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
 def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
     cfg = _model_config(scfg)
-    path = _tracked_path(scfg, cfg, qf.pgs_seed(cfg.n_t), lams)
+    path = _tracked_path(cfg, qf.pgs_seed(cfg.n_t), lams)
     triples = [obs.entanglement_measures(path.sample_at(lam).state)
                for lam in lams]
     s_spin = [t[0] for t in triples]
@@ -454,6 +427,10 @@ def _run(args: argparse.Namespace) -> int:
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
         result = SCENARIOS[args.command](scfg)
+        unread = scfg.unread()
+        if unread:
+            raise ConfigError(f"{args.command} does not read " + ", ".join(
+                f"{key!r} (line {line})" for key, line in unread))
         for name, table in result.tables.items():
             _write_table(out_dir / name, table)
         if result.text:

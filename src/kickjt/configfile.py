@@ -5,7 +5,7 @@ lines ignored.  Values are numbers or arithmetic expressions (int and float
 literals, `+ - * / **`, unary `+ -`, parentheses) over the constants pi and
 e and positional calls to sqrt, sin, cos, tan, atan, acos, asin and acot
 (so `2*acot(2)` is exact to double precision), comma-separated lists of
-such expressions, inclusive grids written `start:stop:step`, or bare words.
+such expressions, or inclusive grids written `start:stop:step`.
 Expressions are evaluated by walking their syntax tree, never by `eval`.
 """
 
@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import acot
+
+# the most points a start:stop:step grid may hold; the scale of
+# quantum_floquet.MAX_TRACK_STEPS
+MAX_GRID_POINTS = 100_000
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = {
@@ -64,10 +68,14 @@ class _Entry:
 
 
 class ScenarioConfig:
-    """Parsed configuration with typed, validating accessors."""
+    """Parsed configuration with typed, validating accessors.
+
+    Every accessor records the key it looks up, so after a run
+    :meth:`unread` names the keys the file sets that nothing read."""
 
     def __init__(self, entries: dict[str, _Entry]):
         self._entries = entries
+        self._read: set[str] = set()
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
@@ -95,13 +103,17 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         return cls.from_text(text)
 
-    def has(self, key: str) -> bool:
-        return key in self._entries
+    def _lookup(self, key: str) -> _Entry | None:
+        """The entry of key, None when the file does not set it; either way
+        key now counts as read."""
+        self._read.add(key)
+        return self._entries.get(key)
 
-    def _entry(self, key: str) -> _Entry:
-        if key not in self._entries:
-            raise ConfigError(f"missing required key {key!r}")
-        return self._entries[key]
+    def unread(self) -> list[tuple[str, int]]:
+        """(key, line) of every key set in the file that no accessor has
+        looked up, in file order."""
+        return [(key, entry.line) for key, entry in self._entries.items()
+                if key not in self._read]
 
     def _eval_number(self, expr: str, line: int) -> float:
         try:
@@ -112,25 +124,20 @@ class ScenarioConfig:
             raise ConfigError(f"{expr!r} is not finite", line=line)
         return value
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        if key not in self._entries:
-            return default
-        return self._entries[key].value
-
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        if key not in self._entries:
-            return default
-        entry = self._entries[key]
-        return self._eval_number(entry.value, entry.line)
+        entry = self._lookup(key)
+        return default if entry is None else self._eval_number(entry.value, entry.line)
 
     def require_float(self, key: str) -> float:
-        entry = self._entry(key)
-        return self._eval_number(entry.value, entry.line)
+        value = self.get_float(key)
+        if value is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return value
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        if key not in self._entries:
+        entry = self._lookup(key)
+        if entry is None:
             return default
-        entry = self._entries[key]
         value = self._eval_number(entry.value, entry.line)
         if value != int(value):
             raise ConfigError(f"{key} must be an integer, got {entry.value!r}", line=entry.line)
@@ -138,19 +145,20 @@ class ScenarioConfig:
 
     def get_floats(self, key: str, default=None) -> list[float] | None:
         """Comma-separated list of numeric expressions."""
-        if key not in self._entries:
+        entry = self._lookup(key)
+        if entry is None:
             return default
-        entry = self._entries[key]
         parts = [p.strip() for p in entry.value.split(",") if p.strip()]
         if not parts:
             raise ConfigError(f"{key} is an empty list", line=entry.line)
         return [self._eval_number(p, entry.line) for p in parts]
 
     def get_grid(self, key: str) -> list[float] | None:
-        """Inclusive grid 'start:stop:step'; values rounded to 12 decimals."""
-        if key not in self._entries:
+        """Inclusive grid 'start:stop:step' of at most MAX_GRID_POINTS
+        points; values rounded to 12 decimals."""
+        entry = self._lookup(key)
+        if entry is None:
             return None
-        entry = self._entries[key]
         parts = entry.value.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{key} must look like start:stop:step", line=entry.line)
@@ -159,22 +167,23 @@ class ScenarioConfig:
             raise ConfigError(f"{key} step must be > 0", line=entry.line)
         if stop < start:
             raise ConfigError(f"{key} has stop < start", line=entry.line)
-        count = int(math.floor((stop - start) / step + 1e-9))
-        values = [round(start + k * step, 12) for k in range(count + 1)]
+        # counted before any point is built: a huge grid is refused, not expanded
+        intervals = (stop - start) / step + 1e-9
+        if intervals >= MAX_GRID_POINTS:
+            raise ConfigError(f"{key} has {intervals + 1:.6g} points, more than "
+                              f"{MAX_GRID_POINTS}", line=entry.line)
+        values = [round(start + k * step, 12) for k in range(math.floor(intervals) + 1)]
         return [v for v in values if v <= stop + 1e-12]
 
     def lambda_values(self) -> list[float]:
-        """Coupling values from model.lambda_grid, model.lambda_list or
-        model.lambda; ascending and non-empty."""
+        """Coupling values from model.lambda_grid or model.lambda_list;
+        ascending and non-empty."""
         values = self.get_grid("model.lambda_grid")
         if values is None:
             values = self.get_floats("model.lambda_list")
-        if values is None:
-            single = self.get_float("model.lambda")
-            values = None if single is None else [single]
         if not values:
-            raise ConfigError("no coupling values: set model.lambda_grid, "
-                              "model.lambda_list or model.lambda")
+            raise ConfigError("no coupling values: set model.lambda_grid or "
+                              "model.lambda_list")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("coupling values must be strictly ascending")
         if values[0] < 0:

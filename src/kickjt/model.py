@@ -35,9 +35,9 @@ class ValidatedConfig:
     """Immutable, validated bundle of model parameters and numerics.
 
     omega and delta are angles in radians accumulated over one kick period;
-    lam is the dimensionless kick coupling.  The remaining fields are the
-    truncation and tolerance knobs; a field without a default is a model
-    parameter, a field with one is a numerics knob.
+    lam is the dimensionless kick coupling.  The two fields with defaults
+    are the numerics knobs: n_t, the phonon cutoff, and newton_tol, the
+    fixed-point residual bound.
 
     Raises
     ------
@@ -50,9 +50,6 @@ class ValidatedConfig:
     lam: float
     n_t: int = 18
     newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    overlap_threshold: float = 0.01
-    eig_residual_tol: float = 1e-9
 
     def __post_init__(self):
         checks = (
@@ -66,12 +63,6 @@ class ValidatedConfig:
              "n_t must be an integer >= 0", self.n_t),
             (_real(self.newton_tol) and self.newton_tol > 0.0,
              "newton_tol must be > 0", self.newton_tol),
-            (_real(self.eig_residual_tol) and self.eig_residual_tol > 0.0,
-             "eig_residual_tol must be > 0", self.eig_residual_tol),
-            (isinstance(self.newton_max_iter, int) and self.newton_max_iter > 0,
-             "newton_max_iter must be a positive integer", self.newton_max_iter),
-            (_real(self.overlap_threshold) and 0.0 < self.overlap_threshold < 1.0,
-             "overlap_threshold must lie in (0, 1)", self.overlap_threshold),
         )
         bad = [f"{message}, got {value!r}" for ok, message, value in checks if not ok]
         if bad:

@@ -57,18 +57,6 @@ def coherent_amplitudes(alpha_x: complex, alpha_y: complex,
     return amps, loss
 
 
-def coherent_state(alpha_x: complex, alpha_y: complex, n_t: int) -> np.ndarray:
-    """Normalised truncated coherent state (oscillator factor only).
-
-    Raises TruncationLoss when COHERENT_LOSS_TOL or more of the weight falls
-    outside the basis.
-    """
-    amps, loss = coherent_amplitudes(alpha_x, alpha_y, n_t)
-    if loss >= COHERENT_LOSS_TOL:
-        raise TruncationLoss(loss, f"coherent state loses {loss:.3e} beyond n_t={n_t}")
-    return amps / np.linalg.norm(amps)
-
-
 @dataclass(frozen=True)
 class SpinDirection:
     """Bloch angles of a spin-1/2 state cos(t/2)|+> + e^{i phi} sin(t/2)|->."""
@@ -101,9 +89,18 @@ def spin_state(direction: SpinDirection) -> np.ndarray:
     ], dtype=complex)
 
 
-def product_state(osc, spinor: np.ndarray) -> np.ndarray:
-    """Full-basis vector from an oscillator factor and a 2-spinor."""
-    return np.kron(np.asarray(osc, dtype=complex), np.asarray(spinor, dtype=complex))
+def coherent_state(alpha_x: complex, alpha_y: complex, direction: SpinDirection,
+                   n_t: int) -> np.ndarray:
+    """Normalised truncated coherent state |alpha_x, alpha_y> times the spin
+    state of direction: a full state over n_t.
+
+    Raises TruncationLoss when COHERENT_LOSS_TOL or more of the oscillator
+    weight falls outside the basis.
+    """
+    amps, loss = coherent_amplitudes(alpha_x, alpha_y, n_t)
+    if loss >= COHERENT_LOSS_TOL:
+        raise TruncationLoss(loss, f"coherent state loses {loss:.3e} beyond n_t={n_t}")
+    return np.kron(amps / np.linalg.norm(amps), spin_state(direction))
 
 
 # --- Husimi function -------------------------------------------------------
@@ -278,10 +275,8 @@ def approx_bifurcated_states(fp: FixedPoint, n_t: int) -> tuple[np.ndarray, np.n
     alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2.0)
     alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2.0)
     direction = SpinDirection.from_spin_vector(fp.point.spin)
-    plus = product_state(coherent_state(alpha_x, alpha_y, n_t),
-                         spin_state(direction))
-    minus = product_state(coherent_state(-alpha_x, -alpha_y, n_t),
-                          spin_state(direction.antipodal_azimuth()))
+    plus = coherent_state(alpha_x, alpha_y, direction, n_t)
+    minus = coherent_state(-alpha_x, -alpha_y, direction.antipodal_azimuth(), n_t)
     out = []
     for name, combo in (("odd", plus - minus), ("even", plus + minus)):
         norm = np.linalg.norm(combo)

@@ -251,6 +251,10 @@ def phase_space_expectations(state) -> dict[str, float]:
 
 # --- spectra ---------------------------------------------------------------
 
+# largest eigenpair residual |U v - e^{i phase} v| a spectrum or a
+# continuation seed may have
+EIG_RESIDUAL_TOL = 1e-9
+
 @dataclass
 class FloquetSpectrum:
     """Eigendecomposition of a Floquet unitary: eigenphases in (-pi, pi]
@@ -262,15 +266,14 @@ class FloquetSpectrum:
     residuals: np.ndarray
 
 
-def _sector_spectrum(sub: np.ndarray,
-                     residual_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sector_spectrum(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenphases (ascending), orthonormal eigenvectors and eigenpair
     residuals |sub v - e^{i phase} v| of a (near-)unitary matrix, typically
     one parity block of U.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
     vectors are true eigenvectors and exactly orthonormal.  Raises
-    EigFailure if any residual exceeds residual_tol.
+    EigFailure if any residual exceeds EIG_RESIDUAL_TOL.
     """
     t_mat, q_mat = scipy.linalg.schur(sub, output="complex")
     phases = np.angle(np.diag(t_mat))
@@ -278,8 +281,8 @@ def _sector_spectrum(sub: np.ndarray,
     phases, vecs = phases[order], q_mat[:, order]
     residuals = np.linalg.norm(sub @ vecs - vecs * np.exp(1j * phases)[None, :], axis=0)
     worst = float(np.max(residuals, initial=0.0))
-    if worst > residual_tol:
-        raise EigFailure(worst, residual_tol)
+    if worst > EIG_RESIDUAL_TOL:
+        raise EigFailure(worst, EIG_RESIDUAL_TOL)
     return phases, vecs, residuals
 
 
@@ -288,7 +291,7 @@ def floquet_spectrum(cfg: ValidatedConfig) -> FloquetSpectrum:
 
     Each sector block (floquet_operator with a sector label, "O" then "E")
     is eigensolved by :func:`_sector_spectrum`, which raises EigFailure
-    past cfg.eig_residual_tol; the vectors are embedded as full-space
+    past EIG_RESIDUAL_TOL; the vectors are embedded as full-space
     columns and all pairs are sorted by eigenphase (stable sort).
     """
     basis = build_basis(cfg.n_t)
@@ -300,7 +303,7 @@ def floquet_spectrum(cfg: ValidatedConfig) -> FloquetSpectrum:
         idx = basis.sector_indices(label)
         block = slice(col, col + idx.size)
         phases[block], vectors[idx, block], residuals[block] = _sector_spectrum(
-            floquet_operator(cfg, label), cfg.eig_residual_tol)
+            floquet_operator(cfg, label))
         col += idx.size
     order = np.argsort(phases, kind="stable")
     return FloquetSpectrum(eigenphases=phases[order], vectors=vectors[:, order],
@@ -336,6 +339,8 @@ class TrackedPath:
 
 
 MIN_TRACK_STEP = 1e-6
+# a trial continuation step is accepted while 1 - |overlap| stays below this
+OVERLAP_THRESHOLD = 0.01
 # least number of steps (span / max_dlam) a continuation may need; the
 # presets need under 30, and a path beyond this would run for hours
 MAX_TRACK_STEPS = 100_000
@@ -385,7 +390,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
 
     At every trial step the eigenvector of U(lam + dlam) with maximal
     overlap against the current state is selected; the step is accepted
-    when 1 - |overlap| stays below cfg.overlap_threshold, otherwise dlam is
+    when 1 - |overlap| stays below OVERLAP_THRESHOLD, otherwise dlam is
     halved (StepUnderflow below 1e-6).  After two consecutive acceptances
     dlam grows by 1.5x up to max_dlam.  Accepted states are phase aligned
     so consecutive inner products are real positive, and the path lands
@@ -403,7 +408,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     size that is not positive, raises ComputeError before any work.
 
     The seed must be a state over cfg.n_t (else ValueError naming both
-    cutoffs), an eigenvector of U(lam_start) to cfg.eig_residual_tol,
+    cutoffs), an eigenvector of U(lam_start) to EIG_RESIDUAL_TOL,
     checked by applying one period to it (no matrix is built), and parity
     pure: a seed whose sector_leakage exceeds 1e-12 from both sectors
     raises ValueError naming both.  The whole continuation runs inside the
@@ -430,8 +435,8 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     rayleigh = complex(np.vdot(vec, image))
     phase0 = math.atan2(rayleigh.imag, rayleigh.real)
     resid = np.linalg.norm(image - np.exp(1j * phase0) * vec)
-    if resid > cfg.eig_residual_tol:
-        raise EigFailure(resid, cfg.eig_residual_tol)
+    if resid > EIG_RESIDUAL_TOL:
+        raise EigFailure(resid, EIG_RESIDUAL_TOL)
 
     leakage = {label: sector_leakage(vec, label) for label in ("O", "E")}
     pure = [label for label, leak in leakage.items() if leak <= 1e-12]
@@ -457,11 +462,11 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):
-            phases, vecs, _ = _sector_spectrum(sub, cfg.eig_residual_tol)
+            phases, vecs, _ = _sector_spectrum(sub)
             overlaps = np.abs(vecs.conj().T @ current)
             k = int(np.argmax(overlaps))
             phase, new, overlap = float(phases[k]), vecs[:, k].copy(), float(overlaps[k])
-        if 1.0 - overlap < cfg.overlap_threshold:
+        if 1.0 - overlap < OVERLAP_THRESHOLD:
             inner = complex(np.vdot(current, new))
             if abs(inner) > 0:
                 new *= inner.conjugate() / abs(inner)

@@ -17,9 +17,10 @@ from kickjt import (OscillatorPoint, PhasePoint, SpinDirection, SpinVector,
                     find_fixed_points, floquet_operator, floquet_spectrum,
                     husimi_on_section, husimi_product_grid, h0_phases,
                     jacobian_canonical, phase_space_expectations,
-                    product_state, section_peaks, spin_state, step,
+                    section_peaks, step,
                     step_arrays, apply_floquet)
 from kickjt.classical_map import composed_step
+from kickjt.quantum_floquet import EIG_RESIDUAL_TOL
 from kickjt.cli import main
 from conftest import DELTA, OMEGA, reference_config
 
@@ -145,7 +146,7 @@ def test_criterion_05_quantum_structural_invariants(basis18):
              f"diag in {diag_elapsed:.2f} s",
           unitarity <= 1e-10 and parity_comm <= 1e-10 and moduli_err <= 1e-8
           and phase_err <= 1e-12 and diag_elapsed < 30.0
-          and float(spec.residuals.max()) <= cfg.eig_residual_tol)
+          and float(spec.residuals.max()) <= EIG_RESIDUAL_TOL)
 
 
 def test_criterion_06_small_instance_spectral_oracle():
@@ -239,8 +240,7 @@ def test_criterion_11_ehrenfest_property():
     alpha_x = 4.0 * np.exp(0.3j)
     alpha_y = 4.0 * np.exp(-1.1j)
     theta, phi = 2.2, 0.7
-    psi = product_state(coherent_state(alpha_x, alpha_y, n_t),
-                        spin_state(SpinDirection(theta, phi)))
+    psi = coherent_state(alpha_x, alpha_y, SpinDirection(theta, phi), n_t)
     cfg = ValidatedConfig(OMEGA, DELTA, 0.05, n_t=n_t)
     quantum = phase_space_expectations(apply_floquet(psi, cfg))
     classical = step(PhasePoint(

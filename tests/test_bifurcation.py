@@ -125,7 +125,7 @@ class TestCensus:
         seeds = default_seeds(cfg)
         find_fixed_points(cfg, seeds)
         once = len(calls)
-        assert 0 < once <= 2 * cfg.newton_max_iter + 2
+        assert 0 < once <= 2 * bifurcation.NEWTON_MAX_ITER + 2
         calls.clear()
         find_fixed_points(cfg, seeds * 3)
         assert len(calls) == once

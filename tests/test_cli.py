@@ -99,8 +99,7 @@ def _preset_expressions():
     for preset in sorted(PRESET_DIR.glob("*.cfg")):
         for key, entry in ScenarioConfig.from_file(preset)._entries.items():
             for part in entry.value.replace(":", ",").split(","):
-                if part.strip() != "auto":
-                    yield f"{preset.name}:{key}", part
+                yield f"{preset.name}:{key}", part
 
 
 # README examples and a few more forms the grammar section allows
@@ -206,7 +205,7 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     def test_unbounded_continuation_exits_three(self, tmp_path):
-        # 1e300 / track.max_step steps would run until killed; the step count
+        # 1e300 / 0.02 steps would run until killed; the step count
         # is refused before the first Floquet build
         cfg = write_config(tmp_path, SMALL_MODEL + (
             "model.lambda_list = 0.1, 1e300\nnumerics.n_t = 6\n"))
@@ -219,18 +218,17 @@ class TestExitCodes:
         assert len(run.stderr.splitlines()) == 1
         assert run.stderr.startswith("compute error: continuation from lam = 0.0 to lam = 1e+300")
 
-    def test_compute_error_exits_three(self, tmp_path):
+    def test_compute_error_exits_three(self, tmp_path, monkeypatch):
         # an unreachable eigenpair residual makes the seed diagonalisation fail
+        monkeypatch.setattr(cli.qf, "EIG_RESIDUAL_TOL", 1e-18)
         cfg = write_config(tmp_path, SMALL_MODEL + (
-            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 6\n"
-            "numerics.eig_residual_tol = 1e-18\n"))
+            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 6\n"))
         assert main(["entanglement-curves", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize("key,value", [
         ("portrait.angles", "0"),
         ("portrait.iterations", "-1"),
-        ("portrait.spin", "0, 0, 5"),
         ("husimi.section_points", "-3"),
         ("husimi.section_points", "0"),
         ("husimi.grid2d_lambda", "-0.1"),
@@ -239,7 +237,7 @@ class TestExitCodes:
     ])
     def test_out_of_range_scenario_key_exits_two_naming_it(self, tmp_path, capsys, key, value):
         if key.startswith("portrait"):
-            command, extra = "portrait", "model.lambda = 0.1\n"
+            command, extra = "portrait", "model.lambda_list = 0.1\n"
         else:
             command, extra = "husimi-section", "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"
         extra += f"{key} = {value}\n"
@@ -250,6 +248,99 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ") and key in err
         assert list(out.iterdir()) == []
+
+
+# a small run of each scenario a retired key belonged to
+_SMALL_RUNS = {
+    "fixed-points": "model.lambda_list = 0.15\n",
+    "portrait": ("model.lambda_list = 0.15\nportrait.radii = 1.0\n"
+                 "portrait.angles = 4\nportrait.iterations = 3\n"),
+    "track-pgs": "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n",
+    "husimi-section": ("model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"
+                       "husimi.section_points = 5\n"),
+}
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("key,value,command", [
+        ("model.lambda", "0.15", "fixed-points"),
+        ("numerics.newton_max_iter", "50", "fixed-points"),
+        ("numerics.overlap_threshold", "0.01", "track-pgs"),
+        ("numerics.eig_residual_tol", "1e-9", "track-pgs"),
+        ("fixed_points.radii", "0.5, 1, 2, 4", "fixed-points"),
+        ("portrait.momentum_slope", "auto", "portrait"),
+        ("husimi.momentum_slope", "auto", "husimi-section"),
+        ("portrait.spin", "0, 0, -0.5", "portrait"),
+        ("track.initial_step", "0.01", "track-pgs"),
+        ("track.max_step", "0.02", "track-pgs"),
+        ("numerics.n_T", "30", "track-pgs"),
+    ])
+    def test_retired_or_misspelt_key_exits_two_naming_it(self, tmp_path, capsys,
+                                                         key, value, command):
+        text = SMALL_MODEL + _SMALL_RUNS[command] + f"{key} = {value}\n"
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {command} does not read {key!r} (line {line})\n"
+        assert list(out.iterdir()) == []
+
+    def test_every_unread_key_is_named(self, tmp_path, capsys):
+        # the grid wins over the list, and another scenario's key is unread too
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0.1:0.2:0.1\nmodel.lambda_list = 0.15\n"
+            "portrait.angles = 4\n"))
+        assert main(["fixed-points", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: fixed-points does not read 'model.lambda_list' (line 5),"
+            " 'portrait.angles' (line 6)\n")
+
+    def test_lookup_records_keys_set_or_not(self):
+        scfg = ScenarioConfig.from_text("a.b = 1\nc.d = 2\ne.f = 3, 4\n")
+        assert scfg.unread() == [("a.b", 1), ("c.d", 2), ("e.f", 3)]
+        assert scfg.get_float("x.y") is None
+        scfg.get_int("c.d")
+        assert scfg.unread() == [("a.b", 1), ("e.f", 3)]
+        scfg.get_floats("e.f")
+        scfg.require_float("a.b")
+        assert scfg.unread() == []
+
+
+class TestGridBound:
+    def test_largest_grid_is_accepted(self):
+        scfg = ScenarioConfig.from_text("model.lambda_grid = 0:99999:1\n")
+        values = scfg.lambda_values()
+        assert len(values) == 100_000 and values[-1] == 99999.0
+
+    @pytest.mark.parametrize("grid,count", [("0:100000:1", "100001"),
+                                            ("0:1e300:1e-300", "inf")])
+    def test_grid_over_the_bound_is_refused_before_expansion(self, grid, count):
+        scfg = ScenarioConfig.from_text(f"# c\nmodel.lambda_grid = {grid}\n")
+        with pytest.raises(ConfigError) as err:
+            scfg.lambda_values()
+        assert err.value.line == 2
+        assert str(err.value) == (f"line 2: model.lambda_grid has {count} points,"
+                                  " more than 100000")
+
+    def test_billion_point_grid_exits_two_promptly(self, tmp_path):
+        # expanding this grid would need tens of GB; capped at 1 GB of address
+        # space, a run that expanded it would die with MemoryError instead
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        cfg = write_config(tmp_path, SMALL_MODEL + "model.lambda_grid = 0:1e9:1\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        run = subprocess.run(
+            [sys.executable, "-m", "kickjt.cli", "fixed-points", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+        assert run.returncode == 2
+        assert run.stderr == ("config error: line 4: model.lambda_grid has 1e+09 points,"
+                              " more than 100000\n")
 
 
 class TestScenarioOutputs:
@@ -274,7 +365,7 @@ class TestScenarioOutputs:
             assert len(lines) == 1 + 4 * 4  # header + n_angles * (iterations+1)
 
     def test_fixed_points_columns(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_MODEL + "model.lambda = 0.15\n")
+        cfg = write_config(tmp_path, SMALL_MODEL + "model.lambda_list = 0.15\n")
         out = tmp_path / "out"
         assert main(["fixed-points", "--config", str(cfg), "--out", str(out),
                      "--threads", "2"]) == 0
@@ -292,24 +383,6 @@ class TestScenarioOutputs:
         assert lines[0] == "lam,eigenphase,sector_leakage,dlam_used"
         assert float(lines[1].split(",")[0]) == 0.0
         assert float(lines[-1].split(",")[0]) == 0.1
-
-    @pytest.mark.parametrize("steps", [{}, {"initial_dlam": 0.03, "max_dlam": 0.05}])
-    def test_track_steps_passed_only_when_set(self, tmp_path, monkeypatch, steps):
-        # an unset track.* key leaves the step to track_eigenstate's default
-        seen = []
-        real = cli.qf.track_eigenstate
-
-        def spy(*args, **kwargs):
-            seen.append({k: kwargs[k] for k in ("initial_dlam", "max_dlam") if k in kwargs})
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli.qf, "track_eigenstate", spy)
-        keys = {"initial_dlam": "track.initial_step", "max_dlam": "track.max_step"}
-        cfg = write_config(tmp_path, SMALL_MODEL + (
-            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n")
-            + "".join(f"{keys[k]} = {v}\n" for k, v in steps.items()))
-        assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert seen == [steps]
 
     def test_entanglement_curves_small(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_MODEL + (
@@ -421,11 +494,10 @@ class TestTableWriter:
     def test_portrait_files_match_row_formatter(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_MODEL + (
             "model.lambda_list = 0.15, 0.32\n"
-            "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"
-            "portrait.momentum_slope = 0.25\n"))
+            "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
         out = tmp_path / "out"
         assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
-        grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3, momentum_slope=0.25)
+        grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3)
         for lam in (0.15, 0.32):
             points = portrait(ValidatedConfig(math.pi / 60, 2 * math.atan(0.5), lam), grid, 5)
             rows = [(lam, float(x), float(y)) for x, y in points]
@@ -505,10 +577,10 @@ class TestTruncationCheckFlag:
 
     @pytest.mark.parametrize("command,extra", [
         ("critical-couplings", ""),
-        ("fixed-points", "model.lambda = 0.15\n"),
-        ("portrait", "model.lambda = 0.15\nportrait.radii = 1.0\n"
+        ("fixed-points", "model.lambda_list = 0.15\n"),
+        ("portrait", "model.lambda_list = 0.15\nportrait.radii = 1.0\n"
                      "portrait.angles = 4\nportrait.iterations = 3\n"),
-        ("detection-prob", "model.lambda = 0.1\n"),
+        ("detection-prob", "model.lambda_list = 0.1\n"),
     ])
     def test_scenarios_without_truncation_run_once(self, tmp_path, capsys, monkeypatch,
                                                    command, extra):

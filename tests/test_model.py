@@ -51,11 +51,6 @@ def test_all_violations_reported_together():
         assert field in message
 
 
-def test_overlap_threshold_range():
-    with pytest.raises(OutOfRange):
-        ValidatedConfig(0.1, 1.0, 0.1, overlap_threshold=1.5)
-
-
 def test_validation_is_idempotent():
     cfg = ValidatedConfig(math.pi / 60, 2 * acot(2), 0.32)
     again = ValidatedConfig(**asdict(cfg))
@@ -98,16 +93,6 @@ FIELD_RANGES = {
     "newton_tol": (st.floats(min_value=TINY),
                    st.one_of(st.floats(max_value=0.0), st.just(math.nan)),
                    "newton_tol"),
-    "newton_max_iter": (st.integers(1, 10**6),
-                        st.one_of(st.integers(max_value=0), st.floats()),
-                        "newton_max_iter"),
-    "overlap_threshold": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                          st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
-                                    st.just(math.nan)),
-                          "overlap_threshold"),
-    "eig_residual_tol": (st.floats(min_value=TINY),
-                         st.one_of(st.floats(max_value=0.0), st.just(math.nan)),
-                         "eig_residual_tol"),
 }
 
 

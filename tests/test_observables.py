@@ -10,8 +10,8 @@ from kickjt import (GridTooSmall, OutOfRange, SpinDirection,
                     build_basis, coherent_amplitudes, coherent_state,
                     curve_derivative, detection_probability, husimi_on_section,
                     husimi_product_grid, husimi_values, log_negativity,
-                    product_state, reduced_density, section_peaks, spin_state,
-                    von_neumann_entropy)
+                    phase_space_expectations, reduced_density, section_peaks,
+                    spin_state, von_neumann_entropy)
 from kickjt import observables
 from kickjt.observables import COHERENT_LOSS_TOL, state_tensor
 from conftest import OMEGA
@@ -36,22 +36,47 @@ def pair_density_oracle(state):
     return np.einsum("abs,cds->abcd", psi, psi.conj()).reshape(d * d, d * d)
 
 
+# spin up along z: the spinor is exactly (0, 1)
+UP = SpinDirection(0.0, 0.0)
+
+
+def kron_coherent_oracle(alpha_x, alpha_y, direction, n_t):
+    """Test oracle: the normalised oscillator amplitudes kron the spinor, as
+    coherent_state's callers built the full state by hand before it
+    returned one."""
+    amps, _ = coherent_amplitudes(alpha_x, alpha_y, n_t)
+    return np.kron(np.asarray(amps / np.linalg.norm(amps), dtype=complex),
+                   np.asarray(spin_state(direction), dtype=complex))
+
+
 class TestCoherentStates:
     def test_vacuum(self, basis18):
-        state = coherent_state(0.0, 0.0, 18)
-        k = basis18.index(0, 0, -1) // 2
+        state = coherent_state(0.0, 0.0, UP, 18)
+        k = basis18.index(0, 0, 1)
         assert abs(state[k] - 1.0) <= 1e-15
         assert np.sum(np.abs(state) > 0) == 1
 
     def test_overlap_identity(self):
-        a = coherent_state(1.0, 0.0, 18)
-        b = coherent_state(0.0, 0.0, 18)
+        a = coherent_state(1.0, 0.0, UP, 18)
+        b = coherent_state(0.0, 0.0, UP, 18)
         assert abs(np.vdot(b, a)) == pytest.approx(math.exp(-0.5), abs=1e-6)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationLoss) as err:
-            coherent_state(math.sqrt(30.0), 0.0, 18)
+            coherent_state(math.sqrt(30.0), 0.0, UP, 18)
         assert err.value.loss >= COHERENT_LOSS_TOL
+
+    def test_full_state_is_the_product_with_the_spinor(self):
+        # 12 entries at n_t = 2: a full state, never an oscillator factor
+        # whose length (6) would read as a full state at n_t = 1
+        direction = SpinDirection(1.1, 0.4)
+        state = coherent_state(0.01, 0.0, direction, 2)
+        assert state.shape == (12,)
+        oracle = kron_coherent_oracle(0.01, 0.0, direction, 2)
+        assert state.tobytes() == oracle.tobytes()
+        values = phase_space_expectations(state)
+        assert values["q_y"] == 0.0
+        assert values["q_x"] == pytest.approx(0.01 * math.sqrt(2), rel=1e-6)
 
     def test_reported_loss_matches_poisson_tail(self):
         _, loss = coherent_amplitudes(1.0, 1.0, 18)
@@ -98,8 +123,7 @@ class TestHusimi:
 
     def test_coherent_spin_state_peaks_at_own_point(self):
         alpha_x, alpha_y = 1.2 - 0.4j, -0.8 + 0.3j
-        state = product_state(coherent_state(alpha_x, alpha_y, 18),
-                              spin_state(SpinDirection(1.0, 2.0)))
+        state = coherent_state(alpha_x, alpha_y, SpinDirection(1.0, 2.0), 18)
         peak = husimi_values(state, np.array([alpha_x]), np.array([alpha_y]))[0]
         assert peak == pytest.approx(1.0, abs=1e-6)
         rng = np.random.default_rng(3)
@@ -151,8 +175,7 @@ class TestHusimi:
 
 class TestReducedDensity:
     def test_product_state_spin_reduction_is_pure(self):
-        state = product_state(coherent_state(0.7, -0.2, 18),
-                              spin_state(SpinDirection(0.0, 0.0)))
+        state = coherent_state(0.7, -0.2, SpinDirection(0.0, 0.0), 18)
         rho = reduced_density(state, "spin")
         eigs = np.sort(np.linalg.eigvalsh(rho))
         assert eigs[-1] == pytest.approx(1.0, abs=1e-10)
@@ -217,9 +240,7 @@ class TestEntropy:
 
     def test_zero_iff_pure(self, basis6):
         rng = np.random.default_rng(8)
-        pure = reduced_density(product_state(coherent_state(0.4, 0.1, 6),
-                                             spin_state(SpinDirection(1.2, 0.3))),
-                               "spin")
+        pure = reduced_density(coherent_state(0.4, 0.1, SpinDirection(1.2, 0.3), 6), "spin")
         assert np.real(np.trace(pure @ pure)) == pytest.approx(1.0, abs=1e-10)
         assert von_neumann_entropy(pure) <= 1e-9
         mixed = reduced_density(random_state(rng, basis6), "spin")
@@ -359,9 +380,27 @@ class TestApproxBifurcatedStates:
         alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2)
         alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2)
         direction = SpinDirection.from_spin_vector(fp.point.spin)
-        localised = product_state(coherent_state(alpha_x, alpha_y, 18),
-                                  spin_state(direction))
+        localised = coherent_state(alpha_x, alpha_y, direction, 18)
         assert abs(np.vdot(localised, combo)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_bit_identical_to_the_kron_products(self, census_032, census_050):
+        # the odd and even combinations of the hand-built products, at every
+        # off-axis fixed point of both censuses; the outer islands at 0.50
+        # (|alpha|^2 = 10.6) need n_t = 40 to stay within the truncation
+        off_axis = [(fp, n_t) for census, n_t in ((census_032, 18), (census_050, 40))
+                    for fp in census if np.any(fp.point.osc.as_array())]
+        assert len(off_axis) == 6
+        for fp, n_t in off_axis:
+            o = fp.point.osc
+            alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2.0)
+            alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2.0)
+            direction = SpinDirection.from_spin_vector(fp.point.spin)
+            plus = kron_coherent_oracle(alpha_x, alpha_y, direction, n_t)
+            minus = kron_coherent_oracle(-alpha_x, -alpha_y,
+                                         direction.antipodal_azimuth(), n_t)
+            got = approx_bifurcated_states(fp, n_t)
+            for combo, state in zip((plus - minus, plus + minus), got):
+                assert state.tobytes() == (combo / np.linalg.norm(combo)).tobytes()
 
     def test_on_axis_fixed_points_rejected(self, census_015):
         # below lambda_b1 the census holds only the two trivial points, the

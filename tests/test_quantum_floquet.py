@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kickjt import (EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
                     build_basis, coherent_state, apply_kick, floquet_operator,
                     floquet_spectrum, h0_phases, pes_seed, pgs_seed,
-                    phase_space_expectations, product_state, sector_leakage,
-                    spin_state, track_eigenstate)
+                    phase_space_expectations, sector_leakage, track_eigenstate)
 from kickjt import quantum_floquet as qf
 from kickjt.observables import SpinDirection
 from kickjt.quantum_floquet import (SPIN_HALF, FockBasis, _sector_spectrum,
@@ -228,7 +227,7 @@ def test_sector_spectrum_matches_full_matrix_spectrum(omega, delta, lam, n_t):
     basis = build_basis(n_t)
     cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
     spec = floquet_spectrum(cfg)
-    full_phases, _, _ = _sector_spectrum(floquet_operator(cfg), cfg.eig_residual_tol)
+    full_phases, _, _ = _sector_spectrum(floquet_operator(cfg))
     # compare the two phase multisets on the unit circle, cut open in the
     # middle of the widest gap between neighbouring eigenphases
     ours = spec.eigenphases
@@ -241,7 +240,7 @@ def test_sector_spectrum_matches_full_matrix_spectrum(omega, delta, lam, n_t):
     assert not np.any(in_odd & in_even)
     gram = spec.vectors.conj().T @ spec.vectors
     assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-12
-    assert np.max(spec.residuals) <= cfg.eig_residual_tol
+    assert np.max(spec.residuals) <= qf.EIG_RESIDUAL_TOL
 
 
 class TestFloquetSpectrum:
@@ -285,7 +284,7 @@ class TestFloquetSpectrum:
         rng = np.random.default_rng(3)
         bad = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         with pytest.raises(EigFailure):
-            _sector_spectrum(bad, ValidatedConfig.eig_residual_tol)
+            _sector_spectrum(bad)
 
     @pytest.mark.parametrize("lam", [0.1, 0.32])
     def test_spectral_stability_under_truncation(self, lam):
@@ -325,9 +324,9 @@ class TestTracking:
         assert abs(abs(first.state[k]) - 1.0) <= 1e-12
         assert first.eigenphase == pytest.approx(-(OMEGA - DELTA / 2))
 
-    def test_consecutive_overlaps_within_threshold(self, pgs_path, base_cfg):
+    def test_consecutive_overlaps_within_threshold(self, pgs_path):
         for sample in pgs_path.samples[1:]:
-            assert 1.0 - sample.overlap < base_cfg.overlap_threshold
+            assert 1.0 - sample.overlap < qf.OVERLAP_THRESHOLD
             assert sample.overlap >= 0.99
 
     def test_path_lands_on_stops(self, pgs_path, lam_grid):
@@ -344,7 +343,7 @@ class TestTracking:
         # plain Schur on the full matrix, no parity hint: the matching
         # eigenvector must still live in the odd sector
         cfg = reference_config(0.32)
-        _, vectors, _ = _sector_spectrum(floquet_operator(cfg), cfg.eig_residual_tol)
+        _, vectors, _ = _sector_spectrum(floquet_operator(cfg))
         tracked = pgs_path.sample_at(0.32).state
         overlaps = np.abs(vectors.conj().T @ tracked)
         k = int(np.argmax(overlaps))
@@ -386,8 +385,9 @@ class TestTracking:
                 (w.lam, w.eigenphase, w.dlam_used, w.overlap)
             assert np.array_equal(g.state, w.state)
 
-    def test_step_underflow_on_impossible_threshold(self):
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3, overlap_threshold=1e-15)
+    def test_step_underflow_on_impossible_threshold(self, monkeypatch):
+        monkeypatch.setattr(qf, "OVERLAP_THRESHOLD", 1e-15)
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3)
         with pytest.raises(StepUnderflow):
             track_eigenstate(0.0, 0.3, pgs_seed(3), cfg)
 
@@ -415,10 +415,10 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
     while stop_list:
         target = min(lam + dlam, stop_list[0])
         u_t = floquet_operator(replace(cfg, lam=target))
-        phases, vecs, _ = _sector_spectrum(u_t[np.ix_(idx, idx)], cfg.eig_residual_tol)
+        phases, vecs, _ = _sector_spectrum(u_t[np.ix_(idx, idx)])
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
-        if 1.0 - overlaps[k] < cfg.overlap_threshold:
+        if 1.0 - overlaps[k] < qf.OVERLAP_THRESHOLD:
             new = vecs[:, k].copy()
             inner = complex(np.vdot(current, new))
             new *= inner.conjugate() / abs(inner)
@@ -558,8 +558,7 @@ class TestExpectation:
         assert values["s_z"] == pytest.approx(-0.5)
 
     def test_coherent_state_position(self):
-        osc = coherent_state(2.0, 0.0, 18)
-        state = product_state(osc, spin_state(SpinDirection(math.pi, 0.0)))
+        state = coherent_state(2.0, 0.0, SpinDirection(math.pi, 0.0), 18)
         value = phase_space_expectations(state)["q_x"]
         assert value == pytest.approx(2 * math.sqrt(2), rel=0.01)
         assert value == pytest.approx(2.828, abs=0.03)

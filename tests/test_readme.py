@@ -1,12 +1,11 @@
 """The README's library quick start runs, and its config-key table states
-the defaults of the one config class and of the continuation steps."""
+the defaults of the one config class."""
 
-import inspect
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from kickjt import ValidatedConfig, track_eigenstate
+from kickjt import ValidatedConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -27,10 +26,3 @@ def test_config_key_table_states_the_class_defaults():
     for name, default in defaults.items():
         assert float(documented[name]) == default, name
 
-
-def test_config_key_table_states_the_continuation_step_defaults():
-    documented = dict(re.findall(r"^track\.(\w+)\s.*\(([^()]+)\)$", README, re.M))
-    params = inspect.signature(track_eigenstate).parameters
-    assert set(documented) == {"initial_step", "max_step"}
-    assert float(documented["initial_step"]) == params["initial_dlam"].default
-    assert float(documented["max_step"]) == params["max_dlam"].default

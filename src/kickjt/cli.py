@@ -24,7 +24,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,18 +104,19 @@ def _write_table(path: Path, table: Table) -> None:
 
 # --- configuration helpers ---------------------------------------------------
 
-def _model_config(scfg: ScenarioConfig) -> ValidatedConfig:
-    """The config at lam = 0; a numerics.<field> key sets the config field
-    of that name, and an unset one keeps the field's default."""
+def _model_config(scfg: ScenarioConfig, *numerics: str) -> ValidatedConfig:
+    """The config at lam = 0.  Each config field named in numerics is read
+    from its numerics.<field> key, and an unset key keeps the field's
+    default; the scenario reads no other numerics key."""
     omega = scfg.require_float("model.omega")
     delta = scfg.require_float("model.delta")
-    numerics = {}
+    values = {}
     for f in fields(ValidatedConfig):
-        if f.default is not MISSING:
+        if f.name in numerics:
             get = scfg.get_int if isinstance(f.default, int) else scfg.get_float
-            numerics[f.name] = get(f"numerics.{f.name}", f.default)
+            values[f.name] = get(f"numerics.{f.name}", f.default)
     try:
-        return ValidatedConfig(omega, delta, 0.0, **numerics)
+        return ValidatedConfig(omega, delta, 0.0, **values)
     except OutOfRange as exc:
         raise ConfigError(str(exc))
 
@@ -141,7 +142,7 @@ def _fp_row(lam: float, fp) -> tuple:
 def _fixed_point_census(scfg: ScenarioConfig):
     """Yield (lam, fixed points) for each coupling of the grid, in order."""
     lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
+    cfg = _model_config(scfg, "newton_tol")
     for lam in lams:
         cfg_l = replace(cfg, lam=lam)
         try:
@@ -199,7 +200,7 @@ def _tracked_path(cfg: ValidatedConfig, seed: np.ndarray, stops: list[float]):
 
 def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
     lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
+    cfg = _model_config(scfg, "n_t")
     seed = qf.pgs_seed(cfg.n_t) if which == "pgs" else qf.pes_seed(cfg.n_t)
     path = _tracked_path(cfg, seed, lams)
     rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, path.sector), s.dlam_used)
@@ -219,7 +220,7 @@ def scenario_track_pes(scfg: ScenarioConfig) -> ScenarioResult:
 
 def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
+    cfg = _model_config(scfg, "n_t")
     bound = scfg.get_float("husimi.section_bound", 6.0)
     if not bound > 0.0:
         raise ConfigError(f"husimi.section_bound must be > 0, got {bound!r}")
@@ -255,7 +256,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
 
 def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
+    cfg = _model_config(scfg, "n_t")
     path = _tracked_path(cfg, qf.pgs_seed(cfg.n_t), lams)
     triples = [obs.entanglement_measures(path.sample_at(lam).state)
                for lam in lams]
@@ -332,7 +333,7 @@ def truncation_check(command: str, scfg: ScenarioConfig, base: ScenarioResult) -
     result of the run at the configured n_t."""
     if command in UNTRUNCATED:
         return f"truncation check: {command} has no truncation parameter"
-    n_t = _model_config(scfg).n_t
+    n_t = _model_config(scfg, "n_t").n_t
     bumped_cfg = ScenarioConfig.from_text(
         "\n".join(f"{k} = {v.value}" for k, v in scfg._entries.items() if k != "numerics.n_t")
         + f"\nnumerics.n_t = {n_t + 4}\n")

@@ -29,7 +29,6 @@ from .errors import ComputeError, EigFailure, StepUnderflow
 from .model import ValidatedConfig
 
 Axis = Literal["x", "y"]
-SpinAxis = Literal["x", "y", "z"]
 
 # spin-1/2 operators in the (sigma=-1, sigma=+1) ordering
 SPIN_HALF = {
@@ -153,53 +152,76 @@ def h0_phases(cfg: ValidatedConfig) -> np.ndarray:
     return np.exp(-1j * angle)
 
 
-# --- kick propagators ------------------------------------------------------
+# --- kicks in sector coordinates -------------------------------------------
 #
-# q_x changes n_x by one at fixed n_y, so under the total-number cut it is
-# block diagonal over n_y (and vice versa).  Each block is diagonalised
-# once per (n_t, axis) and reused for every coupling value.
+# Within a parity sector, sigma (-1)^N fixes the spin of every oscillator
+# state, so a sector holds one amplitude per oscillator state: its k-th
+# coordinate is the k-th oscillator state (sector_indices ascends with the
+# osc index).  There the generator q_x s_x is q_x / 2 and q_y s_y is q_y / 2
+# with entries multiplied by +-i.  q_x changes n_x by one at fixed n_y, so
+# under the total-number cut it is block diagonal over n_y (and vice versa).
+# Each block is diagonalised once per (n_t, sector, axis) and reused for
+# every coupling value.
 
 @functools.cache
-def _kick_blocks(n_t: int, axis: Axis):
+def _sector_kick_blocks(n_t: int, sector: str, axis: Axis):
+    """(block, evals, evecs) per block of q_axis s_axis over the sector:
+    block lists sector coordinates at one fixed number of the other mode."""
     basis = build_basis(n_t)
-    position = osc_position_matrix(n_t, axis)
+    # np.kron(q, s)[idx, idx] without the full-space product: sector
+    # coordinate k is the full index idx[k] = 2 k + spin[k]
+    spin = basis.sector_indices(sector) % 2
+    generator = osc_position_matrix(n_t, axis) * SPIN_HALF[axis][np.ix_(spin, spin)]
     other = basis.osc_ny if axis == "x" else basis.osc_nx
-    own = basis.osc_nx if axis == "x" else basis.osc_ny
     blocks = []
-    for fixed in range(basis.n_t + 1):
-        idx = np.flatnonzero(other == fixed)
-        idx = idx[np.argsort(own[idx])]
-        evals, evecs = np.linalg.eigh(position[np.ix_(idx, idx)])
-        blocks.append((idx, evals, evecs))
+    for fixed in range(n_t + 1):
+        block = np.flatnonzero(other == fixed)
+        evals, evecs = np.linalg.eigh(generator[np.ix_(block, block)])
+        blocks.append((block, evals, evecs))
     return blocks
 
 
-def apply_kick(vec: np.ndarray, axis: Axis, lam: float,
-               spin_axis: SpinAxis | None = None) -> np.ndarray:
-    """exp(-i lam q_axis s_spin_axis) applied to a state (dim,) or to each
-    column of a (dim, k) matrix, without forming the dense propagator.
+def _kick_block_propagators(n_t: int, sector: str, axis: Axis, lam: float):
+    """(block, exp(-i lam G)) for each block G of the sector kick generator:
+    a spectral sum, so each propagator is unitary to rounding."""
+    for block, evals, evecs in _sector_kick_blocks(n_t, sector, axis):
+        yield block, (evecs * np.exp(-1j * lam * evals)) @ evecs.conj().T
 
-    The spin factor is diagonalised (a 2x2 rotation); both spin
-    eigencomponents then share the spectral decomposition of each block of
-    the truncated Hermitian position operator, so the result is exactly
-    unitary by construction.
-    """
-    if spin_axis is None:
-        spin_axis = axis
+
+def _kick_in_place(psi: np.ndarray, n_t: int, sector: str, axis: Axis,
+                   lam: float) -> None:
+    """The kick on sector amplitudes psi (osc_dim,) or (osc_dim, k), in
+    place: one product per block of rows, each block reading only itself."""
+    for block, prop in _kick_block_propagators(n_t, sector, axis, lam):
+        psi[block] = prop @ psi[block]
+
+
+def _sector_floquet(cfg: ValidatedConfig, sector: str) -> np.ndarray:
+    """The sector block of U in sector coordinates: the y kick assembled
+    from its block propagators, the x kick applied to it block row by
+    block row, then the sector's H0 phases."""
+    basis = build_basis(cfg.n_t)
+    u = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
+    for block, prop in _kick_block_propagators(cfg.n_t, sector, "y", cfg.lam):
+        u[block[:, None], block] = prop
+    _kick_in_place(u, cfg.n_t, sector, "x", cfg.lam)
+    u *= h0_phases(cfg)[basis.sector_indices(sector), None]
+    return u
+
+
+def apply_kick(vec: np.ndarray, axis: Axis, lam: float) -> np.ndarray:
+    """exp(-i lam q_axis s_axis) applied to a state (dim,) or to each column
+    of a (dim, k) matrix, without forming the dense propagator: each parity
+    sector is gathered, kicked and scattered back."""
     basis = basis_of(vec)
-    spin_eigs, spin_vecs = np.linalg.eigh(SPIN_HALF[spin_axis])
-    psi = vec.reshape(basis.osc_dim, 2, -1)
-    comps = spin_vecs.conj().T @ psi      # amplitude on each spin eigenvector
-    out = np.empty_like(comps)
-    for idx, evals, evecs in _kick_blocks(basis.n_t, axis):
-        # the block eigenvectors are real, so they multiply the complex data
-        # viewed as interleaved real and imaginary parts: one real GEMM each
-        size = idx.size
-        phase = np.exp(-1j * lam * np.outer(evals, spin_eigs))[:, :, None]
-        rotated = (evecs.T @ comps[idx].reshape(size, -1).view(float)).view(complex)
-        mixed = (phase * rotated.reshape(size, 2, -1)).reshape(size, -1)
-        out[idx] = (evecs @ mixed.view(float)).view(complex).reshape(size, 2, -1)
-    return (spin_vecs @ out).reshape(vec.shape)
+    vec = np.asarray(vec, dtype=complex)
+    out = np.empty_like(vec)
+    for sector in ("O", "E"):
+        idx = basis.sector_indices(sector)
+        psi = vec[idx]
+        _kick_in_place(psi, basis.n_t, sector, axis, lam)
+        out[idx] = psi
+    return out
 
 
 def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
@@ -208,8 +230,7 @@ def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
     n_t = basis_of(vec).n_t
     if n_t != cfg.n_t:
         raise ValueError(f"state over n_t = {n_t}, config n_t = {cfg.n_t}")
-    out = apply_kick(vec, "y", cfg.lam)
-    out = apply_kick(out, "x", cfg.lam)
+    out = apply_kick(apply_kick(vec, "y", cfg.lam), "x", cfg.lam)
     phases = h0_phases(cfg)
     return out * (phases[:, None] if out.ndim == 2 else phases)
 
@@ -218,17 +239,19 @@ def floquet_operator(cfg: ValidatedConfig, sector: str | None = None) -> np.ndar
     """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense.
 
     With a sector label ("O" or "E") only the block U[idx, idx] over that
-    parity sector's indices idx (basis.sector_indices) is built: the period
-    applied to the sector's identity columns, restricted to the sector's
-    rows.  U commutes with parity, so the block is the whole action of U
-    on the sector, at half the columns of the full build.
+    parity sector's indices idx (basis.sector_indices) is built, in sector
+    coordinates: U commutes with parity, so the block is the whole action
+    of U on the sector.  Without one, U is assembled from its two sector
+    blocks, and every entry between the sectors is exactly zero.
     """
+    if sector is not None:
+        return _sector_floquet(cfg, sector)
     basis = build_basis(cfg.n_t)
-    eye = np.eye(basis.dim, dtype=complex)
-    if sector is None:
-        return apply_floquet(eye, cfg)
-    idx = basis.sector_indices(sector)
-    return apply_floquet(eye[:, idx], cfg)[idx]
+    full = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for label in ("O", "E"):
+        idx = basis.sector_indices(label)
+        full[np.ix_(idx, idx)] = _sector_floquet(cfg, label)
+    return full
 
 
 # --- diagnostics -----------------------------------------------------------
@@ -358,7 +381,7 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
     longer halves, or after RQI_MAX_SOLVES solves; the iterate with the
     smallest residual is returned.
     """
-    eye = np.eye(sub.shape[0])
+    diagonal = np.diag_indices_from(sub)
 
     def pair(v):
         v = v / np.linalg.norm(v)
@@ -370,7 +393,11 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
     best = pair(vec)
     for _ in range(RQI_MAX_SOLVES):
         try:
-            w = np.linalg.solve(sub - np.exp(1j * best[0]) * eye, best[1])
+            # one block-sized copy per solve, shifted on its diagonal: each
+            # fresh block-sized temporary costs page faults
+            shifted = sub.copy()
+            shifted[diagonal] -= np.exp(1j * best[0])
+            w = np.linalg.solve(shifted, best[1])
         except np.linalg.LinAlgError:   # shift exactly on an eigenvalue
             break
         trial = pair(w)   # a non-finite solve gives a NaN residual: no step

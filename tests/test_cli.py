@@ -258,6 +258,7 @@ _SMALL_RUNS = {
     "track-pgs": "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n",
     "husimi-section": ("model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"
                        "husimi.section_points = 5\n"),
+    "entanglement-curves": "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n",
 }
 
 
@@ -274,6 +275,9 @@ class TestUnreadKeys:
         ("track.initial_step", "0.01", "track-pgs"),
         ("track.max_step", "0.02", "track-pgs"),
         ("numerics.n_T", "30", "track-pgs"),
+        # numerics keys of other scenarios: a scenario reads only its own
+        ("numerics.n_t", "30", "portrait"),
+        ("numerics.newton_tol", "1e-3", "entanglement-curves"),
     ])
     def test_retired_or_misspelt_key_exits_two_naming_it(self, tmp_path, capsys,
                                                          key, value, command):

@@ -98,9 +98,9 @@ class TestOperators:
         assert value == pytest.approx(0.41129, abs=1e-5)
 
 
-def kick_matrix(axis, lam, basis, spin_axis=None):
+def kick_matrix(axis, lam, basis):
     """Dense kick propagator: the kick applied to every identity column."""
-    return apply_kick(np.eye(basis.dim, dtype=complex), axis, lam, spin_axis)
+    return apply_kick(np.eye(basis.dim, dtype=complex), axis, lam)
 
 
 class TestKickPropagator:
@@ -114,12 +114,14 @@ class TestKickPropagator:
         assert defect <= 1e-12
 
     def test_pulse_conjugation_identity(self, basis18):
+        # a pi/2 spin rotation about y turns the s_z kick into the s_x kick
+        lam = 0.32
         rot = scipy.linalg.expm(-1j * (math.pi / 4) * 2 * SPIN_HALF["y"])
         rot_full = np.kron(np.eye(basis18.osc_dim), rot)
-        k_z = kick_matrix("x", 0.32, basis18, spin_axis="z")
-        k_x = kick_matrix("x", 0.32, basis18, spin_axis="x")
+        k_z = scipy.linalg.expm(-1j * lam * np.kron(osc_position_matrix(18, "x"),
+                                                    SPIN_HALF["z"]))
         conjugated = rot_full @ k_z @ rot_full.conj().T
-        assert np.max(np.abs(conjugated - k_x)) <= 1e-12
+        assert np.max(np.abs(conjugated - kick_matrix("x", lam, basis18))) <= 1e-12
 
     def test_small_instance_matches_expm(self):
         basis = build_basis(3)
@@ -129,14 +131,14 @@ class TestKickPropagator:
         actual = kick_matrix("y", lam, basis)
         assert np.max(np.abs(expected - actual)) <= 1e-12
 
-    @pytest.mark.parametrize("axis,spin_axis", [("x", None), ("y", None), ("x", "z")])
-    def test_matrix_input_equals_column_by_column(self, axis, spin_axis):
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_matrix_input_equals_column_by_column(self, axis):
         basis = build_basis(5)
         rng = np.random.default_rng(13)
         mat = rng.normal(size=(basis.dim, 4)) + 1j * rng.normal(size=(basis.dim, 4))
-        batched = apply_kick(mat, axis, 0.41, spin_axis)
+        batched = apply_kick(mat, axis, 0.41)
         for j in range(mat.shape[1]):
-            column = apply_kick(mat[:, j].copy(), axis, 0.41, spin_axis)
+            column = apply_kick(mat[:, j].copy(), axis, 0.41)
             assert np.max(np.abs(batched[:, j] - column)) <= 1e-13
 
 
@@ -163,8 +165,8 @@ class TestFloquetOperator:
         u = floquet_operator(cfg)
         odd = basis18.sector_indices("O")
         even = basis18.sector_indices("E")
-        assert np.max(np.abs(u[np.ix_(odd, even)])) <= 1e-10
-        assert np.max(np.abs(u[np.ix_(even, odd)])) <= 1e-10
+        assert not np.any(u[np.ix_(odd, even)])
+        assert not np.any(u[np.ix_(even, odd)])
 
     def test_vector_application_matches_dense(self, basis18):
         cfg = reference_config(0.32)
@@ -204,6 +206,31 @@ def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
     full = floquet_operator(cfg)
     assert block.shape == (idx.size, idx.size)
     assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-14
+
+
+def expm_sector_block(cfg, sector):
+    """Oracle: diag(h0) expm(-i lam q_x s_x) expm(-i lam q_y s_y) over the
+    whole basis, restricted to the sector's rows and columns."""
+    idx = build_basis(cfg.n_t).sector_indices(sector)
+    kicks = [scipy.linalg.expm(-1j * cfg.lam * np.kron(osc_position_matrix(cfg.n_t, axis),
+                                                       SPIN_HALF[axis]))
+             for axis in ("x", "y")]
+    return (h0_phases(cfg)[:, None] * (kicks[0] @ kicks[1]))[np.ix_(idx, idx)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
+       lam=st.floats(0.0, 2.0), n_t=st.integers(0, 6), sector=st.sampled_from(["O", "E"]))
+def test_sector_build_matches_expm(omega, delta, lam, n_t, sector):
+    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
+    assert np.max(np.abs(floquet_operator(cfg, sector) - expm_sector_block(cfg, sector))) <= 1e-12
+
+
+@pytest.mark.parametrize("sector", ["O", "E"])
+@pytest.mark.parametrize("lam", [0.32, 0.55])
+def test_sector_build_matches_expm_at_reference_truncation(lam, sector):
+    cfg = reference_config(lam)
+    assert np.max(np.abs(floquet_operator(cfg, sector) - expm_sector_block(cfg, sector))) <= 1e-12
 
 
 @pytest.mark.parametrize("sector", ["O", "E"])

@@ -5,10 +5,9 @@ from .errors import (ComputeError, ConfigError, EigFailure, GridTooSmall,
                      KickJTError, NoConvergence, NonFiniteState, OutOfRange,
                      PoleProximity, StepUnderflow, TruncationLoss)
 from .model import ValidatedConfig, acot
-from .classical_map import (OscillatorPoint, PhasePoint, SpinVector, SubMap,
-                            composed_step, inverse_step, jacobian_canonical,
-                            spin_rotation_matrix, step, step_arrays,
-                            step_jacobian, submap)
+from .classical_map import (SubMap, composed_step, inverse_step,
+                            jacobian_canonical, spin_rotation_matrix,
+                            step_arrays, step_jacobian, submap)
 from .bifurcation import (CriticalCoupling, CriticalCouplings, FixedPoint,
                           PortraitGrid, Stability, bifurcation_residual,
                           critical_couplings, default_seeds,

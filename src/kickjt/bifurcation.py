@@ -1,6 +1,10 @@
 """Fixed points of the kicked map: critical couplings, Newton search,
 stability classification and phase portraits.
 
+Phase points are Cartesian arrays (..., 7), ordered (q_x, q_y, p_x, p_y,
+s_x, s_y, s_z), as in :mod:`kickjt.classical_map`: seeds and portrait
+grids are (k, 7) stacks and a fixed point's location is a (7,) array.
+
 The trivial fixed points sit at the oscillator origin with the spin at a
 pole, so root finding runs in the hemisphere graph chart
 (q_x, p_x, q_y, p_y, s_x, s_y) with s_z = +/- sqrt(1/4 - s_x^2 - s_y^2),
@@ -24,12 +28,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .classical_map import (OscillatorPoint, PhasePoint, SpinVector,
-                            step_arrays, step_jacobian)
+from .classical_map import (_require_phase_points, from_canonical, step_arrays,
+                            step_jacobian)
 from .errors import NoConvergence, NonFiniteState
 from .model import ValidatedConfig
 
@@ -104,9 +107,11 @@ class Stability(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPoint:
-    point: PhasePoint
+    """A converged fixed point; point is its read-only Cartesian (7,) array."""
+
+    point: np.ndarray
     residual: float
     classification: Stability
     multiplier_moduli: tuple[float, ...]
@@ -194,7 +199,7 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
             if idx.size == 0:
                 break
             x, rho = _from_chart(v, hemi)
-            image = np.stack(step_arrays(*x.T, cfg.omega, cfg.delta, cfg.lam), axis=-1)
+            image = step_arrays(x, cfg)
             residual = np.max(np.abs(image - x), axis=-1)
             converged = residual <= cfg.newton_tol
             for k in np.flatnonzero(converged):
@@ -294,16 +299,20 @@ def _classify_points(points: np.ndarray, cfg: ValidatedConfig
     return [classify_multipliers(jac, float(s_z_k)) for jac, s_z_k in zip(jacs, s_z)]
 
 
-def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
+def find_fixed_points(cfg: ValidatedConfig, seeds,
                       failures: list | None = None) -> list[FixedPoint]:
-    """Newton search from every seed, deduplicated and classified.
+    """Newton search from every seed row of the Cartesian stack seeds
+    (k, 7), deduplicated and classified.
 
-    Per-seed failures (no convergence, chart exit) are recorded in
-    `failures` as (seed_index, exception), in ascending seed index, when a
-    list is supplied; they never abort the search.  NonFiniteState, raised
-    when a Newton step or a root's linearisation overflows, does.
+    A seed with a non-finite coordinate raises NonFiniteState, and one off
+    the spin sphere (|s|^2 more than 1e-9 from 1/4) ValueError, each naming
+    the seed's index, before any Newton step.  Per-seed failures (no
+    convergence, chart exit) are recorded in `failures` as (seed_index,
+    exception), in ascending seed index, when a list is supplied; they
+    never abort the search.  NonFiniteState, raised when a Newton step or a
+    root's linearisation overflows, does.
     """
-    x0 = np.array([seed.as_array() for seed in seeds], dtype=float).reshape(-1, 7)
+    x0 = _require_phase_points(seeds, "seed").reshape(-1, 7)
     converged, failed = _newton_batch(x0, cfg)
     if failures is not None:
         failures.extend(sorted(failed.items()))
@@ -318,23 +327,19 @@ def find_fixed_points(cfg: ValidatedConfig, seeds: Sequence[PhasePoint],
         kept = np.vstack([kept, vec])
         residuals.append(residual)
     classes = _classify_points(kept, cfg)
-    out = [FixedPoint(point=PhasePoint.from_values(*(float(c) for c in vec)),
-                      residual=residual,
-                      classification=cls,
+    kept.flags.writeable = False
+    out = [FixedPoint(point=vec, residual=residual, classification=cls,
                       multiplier_moduli=moduli)
            for vec, residual, (cls, moduli) in zip(kept, residuals, classes)]
-    out.sort(key=lambda fp: (fp.point.osc.q_x, fp.point.osc.q_y, fp.point.spin.s_z))
+    out.sort(key=lambda fp: (fp.point[0], fp.point[1], fp.point[6]))
     return out
 
 
-def default_seeds(cfg: ValidatedConfig) -> list[PhasePoint]:
-    """Trivial pole points plus rings of DEFAULT_RING_RADII along both
-    symmetry lines q_y = +/-q_x with the fixed-point momentum rule
-    p = -tan(omega/2) q."""
-    seeds = [
-        PhasePoint(OscillatorPoint(0, 0, 0, 0), SpinVector(0.0, 0.0, -0.5)),
-        PhasePoint(OscillatorPoint(0, 0, 0, 0), SpinVector(0.0, 0.0, 0.5)),
-    ]
+def default_seeds(cfg: ValidatedConfig) -> np.ndarray:
+    """Cartesian seeds (66, 7): the trivial pole points plus rings of
+    DEFAULT_RING_RADII along both symmetry lines q_y = +/-q_x with the
+    fixed-point momentum rule p = -tan(omega/2) q."""
+    seeds = [np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s_z]) for s_z in (-0.5, 0.5)]
     slope = -math.tan(cfg.omega / 2.0)
     for line_sign, phis in ((1.0, (math.pi / 4, 5 * math.pi / 4)),
                             (-1.0, (3 * math.pi / 4, 7 * math.pi / 4))):
@@ -344,10 +349,9 @@ def default_seeds(cfg: ValidatedConfig) -> list[PhasePoint]:
                 q_x, q_y = u, line_sign * u
                 for phi in phis:
                     for s_z0 in (-0.45, 0.45):
-                        seeds.append(PhasePoint(
-                            OscillatorPoint(q_x, q_y, slope * q_x, slope * q_y),
-                            SpinVector.from_angles(phi, s_z0)))
-    return seeds
+                        seeds.append(from_canonical(
+                            (q_x, slope * q_x, q_y, slope * q_y, phi, s_z0)))
+    return np.array(seeds)
 
 
 # --- phase portraits -------------------------------------------------------
@@ -363,13 +367,16 @@ class PortraitGrid:
     radii: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
     n_angles: int = 16
 
-    def initial_arrays(self, cfg: ValidatedConfig):
+    def initial_points(self, cfg: ValidatedConfig) -> np.ndarray:
+        """Cartesian initial points (len(radii) * n_angles, 7), ring by ring."""
         slope = -math.tan(cfg.omega / 2.0)
         angles = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
-        q_x = np.concatenate([r * np.cos(angles) for r in self.radii])
-        q_y = np.concatenate([r * np.sin(angles) for r in self.radii])
-        return (q_x, q_y, slope * q_x, slope * q_y,
-                np.zeros_like(q_x), np.zeros_like(q_x), np.full_like(q_x, -0.5))
+        x = np.zeros((len(self.radii) * self.n_angles, 7))
+        x[:, 0] = np.multiply.outer(self.radii, np.cos(angles)).ravel()
+        x[:, 1] = np.multiply.outer(self.radii, np.sin(angles)).ravel()
+        x[:, 2:4] = slope * x[:, 0:2]
+        x[:, 6] = -0.5
+        return x
 
 
 def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarray:
@@ -381,19 +388,17 @@ def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarra
     """
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
-    q_x, q_y, p_x, p_y, s_x, s_y, s_z = grid.initial_arrays(cfg)
-    if q_x.size == 0:
+    x = grid.initial_points(cfg)
+    if len(x) == 0:
         raise ValueError("portrait grid is empty")
-    xs = [q_x.copy()]
-    ys = [q_y.copy()]
+    cloud = np.empty((n_iter + 1, len(x), 2))
+    cloud[0] = x[:, :2]
     # overflow is checked once on the finished cloud, not per step
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_iter):
-            q_x, q_y, p_x, p_y, s_x, s_y, s_z = step_arrays(
-                q_x, q_y, p_x, p_y, s_x, s_y, s_z, cfg.omega, cfg.delta, cfg.lam)
-            xs.append(q_x.copy())
-            ys.append(q_y.copy())
-    points = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+        for k in range(1, n_iter + 1):
+            x = step_arrays(x, cfg)
+            cloud[k] = x[:, :2]
+    points = cloud.reshape(-1, 2)
     bad = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
     if bad:
         raise NonFiniteState(f"{bad} of {len(points)} portrait points are not finite")

@@ -1,8 +1,15 @@
 """Classical kicked dynamics on R^4 x S^2.
 
+A phase point is a float array whose last axis holds the seven Cartesian
+coordinates (q_x, q_y, p_x, p_y, s_x, s_y, s_z), with the spin on the
+radius-1/2 sphere; a stack of points is an array of shape (..., 7), and the
+map, its sub-maps and its tangent take one point or a stack alike.  Spin is
+carried in Cartesian components, so the map itself has no coordinate
+singularity at the spin poles.
+
 One period applies, in order: a y-kick, an x-kick, then harmonic evolution.
 Composing the three sub-maps gives the closed-form map implemented in
-:func:`step` (with a = lam*q_y, b = lam*q_x):
+:func:`step_arrays` (with a = lam*q_y, b = lam*q_x):
 
     q_x -> (p_x - lam*(s_x cos a + s_z sin a)) sin w + q_x cos w
     p_x -> (p_x - lam*(s_x cos a + s_z sin a)) cos w - q_x sin w
@@ -13,17 +20,18 @@ Composing the three sub-maps gives the closed-form map implemented in
 where R_y(a) is the spin rotation generated by the y-kick, R_x(b) by the
 x-kick and R_z(delta) by the free evolution.  The closed form is normative;
 the sub-maps are kept because their composition is the natural correctness
-oracle and they are what an experiment would realise pulse by pulse.
+oracle and they are what an experiment would realise pulse by pulse.  Each
+sub-map is undone by itself at negated angles, which gives
+:func:`inverse_step`.
 
-All functions are pure; spin is carried in Cartesian components so the map
-itself has no coordinate singularity at the spin poles.
+All functions are pure.  :func:`step_arrays` is the hot path and checks
+nothing; the canonical chart checks the point it is given.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -33,72 +41,37 @@ from .model import ValidatedConfig
 
 SPIN_RADIUS_SQ = 0.25
 _SPIN_NORM_TOL = 1e-9
+_COORDINATES = ("q_x", "q_y", "p_x", "p_y", "s_x", "s_y", "s_z")
 
 
-def _require_finite(obj, names) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise NonFiniteState(f"{name} = {value!r} is not finite")
+def _require_phase_points(x, what: str = "point") -> np.ndarray:
+    """x as a float array of Cartesian points (..., 7), checked.
 
+    Raises NonFiniteState at a point with a non-finite coordinate and
+    ValueError at one whose s_x^2 + s_y^2 + s_z^2 is more than 1e-9 from
+    1/4, naming the first such point, by its index when x is a stack.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 7:
+        raise ValueError(f"a {what} has the 7 coordinates {_COORDINATES}, "
+                         f"got shape {x.shape}")
+    rows = x.reshape(-1, 7)
 
-@dataclass(frozen=True)
-class SpinVector:
-    """Classical pseudo-spin on the radius-1/2 sphere."""
+    def name(k):
+        label = f"{what} {k}" if x.ndim > 1 else what
+        return f"{label} {tuple(rows[k].tolist())}"
 
-    s_x: float
-    s_y: float
-    s_z: float
-
-    def __post_init__(self):
-        _require_finite(self, ("s_x", "s_y", "s_z"))
-        n = self.s_x * self.s_x + self.s_y * self.s_y + self.s_z * self.s_z
-        if not abs(n - SPIN_RADIUS_SQ) <= _SPIN_NORM_TOL:
-            raise ValueError(f"spin norm^2 = {n!r}, expected 1/4")
-
-    @classmethod
-    def from_angles(cls, phi: float, s_z: float) -> "SpinVector":
-        """Spin from azimuth phi and axial component s_z (|s_z| <= 1/2)."""
-        r = math.sqrt(max(SPIN_RADIUS_SQ - s_z * s_z, 0.0))
-        return cls(r * math.cos(phi), r * math.sin(phi), s_z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.s_x ** 2 + self.s_y ** 2 + self.s_z ** 2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s_x, self.s_y, self.s_z])
-
-
-@dataclass(frozen=True)
-class OscillatorPoint:
-    """Positions and momenta of the two oscillator modes."""
-
-    q_x: float
-    q_y: float
-    p_x: float
-    p_y: float
-
-    def __post_init__(self):
-        _require_finite(self, ("q_x", "q_y", "p_x", "p_y"))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q_x, self.q_y, self.p_x, self.p_y])
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the classical phase space R^4 x S^2."""
-
-    osc: OscillatorPoint
-    spin: SpinVector
-
-    @classmethod
-    def from_values(cls, q_x, q_y, p_x, p_y, s_x, s_y, s_z) -> "PhasePoint":
-        return cls(OscillatorPoint(q_x, q_y, p_x, p_y), SpinVector(s_x, s_y, s_z))
-
-    def as_array(self) -> np.ndarray:
-        """Cartesian 7-vector (q_x, q_y, p_x, p_y, s_x, s_y, s_z)."""
-        return np.concatenate([self.osc.as_array(), self.spin.as_array()])
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k, j = np.argwhere(~finite)[0]
+        raise NonFiniteState(
+            f"{name(k)}: {_COORDINATES[j]} = {float(rows[k, j])!r} is not finite")
+    norm_sq = rows[:, 4] * rows[:, 4] + rows[:, 5] * rows[:, 5] + rows[:, 6] * rows[:, 6]
+    off = np.abs(norm_sq - SPIN_RADIUS_SQ) > _SPIN_NORM_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"{name(k)}: spin norm^2 = {float(norm_sq[k])!r}, expected 1/4")
+    return x
 
 
 class SubMap(enum.Enum):
@@ -107,13 +80,10 @@ class SubMap(enum.Enum):
     HARMONIC = "harmonic"
 
 
-def _spin_rotation_coeffs(a, b, delta):
-    """Rows of the 3x3 spin matrix of the composed map.
-
-    a = lam*q_y, b = lam*q_x evaluated at the pre-step point.
+def _spin_rotation_coeffs(ca, sa, cb, sb, delta):
+    """Rows of the 3x3 spin matrix of the composed map, from the cosines and
+    sines of a = lam*q_y and b = lam*q_x evaluated at the pre-step point.
     """
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
     cd, sd = np.cos(delta), np.sin(delta)
     row_x = (cd * ca - sd * sb * sa, -sd * cb, cd * sa + sd * sb * ca)
     row_y = (cd * sb * sa + sd * ca, cd * cb, -cd * sb * ca + sd * sa)
@@ -126,42 +96,44 @@ def spin_rotation_matrix(q_x: float, q_y: float, cfg: ValidatedConfig) -> np.nda
 
     Its coefficients depend only on (q_x, q_y) and the parameters.
     """
-    rows = _spin_rotation_coeffs(cfg.lam * q_y, cfg.lam * q_x, cfg.delta)
+    a, b = cfg.lam * q_y, cfg.lam * q_x
+    rows = _spin_rotation_coeffs(np.cos(a), np.sin(a), np.cos(b), np.sin(b), cfg.delta)
     return np.array(rows, dtype=float)
 
 
-def step_arrays(q_x, q_y, p_x, p_y, s_x, s_y, s_z, omega, delta, lam):
-    """Vectorised closed-form map; accepts scalars or broadcastable arrays."""
+def step_arrays(x, cfg: ValidatedConfig) -> np.ndarray:
+    """The closed-form map applied once to the Cartesian points x (..., 7);
+    the images have the shape of x (and its dtype, if complex)."""
+    x = np.asarray(x)
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = (x[..., k] for k in range(7))
+    lam = cfg.lam
     a = lam * q_y
     b = lam * q_x
-    cw, sw = np.cos(omega), np.sin(omega)
-    kick_x = lam * (s_x * np.cos(a) + s_z * np.sin(a))
+    cw, sw = np.cos(cfg.omega), np.sin(cfg.omega)
+    # cos a and sin a serve both the x momentum kick and the spin rotation
+    ca, sa = np.cos(a), np.sin(a)
+    kick_x = lam * (s_x * ca + s_z * sa)
     kick_y = lam * s_y
     px_mid = p_x - kick_x
     py_mid = p_y - kick_y
-    q_x_n = px_mid * sw + q_x * cw
-    p_x_n = px_mid * cw - q_x * sw
-    q_y_n = py_mid * sw + q_y * cw
-    p_y_n = py_mid * cw - q_y * sw
-    row_x, row_y, row_z = _spin_rotation_coeffs(a, b, delta)
-    s_x_n = row_x[0] * s_x + row_x[1] * s_y + row_x[2] * s_z
-    s_y_n = row_y[0] * s_x + row_y[1] * s_y + row_y[2] * s_z
-    s_z_n = row_z[0] * s_x + row_z[1] * s_y + row_z[2] * s_z
-    return q_x_n, q_y_n, p_x_n, p_y_n, s_x_n, s_y_n, s_z_n
+    row_x, row_y, row_z = _spin_rotation_coeffs(ca, sa, np.cos(b), np.sin(b), cfg.delta)
+    out = np.empty(x.shape, dtype=np.result_type(x, float))
+    out[..., 0] = px_mid * sw + q_x * cw
+    out[..., 1] = py_mid * sw + q_y * cw
+    out[..., 2] = px_mid * cw - q_x * sw
+    out[..., 3] = py_mid * cw - q_y * sw
+    out[..., 4] = row_x[0] * s_x + row_x[1] * s_y + row_x[2] * s_z
+    out[..., 5] = row_y[0] * s_x + row_y[1] * s_y + row_y[2] * s_z
+    out[..., 6] = row_z[0] * s_x + row_z[1] * s_y + row_z[2] * s_z
+    return out
 
 
-def step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    """Apply the closed-form composed map once."""
-    o, s = state.osc, state.spin
-    out = step_arrays(o.q_x, o.q_y, o.p_x, o.p_y, s.s_x, s.s_y, s.s_z,
-                      cfg.omega, cfg.delta, cfg.lam)
-    return PhasePoint.from_values(*(float(v) for v in out))
-
-
-def _submap_arrays(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
-    """One elementary map applied to the Cartesian points x of shape (..., 7)."""
-    q_x, q_y, p_x, p_y, s_x, s_y, s_z = np.moveaxis(x, -1, 0)
-    lam = cfg.lam
+def _submap(kind: SubMap, x, omega: float, delta: float, lam: float) -> np.ndarray:
+    """One elementary map at the raw angles (omega, delta, lam), applied to
+    the Cartesian points x (..., 7).  At (-omega, -delta, -lam) it is the
+    inverse of the map at (omega, delta, lam)."""
+    x = np.asarray(x)
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = (x[..., k] for k in range(7))
     if kind is SubMap.KICK_Y:
         ca, sa = np.cos(lam * q_y), np.sin(lam * q_y)
         out = (q_x, q_y, p_x, p_y - lam * s_y,
@@ -171,8 +143,8 @@ def _submap_arrays(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndar
         out = (q_x, q_y, p_x - lam * s_x, p_y,
                s_x, s_y * cb - s_z * sb, s_y * sb + s_z * cb)
     elif kind is SubMap.HARMONIC:
-        cw, sw = math.cos(cfg.omega), math.sin(cfg.omega)
-        cd, sd = math.cos(cfg.delta), math.sin(cfg.delta)
+        cw, sw = math.cos(omega), math.sin(omega)
+        cd, sd = math.cos(delta), math.sin(delta)
         out = (q_x * cw + p_x * sw, q_y * cw + p_y * sw,
                p_x * cw - q_x * sw, p_y * cw - q_y * sw,
                s_x * cd - s_y * sd, s_x * sd + s_y * cd, s_z)
@@ -181,10 +153,10 @@ def _submap_arrays(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndar
     return np.stack(np.broadcast_arrays(*out), axis=-1)
 
 
-def submap(kind: SubMap, state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    """One of the three elementary maps whose composition equals :func:`step`."""
-    out = _submap_arrays(kind, state.as_array(), cfg)
-    return PhasePoint.from_values(*(float(v) for v in out))
+def submap(kind: SubMap, x, cfg: ValidatedConfig) -> np.ndarray:
+    """One of the three elementary maps whose composition equals
+    :func:`step_arrays`, applied to the Cartesian points x (..., 7)."""
+    return _submap(kind, x, cfg.omega, cfg.delta, cfg.lam)
 
 
 def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
@@ -218,102 +190,86 @@ def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.nda
 
 
 def step_jacobian(x, cfg: ValidatedConfig) -> np.ndarray:
-    """Exact tangent of :func:`step` at Cartesian points x of shape (..., 7),
-    (q_x, q_y, p_x, p_y, s_x, s_y, s_z) each, as an array of shape (..., 7, 7):
-    the chain rule over the sub-maps Harmonic o KickX o KickY, each tangent
-    taken at that sub-map's input.  A stack of points gives, bit for bit,
-    the tangents of the points taken one at a time."""
+    """Exact tangent of :func:`step_arrays` at Cartesian points x (..., 7),
+    as an array of shape (..., 7, 7): the chain rule over the sub-maps
+    Harmonic o KickX o KickY, each tangent taken at that sub-map's input.
+    A stack of points gives, bit for bit, the tangents of the points taken
+    one at a time."""
     x = np.asarray(x, dtype=float)
-    mid = _submap_arrays(SubMap.KICK_Y, x, cfg)
+    mid = submap(SubMap.KICK_Y, x, cfg)
     return (_submap_tangent(SubMap.HARMONIC, mid, cfg)
             @ _submap_tangent(SubMap.KICK_X, mid, cfg)
             @ _submap_tangent(SubMap.KICK_Y, x, cfg))
 
 
-def composed_step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    """Harmonic o KickX o KickY; must agree with :func:`step` to 1e-10."""
-    out = submap(SubMap.KICK_Y, state, cfg)
-    out = submap(SubMap.KICK_X, out, cfg)
-    return submap(SubMap.HARMONIC, out, cfg)
+def composed_step(x, cfg: ValidatedConfig) -> np.ndarray:
+    """Harmonic o KickX o KickY; must agree with :func:`step_arrays` to 1e-10."""
+    for kind in (SubMap.KICK_Y, SubMap.KICK_X, SubMap.HARMONIC):
+        x = submap(kind, x, cfg)
+    return x
 
 
-def _inverse_submap(kind: SubMap, state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    o, s = state.osc, state.spin
-    lam = cfg.lam
-    if kind is SubMap.KICK_Y:
-        # q_y and s_y are conserved by the forward kick, so both the momentum
-        # shift and the rotation angle can be undone from the image point.
-        a = lam * o.q_y
-        ca, sa = math.cos(a), math.sin(a)
-        return PhasePoint.from_values(
-            o.q_x, o.q_y, o.p_x, o.p_y + lam * s.s_y,
-            s.s_x * ca - s.s_z * sa, s.s_y, s.s_x * sa + s.s_z * ca)
-    if kind is SubMap.KICK_X:
-        b = lam * o.q_x
-        cb, sb = math.cos(b), math.sin(b)
-        return PhasePoint.from_values(
-            o.q_x, o.q_y, o.p_x + lam * s.s_x, o.p_y,
-            s.s_x, s.s_y * cb + s.s_z * sb, -s.s_y * sb + s.s_z * cb)
-    if kind is SubMap.HARMONIC:
-        cw, sw = math.cos(cfg.omega), math.sin(cfg.omega)
-        cd, sd = math.cos(cfg.delta), math.sin(cfg.delta)
-        return PhasePoint.from_values(
-            o.q_x * cw - o.p_x * sw, o.q_y * cw - o.p_y * sw,
-            o.p_x * cw + o.q_x * sw, o.p_y * cw + o.q_y * sw,
-            s.s_x * cd + s.s_y * sd, -s.s_x * sd + s.s_y * cd, s.s_z)
-    raise ValueError(f"unknown sub-map {kind!r}")
-
-
-def inverse_step(state: PhasePoint, cfg: ValidatedConfig) -> PhasePoint:
-    """Inverse sub-maps applied in reverse order."""
-    out = _inverse_submap(SubMap.HARMONIC, state, cfg)
-    out = _inverse_submap(SubMap.KICK_X, out, cfg)
-    return _inverse_submap(SubMap.KICK_Y, out, cfg)
+def inverse_step(x, cfg: ValidatedConfig) -> np.ndarray:
+    """Inverse of :func:`step_arrays`: the sub-maps in reverse order, each at
+    the negated angles (-omega, -delta, -lam)."""
+    for kind in (SubMap.HARMONIC, SubMap.KICK_X, SubMap.KICK_Y):
+        x = _submap(kind, x, -cfg.omega, -cfg.delta, -cfg.lam)
+    return x
 
 
 # --- canonical chart -------------------------------------------------------
 #
 # (q_x, p_x, q_y, p_y, phi, s_z) with phi = atan2(s_y, s_x) is canonical for
 # the symplectic form dq^dp + dphi^ds_z, so one map step has unit Jacobian
-# determinant there.  The chart degenerates at the spin poles.
+# determinant there.  The chart degenerates at the spin poles.  Its
+# functions take one point.
 
 POLE_GUARD = 0.5 - 1e-6
 
 
-def to_canonical(state: PhasePoint) -> np.ndarray:
-    s = state.spin
-    if abs(s.s_z) >= POLE_GUARD:
-        raise PoleProximity(f"|s_z| = {abs(s.s_z)!r} too close to 1/2 for the canonical chart")
-    phi = math.atan2(s.s_y, s.s_x)
-    o = state.osc
-    return np.array([o.q_x, o.p_x, o.q_y, o.p_y, phi, s.s_z])
+def to_canonical(x) -> np.ndarray:
+    """Canonical coordinates of the Cartesian point x (7,).
+
+    Raises NonFiniteState for a non-finite coordinate, ValueError for a spin
+    more than 1e-9 off |s|^2 = 1/4 and PoleProximity when
+    |s_z| >= POLE_GUARD.
+    """
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = _require_phase_points(x).reshape(7).tolist()
+    if abs(s_z) >= POLE_GUARD:
+        raise PoleProximity(f"|s_z| = {abs(s_z)!r} too close to 1/2 for the canonical chart")
+    return np.array([q_x, p_x, q_y, p_y, math.atan2(s_y, s_x), s_z])
 
 
-def from_canonical(vec: Iterable[float]) -> PhasePoint:
+def from_canonical(vec: Iterable[float]) -> np.ndarray:
+    """The Cartesian point (7,) of canonical coordinates
+    (q_x, p_x, q_y, p_y, phi, s_z), with |s_z| < 1/2."""
     q_x, p_x, q_y, p_y, phi, s_z = (float(v) for v in vec)
     if abs(s_z) >= 0.5:
         raise PoleProximity(f"|s_z| = {abs(s_z)!r} leaves the canonical chart")
-    return PhasePoint(OscillatorPoint(q_x, q_y, p_x, p_y), SpinVector.from_angles(phi, s_z))
+    r = math.sqrt(max(SPIN_RADIUS_SQ - s_z * s_z, 0.0))
+    return np.array([q_x, q_y, p_x, p_y, r * math.cos(phi), r * math.sin(phi), s_z])
 
 
-def jacobian_canonical(state: PhasePoint, cfg: ValidatedConfig) -> np.ndarray:
-    """Jacobian of one step in the canonical chart, from :func:`step_jacobian`.
+def jacobian_canonical(x, cfg: ValidatedConfig) -> np.ndarray:
+    """Jacobian of one step in the canonical chart at the Cartesian point x
+    (7,), from :func:`step_jacobian`.
 
     Raises PoleProximity when |s_z| >= 1/2 - 1e-6 at the point or at its
     image, where the chart degenerates.  The determinant equals 1 to
     roundoff (area preservation).
     """
-    to_canonical(state)
-    image = step(state, cfg)
+    to_canonical(x)
+    x = np.asarray(x, dtype=float)
+    image = step_arrays(x, cfg)
     to_canonical(image)
-    s_x, s_y, s_z = state.spin.s_x, state.spin.s_y, state.spin.s_z
+    s_x, s_y, s_z = x[4:]
     rho = s_x * s_x + s_y * s_y
     # chart coordinate k sits at Cartesian index axes[k]; phi's entries are filled below
     axes = [0, 2, 1, 3, 4, 6]
     embed = np.eye(7)[:, axes]
     embed[4:6, 4] = -s_y, s_x
     embed[4:6, 5] = -s_x * s_z / rho, -s_y * s_z / rho
-    i_x, i_y = image.spin.s_x, image.spin.s_y
+    i_x, i_y = image[4], image[5]
     project = np.eye(7)[axes]
     project[4, 4:6] = np.array([-i_y, i_x]) / (i_x * i_x + i_y * i_y)
-    return project @ step_jacobian(state.as_array(), cfg) @ embed
+    return project @ step_jacobian(x, cfg) @ embed

@@ -37,7 +37,7 @@ from .bifurcation import (PortraitGrid, Stability, critical_couplings,
 from .configfile import ScenarioConfig
 from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
                      OutOfRange)
-from .model import ValidatedConfig
+from .model import MAX_N_T, ValidatedConfig
 
 
 # --- result plumbing ---------------------------------------------------------
@@ -134,9 +134,8 @@ def _fp_columns() -> list[str]:
 
 
 def _fp_row(lam: float, fp) -> tuple:
-    o, s = fp.point.osc, fp.point.spin
-    return (lam, o.q_x, o.q_y, o.p_x, o.p_y, s.s_x, s.s_y, s.s_z,
-            fp.residual, fp.classification.value, *fp.multiplier_moduli)
+    return (lam, *fp.point.tolist(), fp.residual, fp.classification.value,
+            *fp.multiplier_moduli)
 
 
 def _fixed_point_census(scfg: ScenarioConfig):
@@ -276,11 +275,11 @@ def scenario_detection_prob(scfg: ScenarioConfig) -> ScenarioResult:
         stable = [fp for fp in fps if fp.classification is Stability.STABLE]
         if not stable:
             raise ComputeError(f"no stable fixed point at lam = {lam}")
-        target = max(stable, key=lambda fp: (fp.point.osc.q_x, fp.point.osc.q_y))
-        o, s = target.point.osc, target.point.spin
-        direction = obs.SpinDirection.from_spin_vector(s)
-        alpha_x = math.hypot(o.q_x, o.p_x) / math.sqrt(2.0)
-        alpha_y = math.hypot(o.q_y, o.p_y) / math.sqrt(2.0)
+        target = max(stable, key=lambda fp: (fp.point[0], fp.point[1]))
+        q_x, q_y, p_x, p_y, s_x, s_y, s_z = target.point.tolist()
+        direction = obs.SpinDirection.from_spin_vector(s_x, s_y, s_z)
+        alpha_x = math.hypot(q_x, p_x) / math.sqrt(2.0)
+        alpha_y = math.hypot(q_y, p_y) / math.sqrt(2.0)
         p_plus = obs.detection_probability(direction.theta, alpha_x, alpha_y)
         rows.append((lam, direction.theta, alpha_x, alpha_y, p_plus))
     header = ["lam", "theta", "alpha_x", "alpha_y", "p_plus"]
@@ -334,6 +333,8 @@ def truncation_check(command: str, scfg: ScenarioConfig, base: ScenarioResult) -
     if command in UNTRUNCATED:
         return f"truncation check: {command} has no truncation parameter"
     n_t = _model_config(scfg, "n_t").n_t
+    if n_t + 4 > MAX_N_T:
+        return f"truncation check: n_t + 4 = {n_t + 4} exceeds the largest n_t, {MAX_N_T}"
     bumped_cfg = ScenarioConfig.from_text(
         "\n".join(f"{k} = {v.value}" for k, v in scfg._entries.items() if k != "numerics.n_t")
         + f"\nnumerics.n_t = {n_t + 4}\n")

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from .errors import OutOfRange
 
 TWO_PI = 2.0 * math.pi
+# largest phonon cutoff: there one complex sector block of U holds 2145^2
+# entries (74 MB); far above it, listing the basis alone exhausts memory
+MAX_N_T = 64
 
 
 def acot(x: float) -> float:
@@ -36,8 +39,8 @@ class ValidatedConfig:
 
     omega and delta are angles in radians accumulated over one kick period;
     lam is the dimensionless kick coupling.  The two fields with defaults
-    are the numerics knobs: n_t, the phonon cutoff, and newton_tol, the
-    fixed-point residual bound.
+    are the numerics knobs: n_t, the phonon cutoff (at most MAX_N_T), and
+    newton_tol, the fixed-point residual bound.
 
     Raises
     ------
@@ -59,8 +62,8 @@ class ValidatedConfig:
              "delta must lie in (0, 2*pi)", self.delta),
             (_real(self.lam) and 0.0 <= self.lam < math.inf,
              "lambda must be finite and >= 0", self.lam),
-            (isinstance(self.n_t, int) and self.n_t >= 0,
-             "n_t must be an integer >= 0", self.n_t),
+            (isinstance(self.n_t, int) and 0 <= self.n_t <= MAX_N_T,
+             f"n_t must be an integer in [0, {MAX_N_T}]", self.n_t),
             (_real(self.newton_tol) and self.newton_tol > 0.0,
              "newton_tol must be > 0", self.newton_tol),
         )

@@ -20,7 +20,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .bifurcation import FixedPoint
-from .classical_map import SpinVector
 from .errors import GridTooSmall, OutOfRange, TruncationLoss
 from .quantum_floquet import basis_of, build_basis
 
@@ -71,9 +70,10 @@ class SpinDirection:
             raise OutOfRange([f"phi must lie in [0, 2*pi), got {self.phi!r}"])
 
     @classmethod
-    def from_spin_vector(cls, spin: SpinVector) -> "SpinDirection":
-        theta = math.acos(min(1.0, max(-1.0, 2.0 * spin.s_z)))
-        phi = math.atan2(spin.s_y, spin.s_x) % (2.0 * math.pi)
+    def from_spin_vector(cls, s_x: float, s_y: float, s_z: float) -> "SpinDirection":
+        """Direction of the classical spin (s_x, s_y, s_z) of radius 1/2."""
+        theta = math.acos(min(1.0, max(-1.0, 2.0 * s_z)))
+        phi = math.atan2(s_y, s_x) % (2.0 * math.pi)
         return cls(theta, phi)
 
     def antipodal_azimuth(self) -> "SpinDirection":
@@ -271,10 +271,10 @@ def approx_bifurcated_states(fp: FixedPoint, n_t: int) -> tuple[np.ndarray, np.n
     on-axis fixed point (the oscillator origin with the spin at a pole) the
     image is the state itself up to a phase, so one combination is zero.
     """
-    o = fp.point.osc
-    alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2.0)
-    alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2.0)
-    direction = SpinDirection.from_spin_vector(fp.point.spin)
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = fp.point.tolist()
+    alpha_x = (q_x + 1j * p_x) / math.sqrt(2.0)
+    alpha_y = (q_y + 1j * p_y) / math.sqrt(2.0)
+    direction = SpinDirection.from_spin_vector(s_x, s_y, s_z)
     plus = coherent_state(alpha_x, alpha_y, direction, n_t)
     minus = coherent_state(-alpha_x, -alpha_y, direction.antipodal_azimuth(), n_t)
     out = []
@@ -283,7 +283,7 @@ def approx_bifurcated_states(fp: FixedPoint, n_t: int) -> tuple[np.ndarray, np.n
         if not norm > 1e-8:
             raise ValueError(
                 f"the {name} combination at the fixed point "
-                f"{tuple(fp.point.as_array().tolist())} has norm {norm:.3e}: "
+                f"{tuple(fp.point.tolist())} has norm {norm:.3e}: "
                 "the point is its own parity image")
         out.append(combo / norm)
     return out[0], out[1]

@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kickjt import (OscillatorPoint, PhasePoint, SpinDirection, SpinVector,
-                    Stability, ValidatedConfig, build_basis, coherent_state,
-                    critical_couplings, curve_derivative, default_seeds,
-                    find_fixed_points, floquet_operator, floquet_spectrum,
-                    husimi_on_section, husimi_product_grid, h0_phases,
-                    jacobian_canonical, phase_space_expectations,
-                    section_peaks, step,
-                    step_arrays, apply_floquet)
-from kickjt.classical_map import composed_step
+from kickjt import (SpinDirection, Stability, ValidatedConfig, build_basis,
+                    coherent_state, critical_couplings, curve_derivative,
+                    default_seeds, find_fixed_points, floquet_operator,
+                    floquet_spectrum, husimi_on_section, husimi_product_grid,
+                    h0_phases, jacobian_canonical, phase_space_expectations,
+                    section_peaks, step_arrays, apply_floquet)
+from kickjt.classical_map import composed_step, from_canonical
 from kickjt.quantum_floquet import EIG_RESIDUAL_TOL
 from kickjt.cli import main
 from conftest import DELTA, OMEGA, reference_config
@@ -33,10 +31,9 @@ def check(num: int, description: str, passed: bool):
 
 
 def random_phase_point(rng, z_max=0.4):
-    q = rng.uniform(-2, 2, size=4)
-    return PhasePoint(OscillatorPoint(*q),
-                      SpinVector.from_angles(rng.uniform(0, 2 * math.pi),
-                                             rng.uniform(-z_max, z_max)))
+    q_x, q_y, p_x, p_y = rng.uniform(-2, 2, size=4)
+    return from_canonical((q_x, p_x, q_y, p_y, rng.uniform(0, 2 * math.pi),
+                           rng.uniform(-z_max, z_max)))
 
 
 def test_criterion_01_critical_couplings():
@@ -62,7 +59,7 @@ def test_criterion_02_fixed_point_census():
         elapsed = time.perf_counter() - t0
         classes = sorted(fp.classification.value for fp in fps)
         if lam == 0.15:
-            by_sz = {round(fp.point.spin.s_z, 3): fp.classification for fp in fps}
+            by_sz = {round(float(fp.point[6]), 3): fp.classification for fp in fps}
             ok &= (len(fps) == 2
                    and by_sz.get(-0.5) is Stability.STABLE
                    and by_sz.get(0.5) is Stability.UNSTABLE)
@@ -70,15 +67,15 @@ def test_criterion_02_fixed_point_census():
             stable = [fp for fp in fps if fp.classification is Stability.STABLE]
             saddle = [fp for fp in fps if fp.classification is Stability.SADDLE]
             origin_saddle = (len(saddle) == 1
-                             and abs(saddle[0].point.osc.q_x) < 1e-9
-                             and saddle[0].point.spin.s_z < 0)
+                             and abs(saddle[0].point[0]) < 1e-9
+                             and saddle[0].point[6] < 0)
             parity_pair = (len(stable) == 2 and np.max(np.abs(
-                stable[0].point.as_array()[:6] + stable[1].point.as_array()[:6])) <= 1e-8)
+                stable[0].point[:6] + stable[1].point[:6])) <= 1e-8)
             ok &= origin_saddle and parity_pair
         else:
             saddles = [fp for fp in fps if fp.classification is Stability.SADDLE]
             ok &= (len(saddles) == 2
-                   and all(abs(fp.point.osc.q_x) > 0.5 for fp in saddles))
+                   and all(abs(fp.point[0]) > 0.5 for fp in saddles))
         ok &= elapsed < 1.0
         reports.append(f"lam={lam}: {classes} in {elapsed*1e3:.0f} ms")
     check(2, "; ".join(reports), ok)
@@ -93,8 +90,8 @@ def test_criterion_03_classical_oracle_equivalence():
                               rng.uniform(0.0, 0.6))
         for _ in range(100):
             state = random_phase_point(rng, z_max=0.5)
-            a = step(state, cfg).as_array()
-            b = composed_step(state, cfg).as_array()
+            a = step_arrays(state, cfg)
+            b = composed_step(state, cfg)
             worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.perf_counter() - t0
     check(3, f"closed form vs sub-map composition, worst {worst:.2e} over "
@@ -106,12 +103,10 @@ def test_criterion_04_conservation_and_symplecticity():
     cfg = reference_config(0.32)
     state = np.array([1.1, -0.7, 0.3, 0.2, 0.1, -0.15,
                       math.sqrt(0.25 - 0.1 ** 2 - 0.15 ** 2)])
-    coords = tuple(state)
     drift = 0.0
-    q_x, q_y, p_x, p_y, s_x, s_y, s_z = coords
     for _ in range(10_000):
-        q_x, q_y, p_x, p_y, s_x, s_y, s_z = step_arrays(
-            q_x, q_y, p_x, p_y, s_x, s_y, s_z, cfg.omega, cfg.delta, cfg.lam)
+        state = step_arrays(state, cfg)
+        s_x, s_y, s_z = state[4:].tolist()
         norm = math.sqrt(s_x ** 2 + s_y ** 2 + s_z ** 2)
         drift = max(drift, abs(norm - 0.5) / 0.5)
     rng = np.random.default_rng(77)
@@ -198,7 +193,7 @@ def test_criterion_08_localisation_at_classical_fixed_point(
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     q_max = (coords[i], coords[j])
     stable = [fp for fp in census_032 if fp.classification is Stability.STABLE]
-    dist = min(math.hypot(q_max[0] - fp.point.osc.q_x, q_max[1] - fp.point.osc.q_y)
+    dist = min(math.hypot(q_max[0] - fp.point[0], q_max[1] - fp.point[1])
                for fp in stable)
     check(8, f"even-combination Husimi max at ({q_max[0]:.2f}, {q_max[1]:.2f}), "
              f"distance {dist:.3f} from a stable fixed point",
@@ -243,21 +238,21 @@ def test_criterion_11_ehrenfest_property():
     psi = coherent_state(alpha_x, alpha_y, SpinDirection(theta, phi), n_t)
     cfg = ValidatedConfig(OMEGA, DELTA, 0.05, n_t=n_t)
     quantum = phase_space_expectations(apply_floquet(psi, cfg))
-    classical = step(PhasePoint(
-        OscillatorPoint(math.sqrt(2) * alpha_x.real, math.sqrt(2) * alpha_y.real,
-                        math.sqrt(2) * alpha_x.imag, math.sqrt(2) * alpha_y.imag),
-        SpinVector(0.5 * math.sin(theta) * math.cos(phi),
-                   0.5 * math.sin(theta) * math.sin(phi),
-                   0.5 * math.cos(theta))), cfg)
+    q_x, q_y, p_x, p_y, s_x, s_y, s_z = step_arrays(np.array([
+        math.sqrt(2) * alpha_x.real, math.sqrt(2) * alpha_y.real,
+        math.sqrt(2) * alpha_x.imag, math.sqrt(2) * alpha_y.imag,
+        0.5 * math.sin(theta) * math.cos(phi),
+        0.5 * math.sin(theta) * math.sin(phi),
+        0.5 * math.cos(theta)]), cfg).tolist()
     amp_osc = math.sqrt(2) * 4.0
     errors = {
-        "q_x": abs(quantum["q_x"] - classical.osc.q_x) / amp_osc,
-        "q_y": abs(quantum["q_y"] - classical.osc.q_y) / amp_osc,
-        "p_x": abs(quantum["p_x"] - classical.osc.p_x) / amp_osc,
-        "p_y": abs(quantum["p_y"] - classical.osc.p_y) / amp_osc,
-        "2s_x": abs(2 * quantum["s_x"] - 2 * classical.spin.s_x),
-        "2s_y": abs(2 * quantum["s_y"] - 2 * classical.spin.s_y),
-        "2s_z": abs(2 * quantum["s_z"] - 2 * classical.spin.s_z),
+        "q_x": abs(quantum["q_x"] - q_x) / amp_osc,
+        "q_y": abs(quantum["q_y"] - q_y) / amp_osc,
+        "p_x": abs(quantum["p_x"] - p_x) / amp_osc,
+        "p_y": abs(quantum["p_y"] - p_y) / amp_osc,
+        "2s_x": abs(2 * quantum["s_x"] - 2 * s_x),
+        "2s_y": abs(2 * quantum["s_y"] - 2 * s_y),
+        "2s_z": abs(2 * quantum["s_z"] - 2 * s_z),
     }
     worst = max(errors.values())
     check(11, f"one-step quantum vs classical, worst relative error {worst:.1e}",

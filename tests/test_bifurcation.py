@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kickjt.bifurcation as bifurcation
-from kickjt import (NonFiniteState, OscillatorPoint, PhasePoint, PortraitGrid,
-                    SpinVector, Stability, ValidatedConfig,
+from kickjt import (NonFiniteState, PortraitGrid, Stability, ValidatedConfig,
                     bifurcation_residual, critical_couplings, default_seeds,
                     find_fixed_points, portrait, reflection_symmetry_score,
-                    step)
+                    step_arrays)
+from kickjt.classical_map import from_canonical
 from kickjt.cli import _fixed_point_census
 from kickjt.configfile import ScenarioConfig
 from conftest import DELTA, OMEGA, reference_config
@@ -44,11 +44,11 @@ class TestCriticalCouplings:
 class TestCensus:
     def test_below_first_bifurcation(self, census_015):
         assert len(census_015) == 2
-        by_sz = {round(fp.point.spin.s_z, 6): fp for fp in census_015}
+        by_sz = {round(float(fp.point[6]), 6): fp for fp in census_015}
         assert by_sz[-0.5].classification is Stability.STABLE
         assert by_sz[0.5].classification is Stability.UNSTABLE
         for fp in census_015:
-            assert abs(fp.point.osc.q_x) < 1e-9 and abs(fp.point.osc.q_y) < 1e-9
+            assert abs(fp.point[0]) < 1e-9 and abs(fp.point[1]) < 1e-9
 
     def test_between_bifurcations(self, census_032):
         stable = [fp for fp in census_032 if fp.classification is Stability.STABLE]
@@ -56,35 +56,31 @@ class TestCensus:
         assert len(stable) == 2
         assert len(saddles) == 1
         origin = saddles[0].point
-        assert abs(origin.osc.q_x) < 1e-9 and origin.spin.s_z == pytest.approx(-0.5)
+        assert abs(origin[0]) < 1e-9 and origin[6] == pytest.approx(-0.5)
 
     def test_stable_pair_related_by_parity(self, census_032):
         stable = sorted((fp for fp in census_032 if fp.classification is Stability.STABLE),
-                        key=lambda fp: fp.point.osc.q_x)
+                        key=lambda fp: fp.point[0])
         a, b = (fp.point for fp in stable)
-        assert abs(a.osc.q_x + b.osc.q_x) <= 1e-8
-        assert abs(a.osc.q_y + b.osc.q_y) <= 1e-8
-        assert abs(a.osc.p_x + b.osc.p_x) <= 1e-8
-        assert abs(a.osc.p_y + b.osc.p_y) <= 1e-8
-        assert abs(a.spin.s_x + b.spin.s_x) <= 1e-8
-        assert abs(a.spin.s_y + b.spin.s_y) <= 1e-8
-        assert abs(a.spin.s_z - b.spin.s_z) <= 1e-8
+        # q_x, q_y, p_x, p_y, s_x and s_y change sign; s_z does not
+        assert np.all(np.abs(a[:6] + b[:6]) <= 1e-8)
+        assert abs(a[6] - b[6]) <= 1e-8
 
     def test_beyond_second_bifurcation(self, census_050):
         saddles = [fp for fp in census_050 if fp.classification is Stability.SADDLE]
         assert len(saddles) == 2
         for fp in saddles:
-            assert abs(fp.point.osc.q_x) > 0.5
-            assert fp.point.osc.q_y == pytest.approx(-fp.point.osc.q_x, abs=1e-8)
+            assert abs(fp.point[0]) > 0.5
+            assert fp.point[1] == pytest.approx(-fp.point[0], abs=1e-8)
         origin = [fp for fp in census_050
-                  if abs(fp.point.osc.q_x) < 1e-9 and fp.point.spin.s_z < 0]
+                  if abs(fp.point[0]) < 1e-9 and fp.point[6] < 0]
         assert origin[0].classification is Stability.UNSTABLE
 
     def test_residuals_recheck_under_map(self, census_032):
         cfg = reference_config(0.32)
         for fp in census_032:
-            image = step(fp.point, cfg)
-            drift = np.max(np.abs(image.as_array() - fp.point.as_array()))
+            image = step_arrays(fp.point, cfg)
+            drift = np.max(np.abs(image - fp.point))
             assert drift <= 10 * cfg.newton_tol
             assert fp.residual <= cfg.newton_tol
 
@@ -95,16 +91,14 @@ class TestCensus:
         for q_x in np.linspace(-5, 5, 7):
             for q_y in np.linspace(-5, 5, 7):
                 for s_z in (-0.45, 0.45):
-                    seeds.append(PhasePoint(
-                        OscillatorPoint(q_x, q_y, slope * q_x, slope * q_y),
-                        SpinVector.from_angles(math.atan2(q_y, q_x) if (q_x, q_y) != (0, 0) else 0.0, s_z)))
+                    phi = math.atan2(q_y, q_x) if (q_x, q_y) != (0, 0) else 0.0
+                    seeds.append(from_canonical((q_x, slope * q_x, q_y, slope * q_y, phi, s_z)))
         for fp in find_fixed_points(cfg, seeds):
-            assert math.hypot(fp.point.osc.q_x, fp.point.osc.q_y) <= 1e-6
+            assert math.hypot(fp.point[0], fp.point[1]) <= 1e-6
 
     def test_failures_reported_not_fatal(self):
         cfg = reference_config(0.32)
-        equator_seed = PhasePoint(OscillatorPoint(0, 0, 0, 0),
-                                  SpinVector.from_angles(0.3, 0.0))
+        equator_seed = from_canonical((0.0, 0.0, 0.0, 0.0, 0.3, 0.0))
         failures = []
         fps = find_fixed_points(cfg, [equator_seed], failures=failures)
         assert fps == []
@@ -127,7 +121,7 @@ class TestCensus:
         once = len(calls)
         assert 0 < once <= 2 * bifurcation.NEWTON_MAX_ITER + 2
         calls.clear()
-        find_fixed_points(cfg, seeds * 3)
+        find_fixed_points(cfg, np.tile(seeds, (3, 1)))
         assert len(calls) == once
 
 
@@ -146,7 +140,7 @@ def assert_batch_independent(cfg, seeds, chosen):
     """Newton on the seeds `chosen` (indices into `seeds`, in that order)
     gives each seed, bit for bit, its outcome when run alone, and the census
     reports the failures in ascending index."""
-    x0 = np.array([seeds[i].as_array() for i in chosen])
+    x0 = seeds[list(chosen)]
     alone = [_newton_outcomes(x0[k:k + 1], cfg) for k in range(len(chosen))]
     batch = _newton_outcomes(x0, cfg)
     if batch == "non-finite":
@@ -155,7 +149,7 @@ def assert_batch_independent(cfg, seeds, chosen):
     assert batch == [a[0] for a in alone]
     failures = []
     try:
-        find_fixed_points(cfg, [seeds[i] for i in chosen], failures=failures)
+        find_fixed_points(cfg, x0, failures=failures)
     except NonFiniteState:
         # lam^2 overflows the tangent of any root, as it does every Newton step
         assert cfg.lam == 1e300
@@ -198,7 +192,7 @@ class TestBranchScan:
         for _, fps in table:
             stable = [fp for fp in fps if fp.classification is Stability.STABLE]
             assert len(stable) == 1
-            assert abs(stable[0].point.osc.q_x) <= 1e-8
+            assert abs(stable[0].point[0]) <= 1e-8
 
     def test_two_branches_with_monotone_separation(self):
         lams = [round(0.27 + 0.02 * k, 12) for k in range(10)]
@@ -208,8 +202,8 @@ class TestBranchScan:
         for _, fps in table:
             stable = [fp for fp in fps if fp.classification is Stability.STABLE]
             assert len(stable) == 2
-            a, b = (fp.point.osc for fp in stable)
-            separations.append(math.hypot(a.q_x - b.q_x, a.q_y - b.q_y))
+            a, b = (fp.point for fp in stable)
+            separations.append(math.hypot(a[0] - b[0], a[1] - b[1]))
         assert all(s2 > s1 for s1, s2 in zip(separations, separations[1:]))
 
     def test_branch_birth_matches_critical_coupling(self):
@@ -217,7 +211,7 @@ class TestBranchScan:
         lams = [round(0.25 + step_size * k, 12) for k in range(8)]
         table = census_table(lams)
         births = [lam for lam, fps in table
-                  if any(abs(fp.point.osc.q_x) > 1e-6 for fp in fps)]
+                  if any(abs(fp.point[0]) > 1e-6 for fp in fps)]
         lam_b1 = critical_couplings(OMEGA, DELTA).couplings()[0]
         assert births
         assert abs(births[0] - lam_b1) <= step_size
@@ -228,9 +222,9 @@ class TestPortrait:
         cfg = reference_config(0.15)
         grid = PortraitGrid(radii=(1.0,), n_angles=8)
         cloud = portrait(cfg, grid, 0)
-        q_x, q_y, *_ = grid.initial_arrays(cfg)
-        assert cloud.shape == (8, 2)
-        assert np.allclose(cloud[:, 0], q_x) and np.allclose(cloud[:, 1], q_y)
+        x = grid.initial_points(cfg)
+        assert x.shape == (8, 7) and cloud.shape == (8, 2)
+        assert np.array_equal(cloud, x[:, :2])
 
     def test_empty_grid_rejected(self):
         cfg = reference_config(0.15)

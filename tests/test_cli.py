@@ -164,6 +164,27 @@ class TestExitCodes:
         assert main(["portrait", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_huge_truncation_exits_two_promptly(self, tmp_path):
+        # a basis at n_t = 1e6 would list 5e11 oscillator states; capped at
+        # 1 GB of address space, a run that built it would die instead
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 1000000\n"))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        run = subprocess.run(
+            [sys.executable, "-m", "kickjt.cli", "track-pgs", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+        assert run.returncode == 2
+        assert run.stderr == ("config error: n_t must be an integer in [0, 64],"
+                              " got 1000000\n")
+        assert list(out.iterdir()) == []
+
     def test_success(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_MODEL)
         assert main(["critical-couplings", "--config", str(cfg),
@@ -619,6 +640,25 @@ class TestTruncationCheckFlag:
         assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--check"]) == 0
         assert seen == [4, 8]
+
+    def test_no_rerun_past_the_largest_truncation(self, tmp_path, capsys, monkeypatch):
+        # at n_t = 61 the rerun would need n_t = 65 > MAX_N_T: the check says
+        # so instead of failing after the base files are written
+        seen = []
+
+        def spy(scfg):
+            seen.append(cli._model_config(scfg, "n_t").n_t)
+            scfg.lambda_values()
+            return cli.ScenarioResult()
+
+        monkeypatch.setitem(cli.SCENARIOS, "track-pgs", spy)
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 61\n"))
+        assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--check"]) == 0
+        assert ("truncation check: n_t + 4 = 65 exceeds the largest n_t, 64"
+                in capsys.readouterr().out.splitlines())
+        assert seen == [61]
 
 
 def test_presets_parse():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kickjt import OutOfRange, ValidatedConfig, acot
+from kickjt.model import MAX_N_T
 
 TWO_PI = 2 * math.pi
 TINY = math.ulp(0.0)
@@ -87,8 +88,9 @@ FIELD_RANGES = {
     "lam": (st.floats(min_value=0.0, allow_infinity=False),
             st.one_of(st.floats(max_value=-TINY), st.just(math.inf), st.just(math.nan)),
             "lambda"),
-    "n_t": (st.integers(0, 10**6),
-            st.one_of(st.integers(max_value=-1), st.floats()),
+    "n_t": (st.integers(0, MAX_N_T),
+            st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_N_T + 1),
+                      st.floats()),
             "n_t"),
     "newton_tol": (st.floats(min_value=TINY),
                    st.one_of(st.floats(max_value=0.0), st.just(math.nan)),

@@ -356,7 +356,7 @@ class TestEntanglementMeasures:
 @pytest.fixture()
 def approx_pair(census_032):
     stable = [fp for fp in census_032
-              if fp.classification is Stability.STABLE and fp.point.osc.q_x > 0]
+              if fp.classification is Stability.STABLE and fp.point[0] > 0]
     return stable[0], approx_bifurcated_states(stable[0], 18)
 
 
@@ -376,10 +376,10 @@ class TestApproxBifurcatedStates:
         fp, (psi_g, psi_e) = approx_pair
         combo = psi_g + psi_e
         combo /= np.linalg.norm(combo)
-        o = fp.point.osc
-        alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2)
-        alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2)
-        direction = SpinDirection.from_spin_vector(fp.point.spin)
+        q_x, q_y, p_x, p_y, s_x, s_y, s_z = fp.point.tolist()
+        alpha_x = (q_x + 1j * p_x) / math.sqrt(2)
+        alpha_y = (q_y + 1j * p_y) / math.sqrt(2)
+        direction = SpinDirection.from_spin_vector(s_x, s_y, s_z)
         localised = coherent_state(alpha_x, alpha_y, direction, 18)
         assert abs(np.vdot(localised, combo)) == pytest.approx(1.0, abs=1e-6)
 
@@ -388,13 +388,13 @@ class TestApproxBifurcatedStates:
         # off-axis fixed point of both censuses; the outer islands at 0.50
         # (|alpha|^2 = 10.6) need n_t = 40 to stay within the truncation
         off_axis = [(fp, n_t) for census, n_t in ((census_032, 18), (census_050, 40))
-                    for fp in census if np.any(fp.point.osc.as_array())]
+                    for fp in census if np.any(fp.point[:4])]
         assert len(off_axis) == 6
         for fp, n_t in off_axis:
-            o = fp.point.osc
-            alpha_x = (o.q_x + 1j * o.p_x) / math.sqrt(2.0)
-            alpha_y = (o.q_y + 1j * o.p_y) / math.sqrt(2.0)
-            direction = SpinDirection.from_spin_vector(fp.point.spin)
+            q_x, q_y, p_x, p_y, s_x, s_y, s_z = fp.point.tolist()
+            alpha_x = (q_x + 1j * p_x) / math.sqrt(2.0)
+            alpha_y = (q_y + 1j * p_y) / math.sqrt(2.0)
+            direction = SpinDirection.from_spin_vector(s_x, s_y, s_z)
             plus = kron_coherent_oracle(alpha_x, alpha_y, direction, n_t)
             minus = kron_coherent_oracle(-alpha_x, -alpha_y,
                                          direction.antipodal_azimuth(), n_t)
@@ -408,9 +408,9 @@ class TestApproxBifurcatedStates:
         # parity image, so one combination vanishes (the even one to 1.7e-16
         # at the lower pole, the odd one exactly at the upper)
         assert len(census_015) == 2
-        for fp, name in zip(sorted(census_015, key=lambda fp: fp.point.spin.s_z),
+        for fp, name in zip(sorted(census_015, key=lambda fp: fp.point[6]),
                             ("even", "odd")):
-            assert not np.any(fp.point.osc.as_array())
+            assert not np.any(fp.point[:4])
             with pytest.raises(ValueError, match=f"the {name} combination at the fixed point "
                                                  r"\(0\.0, 0\.0, 0\.0, 0\.0, 0\.0, 0\.0, "):
                 approx_bifurcated_states(fp, 18)

@@ -13,6 +13,7 @@ Entropy and logarithmic negativity use base-2 logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -216,6 +217,28 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return max(float(-np.sum(probs * np.log(probs)) / math.log(2.0)), 0.0) + 0.0
 
 
+# the index sets grow as d^4 (107 MB at model.MAX_N_T): keep a few cutoffs,
+# not every one a process has swept through
+@functools.lru_cache(maxsize=4)
+def _partial_transpose_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into the pair product R (d^2 x d^2, pair (n_x, n_y) at
+    row n_x d + n_y) of the even x even, odd x odd and even x odd blocks of
+    its partial transpose over the x mode, PT[(a,n),(b,m)] = R[(b,n),(a,m)];
+    a block is even or odd by the grade (n_x + n_y) mod 2 of its pairs,
+    which ascend within it.  Read-only, one set per d = n_t + 1."""
+    grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+    even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
+
+    def gather(rows, cols):
+        a, n = np.divmod(rows, d)
+        b, m = np.divmod(cols, d)
+        idx = (b[None, :] * d + n[:, None]) * (d * d) + (a[:, None] * d + m[None, :])
+        idx.flags.writeable = False
+        return idx
+
+    return gather(even, even), gather(odd, odd), gather(even, odd)
+
+
 def log_negativity(state) -> float:
     """log2 of the trace norm of the partial transpose over the x mode of
     the state's oscillator-pair reduction (Vidal & Werner, PRA 65, 032314
@@ -227,22 +250,24 @@ def log_negativity(state) -> float:
     The pair reduction of a parity eigenstate couples only pair states
     (n_x, n_y) whose n_x + n_y have the same parity, and the partial
     transpose keeps that grading, so its spectrum is taken block by block
-    (181 + 180 at n_t = 18).  A state whose partial transpose has any
-    nonzero entry between the two grades is not parity pure: ValueError.
+    (181 + 180 at n_t = 18).  The blocks are gathered straight out of the
+    pair product with the cached flat indices of
+    :func:`_partial_transpose_gather`, so the partial transpose itself is
+    never formed.  A state whose partial transpose has any nonzero entry
+    between the two grades is not parity pure: ValueError.
     """
     psi3 = state_tensor(state)
     d = psi3.shape[0]
     pairs = psi3.reshape(d * d, 2)
-    pt = (pairs @ pairs.conj().T).reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
-    grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
-    even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
-    # pt is Hermitian (the partial transpose of a Hermitian product), so
-    # its odd x even block is the conjugate transpose of this one
-    if np.any(pt[np.ix_(even, odd)]):
+    flat = (pairs @ pairs.conj().T).ravel()
+    even, odd, cross = _partial_transpose_gather(d)
+    # the partial transpose is Hermitian (that of a Hermitian product), so
+    # its odd x even block is the conjugate transpose of the even x odd one
+    if np.any(flat.take(cross)):
         raise ValueError("state is not parity pure: its partial transpose couples"
                          " the even and odd n_x + n_y grades")
-    eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(even, even)]),
-                           np.linalg.eigvalsh(pt[np.ix_(odd, odd)])])
+    eigs = np.concatenate([np.linalg.eigvalsh(flat.take(even)),
+                           np.linalg.eigvalsh(flat.take(odd))])
     trace_norm = float(np.sum(np.abs(eigs)))
     value = math.log(trace_norm, 2.0)
     if value < -1e-12:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ComputeError, EigFailure, StepUnderflow
-from .model import ValidatedConfig
+from .model import MAX_N_T, ValidatedConfig
 
 Axis = Literal["x", "y"]
 
@@ -40,11 +39,12 @@ SPIN_HALF = {
 
 class FockBasis:
     """Enumeration of (n_x, n_y, sigma) states with n_x + n_y <= n_t, in
-    read-only arrays; compared and hashed by identity."""
+    read-only arrays; compared and hashed by identity.  A cutoff outside
+    [0, model.MAX_N_T] is a ValueError, raised before anything is listed."""
 
     def __init__(self, n_t: int):
-        if n_t < 0:
-            raise ValueError("n_t must be >= 0")
+        if not 0 <= n_t <= MAX_N_T:
+            raise ValueError(f"n_t must lie in [0, MAX_N_T = {MAX_N_T}], got {n_t!r}")
         self.n_t = int(n_t)
         osc = [(nx, total - nx) for total in range(n_t + 1) for nx in range(total + 1)]
         self.osc_nx = np.array([nx for nx, _ in osc], dtype=int)
@@ -298,6 +298,11 @@ def _sector_spectrum(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     vectors are true eigenvectors and exactly orthonormal.  Raises
     EigFailure if any residual exceeds EIG_RESIDUAL_TOL.
     """
+    # imported here, not at module top: loading scipy.linalg costs about a
+    # third of a second and 24 MB at every CLI start, and the tracked
+    # preset paths never need a Schur form
+    import scipy.linalg
+
     t_mat, q_mat = scipy.linalg.schur(sub, output="complex")
     phases = np.angle(np.diag(t_mat))
     order = np.argsort(phases, kind="stable")
@@ -368,6 +373,8 @@ OVERLAP_THRESHOLD = 0.01
 # presets need under 30, and a path beyond this would run for hours
 MAX_TRACK_STEPS = 100_000
 RQI_RESIDUAL_TOL = 1e-12
+# residual at which a refinement has reached the roundoff floor and stops
+RQI_ROUNDOFF = 1e-14
 RQI_MAX_SOLVES = 5
 
 
@@ -376,12 +383,22 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
     the eigenpair of the unitary block sub nearest vec, by shift-invert
     Rayleigh-quotient iteration (Parlett, Math. Comp. 28, 679 (1974)).
 
-    Each solve shifts at the Rayleigh quotient of the current iterate,
-    projected onto the unit circle.  Iteration stops once the residual no
-    longer halves, or after RQI_MAX_SOLVES solves; the iterate with the
-    smallest residual is returned.
+    Each solve shifts one preallocated copy of sub at the Rayleigh quotient
+    of the current iterate, projected onto the unit circle.  Iteration
+    stops right after a solve that brings the residual to RQI_ROUNDOFF or
+    below, once the residual no longer halves, or after RQI_MAX_SOLVES
+    solves; the iterate with the smallest residual is returned.
+
+    The roundoff stop is 1e-14 and not RQI_RESIDUAL_TOL (1e-12): on a
+    near-degenerate pair one solve can reach a residual below 1e-12 on a
+    mixture of the pair before the next solve resolves it.  Tracking the
+    pes seed at omega 3.75, delta 1.0, n_t 2, the trial at lam 3.8e-6 has
+    residual 3.3e-13 and overlap 0.9935 after one solve, and 2.4e-15 and
+    0.980 after two; stopping after the first would accept a step that
+    the full sector spectrum rejects.
     """
     diagonal = np.diag_indices_from(sub)
+    shifted = np.empty_like(sub)
 
     def pair(v):
         v = v / np.linalg.norm(v)
@@ -392,11 +409,9 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
 
     best = pair(vec)
     for _ in range(RQI_MAX_SOLVES):
+        np.copyto(shifted, sub)
+        shifted[diagonal] -= np.exp(1j * best[0])
         try:
-            # one block-sized copy per solve, shifted on its diagonal: each
-            # fresh block-sized temporary costs page faults
-            shifted = sub.copy()
-            shifted[diagonal] -= np.exp(1j * best[0])
             w = np.linalg.solve(shifted, best[1])
         except np.linalg.LinAlgError:   # shift exactly on an eigenvalue
             break
@@ -404,7 +419,7 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
         halved = trial[2] <= 0.5 * best[2]
         if trial[2] < best[2]:
             best = trial
-        if not halved:
+        if not halved or best[2] <= RQI_ROUNDOFF:
             break
     return best
 

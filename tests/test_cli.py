@@ -536,6 +536,24 @@ def test_cli_start_does_not_load_scipy_signal():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_cli_start_does_not_load_scipy_linalg():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = "import sys, kickjt.cli; assert 'scipy.linalg' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_tracked_preset_needs_no_schur_form(tmp_path):
+    # the Schur form is the only user of scipy.linalg: a preset that loads
+    # none never fell back to the full sector spectrum
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    args = ["entanglement-curves", "--config", str(PRESET_DIR / "entanglement_curves.cfg"),
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from kickjt.cli import main; "
+            f"assert main({args!r}) == 0; "
+            "assert 'scipy.linalg' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 class TestDeterminismSmoke:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_MODEL + (

@@ -325,6 +325,22 @@ class TestLogNegativity:
         for transpose_over in ("osc_x", "osc_y"):
             assert abs(value - full_log_negativity(rho, transpose_over)) <= 1e-13
 
+    @pytest.mark.parametrize("n_t", [0, 1, 4, 18])
+    def test_gather_reads_the_partial_transpose_blocks(self, n_t):
+        # the cached flat indices pick, entry for entry, the grade blocks of
+        # the transposed copy of the pair product
+        d = n_t + 1
+        rng = np.random.default_rng(n_t)
+        prod = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        pt = prod.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+        grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+        even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
+        gathered = observables._partial_transpose_gather(d)
+        for idx, (rows, cols) in zip(gathered, [(even, even), (odd, odd), (even, odd)]):
+            assert np.array_equal(prod.ravel().take(idx), pt[np.ix_(rows, cols)])
+            assert not idx.flags.writeable
+        assert observables._partial_transpose_gather(d) is gathered
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(n_t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_state_that_is_not_parity_pure_rejected(self, n_t, seed):

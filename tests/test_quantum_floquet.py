@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kickjt import (EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
-                    build_basis, coherent_state, apply_kick, floquet_operator,
+                    build_basis, coherent_amplitudes, coherent_state,
+                    apply_kick, floquet_operator,
                     floquet_spectrum, h0_phases, pes_seed, pgs_seed,
                     phase_space_expectations, sector_leakage, track_eigenstate)
 from kickjt import quantum_floquet as qf
+from kickjt.model import MAX_N_T
 from kickjt.observables import SpinDirection
 from kickjt.quantum_floquet import (SPIN_HALF, FockBasis, _sector_spectrum,
                                     osc_position_matrix)
@@ -39,6 +41,20 @@ class TestBasis:
         entries = list(zip(basis.n_x, basis.n_y, basis.sigma))
         odd = {entries[k] for k in basis.sector_indices("O")}
         assert odd == {(0, 0, -1), (1, 0, 1), (0, 1, 1)}
+
+    @pytest.mark.parametrize("make", [
+        build_basis, FockBasis, pgs_seed, pes_seed,
+        lambda n_t: coherent_amplitudes(0.1, 0.0, n_t),
+        lambda n_t: coherent_state(0.1, 0.0, SpinDirection(0.0, 0.0), n_t),
+    ])
+    def test_cutoff_above_max_rejected_before_listing(self, make):
+        # listing the pairs of n_t = 10**6 would exhaust memory: the bound
+        # is checked first
+        for n_t in (10**6, MAX_N_T + 1, -1):
+            with pytest.raises(ValueError, match=rf"n_t must lie in \[0, MAX_N_T = {MAX_N_T}\],"
+                                                 rf" got {n_t}"):
+                make(n_t)
+        assert build_basis(MAX_N_T).n_t == MAX_N_T
 
     @pytest.mark.parametrize("label", ["odd", "o", "", None])
     def test_unknown_sector_label_rejected(self, label):
@@ -490,6 +506,11 @@ def compare_with_oracle(lam_end, seed, cfg, step, stops=None):
 @given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
        n_t=st.integers(1, 10), step=st.floats(0.01, 1.0), lam_end=st.floats(0.05, 2.0),
        excited=st.booleans(), with_stops=st.booleans())
+# near-degenerate at the first trial: one solve reaches a 3.3e-13 residual
+# on a mixture of the pair, and stopping there would accept a step that the
+# oracle rejects; both must raise StepUnderflow
+@example(omega=3.75, delta=1.0, n_t=2, step=1.0, lam_end=1.0, excited=True,
+         with_stops=False)
 def test_tracking_matches_schur_oracle(omega, delta, n_t, step, lam_end, excited, with_stops):
     cfg = ValidatedConfig(omega, delta, 0.0, n_t=n_t)
     seed = (pes_seed if excited else pgs_seed)(n_t)
@@ -555,6 +576,30 @@ class TestRayleighTracking:
         assert schur.calls == 0
         assert np.array_equal(path.lams(), pgs_path.lams())
 
+
+    def test_reference_path_refines_in_at_most_three_solves(self, monkeypatch, pgs_path,
+                                                            base_cfg, lam_grid):
+        # cubic convergence reaches the roundoff floor within three solves;
+        # a fourth would only show that the residual stopped halving
+        solves, per_refinement = [0], []
+        real_solve, real_refine = np.linalg.solve, qf._rayleigh_refine
+
+        def solve(*args, **kwargs):
+            solves[0] += 1
+            return real_solve(*args, **kwargs)
+
+        def refine(sub, vec):
+            before = solves[0]
+            out = real_refine(sub, vec)
+            per_refinement.append(solves[0] - before)
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(qf, "_rayleigh_refine", refine)
+        path = track_eigenstate(0.0, 0.55, pgs_seed(18), base_cfg,
+                                stops=[l for l in lam_grid if l > 0])
+        assert np.array_equal(path.lams(), pgs_path.lams())
+        assert per_refinement and max(per_refinement) <= 3
 
     def test_reference_path_builds_only_sector_blocks(self, monkeypatch, pgs_path,
                                                       base_cfg, basis18, lam_grid):

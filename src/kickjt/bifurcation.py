@@ -379,30 +379,40 @@ class PortraitGrid:
         return x
 
 
-def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int) -> np.ndarray:
-    """Point cloud of every visited (q_x, q_y), shape (n_points*(n_iter+1), 2).
+def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int,
+             lams=None) -> np.ndarray:
+    """Point cloud of every visited (q_x, q_y) at each coupling of lams
+    (default: cfg.lam alone), shape (len(lams)*n_points*(n_iter+1), 2).
 
-    Points are ordered by iteration index then by initial condition, so the
-    output is deterministic for a fixed grid.  Raises NonFiniteState when any
-    point overflows (a coupling far too large for the map to stay bounded).
+    Points are ordered by coupling, then by iteration index, then by
+    initial condition, so the output is deterministic for a fixed grid and
+    each coupling's block is, bit for bit, its single-coupling cloud.  All
+    couplings are iterated as one stack.  Raises NonFiniteState naming the
+    first coupling in lams with a point that overflows (a coupling far too
+    large for the map to stay bounded).
     """
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
-    x = grid.initial_points(cfg)
-    if len(x) == 0:
+    lams = [cfg.lam] if lams is None else [float(lam) for lam in lams]
+    x0 = grid.initial_points(cfg)
+    if len(x0) == 0:
         raise ValueError("portrait grid is empty")
-    cloud = np.empty((n_iter + 1, len(x), 2))
-    cloud[0] = x[:, :2]
+    n = len(x0)
+    x = np.tile(x0, (len(lams), 1))
+    lam = np.repeat(np.asarray(lams, dtype=float), n)
+    cloud = np.empty((len(lams), n_iter + 1, n, 2))
+    cloud[:, 0] = x0[:, :2]
     # overflow is checked once on the finished cloud, not per step
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_iter + 1):
-            x = step_arrays(x, cfg)
-            cloud[k] = x[:, :2]
-    points = cloud.reshape(-1, 2)
-    bad = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
-    if bad:
-        raise NonFiniteState(f"{bad} of {len(points)} portrait points are not finite")
-    return points
+            x = step_arrays(x, cfg, lam=lam)
+            cloud[:, k] = x[:, :2].reshape(len(lams), n, 2)
+    bad = np.count_nonzero(~np.isfinite(cloud).all(axis=-1), axis=(1, 2))
+    for coupling, count in zip(lams, bad.tolist()):
+        if count:
+            raise NonFiniteState(f"portrait at lam = {coupling!r}: {count} of "
+                                 f"{n * (n_iter + 1)} points are not finite")
+    return cloud.reshape(-1, 2)
 
 
 def reflection_symmetry_score(points: np.ndarray, axis_angle_deg: float) -> float:

@@ -101,12 +101,19 @@ def spin_rotation_matrix(q_x: float, q_y: float, cfg: ValidatedConfig) -> np.nda
     return np.array(rows, dtype=float)
 
 
-def step_arrays(x, cfg: ValidatedConfig) -> np.ndarray:
+def step_arrays(x, cfg: ValidatedConfig, lam=None) -> np.ndarray:
     """The closed-form map applied once to the Cartesian points x (..., 7);
-    the images have the shape of x (and its dtype, if complex)."""
+    the images have the shape of x (and its dtype, if complex).
+
+    lam defaults to cfg.lam.  It may also be an array that broadcasts
+    against x.shape[:-1], one coupling per point: lam enters only through
+    elementwise products, so each image is, bit for bit, the one a
+    single-coupling call gives.
+    """
     x = np.asarray(x)
     q_x, q_y, p_x, p_y, s_x, s_y, s_z = (x[..., k] for k in range(7))
-    lam = cfg.lam
+    if lam is None:
+        lam = cfg.lam
     a = lam * q_y
     b = lam * q_x
     cw, sw = np.cos(cfg.omega), np.sin(cfg.omega)

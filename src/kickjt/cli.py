@@ -6,9 +6,11 @@ Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
 codes: 0 success, 2 configuration error, 3 compute error; a key the config
 file sets that the scenario never reads is a configuration error.  Each
-scenario runs its couplings one after another in grid order, BLAS runs on
-one thread, and floats are written with shortest round-trip precision, so
-identical configurations produce byte-identical files.  --threads is
+scenario runs its couplings one after another in grid order (portrait
+iterates them as one stack), BLAS runs on one thread, and floats are
+written with shortest round-trip precision, so identical configurations
+produce byte-identical files, whether the rows of a large run are
+formatted in this process or in forked ones.  --threads is
 accepted for compatibility and has no effect.  --check reruns the quantum
 scenarios at n_t + 4 and reports the deviations; the scenarios in
 UNTRUNCATED have no truncation and report that instead.
@@ -85,21 +87,84 @@ def _fmt_column(column) -> list[str]:
     return [_fmt_cell(c) for c in column]
 
 
-def _write_table(path: Path, table: Table) -> None:
-    # temp file in the same directory, then atomic rename: a failed run
-    # never leaves a partial CSV behind
-    lines = [",".join(table.header)]
-    lines.extend(map(",".join, zip(*map(_fmt_column, table.columns))))
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+# rows per formatting task; a run's tables are formatted on a forked pool
+# only when they hold at least two such blocks in all
+CHUNK_ROWS = 1 << 16
+
+# the tables of the run, in a forked formatter process only (_adopt_tables)
+_forked_tables: list[Table] = []
+
+
+def _row_blocks(table: Table) -> list[tuple[int, int]]:
+    """(start, stop) of each block of at most CHUNK_ROWS rows, in order."""
+    rows = len(table.columns[0]) if table.columns else 0
+    return [(start, min(start + CHUNK_ROWS, rows)) for start in range(0, rows, CHUNK_ROWS)]
+
+
+def _format_block(table: Table, start: int, stop: int) -> str:
+    """The CSV lines of rows [start, stop) of table, each ending in a newline."""
+    cells = (_fmt_column(column[start:stop]) for column in table.columns)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _adopt_tables(tables: list[Table]) -> None:
+    global _forked_tables
+    _forked_tables = tables
+
+
+def _format_task(task: tuple[int, int, int]) -> str:
+    index, start, stop = task
+    return _format_block(_forked_tables[index], start, stop)
+
+
+def _write_tables(out_dir: Path, tables: dict[str, Table]) -> None:
+    """Write each table to out_dir/<name> as CSV, in order.
+
+    Rows are formatted in blocks of CHUNK_ROWS.  When the tables hold at
+    least two blocks and this process may run on at least two CPUs, the
+    blocks are formatted on min(CPUs, rows // CHUNK_ROWS) forked processes,
+    which see the tables through the fork, so nothing is pickled but the
+    text; otherwise, or where fork is not available, they are formatted in
+    this process.
+    The bytes are the same either way.  Each file goes through a temp file
+    in out_dir and an atomic rename, so a failed run never leaves a partial
+    CSV behind, and every forked process is joined before this returns.
+    """
+    listed = list(tables.values())
+    tasks = [(index, start, stop) for index, table in enumerate(listed)
+             for start, stop in _row_blocks(table)]
+    # sched_getaffinity exists on Linux only; elsewhere count every CPU
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    workers = min(cpus, sum(stop - start for _, start, stop in tasks) // CHUNK_ROWS)
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_adopt_tables, initargs=(listed,))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        if pool is None:
+            blocks = (_format_block(listed[index], start, stop) for index, start, stop in tasks)
+        else:
+            blocks = pool.map(_format_task, tasks)
+        for name, table in tables.items():
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(",".join(table.header) + "\n")
+                    for _ in _row_blocks(table):
+                        fh.write(next(blocks))
+                os.replace(tmp, out_dir / name)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+    finally:
+        if pool is not None:
+            # joins every worker; blocks not yet started are dropped
+            pool.shutdown(cancel_futures=True)
 
 
 # --- configuration helpers ---------------------------------------------------
@@ -179,12 +244,9 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
         n_angles=_int_at_least(scfg, "portrait.angles", 16, 1),
     )
     n_iter = _int_at_least(scfg, "portrait.iterations", 2000, 0)
+    clouds = portrait(cfg, grid, n_iter, lams).reshape(len(lams), -1, 2)
     tables = {}
-    for lam in lams:
-        try:
-            points = portrait(replace(cfg, lam=lam), grid, n_iter)
-        except NonFiniteState as exc:
-            raise ComputeError(f"portrait at lam = {lam!r}: {exc}") from exc
+    for lam, points in zip(lams, clouds):
         columns = [np.full(len(points), lam), points[:, 0], points[:, 1]]
         tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], columns)
     return ScenarioResult(tables=tables)
@@ -433,8 +495,7 @@ def _run(args: argparse.Namespace) -> int:
         if unread:
             raise ConfigError(f"{args.command} does not read " + ", ".join(
                 f"{key!r} (line {line})" for key, line in unread))
-        for name, table in result.tables.items():
-            _write_table(out_dir / name, table)
+        _write_tables(out_dir, result.tables)
         if result.text:
             print(result.text)
         for name in result.tables:

@@ -433,7 +433,8 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     At every trial step the eigenvector of U(lam + dlam) with maximal
     overlap against the current state is selected; the step is accepted
     when 1 - |overlap| stays below OVERLAP_THRESHOLD, otherwise dlam is
-    halved (StepUnderflow below 1e-6).  After two consecutive acceptances
+    halved (StepUnderflow below 1e-6, naming the last rejected trial
+    coupling and its best overlap).  After two consecutive acceptances
     dlam grows by 1.5x up to max_dlam.  Accepted states are phase aligned
     so consecutive inner products are real positive, and the path lands
     exactly on every requested stop.
@@ -530,7 +531,10 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
             accept_streak = 0
             if dlam < MIN_TRACK_STEP:
                 raise StepUnderflow(
-                    f"continuation step fell below {MIN_TRACK_STEP} at lam = {lam:.6f}")
+                    f"continuation step fell below {MIN_TRACK_STEP} at lam = {lam:.6f}:"
+                    f" the last trial, at lam = {target!r}, reached a best overlap of"
+                    f" {overlap!r}, not above the bound 1 - OVERLAP_THRESHOLD ="
+                    f" {1.0 - OVERLAP_THRESHOLD!r}")
     return TrackedPath(samples=samples, sector=sector)
 
 

@@ -4,7 +4,9 @@ on success)."""
 
 import hashlib
 import math
+import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +279,18 @@ def _run_preset(command: str, config: Path, out_dir: Path, threads: int) -> dict
             for f in sorted(out_dir.iterdir())}
 
 
+@contextmanager
+def _one_cpu():
+    """Run the body on one CPU of this process's CPU set, so the table writer
+    formats every block in this process; restore the set afterwards."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 @pytest.mark.parametrize("preset", sorted(PRESET_COMMANDS))
 def test_criterion_12_determinism(preset, tmp_path):
     command = PRESET_COMMANDS[preset]
@@ -286,7 +300,10 @@ def test_criterion_12_determinism(preset, tmp_path):
         _run_preset(command, config, tmp_path / "serial_b", 1),
         _run_preset(command, config, tmp_path / "parallel", 4),
     ]
-    identical = digests[0] == digests[1] == digests[2]
+    with _one_cpu():
+        digests.append(_run_preset(command, config, tmp_path / "one_cpu", 1))
+    identical = all(d == digests[0] for d in digests)
     check(12, f"{preset}: {len(digests[0])} file(s) byte-identical across "
-              f"reruns and thread counts 1 and 4",
+              f"reruns, thread counts 1 and 4, and {len(os.sched_getaffinity(0))} "
+              f"CPUs against one",
           identical and len(digests[0]) > 0)

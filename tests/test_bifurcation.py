@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,36 @@ class TestPortrait:
         cfg = reference_config(0.15)
         with pytest.raises(ValueError):
             portrait(cfg, PortraitGrid(radii=()), 10)
+
+    def test_couplings_stack_into_the_single_coupling_clouds_bit_for_bit(self):
+        cfg = reference_config(0.15)
+        grid = PortraitGrid(radii=(0.5, 2.0, 4.0), n_angles=5)
+        lams = [0.0, 0.15, 0.32, 0.5]
+        singles = [portrait(reference_config(lam), grid, 300) for lam in lams]
+        assert np.array_equal(portrait(cfg, grid, 300, lams), np.concatenate(singles))
+        assert np.array_equal(portrait(cfg, grid, 300), singles[1])
+
+    def test_one_map_call_per_iteration_for_all_couplings(self, monkeypatch):
+        calls = []
+        inner = bifurcation.step_arrays
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "step_arrays", counted)
+        cloud = portrait(reference_config(0.15), PortraitGrid(), 7, [0.15, 0.32, 0.5])
+        assert len(calls) == 7
+        assert cloud.shape == (3 * 7 * 16 * 8, 2)
+
+    @pytest.mark.parametrize("lams,named", [([0.1, 1e300], "1e+300"),
+                                            ([1e301, 0.1, 1e300], "1e+301"),
+                                            ([0.1, 1e300, 1e301], "1e+300")])
+    def test_overflow_names_the_first_coupling_in_list_order(self, lams, named):
+        grid = PortraitGrid(radii=(1.0,), n_angles=4)
+        with pytest.raises(NonFiniteState, match=rf"^portrait at lam = {re.escape(named)}: "
+                                                 r"\d+ of 16 points are not finite$"):
+            portrait(reference_config(0.1), grid, 3, lams)
 
     def test_symmetries_below_first_bifurcation(self):
         cfg = reference_config(0.15)

@@ -267,6 +267,19 @@ class TestStepJacobian:
             for j in range(12):
                 assert np.array_equal(out[i, j], fn(stack[i, j], cfg))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cfg=configs, rows=st.lists(st.tuples(phase_points(), st.floats(0.0, 2.0)),
+                                      min_size=1, max_size=12))
+    def test_coupling_per_row_equals_single_coupling_calls_bit_for_bit(self, cfg, rows):
+        # the stacked portrait iterates every coupling at once through lam
+        stack = np.array([x for x, _ in rows])
+        out = step_arrays(stack, cfg, lam=np.array([lam for _, lam in rows]))
+        assert out.shape == stack.shape
+        for k, (x, lam) in enumerate(rows):
+            single = replace(cfg, lam=lam)
+            assert np.array_equal(out[k], step_arrays(stack, single)[k])
+            assert np.array_equal(out[k], step_arrays(x, single))
+
     def test_graph_chart_matches_central_differences(self):
         rng = np.random.default_rng(RNG_SEED + 7)
         for _ in range(20):

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from kickjt.bifurcation import PortraitGrid, portrait
 from kickjt import cli
-from kickjt.cli import Table, _write_table, build_parser, main
+from kickjt.cli import Table, _write_tables, build_parser, main
 from kickjt.configfile import ScenarioConfig
 from kickjt.errors import ConfigError
 from kickjt.model import ValidatedConfig
@@ -489,25 +491,70 @@ def _tables(draw):
     return [f"c{k}" for k in range(len(kinds))], columns
 
 
-class TestTableWriter:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_tables())
-    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory, table):
-        header, columns = table
-        path = tmp_path_factory.mktemp("table") / "t.csv"
-        _write_table(path, Table(header, columns))
-        rows = list(zip(*(list(c) for c in columns)))
-        assert path.read_bytes() == _oracle_payload(header, rows)
+# the CPU sets the writer may see: one formatting process, or a forked pool
+_CPU_SETS = pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
 
+
+@contextmanager
+def _writer_sees(cpus, chunk_rows):
+    """The table writer sees the CPU set cpus and splits rows into blocks of
+    chunk_rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        mp.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        yield
+
+
+class TestTableWriter:
+    @_CPU_SETS
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_tables(), min_size=1, max_size=3), st.integers(1, 5))
+    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory, cpus,
+                                                          tables, chunk_rows):
+        out = tmp_path_factory.mktemp("tables")
+        with _writer_sees(cpus, chunk_rows):
+            _write_tables(out, {f"t{k}.csv": Table(header, columns)
+                                for k, (header, columns) in enumerate(tables)})
+        assert sorted(p.name for p in out.iterdir()) == [f"t{k}.csv" for k in range(len(tables))]
+        for k, (header, columns) in enumerate(tables):
+            rows = list(zip(*(list(c) for c in columns)))
+            assert (out / f"t{k}.csv").read_bytes() == _oracle_payload(header, rows)
+
+    @_CPU_SETS
     @pytest.mark.parametrize("column", [np.full(5, v) for v in _EDGE_FLOATS]
                              + [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
                                 np.array([math.nan, -math.nan]), np.array([]), np.array([7.5])])
-    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, column):
-        # a column of one value is formatted once; only bit-identical cells
-        # count as one value, so 0.0 and -0.0 keep their own text
-        path = tmp_path / "t.csv"
-        _write_table(path, Table(["c"], [column]))
-        assert path.read_bytes() == _oracle_payload(["c"], [(v,) for v in column.tolist()])
+    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, cpus, column):
+        # a column of one value is formatted once per block; only
+        # bit-identical cells count as one value, so 0.0 and -0.0 keep their
+        # own text, also where a block boundary separates them
+        with _writer_sees(cpus, 2):
+            _write_tables(tmp_path, {"a.csv": Table(["c"], [column]),
+                                     "b.csv": Table(["c", "d"], [column, column[::-1]])})
+        assert (tmp_path / "a.csv").read_bytes() == \
+            _oracle_payload(["c"], [(v,) for v in column.tolist()])
+        assert (tmp_path / "b.csv").read_bytes() == \
+            _oracle_payload(["c", "d"], list(zip(column.tolist(), column[::-1].tolist())))
+
+    @_CPU_SETS
+    def test_failing_formatter_leaves_no_child_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                               cpus):
+        inner = cli._format_block
+
+        def failing(table, start, stop):
+            if start >= 8:
+                raise RuntimeError("formatter failed")
+            return inner(table, start, stop)
+
+        monkeypatch.setattr(cli, "_format_block", failing)
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_list = 0.15, 0.32\n"
+            "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
+        out = tmp_path / "out"
+        with _writer_sees(cpus, 4), pytest.raises(RuntimeError, match="formatter failed"):
+            main(["portrait", "--config", str(cfg), "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
 
     def test_no_bifurcation_writes_header_only_file(self, tmp_path):
         # delta/2 > 3 pi/4 makes both cot(delta/2) +- 1 negative: no lambda_b
@@ -516,12 +563,28 @@ class TestTableWriter:
         assert main(["critical-couplings", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "critical_couplings.csv").read_bytes() == b"lambda_b,branch\n"
 
-    def test_portrait_files_match_row_formatter(self, tmp_path):
+    @pytest.mark.parametrize("cpus,forked", [({0}, False), ({0, 1}, True)],
+                             ids=["1cpu", "2cpu"])
+    def test_portrait_files_match_row_formatter(self, tmp_path, monkeypatch, cpus, forked):
+        # a run of at least two blocks formats every block in a forked child
+        # when two CPUs are available, and in this process when one is
+        parent = os.getpid()
+        inner = cli._format_block
+
+        def located(table, start, stop):
+            if (os.getpid() != parent) != forked:
+                raise RuntimeError(f"block [{start}, {stop}) formatted in the wrong process")
+            return inner(table, start, stop)
+
+        monkeypatch.setattr(cli, "_format_block", located)
         cfg = write_config(tmp_path, SMALL_MODEL + (
             "model.lambda_list = 0.15, 0.32\n"
             "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
         out = tmp_path / "out"
-        assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
+        with _writer_sees(cpus, 4):
+            assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert len(list(out.iterdir())) == 2
         grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3)
         for lam in (0.15, 0.32):
             points = portrait(ValidatedConfig(math.pi / 60, 2 * math.atan(0.5), lam), grid, 5)
@@ -533,6 +596,13 @@ class TestTableWriter:
 def test_cli_start_does_not_load_scipy_signal():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     code = "import sys, kickjt.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_start_does_not_load_multiprocessing():
+    # the table writer imports it only for a run large enough to fork
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = "import sys, kickjt.cli; assert 'multiprocessing' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +434,21 @@ class TestTracking:
         cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3)
         with pytest.raises(StepUnderflow):
             track_eigenstate(0.0, 0.3, pgs_seed(3), cfg)
+
+    def test_step_underflow_names_the_last_trial_and_its_overlap(self):
+        # the pes seed is not the combination of the degenerate N = 1 pair
+        # that the coupling selects here: no step clears the overlap bound
+        cfg = ValidatedConfig(3.75, 1.0, 1.0, n_t=2)
+        with pytest.raises(StepUnderflow) as info:
+            track_eigenstate(0.0, 1.0, pes_seed(2), cfg)
+        match = re.fullmatch(
+            r"continuation step fell below 1e-06 at lam = 0\.000000: the last trial,"
+            r" at lam = (\S+), reached a best overlap of (\S+), not above the bound"
+            r" 1 - OVERLAP_THRESHOLD = 0\.99", str(info.value))
+        assert match, str(info.value)
+        trial, overlap = float(match[1]), float(match[2])
+        assert 0.0 < trial < 2e-6
+        assert 0.5 < overlap <= 1.0 - qf.OVERLAP_THRESHOLD
 
 
 def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,

@@ -4,16 +4,16 @@ Usage: kickjt <subcommand> --config <path> [--out <dir>] [--threads N] [--check]
 
 Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
-codes: 0 success, 2 configuration error, 3 compute error; a key the config
-file sets that the scenario never reads is a configuration error.  Each
-scenario runs its couplings one after another in grid order (portrait
-iterates them as one stack), BLAS runs on one thread, and floats are
-written with shortest round-trip precision, so identical configurations
-produce byte-identical files, whether the rows of a large run are
-formatted in this process or in forked ones.  --threads is
+codes: 0 success, 2 configuration error, 3 compute error; the config file
+is checked against the scenario's declared keys (DECLARED, KEYS) before it
+runs.  Each scenario runs its couplings one after another in grid order
+(portrait iterates them as one stack), BLAS runs on one thread, and floats
+are written with shortest round-trip precision, so identical
+configurations produce byte-identical files, whether the rows of a large
+run are formatted in this process or in forked ones.  --threads is
 accepted for compatibility and has no effect.  --check reruns the quantum
-scenarios at n_t + 4 and reports the deviations; the scenarios in
-UNTRUNCATED have no truncation and report that instead.
+scenarios at n_t + 4 and reports the deviations; a scenario that does not
+declare numerics.n_t has no truncation and reports that instead.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import argparse
 import ctypes
 import glob
 import math
+import operator
 import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from . import observables as obs
 from . import quantum_floquet as qf
 from .bifurcation import (PortraitGrid, Stability, critical_couplings,
                           default_seeds, find_fixed_points, portrait)
-from .configfile import ScenarioConfig
+from . import configfile as cf
 from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
                      OutOfRange)
 from .model import MAX_N_T, ValidatedConfig
@@ -167,31 +168,7 @@ def _write_tables(out_dir: Path, tables: dict[str, Table]) -> None:
             pool.shutdown(cancel_futures=True)
 
 
-# --- configuration helpers ---------------------------------------------------
-
-def _model_config(scfg: ScenarioConfig, *numerics: str) -> ValidatedConfig:
-    """The config at lam = 0.  Each config field named in numerics is read
-    from its numerics.<field> key, and an unset key keeps the field's
-    default; the scenario reads no other numerics key."""
-    omega = scfg.require_float("model.omega")
-    delta = scfg.require_float("model.delta")
-    values = {}
-    for f in fields(ValidatedConfig):
-        if f.name in numerics:
-            get = scfg.get_int if isinstance(f.default, int) else scfg.get_float
-            values[f.name] = get(f"numerics.{f.name}", f.default)
-    try:
-        return ValidatedConfig(omega, delta, 0.0, **values)
-    except OutOfRange as exc:
-        raise ConfigError(str(exc))
-
-
-def _int_at_least(scfg: ScenarioConfig, key: str, default: int, least: int) -> int:
-    value = scfg.get_int(key, default)
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
-    return value
-
+# --- scenarios ---------------------------------------------------------------
 
 def _fp_columns() -> list[str]:
     return (["lam", "q_x", "q_y", "p_x", "p_y", "s_x", "s_y", "s_z",
@@ -203,10 +180,8 @@ def _fp_row(lam: float, fp) -> tuple:
             *fp.multiplier_moduli)
 
 
-def _fixed_point_census(scfg: ScenarioConfig):
-    """Yield (lam, fixed points) for each coupling of the grid, in order."""
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg, "newton_tol")
+def _fixed_point_census(cfg: ValidatedConfig, lams: list[float]):
+    """Yield (lam, fixed points) for each coupling of lams, in order."""
     for lam in lams:
         cfg_l = replace(cfg, lam=lam)
         try:
@@ -216,10 +191,8 @@ def _fixed_point_census(scfg: ScenarioConfig):
         yield lam, fps
 
 
-# --- scenarios ---------------------------------------------------------------
-
-def scenario_critical_couplings(scfg: ScenarioConfig) -> ScenarioResult:
-    cfg = _model_config(scfg)
+# each scenario takes the inputs that validate() returns
+def scenario_critical_couplings(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     couplings = critical_couplings(cfg.omega, cfg.delta)
     rows = [(c.value, c.branch) for c in couplings]
     lines = ["lambda_b  branch"] + [f"{c.value:.6f}  {c.branch:+d}" for c in couplings]
@@ -231,20 +204,15 @@ def scenario_critical_couplings(scfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def scenario_fixed_points(scfg: ScenarioConfig) -> ScenarioResult:
-    rows = [_fp_row(lam, fp) for lam, fps in _fixed_point_census(scfg) for fp in fps]
+def scenario_fixed_points(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
+    rows = [_fp_row(lam, fp) for lam, fps in _fixed_point_census(cfg, lams) for fp in fps]
     return ScenarioResult(tables={"fixed_points.csv": Table.from_rows(_fp_columns(), rows)})
 
 
-def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg)
-    grid = PortraitGrid(
-        radii=tuple(scfg.get_floats("portrait.radii", list(PortraitGrid.radii))),
-        n_angles=_int_at_least(scfg, "portrait.angles", 16, 1),
-    )
-    n_iter = _int_at_least(scfg, "portrait.iterations", 2000, 0)
-    clouds = portrait(cfg, grid, n_iter, lams).reshape(len(lams), -1, 2)
+def scenario_portrait(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
+    grid = PortraitGrid(radii=tuple(values["portrait.radii"]),
+                        n_angles=values["portrait.angles"])
+    clouds = portrait(cfg, grid, values["portrait.iterations"], lams).reshape(len(lams), -1, 2)
     tables = {}
     for lam, points in zip(lams, clouds):
         columns = [np.full(len(points), lam), points[:, 0], points[:, 1]]
@@ -253,15 +221,10 @@ def scenario_portrait(scfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _tracked_path(cfg: ValidatedConfig, seed: np.ndarray, stops: list[float]):
-    end = max(stops)
-    if end <= 0.0:
-        raise ConfigError("tracking needs a coupling grid reaching beyond 0")
-    return qf.track_eigenstate(0.0, end, seed, cfg, stops=[s for s in stops if s > 0.0])
+    return qf.track_eigenstate(0.0, max(stops), seed, cfg, stops=[s for s in stops if s > 0.0])
 
 
-def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg, "n_t")
+def _scenario_track(cfg: ValidatedConfig, lams, which: str) -> ScenarioResult:
     seed = qf.pgs_seed(cfg.n_t) if which == "pgs" else qf.pes_seed(cfg.n_t)
     path = _tracked_path(cfg, seed, lams)
     rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, path.sector), s.dlam_used)
@@ -271,25 +234,18 @@ def _scenario_track(scfg: ScenarioConfig, which: str) -> ScenarioResult:
         name: Table.from_rows(["lam", "eigenphase", "sector_leakage", "dlam_used"], rows)})
 
 
-def scenario_track_pgs(scfg: ScenarioConfig) -> ScenarioResult:
-    return _scenario_track(scfg, "pgs")
+def scenario_track_pgs(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
+    return _scenario_track(cfg, lams, "pgs")
 
 
-def scenario_track_pes(scfg: ScenarioConfig) -> ScenarioResult:
-    return _scenario_track(scfg, "pes")
+def scenario_track_pes(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
+    return _scenario_track(cfg, lams, "pes")
 
 
-def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg, "n_t")
-    bound = scfg.get_float("husimi.section_bound", 6.0)
-    if not bound > 0.0:
-        raise ConfigError(f"husimi.section_bound must be > 0, got {bound!r}")
-    n_pts = _int_at_least(scfg, "husimi.section_points", 161, 2)
+def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
+    bound, n_pts = values["husimi.section_bound"], values["husimi.section_points"]
+    grid2d_lam = values["husimi.grid2d_lambda"]
     slope = -math.tan(cfg.omega / 2.0)
-    grid2d_lam = scfg.get_float("husimi.grid2d_lambda")
-    if grid2d_lam is not None and grid2d_lam <= 0.0:
-        raise ConfigError(f"husimi.grid2d_lambda must be > 0, got {grid2d_lam!r}")
 
     stops = list(lams)
     if grid2d_lam is not None:
@@ -315,9 +271,7 @@ def scenario_husimi_section(scfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(tables=tables)
 
 
-def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
-    lams = scfg.lambda_values()
-    cfg = _model_config(scfg, "n_t")
+def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     path = _tracked_path(cfg, qf.pgs_seed(cfg.n_t), lams)
     triples = [obs.entanglement_measures(path.sample_at(lam).state)
                for lam in lams]
@@ -331,9 +285,9 @@ def scenario_entanglement_curves(scfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(tables={"entanglement_curves.csv": Table(header, columns)})
 
 
-def scenario_detection_prob(scfg: ScenarioConfig) -> ScenarioResult:
+def scenario_detection_prob(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     rows = []
-    for lam, fps in _fixed_point_census(scfg):
+    for lam, fps in _fixed_point_census(cfg, lams):
         stable = [fp for fp in fps if fp.classification is Stability.STABLE]
         if not stable:
             raise ComputeError(f"no stable fixed point at lam = {lam}")
@@ -358,6 +312,102 @@ SCENARIOS = {
     "entanglement-curves": scenario_entanglement_curves,
     "detection-prob": scenario_detection_prob,
 }
+
+
+# --- configuration -------------------------------------------------------------
+
+_MODEL = ("model.omega", "model.delta")
+_COUPLINGS = (*_MODEL, "model.lambda_list", "model.lambda_grid")
+_TRACKED = (*_COUPLINGS, "numerics.n_t")
+
+# the keys each scenario reads; a file that sets any other key is refused
+DECLARED = {
+    "critical-couplings": _MODEL,
+    "fixed-points": (*_COUPLINGS, "numerics.newton_tol"),
+    "portrait": (*_COUPLINGS, "portrait.radii", "portrait.angles", "portrait.iterations"),
+    "track-pgs": _TRACKED,
+    "track-pes": _TRACKED,
+    "husimi-section": (*_TRACKED, "husimi.section_bound", "husimi.section_points",
+                       "husimi.grid2d_lambda"),
+    "entanglement-curves": _TRACKED,
+    "detection-prob": (*_COUPLINGS, "numerics.newton_tol"),
+}
+
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+# Every key a config file may set: (kind, default, bounds).  kind evaluates
+# the entry; default stands in for a key left out (MISSING: required; None:
+# unset), read from its other home where it has one; each (comparison,
+# bound) pair must hold for the value, or for each value of a list.
+KEYS = {
+    "model.omega": (cf.number, MISSING, ()),
+    "model.delta": (cf.number, MISSING, ()),
+    "model.lambda_list": (cf.number_list, None, ((">=", 0),)),
+    "model.lambda_grid": (cf.grid, None, ((">=", 0),)),
+    "numerics.n_t": (cf.integer, ValidatedConfig.n_t, ()),
+    "numerics.newton_tol": (cf.number, ValidatedConfig.newton_tol, ()),
+    "portrait.radii": (cf.number_list, PortraitGrid.radii, ()),
+    "portrait.angles": (cf.integer, PortraitGrid.n_angles, ((">=", 1),)),
+    "portrait.iterations": (cf.integer, 2000, ((">=", 0),)),
+    "husimi.section_bound": (cf.number, 6.0, ((">", 0),)),
+    "husimi.section_points": (cf.integer, 161, ((">=", 2), ("<=", cf.MAX_SECTION_POINTS))),
+    "husimi.grid2d_lambda": (cf.number, None, ((">", 0),)),
+}
+
+
+def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfig, list, dict]:
+    """Check a config file's entries against the keys command declares and
+    return its scenario's inputs: the config at lam = 0, the couplings, and
+    {key: value} of its other declared keys.  The keys it does not read are
+    named, with their lines, before any value is evaluated; the grid wins
+    over the list, so a file that sets both does not read model.lambda_list."""
+    declared = DECLARED[command]
+    unread = [f"{key!r} (line {entry.line})" for key, entry in entries.items()
+              if key not in declared
+              or key == "model.lambda_list" and "model.lambda_grid" in entries]
+    if unread:
+        raise ConfigError(f"{command} does not read " + ", ".join(unread))
+    values = {}
+    for key in declared:
+        kind, default, bounds = KEYS[key]
+        entry = entries.get(key)
+        if entry is None:
+            if default is MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+            values[key] = default
+            continue
+        value = values[key] = kind(entry)
+        for item in value if isinstance(value, list) else [value]:
+            for comparison, bound in bounds:
+                if not _COMPARISONS[comparison](item, bound):
+                    raise ConfigError(f"{key} must be {comparison} {bound}, got {item!r}",
+                                      line=entry.line)
+    grid, listed = values.pop("model.lambda_grid", None), values.pop("model.lambda_list", None)
+    lams = grid or listed or []
+    if "model.lambda_grid" in declared:
+        if not lams:
+            raise ConfigError("no coupling values: set model.lambda_grid or model.lambda_list")
+        if any(b <= a for a, b in zip(lams, lams[1:])):
+            raise ConfigError("coupling values must be strictly ascending")
+    # model.<name> and numerics.<name> set the ValidatedConfig field <name>
+    settings = {key.split(".")[1]: values.pop(key) for key in declared
+                if key.startswith(("model.", "numerics.")) and key in values}
+    try:
+        cfg = ValidatedConfig(lam=0.0, **settings)
+    except OutOfRange as exc:
+        raise ConfigError(str(exc))
+    # a tracked scenario follows its state from lam = 0 to its largest coupling
+    if "n_t" in settings and max(lams + [values.get("husimi.grid2d_lambda") or 0]) <= 0:
+        raise ConfigError("tracking needs a coupling grid reaching beyond 0")
+    if "portrait.iterations" in values:
+        points = math.prod(map(float, (len(lams), len(values["portrait.radii"]),
+                                       values["portrait.angles"],
+                                       values["portrait.iterations"] + 1)))
+        if points > cf.MAX_PORTRAIT_POINTS:
+            raise ConfigError(f"the couplings, portrait.radii, portrait.angles and "
+                              f"portrait.iterations make {points:.6g} portrait points, "
+                              f"more than {cf.MAX_PORTRAIT_POINTS}")
+    return cfg, lams, values
 
 
 # --- truncation convergence check (--check) -----------------------------------
@@ -385,22 +435,16 @@ def _compare_tables(name: str, base: Table, bumped: Table) -> list[str]:
     return lines
 
 
-# scenarios that never read numerics.n_t: --check has nothing to vary
-UNTRUNCATED = frozenset({"critical-couplings", "fixed-points", "portrait", "detection-prob"})
-
-
-def truncation_check(command: str, scfg: ScenarioConfig, base: ScenarioResult) -> str:
-    """Rerun the scenario at n_t + 4 and compare its tables with base, the
-    result of the run at the configured n_t."""
-    if command in UNTRUNCATED:
+def truncation_check(command: str, cfg: ValidatedConfig, lams, values,
+                     base: ScenarioResult) -> str:
+    """Rerun the scenario at n_t + 4 on the same validated inputs and compare
+    its tables with base, the result of the run at cfg.n_t."""
+    if "numerics.n_t" not in DECLARED[command]:
         return f"truncation check: {command} has no truncation parameter"
-    n_t = _model_config(scfg, "n_t").n_t
+    n_t = cfg.n_t
     if n_t + 4 > MAX_N_T:
         return f"truncation check: n_t + 4 = {n_t + 4} exceeds the largest n_t, {MAX_N_T}"
-    bumped_cfg = ScenarioConfig.from_text(
-        "\n".join(f"{k} = {v.value}" for k, v in scfg._entries.items() if k != "numerics.n_t")
-        + f"\nnumerics.n_t = {n_t + 4}\n")
-    bumped = SCENARIOS[command](bumped_cfg)
+    bumped = SCENARIOS[command](replace(cfg, n_t=n_t + 4), lams, values)
     lines = [f"truncation check: n_t = {n_t} vs {n_t + 4}"]
     for name in base.tables:
         if name in bumped.tables:
@@ -482,7 +526,11 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        scfg = ScenarioConfig.from_file(args.config)
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}")
+        entries = cf.read_entries(text)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -490,18 +538,15 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
-        result = SCENARIOS[args.command](scfg)
-        unread = scfg.unread()
-        if unread:
-            raise ConfigError(f"{args.command} does not read " + ", ".join(
-                f"{key!r} (line {line})" for key, line in unread))
+        inputs = validate(args.command, entries)
+        result = SCENARIOS[args.command](*inputs)
         _write_tables(out_dir, result.tables)
         if result.text:
             print(result.text)
         for name in result.tables:
             print(f"wrote {out_dir / name}")
         if args.check:
-            print(truncation_check(args.command, scfg, result))
+            print(truncation_check(args.command, *inputs, result))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

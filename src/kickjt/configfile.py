@@ -7,6 +7,9 @@ e and positional calls to sqrt, sin, cos, tan, atan, acos, asin and acot
 (so `2*acot(2)` is exact to double precision), comma-separated lists of
 such expressions, or inclusive grids written `start:stop:step`.
 Expressions are evaluated by walking their syntax tree, never by `eval`.
+
+:func:`read_entries` evaluates no value; each kind (:func:`number`,
+:func:`integer`, :func:`number_list`, :func:`grid`) evaluates one entry.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .model import acot
@@ -22,6 +25,12 @@ from .model import acot
 # the most points a start:stop:step grid may hold; the scale of
 # quantum_floquet.MAX_TRACK_STEPS
 MAX_GRID_POINTS = 100_000
+# Each of these keeps the largest array of a run within 1 GiB at 16 bytes a
+# value: the portrait cloud of (q_x, q_y) points, couplings x radii x angles
+# x (iterations + 1), and the complex projections of the 2D Husimi grid,
+# the square of the section points.
+MAX_PORTRAIT_POINTS = 2 ** 26
+MAX_SECTION_POINTS = 2 ** 13
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = {
@@ -62,130 +71,75 @@ def _evaluate(node: ast.AST):
 
 
 @dataclass(frozen=True)
-class _Entry:
+class Entry:
+    """One `key = value` line of a file: the key, its value text, its line."""
+
+    key: str
     value: str
     line: int
 
 
-class ScenarioConfig:
-    """Parsed configuration with typed, validating accessors.
+def read_entries(text: str) -> dict[str, Entry]:
+    """The entries of a config file by key, in file order; no value is
+    evaluated here."""
+    entries: dict[str, Entry] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError("empty key", line=lineno)
+        if key in entries:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        entries[key] = Entry(key, value, lineno)
+    return entries
 
-    Every accessor records the key it looks up, so after a run
-    :meth:`unread` names the keys the file sets that nothing read."""
 
-    def __init__(self, entries: dict[str, _Entry]):
-        self._entries = entries
-        self._read: set[str] = set()
+def number(entry: Entry) -> float:
+    """One finite numeric expression."""
+    try:
+        value = float(_evaluate(ast.parse(entry.value.strip(), mode="eval").body))
+    except Exception as exc:
+        raise ConfigError(f"cannot evaluate {entry.value!r}: {exc}", line=entry.line)
+    if not math.isfinite(value):
+        raise ConfigError(f"{entry.value!r} is not finite", line=entry.line)
+    return value
 
-    @classmethod
-    def from_text(cls, text: str) -> "ScenarioConfig":
-        entries: dict[str, _Entry] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ConfigError("empty key", line=lineno)
-            if key in entries:
-                raise ConfigError(f"duplicate key {key!r}", line=lineno)
-            entries[key] = _Entry(value=value, line=lineno)
-        return cls(entries)
 
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}")
-        return cls.from_text(text)
+def integer(entry: Entry) -> int:
+    """A numeric expression with an integer value."""
+    value = number(entry)
+    if value != int(value):
+        raise ConfigError(f"{entry.key} must be an integer, got {entry.value!r}", line=entry.line)
+    return int(value)
 
-    def _lookup(self, key: str) -> _Entry | None:
-        """The entry of key, None when the file does not set it; either way
-        key now counts as read."""
-        self._read.add(key)
-        return self._entries.get(key)
 
-    def unread(self) -> list[tuple[str, int]]:
-        """(key, line) of every key set in the file that no accessor has
-        looked up, in file order."""
-        return [(key, entry.line) for key, entry in self._entries.items()
-                if key not in self._read]
+def number_list(entry: Entry) -> list[float]:
+    """Comma-separated list of numeric expressions."""
+    parts = [p.strip() for p in entry.value.split(",") if p.strip()]
+    if not parts:
+        raise ConfigError(f"{entry.key} is an empty list", line=entry.line)
+    return [number(replace(entry, value=p)) for p in parts]
 
-    def _eval_number(self, expr: str, line: int) -> float:
-        try:
-            value = float(_evaluate(ast.parse(expr.strip(), mode="eval").body))
-        except Exception as exc:
-            raise ConfigError(f"cannot evaluate {expr!r}: {exc}", line=line)
-        if not math.isfinite(value):
-            raise ConfigError(f"{expr!r} is not finite", line=line)
-        return value
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        entry = self._lookup(key)
-        return default if entry is None else self._eval_number(entry.value, entry.line)
-
-    def require_float(self, key: str) -> float:
-        value = self.get_float(key)
-        if value is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return value
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        entry = self._lookup(key)
-        if entry is None:
-            return default
-        value = self._eval_number(entry.value, entry.line)
-        if value != int(value):
-            raise ConfigError(f"{key} must be an integer, got {entry.value!r}", line=entry.line)
-        return int(value)
-
-    def get_floats(self, key: str, default=None) -> list[float] | None:
-        """Comma-separated list of numeric expressions."""
-        entry = self._lookup(key)
-        if entry is None:
-            return default
-        parts = [p.strip() for p in entry.value.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError(f"{key} is an empty list", line=entry.line)
-        return [self._eval_number(p, entry.line) for p in parts]
-
-    def get_grid(self, key: str) -> list[float] | None:
-        """Inclusive grid 'start:stop:step' of at most MAX_GRID_POINTS
-        points; values rounded to 12 decimals."""
-        entry = self._lookup(key)
-        if entry is None:
-            return None
-        parts = entry.value.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{key} must look like start:stop:step", line=entry.line)
-        start, stop, step = (self._eval_number(p, entry.line) for p in parts)
-        if step <= 0:
-            raise ConfigError(f"{key} step must be > 0", line=entry.line)
-        if stop < start:
-            raise ConfigError(f"{key} has stop < start", line=entry.line)
-        # counted before any point is built: a huge grid is refused, not expanded
-        intervals = (stop - start) / step + 1e-9
-        if intervals >= MAX_GRID_POINTS:
-            raise ConfigError(f"{key} has {intervals + 1:.6g} points, more than "
-                              f"{MAX_GRID_POINTS}", line=entry.line)
-        values = [round(start + k * step, 12) for k in range(math.floor(intervals) + 1)]
-        return [v for v in values if v <= stop + 1e-12]
-
-    def lambda_values(self) -> list[float]:
-        """Coupling values from model.lambda_grid or model.lambda_list;
-        ascending and non-empty."""
-        values = self.get_grid("model.lambda_grid")
-        if values is None:
-            values = self.get_floats("model.lambda_list")
-        if not values:
-            raise ConfigError("no coupling values: set model.lambda_grid or "
-                              "model.lambda_list")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError("coupling values must be strictly ascending")
-        if values[0] < 0:
-            raise ConfigError("couplings must be >= 0")
-        return values
+def grid(entry: Entry) -> list[float]:
+    """Inclusive grid 'start:stop:step' of at most MAX_GRID_POINTS points;
+    values rounded to 12 decimals."""
+    parts = entry.value.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{entry.key} must look like start:stop:step", line=entry.line)
+    start, stop, step = (number(replace(entry, value=p)) for p in parts)
+    if step <= 0:
+        raise ConfigError(f"{entry.key} step must be > 0", line=entry.line)
+    if stop < start:
+        raise ConfigError(f"{entry.key} has stop < start", line=entry.line)
+    # counted before any point is built: a huge grid is refused, not expanded
+    intervals = (stop - start) / step + 1e-9
+    if intervals >= MAX_GRID_POINTS:
+        raise ConfigError(f"{entry.key} has {intervals + 1:.6g} points, more than "
+                          f"{MAX_GRID_POINTS}", line=entry.line)
+    values = [round(start + k * step, 12) for k in range(math.floor(intervals) + 1)]
+    return [v for v in values if v <= stop + 1e-12]

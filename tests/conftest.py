@@ -14,6 +14,17 @@ from kickjt import (ValidatedConfig, build_basis, default_seeds,
 OMEGA = math.pi / 60
 DELTA = 2 * math.atan(0.5)
 
+# the subcommand each preset file under src/kickjt/presets is written for
+PRESET_COMMANDS = {
+    "critical_couplings.cfg": "critical-couplings",
+    "fixed_points.cfg": "fixed-points",
+    "portraits.cfg": "portrait",
+    "track_pgs.cfg": "track-pgs",
+    "husimi_sections.cfg": "husimi-section",
+    "entanglement_curves.cfg": "entanglement-curves",
+    "detection_prob.cfg": "detection-prob",
+}
+
 
 def reference_config(lam=0.32, **numerics):
     return ValidatedConfig(OMEGA, DELTA, lam, **numerics)

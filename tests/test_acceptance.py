@@ -22,7 +22,7 @@ from kickjt import (SpinDirection, Stability, ValidatedConfig, build_basis,
 from kickjt.classical_map import composed_step, from_canonical
 from kickjt.quantum_floquet import EIG_RESIDUAL_TOL
 from kickjt.cli import main
-from conftest import DELTA, OMEGA, reference_config
+from conftest import DELTA, OMEGA, PRESET_COMMANDS, reference_config
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "kickjt" / "presets"
 
@@ -259,17 +259,6 @@ def test_criterion_11_ehrenfest_property():
     worst = max(errors.values())
     check(11, f"one-step quantum vs classical, worst relative error {worst:.1e}",
           worst <= 0.05)
-
-
-PRESET_COMMANDS = {
-    "critical_couplings.cfg": "critical-couplings",
-    "fixed_points.cfg": "fixed-points",
-    "portraits.cfg": "portrait",
-    "track_pgs.cfg": "track-pgs",
-    "husimi_sections.cfg": "husimi-section",
-    "entanglement_curves.cfg": "entanglement-curves",
-    "detection_prob.cfg": "detection-prob",
-}
 
 
 def _run_preset(command: str, config: Path, out_dir: Path, threads: int) -> dict:

@@ -11,8 +11,8 @@ from kickjt import (NonFiniteState, PortraitGrid, Stability, ValidatedConfig,
                     find_fixed_points, portrait, reflection_symmetry_score,
                     step_arrays)
 from kickjt.classical_map import from_canonical
-from kickjt.cli import _fixed_point_census
-from kickjt.configfile import ScenarioConfig
+from kickjt.cli import _fixed_point_census, validate
+from kickjt.configfile import read_entries
 from conftest import DELTA, OMEGA, reference_config
 
 
@@ -181,10 +181,10 @@ class TestBatchIndependence:
 def census_table(lams):
     """The CLI census (fresh default seeds at every coupling) over a list
     of couplings at the reference model, as (lam, fixed points) pairs."""
-    scfg = ScenarioConfig.from_text(
+    cfg, lams, _ = validate("fixed-points", read_entries(
         "model.omega = pi/60\nmodel.delta = 2*acot(2)\n"
-        f"model.lambda_list = {', '.join(repr(l) for l in lams)}\n")
-    return list(_fixed_point_census(scfg))
+        f"model.lambda_list = {', '.join(repr(l) for l in lams)}\n"))
+    return list(_fixed_point_census(cfg, lams))
 
 
 class TestBranchScan:

@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from kickjt.bifurcation import PortraitGrid, portrait
 from kickjt import cli
+from kickjt import configfile as cf
 from kickjt.cli import Table, _write_tables, build_parser, main
-from kickjt.configfile import ScenarioConfig
 from kickjt.errors import ConfigError
 from kickjt.model import ValidatedConfig
+from conftest import PRESET_COMMANDS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 PRESET_DIR = SRC_DIR / "kickjt" / "presets"
@@ -35,56 +36,60 @@ model.delta = 2*acot(2)
 """
 
 
+def entry(text, key="k"):
+    return cf.read_entries(text)[key]
+
+
+def couplings(text):
+    """The couplings that fixed-points validates from SMALL_MODEL plus text."""
+    return cli.validate("fixed-points", cf.read_entries(SMALL_MODEL + text))[1]
+
+
 class TestConfigParsing:
     def test_expressions(self):
-        scfg = ScenarioConfig.from_text("model.omega = pi/60\nmodel.delta = 2*acot(2)\n")
-        assert scfg.require_float("model.omega") == math.pi / 60
-        assert scfg.require_float("model.delta") == 2 * math.atan(0.5)
+        entries = cf.read_entries("model.omega = pi/60\nmodel.delta = 2*acot(2)\n")
+        assert cf.number(entries["model.omega"]) == math.pi / 60
+        assert cf.number(entries["model.delta"]) == 2 * math.atan(0.5)
 
     def test_grid_inclusive(self):
-        scfg = ScenarioConfig.from_text("model.lambda_grid = 0:0.55:0.01\n")
-        values = scfg.lambda_values()
+        values = couplings("model.lambda_grid = 0:0.55:0.01\n")
         assert values[0] == 0.0
         assert values[-1] == 0.55
         assert len(values) == 56
 
     def test_grid_parts_may_carry_spaces(self):
-        scfg = ScenarioConfig.from_text("model.lambda_grid = 0 : 0.55 : 0.01\n")
-        assert len(scfg.lambda_values()) == 56
+        assert len(couplings("model.lambda_grid = 0 : 0.55 : 0.01\n")) == 56
 
     def test_list(self):
-        scfg = ScenarioConfig.from_text("model.lambda_list = 0.15, 0.32\n")
-        assert scfg.lambda_values() == [0.15, 0.32]
+        assert couplings("model.lambda_list = 0.15, 0.32\n") == [0.15, 0.32]
 
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_text("model.omega = 0.1\nbogus line\n")
+            cf.read_entries("model.omega = 0.1\nbogus line\n")
         assert err.value.line == 2
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("a.b = 1\na.b = 2\n")
+            cf.read_entries("a.b = 1\na.b = 2\n")
 
     def test_bad_expression_reports_line(self):
+        # reading the file evaluates nothing; the kind names the line
+        bad = entry("model.omega = fhtagn(2)\n", "model.omega")
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_text("model.omega = fhtagn(2)\n")
-            ScenarioConfig.from_text("model.omega = fhtagn(2)\n").require_float("model.omega")
-        scfg = ScenarioConfig.from_text("model.omega = fhtagn(2)\n")
-        with pytest.raises(ConfigError) as err:
-            scfg.require_float("model.omega")
+            cf.number(bad)
         assert err.value.line == 1
 
     def test_empty_lambda_values_rejected(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("model.omega = 0.1\n").lambda_values()
+            couplings("")
 
     def test_descending_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("model.lambda_list = 0.3, 0.2\n").lambda_values()
+            couplings("model.lambda_list = 0.3, 0.2\n")
 
     def test_comments_and_blank_lines(self):
-        scfg = ScenarioConfig.from_text("# header\n\nmodel.omega = 0.1  # trailing\n")
-        assert scfg.require_float("model.omega") == 0.1
+        assert cf.number(entry("# header\n\nmodel.omega = 0.1  # trailing\n",
+                               "model.omega")) == 0.1
 
 
 # reference for accepted input: eval with emptied builtins, acot(x) = atan2(1, x)
@@ -99,8 +104,8 @@ def _eval_oracle(expr: str) -> float:
 
 def _preset_expressions():
     for preset in sorted(PRESET_DIR.glob("*.cfg")):
-        for key, entry in ScenarioConfig.from_file(preset)._entries.items():
-            for part in entry.value.replace(":", ",").split(","):
+        for key, item in cf.read_entries(preset.read_text()).items():
+            for part in item.value.replace(":", ",").split(","):
                 yield f"{preset.name}:{key}", part
 
 
@@ -115,8 +120,7 @@ class TestSafeEvaluator:
     @pytest.mark.parametrize("label,expr", list(_preset_expressions())
                              + [("doc", e) for e in _DOC_EXPRESSIONS])
     def test_accepted_values_equal_eval(self, label, expr):
-        value = ScenarioConfig.from_text(f"k = {expr}\n").require_float("k")
-        assert value == _eval_oracle(expr), label
+        assert cf.number(entry(f"k = {expr}\n")) == _eval_oracle(expr), label
 
     @pytest.mark.parametrize("expr", [
         "().__class__.__base__.__subclasses__()[0].__name__.__len__()",
@@ -126,18 +130,17 @@ class TestSafeEvaluator:
         "1e400 - 1e400", "",
     ])
     def test_rejected_with_line_number(self, expr):
-        scfg = ScenarioConfig.from_text(f"# header\n\nk = {expr}\n")
         with pytest.raises(ConfigError) as err:
-            scfg.require_float("k")
+            cf.number(entry(f"# header\n\nk = {expr}\n"))
         assert err.value.line == 3
 
     def test_rejected_inside_list_and_grid(self):
-        scfg = ScenarioConfig.from_text("a.b = 1, True\nc.d = 0:[1][0]:0.5\n")
+        entries = cf.read_entries("a.b = 1, True\nc.d = 0:[1][0]:0.5\n")
         with pytest.raises(ConfigError) as err:
-            scfg.get_floats("a.b")
+            cf.number_list(entries["a.b"])
         assert err.value.line == 1
         with pytest.raises(ConfigError) as err:
-            scfg.get_grid("c.d")
+            cf.grid(entries["c.d"])
         assert err.value.line == 2
 
 
@@ -155,6 +158,13 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["critical-couplings", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_undecodable_config_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(SMALL_MODEL.encode() + b"# \xff\n")
+        assert main(["critical-couplings", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}")
 
     def test_invalid_model_parameter(self, tmp_path):
         cfg = write_config(tmp_path, "model.omega = 0\nmodel.delta = 1\n")
@@ -257,6 +267,10 @@ class TestExitCodes:
         ("husimi.grid2d_lambda", "-0.1"),
         ("husimi.section_bound", "0"),
         ("husimi.section_bound", "-3"),
+        # sizes that cannot be allocated: a 1.1e11-point portrait cloud, and
+        # a 2D Husimi grid of 1e10 points
+        ("portrait.iterations", "1e9"),
+        ("husimi.section_points", "100000"),
     ])
     def test_out_of_range_scenario_key_exits_two_naming_it(self, tmp_path, capsys, key, value):
         if key.startswith("portrait"):
@@ -273,12 +287,15 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
 
-# a small run of each scenario a retired key belonged to
+# a small run of each scenario
 _SMALL_RUNS = {
+    "critical-couplings": "",
     "fixed-points": "model.lambda_list = 0.15\n",
+    "detection-prob": "model.lambda_list = 0.15\n",
     "portrait": ("model.lambda_list = 0.15\nportrait.radii = 1.0\n"
                  "portrait.angles = 4\nportrait.iterations = 3\n"),
     "track-pgs": "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n",
+    "track-pes": "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n",
     "husimi-section": ("model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"
                        "husimi.section_points = 5\n"),
     "entanglement-curves": "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n",
@@ -324,29 +341,34 @@ class TestUnreadKeys:
             "config error: fixed-points does not read 'model.lambda_list' (line 5),"
             " 'portrait.angles' (line 6)\n")
 
-    def test_lookup_records_keys_set_or_not(self):
-        scfg = ScenarioConfig.from_text("a.b = 1\nc.d = 2\ne.f = 3, 4\n")
-        assert scfg.unread() == [("a.b", 1), ("c.d", 2), ("e.f", 3)]
-        assert scfg.get_float("x.y") is None
-        scfg.get_int("c.d")
-        assert scfg.unread() == [("a.b", 1), ("e.f", 3)]
-        scfg.get_floats("e.f")
-        scfg.require_float("a.b")
-        assert scfg.unread() == []
+    @pytest.mark.parametrize("command", sorted(cli.SCENARIOS))
+    def test_misspelt_key_exits_two_before_the_scenario_runs(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        # the undeclared key is refused, and its value never evaluated, before
+        # the scenario is called
+        calls = []
+        monkeypatch.setitem(cli.SCENARIOS, command, lambda *inputs: calls.append(inputs))
+        text = SMALL_MODEL + _SMALL_RUNS[command] + "numerics.n_T = fhtagn(30)\n"
+        line = len(text.splitlines())
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {command} does not read 'numerics.n_T' (line {line})\n")
+        assert calls == []
+        assert list(out.iterdir()) == []
 
 
 class TestGridBound:
     def test_largest_grid_is_accepted(self):
-        scfg = ScenarioConfig.from_text("model.lambda_grid = 0:99999:1\n")
-        values = scfg.lambda_values()
+        values = couplings("model.lambda_grid = 0:99999:1\n")
         assert len(values) == 100_000 and values[-1] == 99999.0
 
     @pytest.mark.parametrize("grid,count", [("0:100000:1", "100001"),
                                             ("0:1e300:1e-300", "inf")])
     def test_grid_over_the_bound_is_refused_before_expansion(self, grid, count):
-        scfg = ScenarioConfig.from_text(f"# c\nmodel.lambda_grid = {grid}\n")
         with pytest.raises(ConfigError) as err:
-            scfg.lambda_values()
+            cf.grid(entry(f"# c\nmodel.lambda_grid = {grid}\n", "model.lambda_grid"))
         assert err.value.line == 2
         assert str(err.value) == (f"line 2: model.lambda_grid has {count} points,"
                                   " more than 100000")
@@ -658,9 +680,9 @@ class TestDeterminismSmoke:
         seen = []
         real = cli.SCENARIOS["critical-couplings"]
 
-        def spy(scfg):
+        def spy(*inputs):
             seen.append([get_fn() for get_fn, _ in controls])
-            return real(scfg)
+            return real(*inputs)
 
         monkeypatch.setitem(cli.SCENARIOS, "critical-couplings", spy)
         try:
@@ -700,9 +722,9 @@ class TestTruncationCheckFlag:
         calls = []
         real = cli.SCENARIOS[command]
 
-        def spy(scfg):
-            calls.append(scfg)
-            return real(scfg)
+        def spy(*inputs):
+            calls.append(inputs)
+            return real(*inputs)
 
         monkeypatch.setitem(cli.SCENARIOS, command, spy)
         cfg = write_config(tmp_path, SMALL_MODEL + extra)
@@ -718,9 +740,9 @@ class TestTruncationCheckFlag:
         seen = []
         real = cli.SCENARIOS["track-pgs"]
 
-        def spy(scfg):
-            seen.append(scfg.get_int("numerics.n_t"))
-            return real(scfg)
+        def spy(cfg, lams, values):
+            seen.append(cfg.n_t)
+            return real(cfg, lams, values)
 
         monkeypatch.setitem(cli.SCENARIOS, "track-pgs", spy)
         cfg = write_config(tmp_path, SMALL_MODEL + (
@@ -734,9 +756,8 @@ class TestTruncationCheckFlag:
         # so instead of failing after the base files are written
         seen = []
 
-        def spy(scfg):
-            seen.append(cli._model_config(scfg, "n_t").n_t)
-            scfg.lambda_values()
+        def spy(cfg, lams, values):
+            seen.append(cfg.n_t)
             return cli.ScenarioResult()
 
         monkeypatch.setitem(cli.SCENARIOS, "track-pgs", spy)
@@ -750,6 +771,9 @@ class TestTruncationCheckFlag:
 
 
 def test_presets_parse():
-    for preset in sorted(PRESET_DIR.glob("*.cfg")):
-        scfg = ScenarioConfig.from_file(preset)
-        assert scfg.require_float("model.omega") > 0
+    # every preset validates against the keys its own scenario declares
+    assert sorted(PRESET_COMMANDS) == sorted(p.name for p in PRESET_DIR.glob("*.cfg"))
+    for preset, command in PRESET_COMMANDS.items():
+        cfg, lams, values = cli.validate(
+            command, cf.read_entries((PRESET_DIR / preset).read_text()))
+        assert cfg.omega > 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import glob
+import importlib.util
 import math
 import operator
 import os
@@ -31,7 +32,6 @@ from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import observables as obs
 from . import quantum_floquet as qf
@@ -41,6 +41,7 @@ from . import configfile as cf
 from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
                      OutOfRange)
 from .model import MAX_N_T, ValidatedConfig
+from .shortrepr import reprs
 
 
 # --- result plumbing ---------------------------------------------------------
@@ -76,15 +77,26 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+# a float64 column whose first REPEAT_SAMPLE cells hold fewer than half as
+# many distinct values is formatted through its distinct values
+REPEAT_SAMPLE = 1024
+
+
 def _fmt_column(column) -> list[str]:
-    # repr of the Python floats from tolist() is _fmt_cell's text for every
-    # float64 cell, without a per-cell type dispatch
+    # _fmt_cell's text of a float64 cell is its repr, which shortrepr.reprs
+    # gives for a whole array without a per-cell type dispatch
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits = column.view(np.int64)
         if bits.size and (bits == bits[0]).all():
             # one value, bit for bit (so 0.0 and -0.0 never merge): one repr
             return [repr(float(column[0]))] * column.size
-        return list(map(repr, column.tolist()))
+        sample = np.sort(bits[:REPEAT_SAMPLE])
+        if 2 * np.count_nonzero(sample[1:] != sample[:-1]) < sample.size:
+            # few distinct values (a coordinate or coupling repeated over a
+            # grid): format each once
+            distinct, index = np.unique(bits, return_inverse=True)
+            return np.array(reprs(distinct.view(np.float64)), dtype=object)[index].tolist()
+        return reprs(column)
     return [_fmt_cell(c) for c in column]
 
 
@@ -468,8 +480,10 @@ def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of the OpenBLAS libraries bundled in
     numpy.libs and scipy.libs; empty for a BLAS without these entry points."""
     controls = []
-    for module in (np, scipy):
-        libdir = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+    for name in ("numpy", "scipy"):
+        # find_spec locates scipy without importing it
+        origin = importlib.util.find_spec(name).origin
+        libdir = Path(origin).resolve().parent.parent / f"{name}.libs"
         for path in sorted(glob.glob(str(libdir / "*openblas*"))):
             lib = ctypes.CDLL(path)
             for get_name, set_name in _OPENBLAS_THREAD_FNS:

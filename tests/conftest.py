@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from kickjt import cli
 from kickjt import (ValidatedConfig, build_basis, default_seeds,
                     entanglement_measures, find_fixed_points, pes_seed,
                     pgs_seed, reduced_density, track_eigenstate,
@@ -24,6 +25,14 @@ PRESET_COMMANDS = {
     "entanglement_curves.cfg": "entanglement-curves",
     "detection_prob.cfg": "detection-prob",
 }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def single_thread_blas():
+    """Every test runs BLAS on one thread, as the CLI does: multi-threaded
+    BLAS makes these small matrices 2-3x slower."""
+    with cli._single_thread_blas():
+        yield
 
 
 def reference_config(lam=0.32, **numerics):

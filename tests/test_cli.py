@@ -18,6 +18,7 @@ from kickjt import configfile as cf
 from kickjt.cli import Table, _write_tables, build_parser, main
 from kickjt.errors import ConfigError
 from kickjt.model import ValidatedConfig
+from kickjt.shortrepr import MIN_CELLS, SUB_BLOCK, reprs
 from conftest import PRESET_COMMANDS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -483,12 +484,19 @@ def _oracle_payload(header, rows) -> bytes:
 
 
 # signed zero, non-finite values, subnormals, the extremes, the points where
-# repr switches to exponent notation and values that need all 17 digits
+# repr switches to exponent notation (and their neighbours), values that need
+# all 17 digits, powers of two (an asymmetric rounding interval), one value of
+# each shortest length from 1 to 16 digits, and 17-digit decimal ties, which
+# repr rounds to even (...0.2 and ...0.8)
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
                 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
                 1e-4, 1e-5, 9.999999999999999e-05, 0.00010000000000000002,
-                0.30000000000000004, 1.2345678901234567, -2.718281828459045, 1e22]
+                0.30000000000000004, 1.2345678901234567, -2.718281828459045, 1e22,
+                0.5, 2.0 ** -20, 2.0 ** 52, 2.0 ** 53,
+                *(float(np.nextafter(v, to)) for v in (1e-4, 1e16) for to in (0.0, math.inf)),
+                *(float("7." + "123456789123456"[:k - 1]) for k in range(1, 17)),
+                1000000000000000.25, 1000000000000000.75]
 
 _CELL_KINDS = ["float64 array", "float list", "int list", "int64 array", "int64 list", "str list"]
 
@@ -559,6 +567,25 @@ class TestTableWriter:
             _oracle_payload(["c", "d"], list(zip(column.tolist(), column[::-1].tolist())))
 
     @_CPU_SETS
+    def test_kernel_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, cpus):
+        # strided float64 views, as portrait passes points[:, 0], in blocks
+        # that span the kernel's own sub-blocks, with the edge values mixed in
+        rng = np.random.default_rng(5)
+        rows = 2 * SUB_BLOCK + 700
+        points = rng.normal(size=(rows, 2))
+        points[::97, 0] = np.resize(_EDGE_FLOATS, points[::97, 0].size)
+        coords = np.repeat(np.linspace(-6, 6, 161), rows // 161 + 1)[:rows]
+        columns = [points[:, 0], points[:, 1], coords]
+        with _writer_sees(cpus, SUB_BLOCK + 300):
+            _write_tables(tmp_path, {"k.csv": Table(["x", "y", "u"], columns)})
+        table_rows = list(zip(*(column.tolist() for column in columns)))
+        assert (tmp_path / "k.csv").read_bytes() == _oracle_payload(["x", "y", "u"], table_rows)
+
+    def test_edge_values_through_the_kernel(self):
+        column = np.array(_EDGE_FLOATS * (MIN_CELLS // len(_EDGE_FLOATS) + 1))
+        assert reprs(column) == list(map(repr, column.tolist()))
+
+    @_CPU_SETS
     def test_failing_formatter_leaves_no_child_and_no_temp_file(self, tmp_path, monkeypatch,
                                                                cpus):
         inner = cli._format_block
@@ -625,6 +652,13 @@ def test_cli_start_does_not_load_multiprocessing():
     # the table writer imports it only for a run large enough to fork
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     code = "import sys, kickjt.cli; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_start_does_not_load_scipy():
+    # the BLAS thread controls find scipy.libs without importing scipy
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = "import sys, kickjt.cli; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

@@ -1,17 +1,15 @@
 """Kicked two-mode Jahn-Teller model: classical map, bifurcations, Floquet
 spectra, Husimi functions and entanglement measures."""
 
-from .errors import (ComputeError, ConfigError, EigFailure, GridTooSmall,
-                     KickJTError, NoConvergence, NonFiniteState, OutOfRange,
-                     PoleProximity, StepUnderflow, TruncationLoss)
+from .errors import (ComputeError, ConfigError, EigFailure, KickJTError,
+                     NonFiniteState, OutOfRange, StepUnderflow, TruncationLoss)
 from .model import ValidatedConfig, acot
 from .classical_map import (SubMap, composed_step, inverse_step,
                             jacobian_canonical, spin_rotation_matrix,
                             step_arrays, step_jacobian, submap)
 from .bifurcation import (CriticalCoupling, CriticalCouplings, FixedPoint,
-                          PortraitGrid, Stability, bifurcation_residual,
-                          critical_couplings, default_seeds,
-                          find_fixed_points, portrait,
+                          PortraitGrid, Stability, critical_couplings,
+                          default_seeds, find_fixed_points, portrait,
                           reflection_symmetry_score)
 from .quantum_floquet import (FloquetSpectrum, FockBasis, TrackedPath,
                               TrackedSample, apply_floquet, apply_kick,

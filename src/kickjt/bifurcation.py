@@ -33,7 +33,7 @@ import numpy as np
 
 from .classical_map import (_require_phase_points, from_canonical, step_arrays,
                             step_jacobian)
-from .errors import NoConvergence, NonFiniteState
+from .errors import NonFiniteState
 from .model import ValidatedConfig
 
 MULTIPLIER_TOL = 1e-4
@@ -90,12 +90,6 @@ def critical_couplings(omega: float, delta: float) -> CriticalCouplings:
             out.append(CriticalCoupling(math.sqrt(rhs), branch))
     out.sort(key=lambda c: c.value)
     return CriticalCouplings(tuple(out))
-
-
-def bifurcation_residual(coupling: CriticalCoupling, omega: float, delta: float) -> float:
-    """lam_b^2 (cot(delta/2) + branch) - 8 tan(omega/2); zero at a root."""
-    cot_half = 1.0 / math.tan(delta / 2.0)
-    return coupling.value ** 2 * (cot_half + coupling.branch) - 8.0 * math.tan(omega / 2.0)
 
 
 # --- fixed points ----------------------------------------------------------
@@ -164,12 +158,12 @@ def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
-                  ) -> tuple[dict[int, tuple[np.ndarray, float]], dict[int, NoConvergence]]:
+                  ) -> tuple[dict[int, tuple[np.ndarray, float]], dict[int, str]]:
     """Newton's method in the hemisphere chart from every seed row of x0
     (k, 7) at once.
 
     Returns the converged Cartesian points with their residuals and the
-    per-seed NoConvergence, both keyed by seed index.  Every iteration
+    per-seed failure reasons, both keyed by seed index.  Every iteration
     evaluates the map once for all running seeds and settles each seed by
     the first of: converged, on the spin equator, singular Jacobian, and,
     after its step is halved back off the equator, diverged; seeds still
@@ -179,12 +173,11 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
     finite.
     """
     roots: dict[int, tuple[np.ndarray, float]] = {}
-    failures: dict[int, NoConvergence] = {}
+    failures: dict[int, str] = {}
 
     def fail(idx, mask, reason):
         """Record `reason` for the seeds idx[mask]; return the mask of the others."""
-        for k in np.flatnonzero(mask):
-            failures[int(idx[k])] = NoConvergence(reason)
+        failures.update(dict.fromkeys(idx[mask].tolist(), reason))
         return ~mask
 
     idx = np.arange(len(x0))
@@ -308,7 +301,7 @@ def find_fixed_points(cfg: ValidatedConfig, seeds,
     the spin sphere (|s|^2 more than 1e-9 from 1/4) ValueError, each naming
     the seed's index, before any Newton step.  Per-seed failures (no
     convergence, chart exit) are recorded in `failures` as (seed_index,
-    exception), in ascending seed index, when a list is supplied; they
+    reason string), in ascending seed index, when a list is supplied; they
     never abort the search.  NonFiniteState, raised when a Newton step or a
     root's linearisation overflows, does.
     """

@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NonFiniteState, PoleProximity
+from .errors import NonFiniteState
 from .model import ValidatedConfig
 
 SPIN_RADIUS_SQ = 0.25
@@ -237,22 +237,21 @@ POLE_GUARD = 0.5 - 1e-6
 def to_canonical(x) -> np.ndarray:
     """Canonical coordinates of the Cartesian point x (7,).
 
-    Raises NonFiniteState for a non-finite coordinate, ValueError for a spin
-    more than 1e-9 off |s|^2 = 1/4 and PoleProximity when
-    |s_z| >= POLE_GUARD.
+    Raises NonFiniteState for a non-finite coordinate, and ValueError for a
+    spin more than 1e-9 off |s|^2 = 1/4 or with |s_z| >= POLE_GUARD.
     """
     q_x, q_y, p_x, p_y, s_x, s_y, s_z = _require_phase_points(x).reshape(7).tolist()
     if abs(s_z) >= POLE_GUARD:
-        raise PoleProximity(f"|s_z| = {abs(s_z)!r} too close to 1/2 for the canonical chart")
+        raise ValueError(f"|s_z| = {abs(s_z)!r} too close to 1/2 for the canonical chart")
     return np.array([q_x, p_x, q_y, p_y, math.atan2(s_y, s_x), s_z])
 
 
 def from_canonical(vec: Iterable[float]) -> np.ndarray:
     """The Cartesian point (7,) of canonical coordinates
-    (q_x, p_x, q_y, p_y, phi, s_z), with |s_z| < 1/2."""
+    (q_x, p_x, q_y, p_y, phi, s_z); |s_z| >= 1/2 is a ValueError."""
     q_x, p_x, q_y, p_y, phi, s_z = (float(v) for v in vec)
     if abs(s_z) >= 0.5:
-        raise PoleProximity(f"|s_z| = {abs(s_z)!r} leaves the canonical chart")
+        raise ValueError(f"|s_z| = {abs(s_z)!r} leaves the canonical chart")
     r = math.sqrt(max(SPIN_RADIUS_SQ - s_z * s_z, 0.0))
     return np.array([q_x, q_y, p_x, p_y, r * math.cos(phi), r * math.sin(phi), s_z])
 
@@ -261,7 +260,7 @@ def jacobian_canonical(x, cfg: ValidatedConfig) -> np.ndarray:
     """Jacobian of one step in the canonical chart at the Cartesian point x
     (7,), from :func:`step_jacobian`.
 
-    Raises PoleProximity when |s_z| >= 1/2 - 1e-6 at the point or at its
+    Raises ValueError when |s_z| >= POLE_GUARD at the point or at its
     image, where the chart degenerates.  The determinant equals 1 to
     roundoff (area preservation).
     """

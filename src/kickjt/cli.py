@@ -401,6 +401,11 @@ def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfi
             raise ConfigError("no coupling values: set model.lambda_grid or model.lambda_list")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("coupling values must be strictly ascending")
+    # entanglement-curves differentiates each curve over its couplings
+    if command == "entanglement-curves" and len(lams) < obs.MIN_CURVE_POINTS:
+        key = "model.lambda_grid" if grid else "model.lambda_list"
+        raise ConfigError(f"{key} gives {len(lams)} couplings, but {command} needs at least"
+                          f" {obs.MIN_CURVE_POINTS} for its derivatives", line=entries[key].line)
     # model.<name> and numerics.<name> set the ValidatedConfig field <name>
     settings = {key.split(".")[1]: values.pop(key) for key in declared
                 if key.startswith(("model.", "numerics.")) and key in values}

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all kickjt modules."""
+"""Exception hierarchy shared by all kickjt modules.  A condition that a
+ValueError or a reason string names (canonical chart at a pole, too short a
+curve, a failed Newton seed) has no class here."""
 
 from __future__ import annotations
 
@@ -21,16 +23,8 @@ class OutOfRange(KickJTError):
         super().__init__("; ".join(self.violations))
 
 
-class PoleProximity(KickJTError):
-    """Operation requested too close to a spin pole for the canonical chart."""
-
-
 class NonFiniteState(KickJTError, ValueError):
     """A classical phase-space coordinate is infinite or NaN."""
-
-
-class NoConvergence(KickJTError):
-    """An iterative solver failed to converge for one work item."""
 
 
 class TruncationLoss(KickJTError):
@@ -52,10 +46,6 @@ class EigFailure(KickJTError):
 
 class StepUnderflow(KickJTError):
     """Adaptive continuation step shrank below the minimum without acceptance."""
-
-
-class GridTooSmall(KickJTError):
-    """A grid has too few points for the requested stencil."""
 
 
 class ConfigError(KickJTError):

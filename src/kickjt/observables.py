@@ -21,13 +21,14 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .bifurcation import FixedPoint
-from .errors import GridTooSmall, OutOfRange, TruncationLoss
-from .quantum_floquet import basis_of, build_basis
+from .errors import OutOfRange, TruncationLoss
+from .quantum_floquet import basis_of, build_basis, parity_sector
 
 SubsystemTag = Literal["spin", "osc_x"]
 
 COHERENT_LOSS_TOL = 1e-6
 HUSIMI_CHUNK = 4096
+MIN_CURVE_POINTS = 3    # fewest abscissas curve_derivative takes
 PEAK_PROMINENCE_FRAC = 0.05
 
 
@@ -217,15 +218,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return max(float(-np.sum(probs * np.log(probs)) / math.log(2.0)), 0.0) + 0.0
 
 
-# the index sets grow as d^4 (107 MB at model.MAX_N_T): keep a few cutoffs,
+# the index sets grow as d^4 (71 MB at model.MAX_N_T): keep a few cutoffs,
 # not every one a process has swept through
 @functools.lru_cache(maxsize=4)
-def _partial_transpose_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _partial_transpose_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into the pair product R (d^2 x d^2, pair (n_x, n_y) at
-    row n_x d + n_y) of the even x even, odd x odd and even x odd blocks of
-    its partial transpose over the x mode, PT[(a,n),(b,m)] = R[(b,n),(a,m)];
-    a block is even or odd by the grade (n_x + n_y) mod 2 of its pairs,
-    which ascend within it.  Read-only, one set per d = n_t + 1."""
+    row n_x d + n_y) of the even x even and odd x odd blocks of its partial
+    transpose over the x mode, PT[(a,n),(b,m)] = R[(b,n),(a,m)]; a block is
+    even or odd by the grade (n_x + n_y) mod 2 of its pairs, which ascend
+    within it.  Read-only, one pair of sets per d = n_t + 1."""
     grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
     even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
 
@@ -236,7 +237,7 @@ def _partial_transpose_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         idx.flags.writeable = False
         return idx
 
-    return gather(even, even), gather(odd, odd), gather(even, odd)
+    return gather(even, even), gather(odd, odd)
 
 
 def log_negativity(state) -> float:
@@ -247,25 +248,20 @@ def log_negativity(state) -> float:
     Zero (to numerics) for every separable two-mode state; clamped at zero
     from below within 1e-12.
 
-    The pair reduction of a parity eigenstate couples only pair states
-    (n_x, n_y) whose n_x + n_y have the same parity, and the partial
-    transpose keeps that grading, so its spectrum is taken block by block
-    (181 + 180 at n_t = 18).  The blocks are gathered straight out of the
-    pair product with the cached flat indices of
-    :func:`_partial_transpose_gather`, so the partial transpose itself is
-    never formed.  A state whose partial transpose has any nonzero entry
-    between the two grades is not parity pure: ValueError.
+    The state must be parity pure (:func:`quantum_floquet.parity_sector`,
+    whose ValueError names both leakages).  Its pair reduction then couples
+    pair states (n_x, n_y) only within a grade (n_x + n_y) mod 2, up to
+    entries below sqrt(PARITY_LEAKAGE_TOL) that are not read; the partial
+    transpose keeps the grading, so its spectrum is taken block by block
+    (181 + 180 at n_t = 18), each block gathered straight out of the pair
+    product by :func:`_partial_transpose_gather`.
     """
+    parity_sector(state)
     psi3 = state_tensor(state)
     d = psi3.shape[0]
     pairs = psi3.reshape(d * d, 2)
     flat = (pairs @ pairs.conj().T).ravel()
-    even, odd, cross = _partial_transpose_gather(d)
-    # the partial transpose is Hermitian (that of a Hermitian product), so
-    # its odd x even block is the conjugate transpose of the even x odd one
-    if np.any(flat.take(cross)):
-        raise ValueError("state is not parity pure: its partial transpose couples"
-                         " the even and odd n_x + n_y grades")
+    even, odd = _partial_transpose_gather(d)
     eigs = np.concatenate([np.linalg.eigvalsh(flat.take(even)),
                            np.linalg.eigvalsh(flat.take(odd))])
     trace_norm = float(np.sum(np.abs(eigs)))
@@ -327,13 +323,14 @@ def detection_probability(theta: float, alpha_x: float, alpha_y: float) -> float
 def curve_derivative(lams: Sequence[float], values: Sequence[float]) -> np.ndarray:
     """d(value)/d(lam) by central differences, one-sided at the ends.
 
-    The output grid equals the input grid; needs at least 3 strictly
-    increasing abscissas.
+    The output grid equals the input grid; fewer than MIN_CURVE_POINTS
+    abscissas, or abscissas that are not strictly increasing, are a
+    ValueError.
     """
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
-    if lams.size < 3:
-        raise GridTooSmall(f"need >= 3 points, got {lams.size}")
+    if lams.size < MIN_CURVE_POINTS:
+        raise ValueError(f"need >= {MIN_CURVE_POINTS} points, got {lams.size}")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("abscissas must be strictly increasing")
     out = np.empty_like(values)

@@ -37,6 +37,12 @@ SPIN_HALF = {
 }
 
 
+def _osc_index(n_x, n_y):
+    """Oscillator index N (N + 1)/2 + n_x of (n_x, n_y), N = n_x + n_y."""
+    total = n_x + n_y
+    return total * (total + 1) // 2 + n_x
+
+
 class FockBasis:
     """Enumeration of (n_x, n_y, sigma) states with n_x + n_y <= n_t, in
     read-only arrays; compared and hashed by identity.  A cutoff outside
@@ -54,7 +60,6 @@ class FockBasis:
         self.sigma = np.tile(np.array([-1, 1]), len(osc))
         for arr in (self.osc_nx, self.osc_ny, self.n_x, self.n_y, self.sigma):
             arr.flags.writeable = False
-        self._pair_index = {pair: k for k, pair in enumerate(osc)}
 
     def __repr__(self) -> str:
         return f"FockBasis(n_t={self.n_t})"
@@ -77,7 +82,11 @@ class FockBasis:
         return self.sigma * np.where(self.total % 2 == 0, 1, -1)
 
     def index(self, n_x: int, n_y: int, sigma: int) -> int:
-        return 2 * self._pair_index[(n_x, n_y)] + (0 if sigma < 0 else 1)
+        """Position of (n_x, n_y, sigma); a pair outside the cutoff is a ValueError."""
+        if not (n_x >= 0 and n_y >= 0 and n_x + n_y <= self.n_t):
+            raise ValueError(f"pair (n_x, n_y) = {(n_x, n_y)!r} lies outside"
+                             f" the cutoff n_t = {self.n_t}")
+        return int(2 * _osc_index(n_x, n_y) + (sigma > 0))
 
     def sector_indices(self, sector: str) -> np.ndarray:
         """Indices of the parity sector "O" (parity -1) or "E" (parity +1)."""
@@ -115,14 +124,11 @@ def _ladder(basis: FockBasis, axis: Axis):
     Returns (lower, upper, value): oscillator indices of every pair
     |n> -> |n + 1> of the named mode that stays within the cutoff, and the
     matrix element sqrt(n + 1)/sqrt(2) of (a + a^dag)/sqrt(2) between them.
-    The osc index of (n_x, n_y) is N (N + 1)/2 + n_x with N = n_x + n_y.
     """
-    total = basis.osc_nx + basis.osc_ny
-    lower = np.flatnonzero(total < basis.n_t)
-    own = (basis.osc_nx if axis == "x" else basis.osc_ny)[lower]
-    up_total = total[lower] + 1
-    upper = up_total * (up_total + 1) // 2 + basis.osc_nx[lower] + (axis == "x")
-    return lower, upper, np.sqrt(own + 1) / math.sqrt(2.0)
+    lower = np.flatnonzero(basis.osc_nx + basis.osc_ny < basis.n_t)
+    n_x, n_y = basis.osc_nx[lower], basis.osc_ny[lower]
+    upper = _osc_index(n_x + (axis == "x"), n_y + (axis == "y"))
+    return lower, upper, np.sqrt((n_x if axis == "x" else n_y) + 1) / math.sqrt(2.0)
 
 
 def osc_position_matrix(n_t: int, axis: Axis) -> np.ndarray:
@@ -277,6 +283,8 @@ def phase_space_expectations(state) -> dict[str, float]:
 # largest eigenpair residual |U v - e^{i phase} v| a spectrum or a
 # continuation seed may have
 EIG_RESIDUAL_TOL = 1e-9
+# largest sector leakage of a parity-pure state (parity_sector)
+PARITY_LEAKAGE_TOL = 1e-12
 
 @dataclass
 class FloquetSpectrum:
@@ -453,11 +461,10 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     The seed must be a state over cfg.n_t (else ValueError naming both
     cutoffs), an eigenvector of U(lam_start) to EIG_RESIDUAL_TOL,
     checked by applying one period to it (no matrix is built), and parity
-    pure: a seed whose sector_leakage exceeds 1e-12 from both sectors
-    raises ValueError naming both.  The whole continuation runs inside the
-    seed's sector: each trial step builds only the sector block of U
-    (floquet_operator with a sector), and sector leakage is exactly zero
-    along the path.
+    pure (:func:`parity_sector`, whose ValueError names both leakages).
+    The whole continuation runs inside the seed's sector: each trial step
+    builds only the sector block of U (floquet_operator with a sector), and
+    sector leakage is exactly zero along the path.
     """
     if not lam_start < lam_end:
         raise ValueError("lam_start must be < lam_end")
@@ -481,12 +488,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     if resid > EIG_RESIDUAL_TOL:
         raise EigFailure(resid, EIG_RESIDUAL_TOL)
 
-    leakage = {label: sector_leakage(vec, label) for label in ("O", "E")}
-    pure = [label for label, leak in leakage.items() if leak <= 1e-12]
-    if not pure:
-        raise ValueError(f"seed is not parity pure: sector leakage {leakage['O']:.3e}"
-                         f" from O and {leakage['E']:.3e} from E")
-    sector = pure[0]
+    sector = parity_sector(vec)
     idx = basis.sector_indices(sector)
 
     current = vec[idx]
@@ -541,6 +543,18 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
 def sector_leakage(state, sector: str) -> float:
     """Probability weight outside the named parity sector."""
     return float(1.0 - np.sum(np.abs(state[basis_of(state).sector_indices(sector)]) ** 2))
+
+
+def parity_sector(state) -> str:
+    """The parity sector, "O" or "E", whose sector_leakage for the state is
+    at most PARITY_LEAKAGE_TOL; a state pure in neither is a ValueError
+    naming both leakages."""
+    leakage = {label: sector_leakage(state, label) for label in ("O", "E")}
+    for label, leak in leakage.items():
+        if leak <= PARITY_LEAKAGE_TOL:
+            return label
+    raise ValueError(f"state is not parity pure: sector leakage {leakage['O']:.3e}"
+                     f" from O and {leakage['E']:.3e} from E")
 
 
 def pgs_seed(n_t: int) -> np.ndarray:

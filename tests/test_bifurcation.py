@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import kickjt.bifurcation as bifurcation
 from kickjt import (NonFiniteState, PortraitGrid, Stability, ValidatedConfig,
-                    bifurcation_residual, critical_couplings, default_seeds,
-                    find_fixed_points, portrait, reflection_symmetry_score,
-                    step_arrays)
+                    critical_couplings, default_seeds, find_fixed_points,
+                    portrait, reflection_symmetry_score, step_arrays)
 from kickjt.classical_map import from_canonical
 from kickjt.cli import _fixed_point_census, validate
 from kickjt.configfile import read_entries
@@ -27,8 +26,12 @@ class TestCriticalCouplings:
         assert cc.values[1].branch == -1
 
     def test_residual_vanishes(self):
+        # each root solves lam_b^2 (cot(delta/2) + branch) = 8 tan(omega/2)
+        cot_half = 1.0 / math.tan(DELTA / 2.0)
         for coupling in critical_couplings(OMEGA, DELTA):
-            assert abs(bifurcation_residual(coupling, OMEGA, DELTA)) <= 1e-12
+            residual = (coupling.value ** 2 * (cot_half + coupling.branch)
+                        - 8.0 * math.tan(OMEGA / 2.0))
+            assert abs(residual) <= 1e-12
 
     def test_singular_branch_dropped(self):
         # cot(delta/2) = 1 makes the minus branch divide by zero
@@ -103,7 +106,7 @@ class TestCensus:
         failures = []
         fps = find_fixed_points(cfg, [equator_seed], failures=failures)
         assert fps == []
-        assert len(failures) == 1 and failures[0][0] == 0
+        assert failures == [(0, "seed on the spin equator is outside both chart hemispheres")]
 
     def test_map_evaluations_do_not_scale_with_seeds(self, monkeypatch):
         # one step_arrays call per Newton iteration for the whole seed stack;
@@ -133,7 +136,7 @@ def _newton_outcomes(x0, cfg):
         roots, failures = bifurcation._newton_batch(x0, cfg)
     except NonFiniteState:
         return "non-finite"
-    return [(roots[k][0].tolist(), roots[k][1]) if k in roots else str(failures[k])
+    return [(roots[k][0].tolist(), roots[k][1]) if k in roots else failures[k]
             for k in range(len(x0))]
 
 
@@ -157,7 +160,7 @@ def assert_batch_independent(cfg, seeds, chosen):
         return
     indices = [k for k, _ in failures]
     assert indices == sorted(indices)
-    assert [str(exc) for _, exc in failures] == [batch[k] for k in indices]
+    assert [reason for _, reason in failures] == [batch[k] for k in indices]
 
 
 class TestBatchIndependence:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kickjt import (KickJTError, NonFiniteState, PoleProximity, Stability,
-                    SubMap, ValidatedConfig, composed_step, default_seeds,
+from kickjt import (KickJTError, NonFiniteState, Stability, SubMap,
+                    ValidatedConfig, composed_step, default_seeds,
                     find_fixed_points, inverse_step, jacobian_canonical,
                     spin_rotation_matrix, step_arrays, step_jacobian, submap)
 from kickjt.bifurcation import _CHART_AXES, _chart_jacobian, _from_chart
@@ -335,5 +335,8 @@ class TestJacobianCanonical:
     def test_pole_guard(self):
         cfg = reference_config(0.32)
         state = point(s=spin(0.0, 0.4999999))
-        with pytest.raises(PoleProximity):
+        with pytest.raises(ValueError, match=r"\|s_z\| = 0\.4999999 too close to 1/2"
+                                             " for the canonical chart"):
             jacobian_canonical(state, cfg)
+        with pytest.raises(ValueError, match=r"\|s_z\| = 0\.5 leaves the canonical chart"):
+            from_canonical((0.0, 0.0, 0.0, 0.0, 0.0, -0.5))

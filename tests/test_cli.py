@@ -260,6 +260,29 @@ class TestExitCodes:
         assert main(["entanglement-curves", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("key,value,count", [
+        ("model.lambda_grid", "0.05:0.1:0.05", 2),
+        ("model.lambda_list", "0.1", 1),
+    ])
+    def test_short_coupling_list_exits_two_before_the_scenario_runs(
+            self, tmp_path, capsys, monkeypatch, key, value, count):
+        # entanglement-curves differentiates each curve over its couplings,
+        # so fewer than three are refused before anything is tracked
+        calls = []
+        monkeypatch.setitem(cli.SCENARIOS, "entanglement-curves",
+                            lambda *inputs: calls.append(inputs))
+        text = SMALL_MODEL + f"{key} = {value}\nnumerics.n_t = 4\n"
+        out = tmp_path / "out"
+        assert main(["entanglement-curves", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 4: {key} gives {count} couplings, but entanglement-curves"
+            " needs at least 3 for its derivatives\n")
+        assert calls == []
+        assert list(out.iterdir()) == []
+        three = cf.read_entries(SMALL_MODEL + "model.lambda_grid = 0:0.1:0.05\n")
+        assert cli.validate("entanglement-curves", three)[1] == [0.0, 0.05, 0.1]
+
     @pytest.mark.parametrize("key,value", [
         ("portrait.angles", "0"),
         ("portrait.iterations", "-1"),

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kickjt import (GridTooSmall, OutOfRange, SpinDirection,
+from kickjt import (OutOfRange, SpinDirection,
                     Stability, TruncationLoss, approx_bifurcated_states,
                     build_basis, coherent_amplitudes, coherent_state,
-                    curve_derivative, detection_probability, husimi_on_section,
+                    curve_derivative, default_seeds, detection_probability,
+                    entanglement_measures, find_fixed_points, husimi_on_section,
                     husimi_product_grid, husimi_values, log_negativity,
                     phase_space_expectations, reduced_density, section_peaks,
                     spin_state, von_neumann_entropy)
 from kickjt import observables
 from kickjt.observables import COHERENT_LOSS_TOL, state_tensor
-from conftest import OMEGA
+from conftest import OMEGA, reference_config
 
 
 @pytest.fixture(scope="module")
@@ -336,8 +337,9 @@ class TestLogNegativity:
         grade = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
         even, odd = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
         gathered = observables._partial_transpose_gather(d)
-        for idx, (rows, cols) in zip(gathered, [(even, even), (odd, odd), (even, odd)]):
-            assert np.array_equal(prod.ravel().take(idx), pt[np.ix_(rows, cols)])
+        assert len(gathered) == 2
+        for idx, rows in zip(gathered, [even, odd]):
+            assert np.array_equal(prod.ravel().take(idx), pt[np.ix_(rows, rows)])
             assert not idx.flags.writeable
         assert observables._partial_transpose_gather(d) is gathered
 
@@ -431,6 +433,20 @@ class TestApproxBifurcatedStates:
                                                  r"\(0\.0, 0\.0, 0\.0, 0\.0, 0\.0, 0\.0, "):
                 approx_bifurcated_states(fp, 18)
 
+    def test_both_combinations_take_the_entanglement_measures(self):
+        # between the bifurcations both combinations carry a sector leakage
+        # at roundoff level (about 4e-16), which parity_sector accepts, so
+        # they go through the block negativity; it matches the full partial
+        # transpose
+        cfg = reference_config(0.42)
+        stable = [fp for fp in find_fixed_points(cfg, default_seeds(cfg))
+                  if fp.classification is Stability.STABLE and fp.point[0] > 0]
+        states = approx_bifurcated_states(stable[0], 26)
+        for state, expected in zip(states, (0.738920, 0.740234)):
+            e_n = entanglement_measures(state)[2]
+            assert e_n == pytest.approx(expected, abs=5e-7)
+            assert abs(e_n - full_log_negativity(pair_density_oracle(state), "osc_x")) <= 1e-12
+
     def test_truncation_guard_propagates(self, census_032):
         stable = [fp for fp in census_032 if fp.classification is Stability.STABLE]
         with pytest.raises(TruncationLoss):
@@ -470,7 +486,7 @@ class TestCurveDerivative:
         assert np.allclose(deriv[1:-1], 2 * lams[1:-1], atol=1e-12)
 
     def test_grid_too_small(self):
-        with pytest.raises(GridTooSmall):
+        with pytest.raises(ValueError, match="need >= 3 points, got 2"):
             curve_derivative([0.0, 0.1], [1.0, 2.0])
 
     def test_non_monotone_rejected(self):

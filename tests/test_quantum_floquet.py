@@ -14,10 +14,45 @@ from kickjt import (EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
                     phase_space_expectations, sector_leakage, track_eigenstate)
 from kickjt import quantum_floquet as qf
 from kickjt.model import MAX_N_T
-from kickjt.observables import SpinDirection
+from kickjt.observables import SpinDirection, log_negativity
 from kickjt.quantum_floquet import (SPIN_HALF, FockBasis, _sector_spectrum,
                                     osc_position_matrix)
 from conftest import DELTA, OMEGA, reference_config
+
+
+class TestParitySector:
+    # at omega = 2 pi/3, |3,0,-> (E) shares the eigenphase of |0,0,-> (O)
+    # at lam = 0, so a pgs seed leaking into it stays an eigenvector of U
+    CFG = ValidatedConfig(2 * math.pi / 3, 1.0, 0.0, n_t=3)
+
+    def test_zero_coupling_seeds(self):
+        assert qf.parity_sector(pgs_seed(4)) == "O"
+        assert qf.parity_sector(pes_seed(4)) == "E"
+
+    @staticmethod
+    def leaky_pgs_seed(eps):
+        basis = build_basis(3)
+        vec = pgs_seed(3) + eps * basis.basis_state(3, 0, -1)
+        return vec / np.linalg.norm(vec)
+
+    def test_roundoff_leakage_accepted_everywhere(self):
+        seed = self.leaky_pgs_seed(1e-17)
+        assert qf.parity_sector(seed) == "O"
+        assert track_eigenstate(0.0, 0.1, seed, self.CFG).sector == "O"
+        assert log_negativity(seed) <= 1e-12
+
+    def test_leakage_above_the_tolerance_refused_everywhere(self):
+        # leakage 1e-10, above PARITY_LEAKAGE_TOL: the same message each time
+        seed = self.leaky_pgs_seed(1e-5)
+        assert 0.9e-10 <= sector_leakage(seed, "O") <= 1.1e-10
+        messages = []
+        for call in (qf.parity_sector, lambda vec: track_eigenstate(0.0, 0.1, vec, self.CFG),
+                     log_negativity):
+            with pytest.raises(ValueError) as info:
+                call(seed)
+            messages.append(str(info.value))
+        assert messages == ["state is not parity pure: sector leakage 1.000e-10 from O"
+                            " and 1.000e+00 from E"] * 3
 
 
 class TestBasis:
@@ -85,6 +120,15 @@ class TestBasis:
             assert basis18.index(*entry) == k
             seen.add(entry)
         assert len(seen) == basis18.dim
+
+    @pytest.mark.parametrize("pair", [(19, 0), (0, 19), (10, 9), (-1, 0), (0, -1),
+                                      (-1, 1), (1, -1)])
+    def test_index_of_a_pair_outside_the_cutoff_rejected(self, basis18, pair):
+        # (-1, 1) and (1, -1) would land on valid indices of the formula
+        for sigma in (-1, 1):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"pair (n_x, n_y) = {pair!r} lies outside the cutoff n_t = 18")):
+                basis18.index(*pair, sigma)
 
     def test_ordering_ascending_in_total_then_nx_then_sigma(self, basis18):
         keys = [(nx + ny, nx, sigma) for nx, ny, sigma in zip(basis18.n_x, basis18.n_y,

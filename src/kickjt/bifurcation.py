@@ -11,8 +11,8 @@ pole, so root finding runs in the hemisphere graph chart
 which is regular at the poles and only degenerates at the spin equator
 (where no fixed point of interest lives).  Multiplier moduli are
 invariant under the chart choice at a fixed point, so classification is
-unaffected.  Newton's method runs on all seeds of a coupling at once, as
-one stack of chart points.
+unaffected.  Newton's method runs on all seeds at every coupling of a
+census at once, as one coupling-major stack of chart points.
 
 Classification uses the unit-circle placement of the multipliers.  For a
 fully elliptic point the pairs are additionally required to share a single
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,12 +103,14 @@ class Stability(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class FixedPoint:
-    """A converged fixed point; point is its read-only Cartesian (7,) array."""
+    """A converged fixed point of the map at the coupling lam; point is its
+    read-only Cartesian (7,) array."""
 
     point: np.ndarray
     residual: float
     classification: Stability
     multiplier_moduli: tuple[float, ...]
+    lam: float
 
 
 _CHART_AXES = [0, 2, 1, 3, 4, 5]   # chart coordinate k is Cartesian coordinate _CHART_AXES[k]
@@ -130,14 +132,15 @@ def _from_chart(v: np.ndarray, hemi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, rho
 
 
-def _chart_jacobian(x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
+def _chart_jacobian(x: np.ndarray, cfg: ValidatedConfig, lam=None) -> np.ndarray:
     """Exact (..., 6, 6) Jacobian of one step in the hemisphere chart at the
-    Cartesian points x (..., 7), from the Cartesian tangent."""
+    Cartesian points x (..., 7), from the Cartesian tangent; lam is cfg.lam
+    or one coupling per point, as in step_jacobian."""
     embed = np.zeros(x.shape[:-1] + (7, 6))
     embed[..., _CHART_AXES, range(6)] = 1.0
     embed[..., 6, 4] = -x[..., 4] / x[..., 6]
     embed[..., 6, 5] = -x[..., 5] / x[..., 6]
-    return step_jacobian(x, cfg)[..., _CHART_AXES, :] @ embed
+    return step_jacobian(x, cfg, lam)[..., _CHART_AXES, :] @ embed
 
 
 def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,61 +160,66 @@ def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return steps, singular
 
 
-def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
-                  ) -> tuple[dict[int, tuple[np.ndarray, float]], dict[int, str]]:
-    """Newton's method in the hemisphere chart from every seed row of x0
-    (k, 7) at once.
+def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig, lam=None
+                  ) -> tuple[dict[int, tuple[np.ndarray, float]], dict[int, str], set[int]]:
+    """Newton's method in the hemisphere chart from every row of x0 (k, 7)
+    at once, row r at the coupling lam[r] (default: cfg.lam for every row).
 
     Returns the converged Cartesian points with their residuals and the
-    per-seed failure reasons, both keyed by seed index.  Every iteration
-    evaluates the map once for all running seeds and settles each seed by
-    the first of: converged, on the spin equator, singular Jacobian, and,
-    after its step is halved back off the equator, diverged; seeds still
-    running after NEWTON_MAX_ITER iterations fail.  A seed's result does
-    not depend on which other seeds run beside it.  Raises NonFiniteState,
-    naming the lowest such seed, when a seed's map image or Jacobian is not
-    finite.
+    per-row failure reasons, both keyed by row index, and the rows whose
+    Newton step overflowed.  Every iteration evaluates the map once for all
+    running rows and settles each row by the first of: converged, on the
+    spin equator, singular Jacobian, and, after its step is halved back off
+    the equator, diverged; rows still running after NEWTON_MAX_ITER
+    iterations fail.  When a row's map image or Jacobian is not finite, its
+    coupling stops: the lowest such row is listed as overflowed and every
+    running row at that coupling leaves the stack, while the other
+    couplings go on.  A row's result does not depend on which other rows
+    run beside it.
     """
     roots: dict[int, tuple[np.ndarray, float]] = {}
     failures: dict[int, str] = {}
+    overflows: set[int] = set()
 
     def fail(idx, mask, reason):
-        """Record `reason` for the seeds idx[mask]; return the mask of the others."""
+        """Record `reason` for the rows idx[mask]; return the mask of the others."""
         failures.update(dict.fromkeys(idx[mask].tolist(), reason))
         return ~mask
 
     idx = np.arange(len(x0))
+    lam = np.full(len(x0), cfg.lam) if lam is None else np.asarray(lam, dtype=float)
     v, hemi = _to_chart(x0)
     keep = fail(idx, x0[:, 6] == 0.0,
                 "seed on the spin equator is outside both chart hemispheres")
-    idx, v, hemi = idx[keep], v[keep], hemi[keep]
+    idx, v, hemi, lam = idx[keep], v[keep], hemi[keep], lam[keep]
     identity = np.eye(6)
-    # non-finite values are looked for per seed below, so numpy must not raise on them
+    # non-finite values are looked for per row below, so numpy must not raise on them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             if idx.size == 0:
                 break
             x, rho = _from_chart(v, hemi)
-            image = step_arrays(x, cfg)
+            image = step_arrays(x, cfg, lam)
             residual = np.max(np.abs(image - x), axis=-1)
             converged = residual <= cfg.newton_tol
             for k in np.flatnonzero(converged):
                 roots[int(idx[k])] = (x[k], float(residual[k]))
             equator = ~converged & (rho >= _EQUATOR_GUARD)
             keep = ~converged & fail(idx, equator, "Newton iterate reached the spin equator")
-            idx, v, hemi, x, image = idx[keep], v[keep], hemi[keep], x[keep], image[keep]
+            idx, v, hemi, lam, x, image = (a[keep] for a in (idx, v, hemi, lam, x, image))
             resid = image[:, _CHART_AXES] - v
-            jac = _chart_jacobian(x, cfg) - identity
+            jac = _chart_jacobian(x, cfg, lam) - identity
             finite = (np.isfinite(x).all(axis=-1) & np.isfinite(resid).all(axis=-1)
                       & np.isfinite(jac).all(axis=(-2, -1)))
             if not finite.all():
-                seed = int(idx[np.flatnonzero(~finite)[0]])
-                raise NonFiniteState(
-                    f"Newton step from seed {seed} at (q_x, q_y, p_x, p_y, s_x, s_y, s_z) = "
-                    f"{tuple(x0[seed].tolist())} is not finite")
+                # rows run in ascending order, so the first at each coupling is its lowest
+                _, first = np.unique(lam[~finite], return_index=True)
+                overflows.update(idx[~finite][first].tolist())
+                keep = ~np.isin(lam, lam[~finite])
+                idx, v, hemi, lam, resid, jac = (a[keep] for a in (idx, v, hemi, lam, resid, jac))
             delta_v, singular = _solve_each(jac, -resid)
             keep = fail(idx, singular, "singular Newton Jacobian")
-            idx, v, hemi, delta_v = idx[keep], v[keep], hemi[keep], delta_v[keep]
+            idx, v, hemi, lam, delta_v = (a[keep] for a in (idx, v, hemi, lam, delta_v))
             new_v = v + delta_v
             for _ in range(30):
                 past = new_v[:, 4] ** 2 + new_v[:, 5] ** 2 >= _EQUATOR_GUARD
@@ -221,10 +229,10 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig
                 new_v[past] = v[past] + delta_v[past]
             v = new_v
             keep = fail(idx, np.max(np.abs(v), axis=-1) > 1e3, "Newton iterate diverged")
-            idx, v, hemi = idx[keep], v[keep], hemi[keep]
+            idx, v, hemi, lam = idx[keep], v[keep], hemi[keep], lam[keep]
     fail(idx, np.ones(idx.size, dtype=bool),
          f"no convergence within {NEWTON_MAX_ITER} iterations")
-    return roots, failures
+    return roots, failures, overflows
 
 
 def _symplectic_form(s_z: float) -> np.ndarray:
@@ -276,55 +284,85 @@ def classify_multipliers(jac: np.ndarray, s_z: float) -> tuple[Stability, tuple[
     return cls, tuple(float(m) for m in moduli)
 
 
-def _classify_points(points: np.ndarray, cfg: ValidatedConfig
+def _classify_points(points: np.ndarray, cfg: ValidatedConfig, lam: float
                      ) -> list[tuple[Stability, tuple[float, ...]]]:
     """Stability class and multiplier moduli of each Cartesian fixed point
-    (r, 7), from one batched chart Jacobian."""
+    (r, 7) at the coupling lam, from one batched chart Jacobian."""
     _, hemi = _to_chart(points)
     s_z = hemi * np.sqrt(np.maximum(0.25 - points[:, 4] ** 2 - points[:, 5] ** 2, 1e-12))
     with np.errstate(over="ignore", invalid="ignore"):
-        jacs = _chart_jacobian(points, cfg)
+        jacs = _chart_jacobian(points, cfg, lam)
     finite = np.isfinite(jacs).all(axis=(-2, -1))
     if not finite.all():
         point = points[np.flatnonzero(~finite)[0]]
-        raise NonFiniteState(f"linearisation at the fixed point {tuple(point.tolist())} "
-                             "is not finite")
+        raise NonFiniteState(f"fixed-point search at lam = {lam!r}: linearisation at the "
+                             f"fixed point {tuple(point.tolist())} is not finite")
     return [classify_multipliers(jac, float(s_z_k)) for jac, s_z_k in zip(jacs, s_z)]
 
 
-def find_fixed_points(cfg: ValidatedConfig, seeds,
-                      failures: list | None = None) -> list[FixedPoint]:
+def find_fixed_points(cfg: ValidatedConfig, seeds, failures: list | None = None,
+                      lams=None) -> list[FixedPoint]:
     """Newton search from every seed row of the Cartesian stack seeds
-    (k, 7), deduplicated and classified.
+    (k, 7) at every coupling of lams (default: cfg.lam alone), deduplicated
+    and classified coupling by coupling, in list order.
+
+    All couplings run as one coupling-major Newton stack, one map call per
+    iteration; each coupling's fixed points are, bit for bit, the ones a
+    call at that coupling alone finds.  The result is one flat list: each
+    coupling's points sorted by (q_x, q_y, s_z), in the order of lams, each
+    carrying its coupling as FixedPoint.lam.
 
     A seed with a non-finite coordinate raises NonFiniteState, and one off
     the spin sphere (|s|^2 more than 1e-9 from 1/4) ValueError, each naming
-    the seed's index, before any Newton step.  Per-seed failures (no
-    convergence, chart exit) are recorded in `failures` as (seed_index,
-    reason string), in ascending seed index, when a list is supplied; they
-    never abort the search.  NonFiniteState, raised when a Newton step or a
-    root's linearisation overflows, does.
+    the seed's index, before any Newton step, and a coupling of lams that
+    is not finite and >= 0 raises OutOfRange.  Per-seed failures (no
+    convergence, chart exit) never abort the search.  When a list is
+    supplied they are appended to `failures` as (row, reason string),
+    coupling by coupling and in ascending seed index within one, where row
+    is k * len(seeds) + i for seed i at the k-th coupling: with one
+    coupling, the seed index.  A Newton step or a root's linearisation that
+    overflows raises NonFiniteState, "fixed-point search at lam = <lam>:
+    ...", naming the seed or the root.  With several couplings the error is
+    the one of the first coupling, in list order, whose own search fails,
+    and `failures` then holds what calls for one coupling at a time would
+    have appended until that error.
     """
     x0 = _require_phase_points(seeds, "seed").reshape(-1, 7)
-    converged, failed = _newton_batch(x0, cfg)
-    if failures is not None:
-        failures.extend(sorted(failed.items()))
-    # keep each converged point, in seed order, unless it lies within
-    # DEDUP_DISTANCE (max norm) of a point already kept
-    kept = np.empty((0, 7))
-    residuals: list[float] = []
-    for idx in sorted(converged):
-        vec, residual = converged[idx]
-        if (np.max(np.abs(kept - vec), axis=1) < DEDUP_DISTANCE).any():
-            continue
-        kept = np.vstack([kept, vec])
-        residuals.append(residual)
-    classes = _classify_points(kept, cfg)
-    kept.flags.writeable = False
-    out = [FixedPoint(point=vec, residual=residual, classification=cls,
-                      multiplier_moduli=moduli)
-           for vec, residual, (cls, moduli) in zip(kept, residuals, classes)]
-    out.sort(key=lambda fp: (fp.point[0], fp.point[1], fp.point[6]))
+    lams = [cfg.lam] if lams is None else [replace(cfg, lam=lam).lam for lam in lams]
+    n = len(x0)
+    converged, failed, overflows = _newton_batch(
+        np.tile(x0, (len(lams), 1)), cfg, np.repeat(np.asarray(lams, dtype=float), n))
+    out: list[FixedPoint] = []
+    for k, lam in enumerate(lams):
+        rows = range(k * n, (k + 1) * n)
+        overflowed = [row for row in rows if row in overflows]
+        if overflowed:
+            seed = overflowed[0] - k * n
+            raise NonFiniteState(
+                f"fixed-point search at lam = {lam!r}: Newton step from seed {seed} at "
+                f"(q_x, q_y, p_x, p_y, s_x, s_y, s_z) = {tuple(x0[seed].tolist())} "
+                "is not finite")
+        if failures is not None:
+            failures.extend((row, failed[row]) for row in rows if row in failed)
+        # keep each converged point, in seed order, unless it lies within
+        # DEDUP_DISTANCE (max norm) of a point already kept
+        kept = np.empty((0, 7))
+        residuals: list[float] = []
+        for row in rows:
+            if row not in converged:
+                continue
+            vec, residual = converged[row]
+            if (np.max(np.abs(kept - vec), axis=1) < DEDUP_DISTANCE).any():
+                continue
+            kept = np.vstack([kept, vec])
+            residuals.append(residual)
+        classes = _classify_points(kept, cfg, lam)
+        kept.flags.writeable = False
+        points = [FixedPoint(point=vec, residual=residual, classification=cls,
+                             multiplier_moduli=moduli, lam=lam)
+                  for vec, residual, (cls, moduli) in zip(kept, residuals, classes)]
+        points.sort(key=lambda fp: (fp.point[0], fp.point[1], fp.point[6]))
+        out.extend(points)
     return out
 
 

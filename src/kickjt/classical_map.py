@@ -166,9 +166,12 @@ def submap(kind: SubMap, x, cfg: ValidatedConfig) -> np.ndarray:
     return _submap(kind, x, cfg.omega, cfg.delta, cfg.lam)
 
 
-def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
-    """(..., 7, 7) Cartesian tangent of one sub-map at the Cartesian points x (..., 7)."""
-    lam = cfg.lam
+def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig,
+                    lam=None) -> np.ndarray:
+    """(..., 7, 7) Cartesian tangent of one sub-map at the Cartesian points x
+    (..., 7); lam is cfg.lam or one coupling per point, as in step_arrays."""
+    if lam is None:
+        lam = cfg.lam
     jac = np.zeros(x.shape[:-1] + (7, 7))
     jac[..., range(7), range(7)] = 1.0
     if kind is SubMap.KICK_Y:
@@ -196,17 +199,22 @@ def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig) -> np.nda
     return jac
 
 
-def step_jacobian(x, cfg: ValidatedConfig) -> np.ndarray:
+def step_jacobian(x, cfg: ValidatedConfig, lam=None) -> np.ndarray:
     """Exact tangent of :func:`step_arrays` at Cartesian points x (..., 7),
     as an array of shape (..., 7, 7): the chain rule over the sub-maps
     Harmonic o KickX o KickY, each tangent taken at that sub-map's input.
-    A stack of points gives, bit for bit, the tangents of the points taken
-    one at a time."""
+
+    lam defaults to cfg.lam; like step_arrays, it may be an array that
+    broadcasts against x.shape[:-1], one coupling per point.  A stack of
+    points gives, bit for bit, the tangents of the points taken one at a
+    time, each at its own coupling."""
     x = np.asarray(x, dtype=float)
-    mid = submap(SubMap.KICK_Y, x, cfg)
+    if lam is None:
+        lam = cfg.lam
+    mid = _submap(SubMap.KICK_Y, x, cfg.omega, cfg.delta, lam)
     return (_submap_tangent(SubMap.HARMONIC, mid, cfg)
-            @ _submap_tangent(SubMap.KICK_X, mid, cfg)
-            @ _submap_tangent(SubMap.KICK_Y, x, cfg))
+            @ _submap_tangent(SubMap.KICK_X, mid, cfg, lam)
+            @ _submap_tangent(SubMap.KICK_Y, x, cfg, lam))
 
 
 def composed_step(x, cfg: ValidatedConfig) -> np.ndarray:

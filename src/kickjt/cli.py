@@ -6,14 +6,15 @@ Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
 codes: 0 success, 2 configuration error, 3 compute error; the config file
 is checked against the scenario's declared keys (DECLARED, KEYS) before it
-runs.  Each scenario runs its couplings one after another in grid order
-(portrait iterates them as one stack), BLAS runs on one thread, and floats
-are written with shortest round-trip precision, so identical
-configurations produce byte-identical files, whether the rows of a large
-run are formatted in this process or in forked ones.  --threads is
-accepted for compatibility and has no effect.  --check reruns the quantum
-scenarios at n_t + 4 and reports the deviations; a scenario that does not
-declare numerics.n_t has no truncation and reports that instead.
+runs.  The quantum scenarios run their couplings one after another in
+grid order (portrait and the Newton census run them as one stack), BLAS
+runs on one thread, and floats are written with shortest round-trip
+precision, so identical configurations produce byte-identical files,
+whether the rows of a large run are formatted in this process or in forked
+ones.  --threads is accepted for compatibility and has no effect.  --check
+reruns the quantum scenarios at n_t + 4 and reports the deviations; a
+scenario that does not declare numerics.n_t has no truncation and reports
+that instead.
 """
 
 from __future__ import annotations
@@ -187,20 +188,22 @@ def _fp_columns() -> list[str]:
              "residual", "classification"] + [f"mod{k}" for k in range(1, 7)])
 
 
-def _fp_row(lam: float, fp) -> tuple:
-    return (lam, *fp.point.tolist(), fp.residual, fp.classification.value,
+def _fp_row(fp) -> tuple:
+    return (fp.lam, *fp.point.tolist(), fp.residual, fp.classification.value,
             *fp.multiplier_moduli)
 
 
-def _fixed_point_census(cfg: ValidatedConfig, lams: list[float]):
-    """Yield (lam, fixed points) for each coupling of lams, in order."""
-    for lam in lams:
-        cfg_l = replace(cfg, lam=lam)
-        try:
-            fps = find_fixed_points(cfg_l, default_seeds(cfg_l))
-        except NonFiniteState as exc:
-            raise ComputeError(f"fixed-point search at lam = {lam!r}: {exc}") from exc
-        yield lam, fps
+def _fixed_point_census(cfg: ValidatedConfig, lams: list[float]) -> list[tuple]:
+    """(lam, fixed points) for each coupling of lams, in order, from one
+    Newton search over all of them (the default seeds depend on omega only)."""
+    try:
+        fps = find_fixed_points(cfg, default_seeds(cfg), lams=lams)
+    except NonFiniteState as exc:
+        raise ComputeError(str(exc)) from exc
+    by_lam = {lam: [] for lam in lams}
+    for fp in fps:
+        by_lam[fp.lam].append(fp)
+    return list(by_lam.items())
 
 
 # each scenario takes the inputs that validate() returns
@@ -217,7 +220,7 @@ def scenario_critical_couplings(cfg: ValidatedConfig, lams, values) -> ScenarioR
 
 
 def scenario_fixed_points(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
-    rows = [_fp_row(lam, fp) for lam, fps in _fixed_point_census(cfg, lams) for fp in fps]
+    rows = [_fp_row(fp) for _, fps in _fixed_point_census(cfg, lams) for fp in fps]
     return ScenarioResult(tables={"fixed_points.csv": Table.from_rows(_fp_columns(), rows)})
 
 
@@ -483,14 +486,18 @@ _OPENBLAS_THREAD_FNS = (
 
 def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of the OpenBLAS libraries bundled in
-    numpy.libs and scipy.libs; empty for a BLAS without these entry points."""
+    numpy.libs and scipy.libs that this process has loaded; empty for a BLAS
+    without these entry points.  A library not yet loaded is left unloaded."""
     controls = []
     for name in ("numpy", "scipy"):
         # find_spec locates scipy without importing it
         origin = importlib.util.find_spec(name).origin
         libdir = Path(origin).resolve().parent.parent / f"{name}.libs"
         for path in sorted(glob.glob(str(libdir / "*openblas*"))):
-            lib = ctypes.CDLL(path)
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
+            except OSError:
+                continue
             for get_name, set_name in _OPENBLAS_THREAD_FNS:
                 get_fn, set_fn = getattr(lib, get_name, None), getattr(lib, set_name, None)
                 if get_fn is not None and set_fn is not None:
@@ -502,8 +509,11 @@ def _openblas_thread_controls() -> list[tuple]:
 
 @contextmanager
 def _single_thread_blas():
-    """Run the body with the bundled OpenBLAS libraries at one thread, then
-    restore their previous counts, so library callers are left as they were.
+    """Run the body with the loaded bundled OpenBLAS libraries at one thread,
+    and OPENBLAS_NUM_THREADS=1 so that a library first loaded in the body
+    (scipy's, by a Schur fallback) starts at one thread; then restore the
+    variable and the previous counts, so library callers are left as they
+    were, but for such a library, which stays at one thread.
 
     The last digits of the quantum outputs depend on the BLAS thread count;
     one thread makes them independent of the host and of
@@ -511,6 +521,8 @@ def _single_thread_blas():
     """
     controls = _openblas_thread_controls()
     previous = [get_fn() for get_fn, _ in controls]
+    variable = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     for _, set_fn in controls:
         set_fn(1)
     try:
@@ -518,6 +530,10 @@ def _single_thread_blas():
     finally:
         for (_, set_fn), count in zip(controls, previous):
             set_fn(count)
+        if variable is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = variable
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -248,14 +248,21 @@ def log_negativity(state) -> float:
     Zero (to numerics) for every separable two-mode state; clamped at zero
     from below within 1e-12.
 
-    The state must be parity pure (:func:`quantum_floquet.parity_sector`,
-    whose ValueError names both leakages).  Its pair reduction then couples
+    The state must have unit norm (within 1e-10, the bound reduced_density
+    puts on the trace; otherwise a ValueError names its squared norm) and be
+    parity pure (:func:`quantum_floquet.parity_sector`, whose ValueError
+    names both leakages).  Its pair reduction then couples
     pair states (n_x, n_y) only within a grade (n_x + n_y) mod 2, up to
     entries below sqrt(PARITY_LEAKAGE_TOL) that are not read; the partial
     transpose keeps the grading, so its spectrum is taken block by block
     (181 + 180 at n_t = 18), each block gathered straight out of the pair
     product by :func:`_partial_transpose_gather`.
     """
+    state = np.asarray(state)
+    # sector_leakage assumes a unit state: at norm^2 100 a leakage reads -49
+    norm_sq = float(np.vdot(state, state).real)
+    if abs(norm_sq - 1.0) > 1e-10:
+        raise ValueError(f"state norm^2 {norm_sq!r} differs from 1")
     parity_sector(state)
     psi3 = state_tensor(state)
     d = psi3.shape[0]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kickjt.bifurcation as bifurcation
-from kickjt import (NonFiniteState, PortraitGrid, Stability, ValidatedConfig,
-                    critical_couplings, default_seeds, find_fixed_points,
-                    portrait, reflection_symmetry_score, step_arrays)
+from kickjt import (NonFiniteState, OutOfRange, PortraitGrid, Stability,
+                    ValidatedConfig, critical_couplings, default_seeds,
+                    find_fixed_points, portrait, reflection_symmetry_score,
+                    step_arrays)
 from kickjt.classical_map import from_canonical
 from kickjt.cli import _fixed_point_census, validate
 from kickjt.configfile import read_entries
@@ -131,10 +132,9 @@ class TestCensus:
 
 def _newton_outcomes(x0, cfg):
     """Per-row outcome of one batched Newton run: (point, residual) or the
-    failure reason; the whole run is 'non-finite' when it raises."""
-    try:
-        roots, failures = bifurcation._newton_batch(x0, cfg)
-    except NonFiniteState:
+    failure reason; the whole run is 'non-finite' when a step overflows."""
+    roots, failures, overflows = bifurcation._newton_batch(x0, cfg)
+    if overflows:
         return "non-finite"
     return [(roots[k][0].tolist(), roots[k][1]) if k in roots else failures[k]
             for k in range(len(x0))]
@@ -179,6 +179,136 @@ class TestBatchIndependence:
         seeds = default_seeds(cfg)
         order = data.draw(st.permutations(range(len(seeds))))
         assert_batch_independent(cfg, seeds, order[:data.draw(st.integers(1, 24))])
+
+
+def _census_outcome(cfg, seeds, lams=None):
+    """(points as comparable tuples, failures, error text or None) of one
+    find_fixed_points call."""
+    failures = []
+    try:
+        fps = find_fixed_points(cfg, seeds, failures, lams=lams)
+    except NonFiniteState as exc:
+        return None, failures, str(exc)
+    points = [(fp.lam, fp.point.tolist(), fp.residual, fp.classification,
+               fp.multiplier_moduli) for fp in fps]
+    return points, failures, None
+
+
+# 2e154 squares past the largest float: the pole roots' linearisation
+# overflows there, while Newton from (0, 0, 0, 0, 0, 0.1) fails finitely
+POLES_AND_FLAT_SEED = np.vstack([default_seeds(reference_config())[:2],
+                                 from_canonical((0.0, 0.0, 0.0, 0.0, 0.0, 0.1))])
+
+
+class TestCensusStack:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.01, 2 * math.pi - 0.01),
+           delta=st.floats(0.01, 2 * math.pi - 0.01),
+           lams=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 5.0),
+                                   st.sampled_from([0.0, 2e154, 1e300])),
+                         min_size=1, max_size=4),
+           data=st.data())
+    def test_each_coupling_equals_its_lone_call_bit_for_bit(self, omega, delta, lams, data):
+        cfg = ValidatedConfig(omega, delta, 0.0)
+        seeds = default_seeds(cfg)
+        chosen = data.draw(st.lists(st.integers(0, len(seeds) - 1), min_size=1,
+                                    max_size=12, unique=True))
+        seeds = seeds[chosen]
+        n = len(seeds)
+        points, failures, error = _census_outcome(cfg, seeds, lams)
+        expected_points, expected_failures = [], []
+        for k, lam in enumerate(lams):
+            lone_points, lone_failures, lone_error = _census_outcome(
+                ValidatedConfig(omega, delta, lam), seeds)
+            if lone_error is not None:
+                # the first coupling in list order whose own search fails
+                assert error == lone_error
+                break
+            expected_points += lone_points
+            expected_failures += [(k * n + i, reason) for i, reason in lone_failures]
+        else:
+            assert error is None
+            assert points == expected_points
+        assert failures == expected_failures
+
+    def test_one_map_call_per_iteration_for_all_couplings(self, monkeypatch):
+        # the census makes as many map calls as the longest lone search
+        cfg = reference_config(0.0)
+        lams = [round(0.05 * k, 12) for k in range(1, 12)]
+        calls = []
+        inner = bifurcation.step_arrays
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(bifurcation, "step_arrays", counted)
+        lone = []
+        for lam in lams:
+            calls.clear()
+            find_fixed_points(reference_config(lam), default_seeds(cfg))
+            lone.append(len(calls))
+        calls.clear()
+        table = _fixed_point_census(cfg, lams)
+        assert len(calls) == max(lone)
+        assert [lam for lam, _ in table] == lams
+        assert all(fp.lam == lam for lam, fps in table for fp in fps)
+
+    @pytest.mark.parametrize("lams,named", [([0.1, 1e300], "1e+300"),
+                                            ([1e301, 0.1, 1e300], "1e+301"),
+                                            ([0.1, 1e300, 1e301], "1e+300")])
+    def test_overflow_names_the_first_coupling_in_list_order(self, lams, named):
+        # seed 2, the first ring seed, overflows at either huge coupling
+        cfg = reference_config(0.1)
+        with pytest.raises(NonFiniteState, match=rf"^fixed-point search at lam = "
+                                                 rf"{re.escape(named)}: Newton step from "
+                                                 r"seed 2 at \(q_x, .*\) is not finite$"):
+            find_fixed_points(cfg, default_seeds(cfg), lams=lams)
+
+    @pytest.mark.parametrize("lams,message,failed", [
+        ([0.1, 2e154, 1e300], "lam = 2e+154: linearisation at the fixed point", [5]),
+        ([0.1, 1e300, 2e154], "lam = 1e+300: Newton step from seed 2 at", [])])
+    def test_classification_overflow_ranks_by_list_order_too(self, lams, message, failed):
+        # at 2e154 seed 2 diverges, so Newton ends and the pole roots'
+        # linearisation overflows; at 1e300 the Newton step from seed 2 does.
+        # As in a lone call, a coupling's failures are recorded before its
+        # roots are classified (row 5 is seed 2 at the second coupling)
+        failures = []
+        with pytest.raises(NonFiniteState, match=re.escape(message)):
+            find_fixed_points(reference_config(), POLES_AND_FLAT_SEED, failures, lams=lams)
+        assert [row for row, _ in failures] == failed
+
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+    def test_coupling_out_of_range_refused(self, bad):
+        cfg = reference_config()
+        with pytest.raises(OutOfRange, match="lambda must be finite and >= 0"):
+            find_fixed_points(cfg, default_seeds(cfg), lams=[0.1, bad])
+
+    @pytest.mark.parametrize("order", [[0.5, 0.4], [0.4, 0.5]])
+    def test_overflowing_coupling_leaves_and_the_others_go_on(self, monkeypatch, order):
+        # a map made to overflow at lam 0.4 from the first iteration and at
+        # lam 0.5 from the third: the error is the one of the first coupling
+        # in list order, as if each ran alone
+        inner = bifurcation.step_arrays
+        calls = []
+
+        def faulty(x, cfg, lam):
+            calls.append(1)
+            image = inner(x, cfg, lam)
+            image[(lam == 0.4) | ((lam == 0.5) & (len(calls) >= 3))] = np.inf
+            return image
+
+        monkeypatch.setattr(bifurcation, "step_arrays", faulty)
+        seeds = default_seeds(reference_config())
+        lone = {}
+        for lam in order:
+            calls.clear()
+            lone[lam] = _census_outcome(reference_config(lam), seeds)[2]
+        calls.clear()
+        error = _census_outcome(reference_config(), seeds, order)[2]
+        assert error == lone[order[0]]
+        assert lone[0.5] != lone[0.4]
+        assert lone[0.5].startswith("fixed-point search at lam = 0.5: Newton step from seed ")
 
 
 def census_table(lams):

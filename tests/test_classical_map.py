@@ -271,14 +271,20 @@ class TestStepJacobian:
     @given(cfg=configs, rows=st.lists(st.tuples(phase_points(), st.floats(0.0, 2.0)),
                                       min_size=1, max_size=12))
     def test_coupling_per_row_equals_single_coupling_calls_bit_for_bit(self, cfg, rows):
-        # the stacked portrait iterates every coupling at once through lam
+        # the stacked portrait iterates every coupling at once through lam,
+        # and the stacked Newton census also takes its tangents that way
         stack = np.array([x for x, _ in rows])
-        out = step_arrays(stack, cfg, lam=np.array([lam for _, lam in rows]))
+        lam = np.array([lam for _, lam in rows])
+        out = step_arrays(stack, cfg, lam=lam)
+        tangents = step_jacobian(stack, cfg, lam=lam)
         assert out.shape == stack.shape
+        assert tangents.shape == stack.shape + (7,)
         for k, (x, lam) in enumerate(rows):
             single = replace(cfg, lam=lam)
             assert np.array_equal(out[k], step_arrays(stack, single)[k])
             assert np.array_equal(out[k], step_arrays(x, single))
+            assert np.array_equal(tangents[k], step_jacobian(stack, single)[k])
+            assert np.array_equal(tangents[k], step_jacobian(x, single))
 
     def test_graph_chart_matches_central_differences(self):
         rng = np.random.default_rng(RNG_SEED + 7)

@@ -209,17 +209,29 @@ class TestExitCodes:
         # lam = 1e300 passes validation but the Newton iterates overflow; no
         # numpy warning may escape, and the error names the coupling and the
         # seed: seeds 0 and 1 (the poles at the origin) are fixed at any
-        # coupling, seed 2 is the first ring seed
-        cfg = write_config(tmp_path, SMALL_MODEL + "model.lambda_list = 0.1, 1e300\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["fixed-points", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("compute error: fixed-point search at lam = 1e+300: ")
-        assert "not finite" in err
-        assert "seed 2 at (q_x, q_y, p_x, p_y, s_x, s_y, s_z) = (0.3535" in err
+        # coupling, seed 2 is the first ring seed.  The census runs every
+        # coupling in one stack and names the first failing one in list
+        # order, with the seed's index among that coupling's seeds (at
+        # 2e154 seeds 2 to 17 stay finite; 1e300 fails at seed 2)
+        ring = "seed 2 at (q_x, q_y, p_x, p_y, s_x, s_y, s_z) = (0.3535"
+        cases = [("0.1, 1e300", "1e+300", ring),
+                 ("0.1, 1e300, 1e301", "1e+300", ring),
+                 ("1e301", "1e+301", ring),
+                 ("0.1, 2e154, 1e300", "2e+154",
+                  "seed 18 at (q_x, q_y, p_x, p_y, s_x, s_y, s_z) = (1.4142")]
+        for k, (lams, named, seed) in enumerate(cases):
+            run = tmp_path / str(k)
+            run.mkdir()
+            cfg = write_config(run, SMALL_MODEL + f"model.lambda_list = {lams}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["fixed-points", "--config", str(cfg), "--out", str(run / "out")])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"compute error: fixed-point search at lam = {named}: ")
+            assert "not finite" in err
+            assert seed in err
 
     def test_overflowing_portrait_exits_three_and_writes_nothing(self, tmp_path, capsys):
         # the orbits at lam = 1e300 overflow; the error names the coupling and
@@ -754,6 +766,65 @@ class TestDeterminismSmoke:
         finally:
             for (_, set_fn), count in zip(controls, before):
                 set_fn(count)
+
+
+    # a fresh interpreter, with no BLAS thread variable, that knows the
+    # OpenBLAS libraries bundled in scipy.libs and whether each is loaded
+    SCIPY_OPENBLAS = """
+import ctypes, glob, importlib.util, os, sys
+from pathlib import Path
+from kickjt import cli
+libdir = Path(importlib.util.find_spec("scipy").origin).resolve().parent.parent / "scipy.libs"
+paths = sorted(glob.glob(str(libdir / "*openblas*")))
+if not paths:
+    sys.exit(5)
+
+def loaded(path):
+    try:
+        return ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
+    except OSError:
+        return None
+"""
+
+    def _probe(self, tmp_path, body):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["PYTHONPATH"] = str(SRC_DIR)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        argv = ["critical-couplings", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        run = subprocess.run([sys.executable, "-c", self.SCIPY_OPENBLAS + body.format(argv=argv)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        if run.returncode == 5:
+            pytest.skip("no OpenBLAS bundled in scipy.libs")
+        assert run.returncode == 0, run.stderr
+
+    def test_main_leaves_an_unloaded_openblas_unloaded(self, tmp_path):
+        # the thread pin opens only libraries the process has loaded; the
+        # critical-couplings run never needs scipy's
+        self._probe(tmp_path, """
+assert cli.main({argv!r}) == 0
+assert [loaded(path) for path in paths] == [None] * len(paths)
+""")
+
+    def test_openblas_loaded_during_main_starts_at_one_thread(self, tmp_path):
+        # as the Schur fallback loads scipy's OpenBLAS inside a run
+        self._probe(tmp_path, """
+seen = []
+real = cli.SCENARIOS["critical-couplings"]
+
+def spy(*inputs):
+    import scipy.linalg
+    for path in paths:
+        lib = loaded(path)
+        assert lib is not None
+        seen.append(lib.scipy_openblas_get_num_threads())
+    return real(*inputs)
+
+cli.SCENARIOS["critical-couplings"] = spy
+assert cli.main({argv!r}) == 0
+assert seen == [1] * len(paths), seen
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+""")
 
 
 class TestTruncationCheckFlag:

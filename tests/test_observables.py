@@ -351,6 +351,16 @@ class TestLogNegativity:
         with pytest.raises(ValueError, match="not parity pure"):
             log_negativity(state)
 
+    def test_state_that_is_not_normalised_rejected(self, basis6):
+        # at norm^2 100 the O leakage of this mixed-sector state reads -49,
+        # which a purity test alone would pass
+        state = 10 * (basis6.basis_state(0, 0, -1) + basis6.basis_state(0, 0, 1)) / math.sqrt(2)
+        with pytest.raises(ValueError, match=r"^state norm\^2 (\S+) differs from 1$") as err:
+            log_negativity(state)
+        assert float(err.value.args[0].split()[2]) == pytest.approx(100.0, rel=1e-12)
+        with pytest.raises(ValueError, match="not parity pure"):
+            log_negativity(state / 10)
+
 
 class TestEntanglementMeasures:
     def test_reaches_each_layer_through_the_module(self, monkeypatch, basis6):

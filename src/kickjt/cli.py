@@ -9,9 +9,8 @@ is checked against the scenario's declared keys (DECLARED, KEYS) before it
 runs.  The quantum scenarios run their couplings one after another in
 grid order (portrait and the Newton census run them as one stack), BLAS
 runs on one thread, and floats are written with shortest round-trip
-precision, so identical configurations produce byte-identical files,
-whether the rows of a large run are formatted in this process or in forked
-ones.  --threads is accepted for compatibility and has no effect.  --check
+precision, so identical configurations produce byte-identical files.
+--threads is accepted for compatibility and has no effect.  --check
 reruns the quantum scenarios at n_t + 4 and reports the deviations; a
 scenario that does not declare numerics.n_t has no truncation and reports
 that instead.
@@ -39,8 +38,7 @@ from . import quantum_floquet as qf
 from .bifurcation import (PortraitGrid, Stability, critical_couplings,
                           default_seeds, find_fixed_points, portrait)
 from . import configfile as cf
-from .errors import (ComputeError, ConfigError, KickJTError, NonFiniteState,
-                     OutOfRange)
+from .errors import ComputeError, ConfigError, KickJTError, OutOfRange
 from .model import MAX_N_T, ValidatedConfig
 from .shortrepr import reprs
 
@@ -78,107 +76,60 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-# a float64 column whose first REPEAT_SAMPLE cells hold fewer than half as
-# many distinct values is formatted through its distinct values
-REPEAT_SAMPLE = 1024
-
-
-def _fmt_column(column) -> list[str]:
-    # _fmt_cell's text of a float64 cell is its repr, which shortrepr.reprs
-    # gives for a whole array without a per-cell type dispatch
+def _cell_bytes(column) -> np.ndarray:
+    """The text of each cell of column as the rows of a uint8 matrix padded
+    with NULs: _fmt_cell's text, which for a float64 cell is its repr."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits = column.view(np.int64)
-        if bits.size and (bits == bits[0]).all():
+        if (bits == bits[0]).all():
             # one value, bit for bit (so 0.0 and -0.0 never merge): one repr
-            return [repr(float(column[0]))] * column.size
-        sample = np.sort(bits[:REPEAT_SAMPLE])
-        if 2 * np.count_nonzero(sample[1:] != sample[:-1]) < sample.size:
-            # few distinct values (a coordinate or coupling repeated over a
-            # grid): format each once
-            distinct, index = np.unique(bits, return_inverse=True)
-            return np.array(reprs(distinct.view(np.float64)), dtype=object)[index].tolist()
+            text = np.frombuffer(repr(float(column[0])).encode(), dtype=np.uint8)
+            return np.broadcast_to(text, (column.size, text.size))
         return reprs(column)
-    return [_fmt_cell(c) for c in column]
+    cells = np.array([_fmt_cell(c).encode() for c in column], dtype=bytes)
+    return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
 
 
-# rows per formatting task; a run's tables are formatted on a forked pool
-# only when they hold at least two such blocks in all
-CHUNK_ROWS = 1 << 16
-
-# the tables of the run, in a forked formatter process only (_adopt_tables)
-_forked_tables: list[Table] = []
+# rows formatted at a time; it bounds the memory a block takes
+CHUNK_ROWS = 1 << 14
 
 
-def _row_blocks(table: Table) -> list[tuple[int, int]]:
-    """(start, stop) of each block of at most CHUNK_ROWS rows, in order."""
-    rows = len(table.columns[0]) if table.columns else 0
-    return [(start, min(start + CHUNK_ROWS, rows)) for start in range(0, rows, CHUNK_ROWS)]
-
-
-def _format_block(table: Table, start: int, stop: int) -> str:
+def _format_block(table: Table, start: int, stop: int) -> bytes:
     """The CSV lines of rows [start, stop) of table, each ending in a newline."""
-    cells = (_fmt_column(column[start:stop]) for column in table.columns)
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _adopt_tables(tables: list[Table]) -> None:
-    global _forked_tables
-    _forked_tables = tables
-
-
-def _format_task(task: tuple[int, int, int]) -> str:
-    index, start, stop = task
-    return _format_block(_forked_tables[index], start, stop)
+    cells = [_cell_bytes(column[start:stop]) for column in table.columns]
+    # each row: every column's cells followed by ',', the last ',' becoming
+    # '\n'; no cell holds a NUL, so dropping the NULs leaves the text
+    lines = np.empty((stop - start, sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+    at = 0
+    for c in cells:
+        lines[:, at:at + c.shape[1]] = c
+        at += c.shape[1]
+        lines[:, at] = ord(",")
+        at += 1
+    lines[:, -1] = ord("\n")
+    return lines[lines != 0].tobytes()
 
 
 def _write_tables(out_dir: Path, tables: dict[str, Table]) -> None:
-    """Write each table to out_dir/<name> as CSV, in order.
+    """Write each table to out_dir/<name> as CSV, in order, formatting
+    CHUNK_ROWS rows at a time.
 
-    Rows are formatted in blocks of CHUNK_ROWS.  When the tables hold at
-    least two blocks and this process may run on at least two CPUs, the
-    blocks are formatted on min(CPUs, rows // CHUNK_ROWS) forked processes,
-    which see the tables through the fork, so nothing is pickled but the
-    text; otherwise, or where fork is not available, they are formatted in
-    this process.
-    The bytes are the same either way.  Each file goes through a temp file
-    in out_dir and an atomic rename, so a failed run never leaves a partial
-    CSV behind, and every forked process is joined before this returns.
+    Each file goes through a temp file in out_dir and an atomic rename, so a
+    failed run never leaves a partial CSV behind.
     """
-    listed = list(tables.values())
-    tasks = [(index, start, stop) for index, table in enumerate(listed)
-             for start, stop in _row_blocks(table)]
-    # sched_getaffinity exists on Linux only; elsewhere count every CPU
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    workers = min(cpus, sum(stop - start for _, start, stop in tasks) // CHUNK_ROWS)
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_adopt_tables, initargs=(listed,))
-    try:
-        if pool is None:
-            blocks = (_format_block(listed[index], start, stop) for index, start, stop in tasks)
-        else:
-            blocks = pool.map(_format_task, tasks)
-        for name, table in tables.items():
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(",".join(table.header) + "\n")
-                    for _ in _row_blocks(table):
-                        fh.write(next(blocks))
-                os.replace(tmp, out_dir / name)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-    finally:
-        if pool is not None:
-            # joins every worker; blocks not yet started are dropped
-            pool.shutdown(cancel_futures=True)
+    for name, table in tables.items():
+        rows = len(table.columns[0]) if table.columns else 0
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write((",".join(table.header) + "\n").encode())
+                for start in range(0, rows, CHUNK_ROWS):
+                    fh.write(_format_block(table, start, min(start + CHUNK_ROWS, rows)))
+            os.replace(tmp, out_dir / name)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -196,10 +147,7 @@ def _fp_row(fp) -> tuple:
 def _fixed_point_census(cfg: ValidatedConfig, lams: list[float]) -> list[tuple]:
     """(lam, fixed points) for each coupling of lams, in order, from one
     Newton search over all of them (the default seeds depend on omega only)."""
-    try:
-        fps = find_fixed_points(cfg, default_seeds(cfg), lams=lams)
-    except NonFiniteState as exc:
-        raise ComputeError(str(exc)) from exc
+    fps = find_fixed_points(cfg, default_seeds(cfg), lams=lams)
     by_lam = {lam: [] for lam in lams}
     for fp in fps:
         by_lam[fp.lam].append(fp)
@@ -433,8 +381,8 @@ def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfi
 # --- truncation convergence check (--check) -----------------------------------
 
 def _keyed_rows(table: Table) -> dict:
-    """Row key (the leading key_cols cells, as written) -> value cells."""
-    keys = zip(*map(_fmt_column, table.columns[:table.key_cols]))
+    """Row key (the values of the leading key_cols cells) -> value cells."""
+    keys = zip(*(np.asarray(column).tolist() for column in table.columns[:table.key_cols]))
     return dict(zip(keys, np.column_stack(table.columns[table.key_cols:])))
 
 

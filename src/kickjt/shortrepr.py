@@ -1,7 +1,8 @@
 """The repr of every cell of a float64 array, computed on whole arrays.
 
-``reprs(values)`` returns ``[repr(v) for v in values.tolist()]``, byte for
-byte, at a fraction of its cost.  The shortest round-trip digits are found
+``reprs(values)`` returns the bytes of ``repr(v)`` for each cell v, as the
+rows of an (n, 24) uint8 array padded with NULs (no float64 repr is longer),
+at a fraction of repr's cost.  The shortest round-trip digits are found
 exactly with integer arithmetic, in the spirit of Ryu (Adams, PLDI 2018):
 
 - the decimal exponent e fixes P = |x| 10^(16 - e) in [1e16, 1e17); P is
@@ -25,11 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# cells per vectorised pass: the working arrays stay in cache, and a long
-# column never holds more than one pass of them
-SUB_BLOCK = 8192
-# below this many cells the fixed cost of the numpy passes exceeds repr's
-MIN_CELLS = 512
 # distance from an interval edge under which a cell is left to repr
 EDGE = 1e-9
 
@@ -139,7 +135,8 @@ def _shortest(x):
 
 
 def _layout(x, D, e, p):
-    """The text of each cell as a <U24 array, from _shortest's digits."""
+    """The text of each cell as the rows of an (n, 24) uint8 array padded
+    with NULs, from _shortest's digits."""
     # the 17 ASCII digits of D as bytes 0..16 of the words w0, w1, w2
     a = D // 10 ** 16
     b = D - a * 10 ** 16
@@ -175,27 +172,19 @@ def _layout(x, D, e, p):
     words[:, 0] = t0 & _LOW[0][length]
     words[:, 1] = t1 & _LOW[1][length]
     words[:, 2] = t2 & _LOW[2][length]
-    return words.view(np.uint8).astype(np.uint32).view("<U24").ravel()
+    return words.view(np.uint8)
 
 
-def _block_reprs(x) -> list[str]:
-    ax = np.abs(x)
+def reprs(values: np.ndarray) -> np.ndarray:
+    """repr(v).encode() for each cell v of a 1-D float64 array, as the rows
+    of an (n, 24) uint8 array padded with NULs."""
+    ax = np.abs(values)
     inside = (ax >= 1e-4) & (ax < 1e16)
     # 1.5 stands in for the cells outside the kernel's range
-    y = np.where(inside, x, 1.5)
+    y = np.where(inside, values, 1.5)
     D, e, p, proven = _shortest(y)
-    text = _layout(y, D, e, p).tolist()
+    text = _layout(y, D, e, p)
     left = np.flatnonzero(~(inside & proven))
-    for i, value in zip(left.tolist(), x[left].tolist()):
-        text[i] = repr(value)
-    return text
-
-
-def reprs(values: np.ndarray) -> list[str]:
-    """[repr(v) for v in values.tolist()] for a 1-D float64 array."""
-    if values.size < MIN_CELLS:
-        return list(map(repr, values.tolist()))
-    text = []
-    for start in range(0, values.size, SUB_BLOCK):
-        text += _block_reprs(values[start:start + SUB_BLOCK])
+    text[left] = np.array([repr(v).encode() for v in values[left].tolist()],
+                          dtype="S24").view(np.uint8).reshape(-1, 24)
     return text

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,7 +17,7 @@ from kickjt import configfile as cf
 from kickjt.cli import Table, _write_tables, build_parser, main
 from kickjt.errors import ConfigError
 from kickjt.model import ValidatedConfig
-from kickjt.shortrepr import MIN_CELLS, SUB_BLOCK, reprs
+from kickjt.shortrepr import reprs
 from conftest import PRESET_COMMANDS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -556,28 +555,21 @@ def _tables(draw):
     return [f"c{k}" for k in range(len(kinds))], columns
 
 
-# the CPU sets the writer may see: one formatting process, or a forked pool
-_CPU_SETS = pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
-
-
 @contextmanager
-def _writer_sees(cpus, chunk_rows):
-    """The table writer sees the CPU set cpus and splits rows into blocks of
-    chunk_rows."""
+def _writer_blocks(chunk_rows):
+    """The table writer splits rows into blocks of chunk_rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
         mp.setattr(cli, "CHUNK_ROWS", chunk_rows)
         yield
 
 
 class TestTableWriter:
-    @_CPU_SETS
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(_tables(), min_size=1, max_size=3), st.integers(1, 5))
-    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory, cpus,
+    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory,
                                                           tables, chunk_rows):
         out = tmp_path_factory.mktemp("tables")
-        with _writer_sees(cpus, chunk_rows):
+        with _writer_blocks(chunk_rows):
             _write_tables(out, {f"t{k}.csv": Table(header, columns)
                                 for k, (header, columns) in enumerate(tables)})
         assert sorted(p.name for p in out.iterdir()) == [f"t{k}.csv" for k in range(len(tables))]
@@ -585,15 +577,14 @@ class TestTableWriter:
             rows = list(zip(*(list(c) for c in columns)))
             assert (out / f"t{k}.csv").read_bytes() == _oracle_payload(header, rows)
 
-    @_CPU_SETS
     @pytest.mark.parametrize("column", [np.full(5, v) for v in _EDGE_FLOATS]
                              + [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
                                 np.array([math.nan, -math.nan]), np.array([]), np.array([7.5])])
-    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, cpus, column):
+    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, column):
         # a column of one value is formatted once per block; only
         # bit-identical cells count as one value, so 0.0 and -0.0 keep their
         # own text, also where a block boundary separates them
-        with _writer_sees(cpus, 2):
+        with _writer_blocks(2):
             _write_tables(tmp_path, {"a.csv": Table(["c"], [column]),
                                      "b.csv": Table(["c", "d"], [column, column[::-1]])})
         assert (tmp_path / "a.csv").read_bytes() == \
@@ -601,28 +592,26 @@ class TestTableWriter:
         assert (tmp_path / "b.csv").read_bytes() == \
             _oracle_payload(["c", "d"], list(zip(column.tolist(), column[::-1].tolist())))
 
-    @_CPU_SETS
-    def test_kernel_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, cpus):
+    def test_kernel_columns_write_the_bytes_of_the_row_formatter(self, tmp_path):
         # strided float64 views, as portrait passes points[:, 0], in blocks
-        # that span the kernel's own sub-blocks, with the edge values mixed in
+        # of many rows, with the edge values mixed in
         rng = np.random.default_rng(5)
-        rows = 2 * SUB_BLOCK + 700
+        rows = 17084
         points = rng.normal(size=(rows, 2))
         points[::97, 0] = np.resize(_EDGE_FLOATS, points[::97, 0].size)
         coords = np.repeat(np.linspace(-6, 6, 161), rows // 161 + 1)[:rows]
         columns = [points[:, 0], points[:, 1], coords]
-        with _writer_sees(cpus, SUB_BLOCK + 300):
+        with _writer_blocks(8492):
             _write_tables(tmp_path, {"k.csv": Table(["x", "y", "u"], columns)})
         table_rows = list(zip(*(column.tolist() for column in columns)))
         assert (tmp_path / "k.csv").read_bytes() == _oracle_payload(["x", "y", "u"], table_rows)
 
     def test_edge_values_through_the_kernel(self):
-        column = np.array(_EDGE_FLOATS * (MIN_CELLS // len(_EDGE_FLOATS) + 1))
-        assert reprs(column) == list(map(repr, column.tolist()))
+        column = np.array(_EDGE_FLOATS)
+        assert reprs(column).view("S24").ravel().tolist() == \
+            [repr(v).encode() for v in column.tolist()]
 
-    @_CPU_SETS
-    def test_failing_formatter_leaves_no_child_and_no_temp_file(self, tmp_path, monkeypatch,
-                                                               cpus):
+    def test_failing_formatter_leaves_no_temp_file(self, tmp_path, monkeypatch):
         inner = cli._format_block
 
         def failing(table, start, stop):
@@ -635,9 +624,8 @@ class TestTableWriter:
             "model.lambda_list = 0.15, 0.32\n"
             "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
         out = tmp_path / "out"
-        with _writer_sees(cpus, 4), pytest.raises(RuntimeError, match="formatter failed"):
+        with _writer_blocks(4), pytest.raises(RuntimeError, match="formatter failed"):
             main(["portrait", "--config", str(cfg), "--out", str(out)])
-        assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
 
     def test_no_bifurcation_writes_header_only_file(self, tmp_path):
@@ -647,27 +635,18 @@ class TestTableWriter:
         assert main(["critical-couplings", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "critical_couplings.csv").read_bytes() == b"lambda_b,branch\n"
 
-    @pytest.mark.parametrize("cpus,forked", [({0}, False), ({0, 1}, True)],
-                             ids=["1cpu", "2cpu"])
-    def test_portrait_files_match_row_formatter(self, tmp_path, monkeypatch, cpus, forked):
-        # a run of at least two blocks formats every block in a forked child
-        # when two CPUs are available, and in this process when one is
-        parent = os.getpid()
-        inner = cli._format_block
+    def test_portrait_files_match_row_formatter_without_forking(self, tmp_path, monkeypatch):
+        # a run of many blocks is formatted in this process: no fork
+        def no_fork():
+            raise RuntimeError("the table writer forked")
 
-        def located(table, start, stop):
-            if (os.getpid() != parent) != forked:
-                raise RuntimeError(f"block [{start}, {stop}) formatted in the wrong process")
-            return inner(table, start, stop)
-
-        monkeypatch.setattr(cli, "_format_block", located)
+        monkeypatch.setattr(os, "fork", no_fork)
         cfg = write_config(tmp_path, SMALL_MODEL + (
             "model.lambda_list = 0.15, 0.32\n"
             "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
         out = tmp_path / "out"
-        with _writer_sees(cpus, 4):
+        with _writer_blocks(4):
             assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
         assert len(list(out.iterdir())) == 2
         grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3)
         for lam in (0.15, 0.32):
@@ -684,9 +663,11 @@ def test_cli_start_does_not_load_scipy_signal():
 
 
 def test_cli_start_does_not_load_multiprocessing():
-    # the table writer imports it only for a run large enough to fork
+    # the table writer formats every block in this process
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    code = "import sys, kickjt.cli; assert 'multiprocessing' not in sys.modules"
+    code = ("import sys, kickjt.cli; "
+            "assert 'multiprocessing' not in sys.modules; "
+            "assert 'concurrent.futures' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

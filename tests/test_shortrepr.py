@@ -1,14 +1,21 @@
-"""shortrepr.reprs gives the text repr gives, cell for cell."""
+"""shortrepr.reprs gives the bytes repr gives, cell for cell."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kickjt import shortrepr
-from kickjt.shortrepr import MIN_CELLS, SUB_BLOCK, reprs
+from kickjt.shortrepr import reprs
 
-# per drawn column: two full sub-blocks and a partial one
-_CELLS = 2 * SUB_BLOCK + 1000
+# cells per drawn column
+_CELLS = 17384
+
+
+def _assert_reprs(column):
+    # each byte row, its NUL padding stripped, is the cell's repr
+    rows = reprs(column)
+    assert rows.shape == (column.size, 24) and rows.dtype == np.uint8
+    assert rows.view("S24").ravel().tolist() == [repr(v).encode() for v in column.tolist()]
 
 
 def _column(kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -41,28 +48,25 @@ _KINDS = ["bit patterns", "fixed-notation bit patterns", "normal", "log-uniform"
 @given(st.integers(0, 2**64 - 1))
 def test_reprs_equal_repr(kind, seed):
     # 5 kinds x 4 seeds x 17,384 cells: about 350k values a run
-    column = _column(kind, np.random.default_rng(seed))
-    assert reprs(column) == list(map(repr, column.tolist()))
+    _assert_reprs(_column(kind, np.random.default_rng(seed)))
 
 
 def test_every_power_of_two_in_range():
     # the only cells whose rounding interval is asymmetric; they go to repr
-    values = [sign * 2.0 ** k for k in range(-14, 55) for sign in (1, -1)]
-    column = np.array(values * (MIN_CELLS // len(values) + 1))
-    assert reprs(column) == list(map(repr, column.tolist()))
+    _assert_reprs(np.array([sign * 2.0 ** k for k in range(-14, 55) for sign in (1, -1)]))
 
 
 def test_strided_and_short_columns():
     rng = np.random.default_rng(7)
-    points = rng.normal(size=(SUB_BLOCK + 3, 2))
-    for column in (points[:, 0], points[::-1, 1], points[:MIN_CELLS - 1, 0], points[:0, 0]):
-        assert reprs(column) == list(map(repr, column.tolist()))
+    points = rng.normal(size=(8195, 2))
+    for column in (points[:, 0], points[::-1, 1], points[:1, 0], points[:0, 0]):
+        _assert_reprs(column)
 
 
 def test_kernel_proves_almost_every_typical_cell():
     # the kernel, not its repr fallback, formats typical values
     rng = np.random.default_rng(3)
     coordinates = np.linspace(-6, 6, 161)
-    for column in (rng.normal(size=SUB_BLOCK), coordinates[coordinates != 0]):
+    for column in (rng.normal(size=8192), coordinates[coordinates != 0]):
         proven = shortrepr._shortest(column)[3]
         assert proven.mean() > 0.99

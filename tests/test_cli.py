@@ -555,21 +555,30 @@ def _tables(draw):
     return [f"c{k}" for k in range(len(kinds))], columns
 
 
+# the block sizes a writer test runs in: its own small ones, so that rows
+# cross block boundaries, and the writer's CHUNK_ROWS
+_BLOCK_SIZES = pytest.mark.parametrize("small_blocks", [True, False],
+                                       ids=["small-blocks", "chunk-rows"])
+
+
 @contextmanager
-def _writer_blocks(chunk_rows):
-    """The table writer splits rows into blocks of chunk_rows."""
+def _writer_blocks(chunk_rows, small_blocks=True):
+    """The table writer splits rows into blocks of chunk_rows, or of its own
+    CHUNK_ROWS when small_blocks is false."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        if small_blocks:
+            mp.setattr(cli, "CHUNK_ROWS", chunk_rows)
         yield
 
 
 class TestTableWriter:
+    @_BLOCK_SIZES
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(_tables(), min_size=1, max_size=3), st.integers(1, 5))
-    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory,
+    def test_columns_write_the_bytes_of_the_row_formatter(self, tmp_path_factory, small_blocks,
                                                           tables, chunk_rows):
         out = tmp_path_factory.mktemp("tables")
-        with _writer_blocks(chunk_rows):
+        with _writer_blocks(chunk_rows, small_blocks):
             _write_tables(out, {f"t{k}.csv": Table(header, columns)
                                 for k, (header, columns) in enumerate(tables)})
         assert sorted(p.name for p in out.iterdir()) == [f"t{k}.csv" for k in range(len(tables))]
@@ -577,14 +586,16 @@ class TestTableWriter:
             rows = list(zip(*(list(c) for c in columns)))
             assert (out / f"t{k}.csv").read_bytes() == _oracle_payload(header, rows)
 
+    @_BLOCK_SIZES
     @pytest.mark.parametrize("column", [np.full(5, v) for v in _EDGE_FLOATS]
                              + [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
                                 np.array([math.nan, -math.nan]), np.array([]), np.array([7.5])])
-    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, column):
+    def test_constant_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, column,
+                                                                   small_blocks):
         # a column of one value is formatted once per block; only
         # bit-identical cells count as one value, so 0.0 and -0.0 keep their
         # own text, also where a block boundary separates them
-        with _writer_blocks(2):
+        with _writer_blocks(2, small_blocks):
             _write_tables(tmp_path, {"a.csv": Table(["c"], [column]),
                                      "b.csv": Table(["c", "d"], [column, column[::-1]])})
         assert (tmp_path / "a.csv").read_bytes() == \
@@ -592,16 +603,17 @@ class TestTableWriter:
         assert (tmp_path / "b.csv").read_bytes() == \
             _oracle_payload(["c", "d"], list(zip(column.tolist(), column[::-1].tolist())))
 
-    def test_kernel_columns_write_the_bytes_of_the_row_formatter(self, tmp_path):
+    @_BLOCK_SIZES
+    def test_kernel_columns_write_the_bytes_of_the_row_formatter(self, tmp_path, small_blocks):
         # strided float64 views, as portrait passes points[:, 0], in blocks
-        # of many rows, with the edge values mixed in
+        # of many rows (two blocks either way), with the edge values mixed in
         rng = np.random.default_rng(5)
         rows = 17084
         points = rng.normal(size=(rows, 2))
         points[::97, 0] = np.resize(_EDGE_FLOATS, points[::97, 0].size)
         coords = np.repeat(np.linspace(-6, 6, 161), rows // 161 + 1)[:rows]
         columns = [points[:, 0], points[:, 1], coords]
-        with _writer_blocks(8492):
+        with _writer_blocks(8492, small_blocks):
             _write_tables(tmp_path, {"k.csv": Table(["x", "y", "u"], columns)})
         table_rows = list(zip(*(column.tolist() for column in columns)))
         assert (tmp_path / "k.csv").read_bytes() == _oracle_payload(["x", "y", "u"], table_rows)
@@ -611,11 +623,14 @@ class TestTableWriter:
         assert reprs(column).view("S24").ravel().tolist() == \
             [repr(v).encode() for v in column.tolist()]
 
-    def test_failing_formatter_leaves_no_temp_file(self, tmp_path, monkeypatch):
+    @_BLOCK_SIZES
+    def test_failing_formatter_leaves_no_temp_file(self, tmp_path, monkeypatch, small_blocks):
         inner = cli._format_block
 
+        # the block holding row 8 of the first file fails: its third block
+        # of 4 rows, or its only block of CHUNK_ROWS
         def failing(table, start, stop):
-            if start >= 8:
+            if start <= 8 < stop:
                 raise RuntimeError("formatter failed")
             return inner(table, start, stop)
 
@@ -624,7 +639,8 @@ class TestTableWriter:
             "model.lambda_list = 0.15, 0.32\n"
             "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
         out = tmp_path / "out"
-        with _writer_blocks(4), pytest.raises(RuntimeError, match="formatter failed"):
+        with _writer_blocks(4, small_blocks), \
+                pytest.raises(RuntimeError, match="formatter failed"):
             main(["portrait", "--config", str(cfg), "--out", str(out)])
         assert list(out.iterdir()) == []
 
@@ -635,8 +651,11 @@ class TestTableWriter:
         assert main(["critical-couplings", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "critical_couplings.csv").read_bytes() == b"lambda_b,branch\n"
 
-    def test_portrait_files_match_row_formatter_without_forking(self, tmp_path, monkeypatch):
-        # a run of many blocks is formatted in this process: no fork
+    @_BLOCK_SIZES
+    def test_portrait_files_match_row_formatter_without_forking(self, tmp_path, monkeypatch,
+                                                                 small_blocks):
+        # a run of many blocks, or of one block per file, is formatted in
+        # this process: no fork
         def no_fork():
             raise RuntimeError("the table writer forked")
 
@@ -645,7 +664,7 @@ class TestTableWriter:
             "model.lambda_list = 0.15, 0.32\n"
             "portrait.radii = 0.5, 2.0\nportrait.angles = 3\nportrait.iterations = 5\n"))
         out = tmp_path / "out"
-        with _writer_blocks(4):
+        with _writer_blocks(4, small_blocks):
             assert main(["portrait", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(list(out.iterdir())) == 2
         grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3)

@@ -132,10 +132,10 @@ def _from_chart(v: np.ndarray, hemi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, rho
 
 
-def _chart_jacobian(x: np.ndarray, cfg: ValidatedConfig, lam=None) -> np.ndarray:
+def _chart_jacobian(x: np.ndarray, cfg: ValidatedConfig, lam) -> np.ndarray:
     """Exact (..., 6, 6) Jacobian of one step in the hemisphere chart at the
-    Cartesian points x (..., 7), from the Cartesian tangent; lam is cfg.lam
-    or one coupling per point, as in step_jacobian."""
+    Cartesian points x (..., 7), from the Cartesian tangent; lam is one
+    coupling or one per point, as in step_jacobian."""
     embed = np.zeros(x.shape[:-1] + (7, 6))
     embed[..., _CHART_AXES, range(6)] = 1.0
     embed[..., 6, 4] = -x[..., 4] / x[..., 6]
@@ -160,10 +160,10 @@ def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return steps, singular
 
 
-def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig, lam=None
+def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig, lam
                   ) -> tuple[dict[int, tuple[np.ndarray, float]], dict[int, str], set[int]]:
     """Newton's method in the hemisphere chart from every row of x0 (k, 7)
-    at once, row r at the coupling lam[r] (default: cfg.lam for every row).
+    at once at the coupling lam, one for all rows or one per row.
 
     Returns the converged Cartesian points with their residuals and the
     per-row failure reasons, both keyed by row index, and the rows whose
@@ -187,7 +187,7 @@ def _newton_batch(x0: np.ndarray, cfg: ValidatedConfig, lam=None
         return ~mask
 
     idx = np.arange(len(x0))
-    lam = np.full(len(x0), cfg.lam) if lam is None else np.asarray(lam, dtype=float)
+    lam = np.full(len(x0), lam, dtype=float)
     v, hemi = _to_chart(x0)
     keep = fail(idx, x0[:, 6] == 0.0,
                 "seed on the spin equator is outside both chart hemispheres")
@@ -346,16 +346,17 @@ def find_fixed_points(cfg: ValidatedConfig, seeds, failures: list | None = None,
             failures.extend((row, failed[row]) for row in rows if row in failed)
         # keep each converged point, in seed order, unless it lies within
         # DEDUP_DISTANCE (max norm) of a point already kept
-        kept = np.empty((0, 7))
-        residuals: list[float] = []
-        for row in rows:
-            if row not in converged:
-                continue
-            vec, residual = converged[row]
-            if (np.max(np.abs(kept - vec), axis=1) < DEDUP_DISTANCE).any():
-                continue
-            kept = np.vstack([kept, vec])
-            residuals.append(residual)
+        found = [converged[row] for row in rows if row in converged]
+        points = np.array([vec for vec, _ in found]).reshape(-1, 7)
+        near = np.max(np.abs(points[:, None] - points[None]), axis=-1) < DEDUP_DISTANCE
+        covered = np.zeros(len(found), dtype=bool)
+        keep = []
+        for i in range(len(found)):
+            if not covered[i]:
+                keep.append(i)
+                covered |= near[i]
+        kept = points[keep]
+        residuals = [found[i][1] for i in keep]
         classes = _classify_points(kept, cfg, lam)
         kept.flags.writeable = False
         points = [FixedPoint(point=vec, residual=residual, classification=cls,
@@ -424,7 +425,7 @@ def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int,
     """
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
-    lams = [cfg.lam] if lams is None else [float(lam) for lam in lams]
+    lams = [cfg.lam] if lams is None else [replace(cfg, lam=lam).lam for lam in lams]
     x0 = grid.initial_points(cfg)
     if len(x0) == 0:
         raise ValueError("portrait grid is empty")

@@ -6,10 +6,12 @@ Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
 codes: 0 success, 2 configuration error, 3 compute error; the config file
 is checked against the scenario's declared keys (DECLARED, KEYS) before it
-runs.  The quantum scenarios run their couplings one after another in
-grid order (portrait and the Newton census run them as one stack), BLAS
-runs on one thread, and floats are written with shortest round-trip
-precision, so identical configurations produce byte-identical files.
+runs.  A quantum scenario passes its couplings as they stand to one
+qf.track_eigenstate call per seed, which follows the state from lam = 0
+through them in grid order (portrait and the Newton census run them as
+one stack); BLAS runs on one thread, and floats are written with shortest
+round-trip precision, so identical configurations produce byte-identical
+files.
 --threads is accepted for compatibility and has no effect.  --check
 reruns the quantum scenarios at n_t + 4 and reports the deviations; a
 scenario that does not declare numerics.n_t has no truncation and reports
@@ -183,13 +185,9 @@ def scenario_portrait(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     return ScenarioResult(tables=tables)
 
 
-def _tracked_path(cfg: ValidatedConfig, seed: np.ndarray, stops: list[float]):
-    return qf.track_eigenstate(0.0, max(stops), seed, cfg, stops=[s for s in stops if s > 0.0])
-
-
 def _scenario_track(cfg: ValidatedConfig, lams, which: str) -> ScenarioResult:
     seed = qf.pgs_seed(cfg.n_t) if which == "pgs" else qf.pes_seed(cfg.n_t)
-    path = _tracked_path(cfg, seed, lams)
+    path = qf.track_eigenstate(seed, cfg, lams)
     rows = [(s.lam, s.eigenphase, qf.sector_leakage(s.state, path.sector), s.dlam_used)
             for s in path.samples]
     name = f"track_{which}.csv"
@@ -210,10 +208,8 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
     grid2d_lam = values["husimi.grid2d_lambda"]
     slope = -math.tan(cfg.omega / 2.0)
 
-    stops = list(lams)
-    if grid2d_lam is not None:
-        stops = sorted(set(stops) | {grid2d_lam})
-    pgs = _tracked_path(cfg, qf.pgs_seed(cfg.n_t), stops)
+    stops = lams if grid2d_lam is None else [*lams, grid2d_lam]
+    pgs = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, stops)
 
     coords = np.linspace(-bound, bound, n_pts)
     values = [obs.husimi_on_section(pgs.sample_at(lam).state, slope, coords)
@@ -222,7 +218,7 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
     tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns, key_cols=2)}
 
     if grid2d_lam is not None:
-        pes = _tracked_path(cfg, qf.pes_seed(cfg.n_t), [grid2d_lam])
+        pes = qf.track_eigenstate(qf.pes_seed(cfg.n_t), cfg, [grid2d_lam])
         psi_g = pgs.sample_at(grid2d_lam).state
         psi_e = pes.sample_at(grid2d_lam).state
         even = psi_g + psi_e
@@ -235,12 +231,9 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
 
 
 def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
-    path = _tracked_path(cfg, qf.pgs_seed(cfg.n_t), lams)
-    triples = [obs.entanglement_measures(path.sample_at(lam).state)
-               for lam in lams]
-    s_spin = [t[0] for t in triples]
-    s_osc = [t[1] for t in triples]
-    e_n = [t[2] for t in triples]
+    path = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, lams)
+    s_spin, s_osc, e_n = zip(*(obs.entanglement_measures(path.sample_at(lam).state)
+                               for lam in lams))
     columns = [lams, s_spin, s_osc, e_n, obs.curve_derivative(lams, s_spin),
                obs.curve_derivative(lams, s_osc), obs.curve_derivative(lams, e_n)]
     header = ["lam", "S_spin", "S_osc_x", "E_N",

@@ -14,6 +14,7 @@ defaults.  It validates itself on every construction, so
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import OutOfRange
@@ -30,7 +31,7 @@ def acot(x: float) -> float:
 
 
 def _real(value) -> bool:
-    return isinstance(value, (int, float))
+    return isinstance(value, numbers.Real)   # numpy's too: np.int64 is not an int
 
 
 @dataclass(frozen=True)

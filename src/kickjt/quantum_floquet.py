@@ -375,10 +375,13 @@ class TrackedPath:
 
 
 MIN_TRACK_STEP = 1e-6
+# first and largest continuation step
+INITIAL_TRACK_STEP = 0.01
+MAX_TRACK_STEP = 0.02
 # a trial continuation step is accepted while 1 - |overlap| stays below this
 OVERLAP_THRESHOLD = 0.01
-# least number of steps (span / max_dlam) a continuation may need; the
-# presets need under 30, and a path beyond this would run for hours
+# least number of steps (largest stop / MAX_TRACK_STEP) a continuation may
+# need; the presets need under 30, and a path beyond this would run for hours
 MAX_TRACK_STEPS = 100_000
 RQI_RESIDUAL_TOL = 1e-12
 # residual at which a refinement has reached the roundoff floor and stops
@@ -432,20 +435,18 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
     return best
 
 
-def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfig,
-                     stops: Sequence[float] | None = None,
-                     initial_dlam: float = 0.01,
-                     max_dlam: float = 0.02) -> TrackedPath:
-    """Follow one Floquet eigenstate from lam_start to lam_end.
+def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> TrackedPath:
+    """Follow one Floquet eigenstate from lam = 0 through every stop above 0,
+    landing exactly on each; stops at or below 0 are skipped.
 
     At every trial step the eigenvector of U(lam + dlam) with maximal
     overlap against the current state is selected; the step is accepted
     when 1 - |overlap| stays below OVERLAP_THRESHOLD, otherwise dlam is
-    halved (StepUnderflow below 1e-6, naming the last rejected trial
-    coupling and its best overlap).  After two consecutive acceptances
-    dlam grows by 1.5x up to max_dlam.  Accepted states are phase aligned
-    so consecutive inner products are real positive, and the path lands
-    exactly on every requested stop.
+    halved (StepUnderflow below MIN_TRACK_STEP, naming the last rejected
+    trial coupling and its best overlap).  dlam starts at INITIAL_TRACK_STEP
+    and grows by 1.5x after two consecutive acceptances, up to
+    MAX_TRACK_STEP.  Accepted states are phase aligned so consecutive inner
+    products are real positive.
 
     The maximiser is found by Rayleigh-quotient iteration from the current
     state (:func:`_rayleigh_refine`).  The squared overlaps of the current
@@ -455,33 +456,36 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     decides the step without a Schur form.  Otherwise the full sector
     spectrum (:func:`_sector_spectrum`, with its EigFailure check) decides.
 
-    A span that needs more than MAX_TRACK_STEPS steps of max_dlam, or a step
-    size that is not positive, raises ComputeError before any work.
+    A stop that is not finite, or no stop above 0, is a ValueError; a
+    largest stop beyond MAX_TRACK_STEPS steps of MAX_TRACK_STEP raises
+    ComputeError before any work.
 
     The seed must be a state over cfg.n_t (else ValueError naming both
-    cutoffs), an eigenvector of U(lam_start) to EIG_RESIDUAL_TOL,
-    checked by applying one period to it (no matrix is built), and parity
-    pure (:func:`parity_sector`, whose ValueError names both leakages).
+    cutoffs), an eigenvector of U(0) to EIG_RESIDUAL_TOL, checked by
+    applying one period to it (no matrix is built), and parity pure
+    (:func:`parity_sector`, whose ValueError names both leakages).
     The whole continuation runs inside the seed's sector: each trial step
     builds only the sector block of U (floquet_operator with a sector), and
     sector leakage is exactly zero along the path.
     """
-    if not lam_start < lam_end:
-        raise ValueError("lam_start must be < lam_end")
-    if initial_dlam > 0 and max_dlam > 0:
-        min_steps = (lam_end - lam_start) / max_dlam
-    else:
-        min_steps = math.inf
+    stop_list = sorted({float(s) for s in stops})
+    for stop in stop_list:
+        if not math.isfinite(stop):
+            raise ValueError(f"continuation stop {stop!r} is not finite")
+    stop_list = [s for s in stop_list if s > 0.0]
+    if not stop_list:
+        raise ValueError("a continuation needs a stop above lam = 0")
+    end = stop_list[-1]
+    min_steps = end / MAX_TRACK_STEP
     if not min_steps <= MAX_TRACK_STEPS:
         raise ComputeError(
-            f"continuation from lam = {lam_start!r} to lam = {lam_end!r} with steps"
-            f" {initial_dlam!r} up to {max_dlam!r} needs at least {min_steps:.3g} steps,"
-            f" more than {MAX_TRACK_STEPS}")
+            f"continuation from lam = 0.0 to lam = {end!r} needs at least"
+            f" {min_steps:.3g} steps of {MAX_TRACK_STEP!r}, more than {MAX_TRACK_STEPS}")
     basis = build_basis(cfg.n_t)
     vec = np.asarray(seed, dtype=complex)
     vec = vec / np.linalg.norm(vec)
 
-    image = apply_floquet(vec, replace(cfg, lam=lam_start))
+    image = apply_floquet(vec, replace(cfg, lam=0.0))
     rayleigh = complex(np.vdot(vec, image))
     phase0 = math.atan2(rayleigh.imag, rayleigh.real)
     resid = np.linalg.norm(image - np.exp(1j * phase0) * vec)
@@ -492,14 +496,9 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
     idx = basis.sector_indices(sector)
 
     current = vec[idx]
-    samples = [TrackedSample(lam=lam_start, state=vec.copy(), eigenphase=phase0,
+    samples = [TrackedSample(lam=0.0, state=vec.copy(), eigenphase=phase0,
                              dlam_used=0.0, overlap=1.0)]
-    stop_list = sorted({float(s) for s in (() if stops is None else stops)} | {float(lam_end)})
-    stop_list = [s for s in stop_list if lam_start < s <= lam_end + 1e-15]
-
-    lam = lam_start
-    dlam = min(initial_dlam, lam_end - lam_start)
-    accept_streak = 0
+    lam, dlam, accept_streak = 0.0, min(INITIAL_TRACK_STEP, end), 0
     while stop_list:
         next_stop = stop_list[0]
         target = min(lam + dlam, next_stop)
@@ -526,7 +525,7 @@ def track_eigenstate(lam_start: float, lam_end: float, seed, cfg: ValidatedConfi
                 stop_list.pop(0)
             accept_streak += 1
             if accept_streak >= 2:
-                dlam = min(dlam * 1.5, max_dlam)
+                dlam = min(dlam * 1.5, MAX_TRACK_STEP)
                 accept_streak = 0
         else:
             dlam /= 2.0

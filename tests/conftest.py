@@ -65,8 +65,7 @@ def timings():
 def pgs_path(base_cfg, lam_grid, timings):
     """Pseudo-ground state continued from 0 to 0.55 with stops on the grid."""
     t0 = time.perf_counter()
-    path = track_eigenstate(0.0, 0.55, pgs_seed(18), base_cfg,
-                            stops=[l for l in lam_grid if l > 0])
+    path = track_eigenstate(pgs_seed(18), base_cfg, lam_grid)
     timings["pgs_path"] = time.perf_counter() - t0
     return path
 
@@ -74,7 +73,7 @@ def pgs_path(base_cfg, lam_grid, timings):
 @pytest.fixture(scope="session")
 def pes_path_032(base_cfg):
     """Pseudo-excited state continued from 0 to 0.32."""
-    return track_eigenstate(0.0, 0.32, pes_seed(18), base_cfg, stops=[0.15])
+    return track_eigenstate(pes_seed(18), base_cfg, [0.15, 0.32])
 
 
 @pytest.fixture(scope="session")
@@ -101,8 +100,7 @@ def entropy_grid():
 def spin_entropy_22(entropy_grid):
     """Spin entropy of the tracked state at n_t = 22."""
     cfg = reference_config(0.5, n_t=22)
-    path = track_eigenstate(0.0, 0.5, pgs_seed(22), cfg,
-                            stops=[l for l in entropy_grid if l > 0])
+    path = track_eigenstate(pgs_seed(22), cfg, entropy_grid)
     return np.array([von_neumann_entropy(
         reduced_density(path.sample_at(l).state, "spin"))
         for l in entropy_grid])

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,10 +131,41 @@ class TestCensus:
         assert len(calls) == once
 
 
+def _dedup_oracle(points):
+    """The per-row dedup loop: keep each point, in order, unless it lies
+    within DEDUP_DISTANCE (max norm) of one already kept."""
+    kept = np.empty((0, 7))
+    for vec in points:
+        if (np.max(np.abs(kept - vec), axis=1) < bifurcation.DEDUP_DISTANCE).any():
+            continue
+        kept = np.vstack([kept, vec])
+    return kept
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(steps=st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+def test_dedup_keeps_what_the_per_row_loop_keeps(steps):
+    # converged points 0.6 DEDUP_DISTANCE apart along q_x: repeats, and
+    # chains where a point is near its neighbour but not the one after it,
+    # so keeping against dropped points too would differ; each point's
+    # residual names its row
+    base = np.array([0.3, -0.2, 0.1, 0.05, 0.1, 0.2, -math.sqrt(0.2)])
+    points = np.tile(base, (len(steps), 1))
+    points[:, 0] += np.array(steps) * 0.6 * bifurcation.DEDUP_DISTANCE
+    roots = {k: (point, 1e-13 * k) for k, point in enumerate(points)}
+    with mock.patch.object(bifurcation, "_newton_batch",
+                           lambda x0, cfg, lam: (roots, {}, set())):
+        fps = find_fixed_points(reference_config(0.1), points)
+    kept = _dedup_oracle(points)
+    rows = [next(k for k, p in enumerate(points) if np.array_equal(p, vec)) for vec in kept]
+    want = sorted((tuple(vec), 1e-13 * k) for vec, k in zip(kept.tolist(), rows))
+    assert [(tuple(fp.point.tolist()), fp.residual) for fp in fps] == want
+
+
 def _newton_outcomes(x0, cfg):
     """Per-row outcome of one batched Newton run: (point, residual) or the
     failure reason; the whole run is 'non-finite' when a step overflows."""
-    roots, failures, overflows = bifurcation._newton_batch(x0, cfg)
+    roots, failures, overflows = bifurcation._newton_batch(x0, cfg, cfg.lam)
     if overflows:
         return "non-finite"
     return [(roots[k][0].tolist(), roots[k][1]) if k in roots else failures[k]
@@ -394,6 +426,26 @@ class TestPortrait:
         with pytest.raises(NonFiniteState, match=rf"^portrait at lam = {re.escape(named)}: "
                                                  r"\d+ of 16 points are not finite$"):
             portrait(reference_config(0.1), grid, 3, lams)
+
+    @pytest.mark.parametrize("bad", [-0.3, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", ["portrait", "find_fixed_points"])
+    def test_coupling_out_of_range_refused_by_both_entry_points(self, entry, bad):
+        cfg = reference_config(0.1)
+        with pytest.raises(OutOfRange, match="lambda must be finite and >= 0"):
+            if entry == "portrait":
+                portrait(cfg, PortraitGrid(radii=(1.0,), n_angles=8), 3, [bad])
+            else:
+                find_fixed_points(cfg, default_seeds(cfg), lams=[bad])
+
+    def test_numpy_integer_couplings_accepted_by_both_entry_points(self):
+        cfg = reference_config(0.1)
+        grid = PortraitGrid(radii=(1.0,), n_angles=4)
+        assert np.array_equal(portrait(cfg, grid, 3, np.arange(2)),
+                              portrait(cfg, grid, 3, [0.0, 1.0]))
+        assert [fp.point.tolist() for fp in find_fixed_points(cfg, default_seeds(cfg),
+                                                             lams=np.arange(2))] == \
+            [fp.point.tolist() for fp in find_fixed_points(cfg, default_seeds(cfg),
+                                                          lams=[0.0, 1.0])]
 
     def test_symmetries_below_first_bifurcation(self):
         cfg = reference_config(0.15)

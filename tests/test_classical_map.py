@@ -298,7 +298,7 @@ class TestStepJacobian:
                 return step_arrays(_from_chart(w, hemi)[0], cfg)[_CHART_AXES]
 
             fd = central_difference(chart_step, v)
-            jac = _chart_jacobian(_from_chart(v, hemi)[0], cfg)
+            jac = _chart_jacobian(_from_chart(v, hemi)[0], cfg, cfg.lam)
             assert np.max(np.abs(jac - fd)) <= 1e-6
 
 

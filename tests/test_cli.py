@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kickjt.bifurcation import PortraitGrid, portrait
-from kickjt import cli
+from kickjt import bifurcation, cli
+from kickjt import observables as obs
+from kickjt import quantum_floquet as qf
 from kickjt import configfile as cf
 from kickjt.cli import Table, _write_tables, build_parser, main
 from kickjt.errors import ConfigError
@@ -713,6 +715,44 @@ def test_tracked_preset_needs_no_schur_form(tmp_path):
             f"assert main({args!r}) == 0; "
             "assert 'scipy.linalg' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+# the names perfbench's tracer (perfbench/bench_trace.py) patches that each
+# scenario must reach: a call that bypasses one (say, a by-name import of
+# it) fails its workload's coverage guard
+_QUANTUM = ("qf.track_eigenstate", "qf.floquet_operator")
+_CENSUS = ("cli.find_fixed_points", "bifurcation.step_arrays")
+_REACHES = {
+    "entanglement-curves": (*_QUANTUM, "obs.entanglement_measures", "obs.reduced_density",
+                            "obs.von_neumann_entropy", "obs.log_negativity"),
+    "husimi-section": (*_QUANTUM, "obs.husimi_on_section", "obs.husimi_product_grid"),
+    "portrait": ("cli.portrait", "bifurcation.step_arrays"),
+    "fixed-points": _CENSUS,
+    "detection-prob": _CENSUS,
+}
+_TRACED_MODULES = {"cli": cli, "bifurcation": bifurcation, "qf": qf, "obs": obs}
+
+
+def _counting(counts, key, fn):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("command", sorted(_REACHES))
+def test_scenario_reaches_the_traced_names(tmp_path, monkeypatch, command):
+    counts = dict.fromkeys(_REACHES[command], 0)
+    for key in counts:
+        module, name = key.split(".")
+        target = _TRACED_MODULES[module]
+        monkeypatch.setattr(target, name, _counting(counts, key, getattr(target, name)))
+    text = _SMALL_RUNS[command]
+    if command == "husimi-section":
+        text += "husimi.grid2d_lambda = 0.1\n"
+    cfg = write_config(tmp_path, SMALL_MODEL + text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert [key for key, calls in counts.items() if calls == 0] == []
 
 
 class TestDeterminismSmoke:

@@ -1,13 +1,14 @@
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from kickjt import (EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
+from kickjt import (ComputeError, EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
                     build_basis, coherent_amplitudes, coherent_state,
                     apply_kick, floquet_operator,
                     floquet_spectrum, h0_phases, pes_seed, pgs_seed,
@@ -38,7 +39,7 @@ class TestParitySector:
     def test_roundoff_leakage_accepted_everywhere(self):
         seed = self.leaky_pgs_seed(1e-17)
         assert qf.parity_sector(seed) == "O"
-        assert track_eigenstate(0.0, 0.1, seed, self.CFG).sector == "O"
+        assert track_eigenstate(seed, self.CFG, [0.1]).sector == "O"
         assert log_negativity(seed) <= 1e-12
 
     def test_leakage_above_the_tolerance_refused_everywhere(self):
@@ -46,7 +47,7 @@ class TestParitySector:
         seed = self.leaky_pgs_seed(1e-5)
         assert 0.9e-10 <= sector_leakage(seed, "O") <= 1.1e-10
         messages = []
-        for call in (qf.parity_sector, lambda vec: track_eigenstate(0.0, 0.1, vec, self.CFG),
+        for call in (qf.parity_sector, lambda vec: track_eigenstate(vec, self.CFG, [0.1]),
                      log_negativity):
             with pytest.raises(ValueError) as info:
                 call(seed)
@@ -398,7 +399,7 @@ class TestFloquetSpectrum:
         phases = {}
         for n_t in (18, 22):
             cfg = reference_config(0.32, n_t=n_t)
-            path = track_eigenstate(0.0, 0.32, pgs_seed(n_t), cfg)
+            path = track_eigenstate(pgs_seed(n_t), cfg, [0.32])
             phases[n_t] = path.samples[-1].eigenphase
         move = abs((phases[18] - phases[22] + math.pi) % (2 * math.pi) - math.pi)
         assert move < 1e-3
@@ -450,7 +451,7 @@ class TestTracking:
         vec = rng.normal(size=basis18.dim) + 1j * rng.normal(size=basis18.dim)
         vec /= np.linalg.norm(vec)
         with pytest.raises(EigFailure):
-            track_eigenstate(0.0, 0.1, vec, base_cfg)
+            track_eigenstate(vec, base_cfg, [0.1])
 
     def test_mixed_parity_eigenvector_seed_rejected(self):
         # at lam = 0 with delta = 2 omega, |0,0,+> (E) and |2,0,-> (O) share
@@ -459,13 +460,13 @@ class TestTracking:
         basis = build_basis(3)
         seed = (basis.basis_state(0, 0, 1) + basis.basis_state(2, 0, -1)) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="5.000e-01 from O and 5.000e-01 from E"):
-            track_eigenstate(0.0, 0.1, seed, cfg)
+            track_eigenstate(seed, cfg, [0.1])
 
-    @pytest.mark.parametrize("stops", [[0.05, 0.08], []])
+    @pytest.mark.parametrize("stops", [[0.05, 0.08, 0.1], [0.1]])
     def test_stops_may_be_an_array(self, stops):
         cfg = ValidatedConfig(OMEGA, DELTA, 0.1, n_t=4)
-        want = track_eigenstate(0.0, 0.1, pgs_seed(4), cfg, stops=stops)
-        got = track_eigenstate(0.0, 0.1, pgs_seed(4), cfg, stops=np.array(stops))
+        want = track_eigenstate(pgs_seed(4), cfg, stops)
+        got = track_eigenstate(pgs_seed(4), cfg, np.array(stops))
         assert set(stops) <= set(got.lams())
         assert len(got.samples) == len(want.samples)
         for g, w in zip(got.samples, want.samples):
@@ -473,18 +474,50 @@ class TestTracking:
                 (w.lam, w.eigenphase, w.dlam_used, w.overlap)
             assert np.array_equal(g.state, w.state)
 
+    def test_stops_in_any_order_repeated_or_not_above_zero(self):
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        want = track_eigenstate(pgs_seed(4), cfg, [0.05, 0.08, 0.1])
+        got = track_eigenstate(pgs_seed(4), cfg, [0.08, -0.2, 0.1, 0.0, 0.05, 0.08])
+        assert [(s.lam, s.dlam_used) for s in got.samples] == \
+            [(s.lam, s.dlam_used) for s in want.samples]
+        assert got.samples[0].lam == 0.0 and got.samples[-1].lam == 0.1
+        for g, w in zip(got.samples, want.samples):
+            assert np.array_equal(g.state, w.state)
+
+    @pytest.mark.parametrize("stops", [[], [0.0], [-0.3, 0.0]])
+    def test_no_stop_above_zero_refused(self, stops):
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        with pytest.raises(ValueError, match="needs a stop above lam = 0"):
+            track_eigenstate(pgs_seed(4), cfg, stops)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stop_refused_by_name(self, bad):
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        with pytest.raises(ValueError, match=f"continuation stop {bad!r} is not finite"):
+            track_eigenstate(pgs_seed(4), cfg, [0.05, bad, 0.1])
+
+    def test_unbounded_span_refused_before_any_build(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(qf, "floquet_operator", lambda *a: builds.append(a))
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        with pytest.raises(ComputeError, match=re.escape(
+                "continuation from lam = 0.0 to lam = 1e+300 needs at least"
+                " 5e+301 steps of 0.02, more than 100000")):
+            track_eigenstate(pgs_seed(4), cfg, [0.1, 1e300])
+        assert builds == []
+
     def test_step_underflow_on_impossible_threshold(self, monkeypatch):
         monkeypatch.setattr(qf, "OVERLAP_THRESHOLD", 1e-15)
         cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3)
         with pytest.raises(StepUnderflow):
-            track_eigenstate(0.0, 0.3, pgs_seed(3), cfg)
+            track_eigenstate(pgs_seed(3), cfg, [0.3])
 
     def test_step_underflow_names_the_last_trial_and_its_overlap(self):
         # the pes seed is not the combination of the degenerate N = 1 pair
         # that the coupling selects here: no step clears the overlap bound
         cfg = ValidatedConfig(3.75, 1.0, 1.0, n_t=2)
         with pytest.raises(StepUnderflow) as info:
-            track_eigenstate(0.0, 1.0, pes_seed(2), cfg)
+            track_eigenstate(pes_seed(2), cfg, [1.0])
         match = re.fullmatch(
             r"continuation step fell below 1e-06 at lam = 0\.000000: the last trial,"
             r" at lam = (\S+), reached a best overlap of (\S+), not above the bound"
@@ -542,17 +575,25 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
 
 
 def compare_with_oracle(lam_end, seed, cfg, step, stops=None):
-    """Run the oracle and track_eigenstate on one case; require identical
+    """Run the oracle and track_eigenstate on one case, with first and
+    largest continuation step both set to step; require identical
     (lam, dlam_used) sequences, eigenphases to 1e-12 and every accepted
     pair's residual against the dense U within 1e-12.  Returns
     (oracle samples, path), or None when both raised StepUnderflow."""
+    def track():
+        # patch.object, unlike the function-scoped monkeypatch, also works
+        # inside @given
+        with mock.patch.object(qf, "INITIAL_TRACK_STEP", step), \
+                mock.patch.object(qf, "MAX_TRACK_STEP", step):
+            return track_eigenstate(seed, cfg, [*(stops or []), lam_end])
+
     try:
         want = schur_only_track(0.0, lam_end, seed, cfg, stops, step, step)
     except StepUnderflow:
         with pytest.raises(StepUnderflow):
-            track_eigenstate(0.0, lam_end, seed, cfg, stops, step, step)
+            track()
         return None
-    path = track_eigenstate(0.0, lam_end, seed, cfg, stops, step, step)
+    path = track()
     assert [(s.lam, s.dlam_used) for s in path.samples] == [(w[0], w[2]) for w in want]
     for sample, w in zip(path.samples, want):
         assert abs(sample.eigenphase - w[1]) <= 1e-12
@@ -631,8 +672,7 @@ class TestRayleighTracking:
                                            lam_grid):
         schur = CountingSchur()
         monkeypatch.setattr(qf, "_sector_spectrum", schur)
-        path = track_eigenstate(0.0, 0.55, pgs_seed(18), base_cfg,
-                                stops=[l for l in lam_grid if l > 0])
+        path = track_eigenstate(pgs_seed(18), base_cfg, lam_grid)
         assert schur.calls == 0
         assert np.array_equal(path.lams(), pgs_path.lams())
 
@@ -656,8 +696,7 @@ class TestRayleighTracking:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(qf, "_rayleigh_refine", refine)
-        path = track_eigenstate(0.0, 0.55, pgs_seed(18), base_cfg,
-                                stops=[l for l in lam_grid if l > 0])
+        path = track_eigenstate(pgs_seed(18), base_cfg, lam_grid)
         assert np.array_equal(path.lams(), pgs_path.lams())
         assert per_refinement and max(per_refinement) <= 3
 
@@ -674,8 +713,7 @@ class TestRayleighTracking:
             return mat
 
         monkeypatch.setattr(qf, "floquet_operator", spy)
-        path = track_eigenstate(0.0, 0.55, pgs_seed(18), base_cfg,
-                                stops=[l for l in lam_grid if l > 0])
+        path = track_eigenstate(pgs_seed(18), base_cfg, lam_grid)
         odd = basis18.sector_indices("O").size
         assert len(shapes) >= len(path.samples) - 1
         assert set(shapes) == {(odd, odd)}

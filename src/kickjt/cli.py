@@ -1,6 +1,6 @@
 """kickjt command line: scenario runner with deterministic CSV outputs.
 
-Usage: kickjt <subcommand> --config <path> [--out <dir>] [--threads N] [--check]
+Usage: kickjt <subcommand> --config <path> [--out <dir>] [--threads N]
 
 Subcommands: critical-couplings, fixed-points, portrait, track-pgs,
 track-pes, husimi-section, entanglement-curves, detection-prob.  Exit
@@ -11,11 +11,9 @@ qf.track_eigenstate call per seed, which follows the state from lam = 0
 through them in grid order (portrait and the Newton census run them as
 one stack); BLAS runs on one thread, and floats are written with shortest
 round-trip precision, so identical configurations produce byte-identical
-files.
---threads is accepted for compatibility and has no effect.  --check
-reruns the quantum scenarios at n_t + 4 and reports the deviations; a
-scenario that does not declare numerics.n_t has no truncation and reports
-that instead.
+files.  A tracked scenario prints the largest weight its states hold on
+the edge shell n_x + n_y = n_t, the truncation evidence of the run.
+--threads is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +39,7 @@ from .bifurcation import (PortraitGrid, Stability, critical_couplings,
                           default_seeds, find_fixed_points, portrait)
 from . import configfile as cf
 from .errors import ComputeError, ConfigError, KickJTError, OutOfRange
-from .model import MAX_N_T, ValidatedConfig
+from .model import ValidatedConfig
 from .shortrepr import reprs
 
 
@@ -49,14 +47,11 @@ from .shortrepr import reprs
 
 @dataclass
 class Table:
-    """One CSV output: header, one equal-length column per header field, and
-    how many leading columns form the row key used by the --check comparison.
-
+    """One CSV output: header and one equal-length column per header field.
     A column is a float64 ndarray or any sequence of cells."""
 
     header: list[str]
     columns: list
-    key_cols: int = 1
 
     @classmethod
     def from_rows(cls, header: list[str], rows: list[tuple]) -> Table:
@@ -185,6 +180,14 @@ def scenario_portrait(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     return ScenarioResult(tables=tables)
 
 
+def _edge_report(n_t: int, *paths) -> str:
+    """The largest edge-shell weight over every sample of paths and the
+    coupling of its first occurrence: the truncation evidence of a tracked run."""
+    weight, lam = max(((qf.edge_weight(s.state), s.lam) for path in paths
+                       for s in path.samples), key=operator.itemgetter(0))
+    return f"edge-shell weight: at most {weight:.3e} (lam = {lam!r}, n_t = {n_t})"
+
+
 def _scenario_track(cfg: ValidatedConfig, lams, which: str) -> ScenarioResult:
     seed = qf.pgs_seed(cfg.n_t) if which == "pgs" else qf.pes_seed(cfg.n_t)
     path = qf.track_eigenstate(seed, cfg, lams)
@@ -192,7 +195,8 @@ def _scenario_track(cfg: ValidatedConfig, lams, which: str) -> ScenarioResult:
             for s in path.samples]
     name = f"track_{which}.csv"
     return ScenarioResult(tables={
-        name: Table.from_rows(["lam", "eigenphase", "sector_leakage", "dlam_used"], rows)})
+        name: Table.from_rows(["lam", "eigenphase", "sector_leakage", "dlam_used"], rows)},
+        text=_edge_report(cfg.n_t, path))
 
 
 def scenario_track_pgs(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
@@ -215,10 +219,12 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
     values = [obs.husimi_on_section(pgs.sample_at(lam).state, slope, coords)
               for lam in lams]
     columns = [np.repeat(lams, n_pts), np.tile(coords, len(lams)), np.concatenate(values)]
-    tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns, key_cols=2)}
+    tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns)}
+    paths = [pgs]
 
     if grid2d_lam is not None:
         pes = qf.track_eigenstate(qf.pes_seed(cfg.n_t), cfg, [grid2d_lam])
+        paths.append(pes)
         psi_g = pgs.sample_at(grid2d_lam).state
         psi_e = pes.sample_at(grid2d_lam).state
         even = psi_g + psi_e
@@ -226,8 +232,8 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
         alphas = obs.section_amplitudes(coords, slope)
         grid = obs.husimi_product_grid(even, alphas, alphas)
         columns = [np.repeat(coords, n_pts), np.tile(coords, n_pts), grid.ravel()]
-        tables["husimi_grid2d.csv"] = Table(["q_x", "q_y", "H"], columns, key_cols=2)
-    return ScenarioResult(tables=tables)
+        tables["husimi_grid2d.csv"] = Table(["q_x", "q_y", "H"], columns)
+    return ScenarioResult(tables=tables, text=_edge_report(cfg.n_t, *paths))
 
 
 def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
@@ -238,7 +244,8 @@ def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> Scenario
                obs.curve_derivative(lams, s_osc), obs.curve_derivative(lams, e_n)]
     header = ["lam", "S_spin", "S_osc_x", "E_N",
               "dS_spin_dlam", "dS_osc_x_dlam", "dE_N_dlam"]
-    return ScenarioResult(tables={"entanglement_curves.csv": Table(header, columns)})
+    return ScenarioResult(tables={"entanglement_curves.csv": Table(header, columns)},
+                          text=_edge_report(cfg.n_t, path))
 
 
 def scenario_detection_prob(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
@@ -371,50 +378,6 @@ def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfi
     return cfg, lams, values
 
 
-# --- truncation convergence check (--check) -----------------------------------
-
-def _keyed_rows(table: Table) -> dict:
-    """Row key (the values of the leading key_cols cells) -> value cells."""
-    keys = zip(*(np.asarray(column).tolist() for column in table.columns[:table.key_cols]))
-    return dict(zip(keys, np.column_stack(table.columns[table.key_cols:])))
-
-
-def _compare_tables(name: str, base: Table, bumped: Table) -> list[str]:
-    if base.header != bumped.header:
-        return [f"{name}: headers differ"]
-    rows_a, rows_b = _keyed_rows(base), _keyed_rows(bumped)
-    shared = [key for key in rows_a if key in rows_b]
-    width = len(base.header) - base.key_cols
-    a = np.reshape([rows_a[key] for key in shared], (-1, width))
-    b = np.reshape([rows_b[key] for key in shared], (-1, width))
-    worst = np.max(np.abs(a - b), axis=0, initial=0.0)
-    scale = np.max(np.abs(a), axis=0, initial=1e-300)
-    lines = [f"{name}: column {col}: max relative deviation {w / s:.3e}"
-             for col, w, s in zip(base.header[base.key_cols:], worst, scale)
-             if s > 1e-300 or w > 0]
-    lines.append(f"{name}: {len(shared)} shared keys")
-    return lines
-
-
-def truncation_check(command: str, cfg: ValidatedConfig, lams, values,
-                     base: ScenarioResult) -> str:
-    """Rerun the scenario at n_t + 4 on the same validated inputs and compare
-    its tables with base, the result of the run at cfg.n_t."""
-    if "numerics.n_t" not in DECLARED[command]:
-        return f"truncation check: {command} has no truncation parameter"
-    n_t = cfg.n_t
-    if n_t + 4 > MAX_N_T:
-        return f"truncation check: n_t + 4 = {n_t + 4} exceeds the largest n_t, {MAX_N_T}"
-    bumped = SCENARIOS[command](replace(cfg, n_t=n_t + 4), lams, values)
-    lines = [f"truncation check: n_t = {n_t} vs {n_t + 4}"]
-    for name in base.tables:
-        if name in bumped.tables:
-            lines.extend(_compare_tables(name, base.tables[name], bumped.tables[name]))
-        else:
-            lines.append(f"{name}: missing from bumped run")
-    return "\n".join(lines)
-
-
 # --- entry point ---------------------------------------------------------------
 
 # (get, set) thread-count entry points of the OpenBLAS builds bundled with
@@ -488,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--check", action="store_true",
-                       help="re-run at n_t + 4 and report truncation deviations"
-                            " (scenarios without n_t only say so)")
     return parser
 
 
@@ -514,15 +474,12 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
-        inputs = validate(args.command, entries)
-        result = SCENARIOS[args.command](*inputs)
+        result = SCENARIOS[args.command](*validate(args.command, entries))
         _write_tables(out_dir, result.tables)
         if result.text:
             print(result.text)
         for name in result.tables:
             print(f"wrote {out_dir / name}")
-        if args.check:
-            print(truncation_check(args.command, *inputs, result))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

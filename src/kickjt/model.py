@@ -63,7 +63,7 @@ class ValidatedConfig:
              "delta must lie in (0, 2*pi)", self.delta),
             (_real(self.lam) and 0.0 <= self.lam < math.inf,
              "lambda must be finite and >= 0", self.lam),
-            (isinstance(self.n_t, int) and 0 <= self.n_t <= MAX_N_T,
+            (isinstance(self.n_t, numbers.Integral) and 0 <= self.n_t <= MAX_N_T,
              f"n_t must be an integer in [0, {MAX_N_T}]", self.n_t),
             (_real(self.newton_tol) and self.newton_tol > 0.0,
              "newton_tol must be > 0", self.newton_tol),
@@ -73,3 +73,4 @@ class ValidatedConfig:
             raise OutOfRange(bad)
         for name in ("omega", "delta", "lam"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "n_t", int(self.n_t))

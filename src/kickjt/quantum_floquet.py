@@ -544,6 +544,13 @@ def sector_leakage(state, sector: str) -> float:
     return float(1.0 - np.sum(np.abs(state[basis_of(state).sector_indices(sector)]) ** 2))
 
 
+def edge_weight(state) -> float:
+    """Probability weight on the edge shell n_x + n_y = n_t of the state's
+    truncation; a state its cutoff holds keeps almost none there."""
+    basis = basis_of(state)
+    return float(np.sum(np.abs(state[basis.total == basis.n_t]) ** 2))
+
+
 def parity_sector(state) -> str:
     """The parity sector, "O" or "E", whose sector_leakage for the state is
     at most PARITY_LEAKAGE_TOL; a state pure in neither is a ValueError

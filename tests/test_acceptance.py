@@ -270,8 +270,8 @@ def _run_preset(command: str, config: Path, out_dir: Path, threads: int) -> dict
 
 @contextmanager
 def _one_cpu():
-    """Run the body on one CPU of this process's CPU set, so the table writer
-    formats every block in this process; restore the set afterwards."""
+    """Run the body on one CPU of this process's CPU set, so criterion 12 also
+    compares against a run that sees a single CPU; restore the set afterwards."""
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -867,16 +869,46 @@ assert "OPENBLAS_NUM_THREADS" not in os.environ
 """)
 
 
-class TestTruncationCheckFlag:
-    def test_check_reports_deviation(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMALL_MODEL + (
-            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 6\n"))
-        out = tmp_path / "out"
-        assert main(["entanglement-curves", "--config", str(cfg), "--out", str(out),
-                     "--check"]) == 0
-        captured = capsys.readouterr()
-        assert "truncation check: n_t = 6 vs 10" in captured.out
-        assert "max relative deviation" in captured.out
+TRACKED_CONFIGS = {
+    "track-pgs": "model.lambda_grid = 0:0.3:0.05\nnumerics.n_t = 4\n",
+    "track-pes": "model.lambda_grid = 0:0.3:0.05\nnumerics.n_t = 4\n",
+    "husimi-section": ("model.lambda_grid = 0:0.2:0.05\nnumerics.n_t = 4\n"
+                       "husimi.section_points = 5\nhusimi.grid2d_lambda = 0.2\n"),
+    "entanglement-curves": "model.lambda_grid = 0:0.3:0.05\nnumerics.n_t = 4\n",
+}
+
+EDGE_LINE = re.compile(r"edge-shell weight: at most (\S+) \(lam = (\S+), n_t = (\d+)\)")
+
+
+class TestEdgeShellReport:
+    @pytest.mark.parametrize("command", sorted(TRACKED_CONFIGS))
+    def test_tracked_scenario_prints_its_largest_edge_weight(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        # one line, over every sample of every path the scenario tracked
+        paths = []
+        real = qf.track_eigenstate
+
+        def spy(*args):
+            paths.append(real(*args))
+            return paths[-1]
+
+        monkeypatch.setattr(qf, "track_eigenstate", spy)
+        cfg = write_config(tmp_path, SMALL_MODEL + TRACKED_CONFIGS[command])
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("edge-shell weight:")]
+        assert len(lines) == 1
+        weight, lam, n_t = EDGE_LINE.fullmatch(lines[0]).groups()
+        samples = [s for path in paths for s in path.samples]
+        weights = [qf.edge_weight(s.state) for s in samples]
+        assert weight == f"{max(weights):.3e}"
+        assert float(lam) == samples[int(np.argmax(weights))].lam
+        assert n_t == "4"
+        if command == "husimi-section":
+            # the pes path holds the largest weight, so it must be counted
+            assert len(paths) == 2
+            assert max(map(qf.edge_weight, (s.state for s in paths[1].samples))) == \
+                max(weights)
 
     @pytest.mark.parametrize("command,extra", [
         ("critical-couplings", ""),
@@ -885,57 +917,46 @@ class TestTruncationCheckFlag:
                      "portrait.angles = 4\nportrait.iterations = 3\n"),
         ("detection-prob", "model.lambda_list = 0.1\n"),
     ])
-    def test_scenarios_without_truncation_run_once(self, tmp_path, capsys, monkeypatch,
-                                                   command, extra):
-        calls = []
-        real = cli.SCENARIOS[command]
-
-        def spy(*inputs):
-            calls.append(inputs)
-            return real(*inputs)
-
-        monkeypatch.setitem(cli.SCENARIOS, command, spy)
+    def test_scenarios_without_truncation_print_no_edge_weight(self, tmp_path, capsys,
+                                                               command, extra):
         cfg = write_config(tmp_path, SMALL_MODEL + extra)
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--check"]) == 0
-        assert f"truncation check: {command} has no truncation parameter" in \
-            capsys.readouterr().out.splitlines()
-        assert len(calls) == 1
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "edge-shell weight" not in capsys.readouterr().out
 
-    def test_truncated_scenario_reruns_only_at_the_bumped_truncation(self, tmp_path,
-                                                                     monkeypatch):
-        # the written run is the comparison base; only n_t + 4 is run again
-        seen = []
-        real = cli.SCENARIOS["track-pgs"]
+    def test_check_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_MODEL + TRACKED_CONFIGS["track-pgs"])
+        with pytest.raises(SystemExit) as info:
+            main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--check"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --check" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-        def spy(cfg, lams, values):
-            seen.append(cfg.n_t)
-            return real(cfg, lams, values)
-
-        monkeypatch.setitem(cli.SCENARIOS, "track-pgs", spy)
-        cfg = write_config(tmp_path, SMALL_MODEL + (
-            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 4\n"))
-        assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--check"]) == 0
-        assert seen == [4, 8]
-
-    def test_no_rerun_past_the_largest_truncation(self, tmp_path, capsys, monkeypatch):
-        # at n_t = 61 the rerun would need n_t = 65 > MAX_N_T: the check says
-        # so instead of failing after the base files are written
-        seen = []
-
-        def spy(cfg, lams, values):
-            seen.append(cfg.n_t)
-            return cli.ScenarioResult()
-
-        monkeypatch.setitem(cli.SCENARIOS, "track-pgs", spy)
-        cfg = write_config(tmp_path, SMALL_MODEL + (
-            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 61\n"))
-        assert main(["track-pgs", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--check"]) == 0
-        assert ("truncation check: n_t + 4 = 65 exceeds the largest n_t, 64"
-                in capsys.readouterr().out.splitlines())
-        assert seen == [61]
+    @pytest.mark.parametrize("n_t", [10, 14])
+    @pytest.mark.parametrize("preset", ["entanglement_curves.cfg", "husimi_sections.cfg"])
+    def test_edge_weight_bounds_the_truncation_deviation(self, preset, n_t):
+        # the comparison the retired --check flag printed, as an oracle: on
+        # the preset grid, every value column of the run at n_t lies within
+        # 3 sqrt(W) of the run at n_t + 4, relative to the column's largest
+        # magnitude, where W is the run's largest edge-shell weight
+        command = PRESET_COMMANDS[preset]
+        cfg, lams, values = cli.validate(
+            command, cf.read_entries((PRESET_DIR / preset).read_text()))
+        base, bumped = (cli.SCENARIOS[command](replace(cfg, n_t=n), lams, values)
+                        for n in (n_t, n_t + 4))
+        weight = float(EDGE_LINE.fullmatch(base.text).group(1))
+        assert base.tables.keys() == bumped.tables.keys()
+        for name, table in base.tables.items():
+            other = bumped.tables[name]
+            assert table.header == other.header
+            keys = 1 if name == "entanglement_curves.csv" else 2
+            for a, b in zip(table.columns[:keys], other.columns[:keys]):
+                assert np.array_equal(a, b)
+            for column, a, b in zip(table.header[keys:], table.columns[keys:],
+                                    other.columns[keys:]):
+                a, b = np.asarray(a), np.asarray(b)
+                deviation = np.max(np.abs(a - b)) / np.max(np.abs(a))
+                assert deviation <= 3 * math.sqrt(weight), (name, column, deviation, weight)
 
 
 def test_presets_parse():

@@ -1,6 +1,7 @@
 import math
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +72,15 @@ def test_replace_n_t():
     assert replace(cfg, n_t=8).omega == cfg.omega
 
 
+@pytest.mark.parametrize("n_t", [np.int64(4), np.int32(4), np.uint8(4)],
+                         ids=["int64", "int32", "uint8"])
+def test_numpy_integer_cutoff_stored_as_int(n_t):
+    # any integer type passes, and cfg.n_t is always a plain int
+    for cfg in (ValidatedConfig(0.05, 0.9, 0.1, n_t=n_t),
+                replace(ValidatedConfig(0.05, 0.9, 0.1), n_t=n_t)):
+        assert cfg.n_t == 4 and type(cfg.n_t) is int
+
+
 # --- the invariant, over random fields ------------------------------------------
 #
 # For each field: a strategy for values inside its documented range, one for
@@ -88,9 +98,10 @@ FIELD_RANGES = {
     "lam": (st.floats(min_value=0.0, allow_infinity=False),
             st.one_of(st.floats(max_value=-TINY), st.just(math.inf), st.just(math.nan)),
             "lambda"),
-    "n_t": (st.integers(0, MAX_N_T),
+    "n_t": (st.one_of(st.integers(0, MAX_N_T), st.integers(0, MAX_N_T).map(np.int64)),
             st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_N_T + 1),
-                      st.floats()),
+                      st.integers(MAX_N_T + 1, 2**62).map(np.int64), st.floats(),
+                      st.floats(allow_nan=False).map(np.float64)),
             "n_t"),
     "newton_tol": (st.floats(min_value=TINY),
                    st.one_of(st.floats(max_value=0.0), st.just(math.nan)),

@@ -56,6 +56,31 @@ class TestParitySector:
                             " and 1.000e+00 from E"] * 3
 
 
+class TestEdgeWeight:
+    @pytest.mark.parametrize("n_t", range(5))
+    def test_zero_coupling_seeds(self, n_t):
+        # |0,0> lies on the edge shell only at n_t = 0, the one-phonon pes
+        # seed only at n_t = 1
+        assert qf.edge_weight(pgs_seed(n_t)) == (1.0 if n_t == 0 else 0.0)
+        if n_t >= 1:
+            assert qf.edge_weight(pes_seed(n_t)) == pytest.approx(1.0 if n_t == 1 else 0.0,
+                                                                  abs=1e-15)
+
+    def test_truncated_coherent_state(self):
+        n_t = 8
+        amps, _ = coherent_amplitudes(0.8, 0.5j, n_t)
+        basis = build_basis(n_t)
+        weights = np.abs(amps) ** 2
+        shell = weights[basis.osc_nx + basis.osc_ny == n_t].sum() / weights.sum()
+        assert shell > 1e-7
+        state = coherent_state(0.8, 0.5j, SpinDirection(1.0, 2.0), n_t)
+        assert qf.edge_weight(state) == pytest.approx(shell, rel=1e-12)
+
+    def test_state_of_the_wrong_length_refused(self):
+        with pytest.raises(ValueError, match="a state of length 7 is not"):
+            qf.edge_weight(np.ones(7))
+
+
 class TestBasis:
     def test_minimal_truncation(self):
         basis = build_basis(0)

@@ -367,6 +367,9 @@ def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfi
     # a tracked scenario follows its state from lam = 0 to its largest coupling
     if "n_t" in settings and max(lams + [values.get("husimi.grid2d_lambda") or 0]) <= 0:
         raise ConfigError("tracking needs a coupling grid reaching beyond 0")
+    if cfg.n_t < 1 and (command == "track-pes" or values.get("husimi.grid2d_lambda")):
+        raise ConfigError(f"numerics.n_t must be >= 1 to hold the pes seed, got {cfg.n_t}",
+                          line=entries["numerics.n_t"].line)
     if "portrait.iterations" in values:
         points = math.prod(map(float, (len(lams), len(values["portrait.radii"]),
                                        values["portrait.angles"],

@@ -364,12 +364,10 @@ class TrackedPath:
     samples: list[TrackedSample]
     sector: str
 
-    def lams(self) -> np.ndarray:
-        return np.array([s.lam for s in self.samples])
-
     def sample_at(self, lam: float) -> TrackedSample:
+        """The sample at exactly lam (==), as at every stop; else KeyError."""
         for s in self.samples:
-            if abs(s.lam - lam) <= 1e-12:
+            if s.lam == lam:
                 return s
         raise KeyError(f"no tracked sample at lam = {lam!r}")
 
@@ -437,16 +435,18 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
 
 def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> TrackedPath:
     """Follow one Floquet eigenstate from lam = 0 through every stop above 0,
-    landing exactly on each; stops at or below 0 are skipped.
+    landing on each bit for bit; stops at or below 0 are skipped.
 
-    At every trial step the eigenvector of U(lam + dlam) with maximal
-    overlap against the current state is selected; the step is accepted
-    when 1 - |overlap| stays below OVERLAP_THRESHOLD, otherwise dlam is
-    halved (StepUnderflow below MIN_TRACK_STEP, naming the last rejected
-    trial coupling and its best overlap).  dlam starts at INITIAL_TRACK_STEP
-    and grows by 1.5x after two consecutive acceptances, up to
-    MAX_TRACK_STEP.  Accepted states are phase aligned so consecutive inner
-    products are real positive.
+    A trial step ends at lam + dlam, or on the next stop's own float when
+    lam + dlam lies beyond that stop less MIN_TRACK_STEP (so a step onto a
+    stop may be up to MIN_TRACK_STEP longer than dlam).  The eigenvector of
+    U there with maximal overlap against the current state is selected;
+    the step is accepted when 1 - |overlap| stays below OVERLAP_THRESHOLD,
+    otherwise dlam is halved (StepUnderflow below MIN_TRACK_STEP, naming
+    the last rejected trial coupling and its best overlap).  dlam starts at
+    INITIAL_TRACK_STEP and grows by 1.5x after two consecutive acceptances,
+    up to MAX_TRACK_STEP.  Accepted states are phase aligned so consecutive
+    inner products are real positive.
 
     The maximiser is found by Rayleigh-quotient iteration from the current
     state (:func:`_rayleigh_refine`).  The squared overlaps of the current
@@ -501,7 +501,7 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
     lam, dlam, accept_streak = 0.0, min(INITIAL_TRACK_STEP, end), 0
     while stop_list:
         next_stop = stop_list[0]
-        target = min(lam + dlam, next_stop)
+        target = next_stop if lam + dlam > next_stop - MIN_TRACK_STEP else lam + dlam
         sub = floquet_operator(replace(cfg, lam=target), sector)
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
@@ -512,16 +512,13 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
             phase, new, overlap = float(phases[k]), vecs[:, k].copy(), float(overlaps[k])
         if 1.0 - overlap < OVERLAP_THRESHOLD:
             inner = complex(np.vdot(current, new))
-            if abs(inner) > 0:
-                new *= inner.conjugate() / abs(inner)
+            new *= inner.conjugate() / abs(inner)
             full = np.zeros(basis.dim, dtype=complex)
             full[idx] = new
-            samples.append(TrackedSample(lam=target, state=full,
-                                         eigenphase=phase,
+            samples.append(TrackedSample(lam=target, state=full, eigenphase=phase,
                                          dlam_used=target - lam, overlap=overlap))
-            current = new
-            lam = target
-            if abs(lam - next_stop) <= 1e-15:
+            current, lam = new, target
+            if lam == next_stop:
                 stop_list.pop(0)
             accept_streak += 1
             if accept_streak >= 2:

@@ -325,6 +325,31 @@ class TestExitCodes:
         assert err.startswith("config error: ") and key in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command,extra", [
+        ("track-pes", ""),
+        ("husimi-section", "husimi.section_points = 5\nhusimi.grid2d_lambda = 0.1\n"),
+    ])
+    def test_pes_seed_beyond_the_cutoff_exits_two_naming_n_t(self, tmp_path, capsys,
+                                                             command, extra):
+        # the pes seed holds one phonon, which n_t = 0 cuts off
+        text = SMALL_MODEL + "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 0\n" + extra
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        line = text.splitlines().index("numerics.n_t = 0") + 1
+        assert capsys.readouterr().err == (f"config error: line {line}: numerics.n_t must be"
+                                           " >= 1 to hold the pes seed, got 0\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,extra", [
+        ("track-pgs", ""),
+        ("husimi-section", "husimi.section_points = 5\n"),
+    ])
+    def test_pgs_seed_alone_runs_at_n_t_zero(self, tmp_path, command, extra):
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0:0.1:0.05\nnumerics.n_t = 0\n" + extra))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 # a small run of each scenario
 _SMALL_RUNS = {
@@ -471,6 +496,18 @@ class TestScenarioOutputs:
         assert lines[0] == "lam,eigenphase,sector_leakage,dlam_used"
         assert float(lines[1].split(",")[0]) == 0.0
         assert float(lines[-1].split(",")[0]) == 0.1
+
+    def test_track_pgs_writes_every_grid_coupling(self, tmp_path):
+        # a step of 0.02 from one stop sums to 1-2 ulp below the next stop
+        # at 0.14, 0.16, ..., 0.28; each row must carry the grid's own value
+        cfg = write_config(tmp_path, SMALL_MODEL + (
+            "model.lambda_grid = 0:0.7:0.02\nnumerics.n_t = 8\n"))
+        out = tmp_path / "out"
+        assert main(["track-pgs", "--config", str(cfg), "--out", str(out)]) == 0
+        lams = [row.split(",")[0]
+                for row in (out / "track_pgs.csv").read_text().splitlines()[1:]]
+        assert {"0.14", "0.16", "0.18", "0.2", "0.22", "0.24", "0.26", "0.28"} <= set(lams)
+        assert set(map(repr, couplings("model.lambda_grid = 0:0.7:0.02\n"))) <= set(lams)
 
     def test_entanglement_curves_small(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_MODEL + (
@@ -957,6 +994,29 @@ class TestEdgeShellReport:
                 a, b = np.asarray(a), np.asarray(b)
                 deviation = np.max(np.abs(a - b)) / np.max(np.abs(a))
                 assert deviation <= 3 * math.sqrt(weight), (name, column, deviation, weight)
+
+
+@pytest.mark.parametrize("preset", ["track_pgs.cfg", "husimi_sections.cfg",
+                                    "entanglement_curves.cfg"])
+def test_tracked_preset_lands_on_every_coupling(monkeypatch, preset):
+    # each grid coupling, and husimi.grid2d_lambda, is a sample coupling of
+    # the paths the scenario tracks through it, bit for bit
+    calls = []
+    real = qf.track_eigenstate
+
+    def spy(seed, cfg, stops):
+        calls.append((stops, real(seed, cfg, stops)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qf, "track_eigenstate", spy)
+    command = PRESET_COMMANDS[preset]
+    cfg, lams, values = cli.validate(command, cf.read_entries((PRESET_DIR / preset).read_text()))
+    cli.SCENARIOS[command](cfg, lams, values)
+    passed = set()
+    for stops, path in calls:
+        assert {stop for stop in stops if stop > 0} <= {s.lam for s in path.samples}
+        passed.update(stops)
+    assert {*lams, values.get("husimi.grid2d_lambda")} - {None} <= passed
 
 
 def test_presets_parse():

@@ -13,6 +13,7 @@ from kickjt import (ComputeError, EigFailure, StepUnderflow, ValidatedConfig, ap
                     apply_kick, floquet_operator,
                     floquet_spectrum, h0_phases, pes_seed, pgs_seed,
                     phase_space_expectations, sector_leakage, track_eigenstate)
+from kickjt import configfile as cf
 from kickjt import quantum_floquet as qf
 from kickjt.model import MAX_N_T
 from kickjt.observables import SpinDirection, log_negativity
@@ -444,9 +445,10 @@ class TestTracking:
             assert sample.overlap >= 0.99
 
     def test_path_lands_on_stops(self, pgs_path, lam_grid):
-        tracked = set(np.round(pgs_path.lams(), 12))
+        tracked = {s.lam for s in pgs_path.samples}
         for lam in lam_grid:
             assert lam in tracked
+            assert pgs_path.sample_at(lam).lam == lam
 
     def test_sector_is_odd_and_leakage_zero(self, pgs_path):
         assert pgs_path.sector == "O"
@@ -492,7 +494,7 @@ class TestTracking:
         cfg = ValidatedConfig(OMEGA, DELTA, 0.1, n_t=4)
         want = track_eigenstate(pgs_seed(4), cfg, stops)
         got = track_eigenstate(pgs_seed(4), cfg, np.array(stops))
-        assert set(stops) <= set(got.lams())
+        assert set(stops) <= {s.lam for s in got.samples}
         assert len(got.samples) == len(want.samples)
         for g, w in zip(got.samples, want.samples):
             assert (g.lam, g.eigenphase, g.dlam_used, g.overlap) == \
@@ -553,12 +555,47 @@ class TestTracking:
         assert 0.5 < overlap <= 1.0 - qf.OVERLAP_THRESHOLD
 
 
+def grid_stops(text):
+    """The couplings of the grid 'start:stop:step', as a config file gives them."""
+    return cf.grid(cf.Entry("model.lambda_grid", text, 1))
+
+
+class TestLanding:
+    """A continuation ends every step that reaches a stop on the stop's own
+    float, however the steps before it add up."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(step=st.sampled_from([0.013, 0.02, 0.03, 0.07]), end=st.floats(0.1, 1.0),
+           n_t=st.integers(2, 8))
+    # from one stop, a step of 0.02 sums to 1-2 ulp below the next stop at
+    # 0.14, 0.16, ..., 0.28
+    @example(step=0.02, end=0.7, n_t=8)
+    def test_every_stop_is_a_sample_coupling(self, step, end, n_t):
+        stops = grid_stops(f"0:{end!r}:{step!r}")
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=n_t)
+        path = track_eigenstate(pgs_seed(n_t), cfg, stops)
+        for stop in stops:
+            assert path.sample_at(stop).lam == stop
+        tracked = [s.lam for s in path.samples]
+        assert tracked == sorted(set(tracked)) and tracked[-1] == stops[-1]
+        # a step onto a stop may exceed the step size by under MIN_TRACK_STEP
+        assert max(s.dlam_used for s in path.samples) < qf.MAX_TRACK_STEP + qf.MIN_TRACK_STEP
+
+    def test_lookup_matches_the_coupling_exactly(self):
+        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=8)
+        path = track_eigenstate(pgs_seed(8), cfg, grid_stops("0:0.7:0.02"))
+        assert path.sample_at(0.14).lam == 0.14
+        with pytest.raises(KeyError, match="no tracked sample"):
+            path.sample_at(0.14 + 1e-13)
+
+
 def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
                      initial_dlam=0.01, max_dlam=0.02):
     """Test oracle: the overlap continuation with the full sector Schur form
     deciding every trial step, as it ran before Rayleigh-quotient
-    refinement.  Returns (lam, eigenphase, dlam_used, overlap, state) per
-    accepted sample."""
+    refinement; a trial that ends past a stop less 1e-6 (MIN_TRACK_STEP)
+    ends on the stop.  Returns (lam, eigenphase, dlam_used, overlap, state)
+    per accepted sample."""
     basis = build_basis(cfg.n_t)
     vec = seed / np.linalg.norm(seed)
     u0 = floquet_operator(replace(cfg, lam=lam_start))
@@ -574,7 +611,9 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
     stop_list = [s for s in stop_list if lam_start < s <= lam_end + 1e-15]
     lam, dlam, streak = lam_start, min(initial_dlam, lam_end - lam_start), 0
     while stop_list:
-        target = min(lam + dlam, stop_list[0])
+        target = lam + dlam
+        if target > stop_list[0] - 1e-6:
+            target = stop_list[0]
         u_t = floquet_operator(replace(cfg, lam=target))
         phases, vecs, _ = _sector_spectrum(u_t[np.ix_(idx, idx)])
         overlaps = np.abs(vecs.conj().T @ current)
@@ -587,7 +626,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
             full[idx] = new
             samples.append((target, float(phases[k]), target - lam, float(overlaps[k]), full))
             current, lam = new, target
-            if abs(lam - stop_list[0]) <= 1e-15:
+            if lam == stop_list[0]:
                 stop_list.pop(0)
             streak += 1
             if streak >= 2:
@@ -699,7 +738,7 @@ class TestRayleighTracking:
         monkeypatch.setattr(qf, "_sector_spectrum", schur)
         path = track_eigenstate(pgs_seed(18), base_cfg, lam_grid)
         assert schur.calls == 0
-        assert np.array_equal(path.lams(), pgs_path.lams())
+        assert [s.lam for s in path.samples] == [s.lam for s in pgs_path.samples]
 
 
     def test_reference_path_refines_in_at_most_three_solves(self, monkeypatch, pgs_path,
@@ -722,7 +761,7 @@ class TestRayleighTracking:
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(qf, "_rayleigh_refine", refine)
         path = track_eigenstate(pgs_seed(18), base_cfg, lam_grid)
-        assert np.array_equal(path.lams(), pgs_path.lams())
+        assert [s.lam for s in path.samples] == [s.lam for s in pgs_path.samples]
         assert per_refinement and max(per_refinement) <= 3
 
     def test_reference_path_builds_only_sector_blocks(self, monkeypatch, pgs_path,
@@ -742,7 +781,7 @@ class TestRayleighTracking:
         odd = basis18.sector_indices("O").size
         assert len(shapes) >= len(path.samples) - 1
         assert set(shapes) == {(odd, odd)}
-        assert np.array_equal(path.lams(), pgs_path.lams())
+        assert [s.lam for s in path.samples] == [s.lam for s in pgs_path.samples]
 
 
 class TestExpectation:

@@ -9,10 +9,14 @@ is checked against the scenario's declared keys (DECLARED, KEYS) before it
 runs.  A quantum scenario passes its couplings as they stand to one
 qf.track_eigenstate call per seed, which follows the state from lam = 0
 through them in grid order (portrait and the Newton census run them as
-one stack); BLAS runs on one thread, and floats are written with shortest
-round-trip precision, so identical configurations produce byte-identical
-files.  A tracked scenario prints the largest weight its states hold on
-the edge shell n_x + n_y = n_t, the truncation evidence of the run.
+one stack).  entanglement-curves (the second half of its couplings'
+measures) and husimi-section (its pes track) run independent work in one
+forked child on the second core (_with_child), which returns its result
+or its error through a pipe and is reaped before the scenario returns.
+BLAS runs on one thread, and floats are written with shortest round-trip
+precision, so identical configurations produce byte-identical files.  A
+tracked scenario prints the largest weight its states hold on the edge
+shell n_x + n_y = n_t, the truncation evidence of the run.
 --threads is accepted for compatibility and has no effect.
 """
 
@@ -25,6 +29,7 @@ import importlib.util
 import math
 import operator
 import os
+import pickle
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -129,6 +134,58 @@ def _write_tables(out_dir: Path, tables: dict[str, Table]) -> None:
             raise
 
 
+# --- the second process --------------------------------------------------------
+
+def _with_child(mine, theirs) -> tuple:
+    """(mine(), theirs()), with theirs() run in a forked child while this
+    process runs mine(), so that a second core does it.
+
+    The child sends back pickle.dumps((ok, value or exception)) through a
+    pipe and leaves by os._exit.  An exception of theirs() is raised here;
+    a child that sends nothing is a ComputeError naming its exit status.  If
+    mine() raises, the child is killed.  Either way the child is reaped
+    before this returns.  Without os.fork, theirs() runs here after mine().
+    The process forks with one thread: OpenBLAS's own fork handler stops its
+    thread pool first.
+    """
+    if not hasattr(os, "fork"):
+        return mine(), theirs()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, theirs())
+            except Exception as exc:
+                reply = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(reply))
+            status = 0
+        finally:
+            # never return into the caller's stack, nor flush its buffers
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            value = mine()
+            reply = pipe.read()
+        except BaseException:
+            import signal   # loaded only on this path
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not reply:
+        raise ComputeError(f"the child process running {theirs.__name__}() exited with "
+                           f"status {os.waitstatus_to_exitcode(status)} and sent no result")
+    ok, theirs_value = pickle.loads(reply)
+    if not ok:
+        raise theirs_value
+    return value, theirs_value
+
+
 # --- scenarios ---------------------------------------------------------------
 
 def _fp_columns() -> list[str]:
@@ -212,18 +269,27 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
     grid2d_lam = values["husimi.grid2d_lambda"]
     slope = -math.tan(cfg.omega / 2.0)
 
-    stops = lams if grid2d_lam is None else [*lams, grid2d_lam]
-    pgs = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, stops)
-
     coords = np.linspace(-bound, bound, n_pts)
-    values = [obs.husimi_on_section(pgs.sample_at(lam).state, slope, coords)
-              for lam in lams]
+
+    def section():
+        stops = lams if grid2d_lam is None else [*lams, grid2d_lam]
+        pgs = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, stops)
+        return pgs, [obs.husimi_on_section(pgs.sample_at(lam).state, slope, coords)
+                     for lam in lams]
+
+    def track_pes():
+        return qf.track_eigenstate(qf.pes_seed(cfg.n_t), cfg, [grid2d_lam])
+
+    if grid2d_lam is None:
+        (pgs, values), pes = section(), None
+    else:
+        # the pes track runs on the second core
+        (pgs, values), pes = _with_child(section, track_pes)
     columns = [np.repeat(lams, n_pts), np.tile(coords, len(lams)), np.concatenate(values)]
     tables = {"husimi_section.csv": Table(["lam", "u", "H"], columns)}
     paths = [pgs]
 
-    if grid2d_lam is not None:
-        pes = qf.track_eigenstate(qf.pes_seed(cfg.n_t), cfg, [grid2d_lam])
+    if pes is not None:
         paths.append(pes)
         psi_g = pgs.sample_at(grid2d_lam).state
         psi_e = pes.sample_at(grid2d_lam).state
@@ -238,8 +304,17 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
 
 def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     path = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, lams)
-    s_spin, s_osc, e_n = zip(*(obs.entanglement_measures(path.sample_at(lam).state)
-                               for lam in lams))
+    half = len(lams) // 2
+
+    def measures(couplings):
+        return [obs.entanglement_measures(path.sample_at(lam).state) for lam in couplings]
+
+    def second_half():
+        return measures(lams[half:])
+
+    # the second half of the couplings runs on the second core
+    first, second = _with_child(lambda: measures(lams[:half]), second_half)
+    s_spin, s_osc, e_n = zip(*first, *second)
     columns = [lams, s_spin, s_osc, e_n, obs.curve_derivative(lams, s_spin),
                obs.curve_derivative(lams, s_osc), obs.curve_derivative(lams, e_n)]
     header = ["lam", "S_spin", "S_osc_x", "E_N",

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all kickjt modules.  A condition that a
 ValueError or a reason string names (canonical chart at a pole, too short a
-curve, a failed Newton seed) has no class here."""
+curve, a failed Newton seed) has no class here.  Every class survives
+pickling, so an error raised in the CLI's forked child reaches the parent
+as it was raised."""
 
 from __future__ import annotations
 
@@ -34,6 +36,10 @@ class TruncationLoss(KickJTError):
         self.loss = float(loss)
         super().__init__(message or f"truncation loss {self.loss:.3e} exceeds tolerance")
 
+    def __reduce__(self):
+        # self.args holds the message alone, which is not the loss
+        return type(self), (self.loss, str(self))
+
 
 class EigFailure(KickJTError):
     """Eigendecomposition residual exceeded the configured tolerance."""
@@ -42,6 +48,10 @@ class EigFailure(KickJTError):
         self.max_residual = float(max_residual)
         self.tol = float(tol)
         super().__init__(f"eigenpair residual {max_residual:.3e} exceeds tolerance {tol:.3e}")
+
+    def __reduce__(self):
+        # self.args holds the message alone, not the two numbers
+        return type(self), (self.max_residual, self.tol)
 
 
 class StepUnderflow(KickJTError):

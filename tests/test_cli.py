@@ -2,8 +2,10 @@ import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -19,7 +21,8 @@ from kickjt import observables as obs
 from kickjt import quantum_floquet as qf
 from kickjt import configfile as cf
 from kickjt.cli import Table, _write_tables, build_parser, main
-from kickjt.errors import ConfigError
+from kickjt.errors import (ComputeError, ConfigError, EigFailure, StepUnderflow,
+                           TruncationLoss)
 from kickjt.model import ValidatedConfig
 from kickjt.shortrepr import reprs
 from conftest import PRESET_COMMANDS
@@ -914,24 +917,30 @@ TRACKED_CONFIGS = {
     "entanglement-curves": "model.lambda_grid = 0:0.3:0.05\nnumerics.n_t = 4\n",
 }
 
+
+def _tracked_paths(command, cfg, lams, values):
+    """The paths command tracks, in the order its scenario tracks them."""
+    grid2d_lam = values.get("husimi.grid2d_lambda")
+    if command == "husimi-section":
+        return [qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, [*lams, grid2d_lam]),
+                qf.track_eigenstate(qf.pes_seed(cfg.n_t), cfg, [grid2d_lam])]
+    seed = qf.pes_seed if command == "track-pes" else qf.pgs_seed
+    return [qf.track_eigenstate(seed(cfg.n_t), cfg, lams)]
+
+
 EDGE_LINE = re.compile(r"edge-shell weight: at most (\S+) \(lam = (\S+), n_t = (\d+)\)")
 
 
 class TestEdgeShellReport:
     @pytest.mark.parametrize("command", sorted(TRACKED_CONFIGS))
     def test_tracked_scenario_prints_its_largest_edge_weight(self, tmp_path, capsys,
-                                                            monkeypatch, command):
-        # one line, over every sample of every path the scenario tracked
-        paths = []
-        real = qf.track_eigenstate
-
-        def spy(*args):
-            paths.append(real(*args))
-            return paths[-1]
-
-        monkeypatch.setattr(qf, "track_eigenstate", spy)
+                                                            command):
+        # one line, over every sample of every path the scenario tracked; the
+        # paths are tracked here with the scenario's seeds and stops, since
+        # husimi-section tracks its pes path in a forked child
         cfg = write_config(tmp_path, SMALL_MODEL + TRACKED_CONFIGS[command])
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        paths = _tracked_paths(command, *cli.validate(command, cf.read_entries(cfg.read_text())))
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("edge-shell weight:")]
         assert len(lines) == 1
@@ -1026,3 +1035,147 @@ def test_presets_parse():
         cfg, lams, values = cli.validate(
             command, cf.read_entries((PRESET_DIR / preset).read_text()))
         assert cfg.omega > 0
+
+
+def _in_process(mine, theirs):
+    return mine(), theirs()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSecondProcess:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # every test here, passing or failing, leaves no child process unreaped
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _run(self, tmp_path, command, out="out"):
+        cfg = write_config(tmp_path, SMALL_MODEL + TRACKED_CONFIGS[command])
+        return main([command, "--config", str(cfg), "--out", str(tmp_path / out)])
+
+    def test_theirs_runs_in_a_child(self):
+        mine, theirs = cli._with_child(os.getpid, os.getpid)
+        assert mine == os.getpid() != theirs
+
+    def test_without_fork_theirs_runs_here_after_mine(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        calls = []
+        assert cli._with_child(lambda: calls.append("mine") or 1,
+                               lambda: calls.append("theirs") or os.getpid()) == (1, os.getpid())
+        assert calls == ["mine", "theirs"]
+
+    def test_error_of_theirs_is_raised_here(self):
+        def theirs():
+            raise EigFailure(1e-3, 1e-9)
+
+        with pytest.raises(EigFailure) as info:
+            cli._with_child(lambda: None, theirs)
+        assert (info.value.max_residual, info.value.tol) == (1e-3, 1e-9)
+
+    @pytest.mark.parametrize("error", [ComputeError("failed here"), KeyboardInterrupt()])
+    def test_error_of_mine_kills_the_child(self, error):
+        def mine():
+            raise error
+
+        t0 = time.monotonic()
+        with pytest.raises(type(error)):
+            cli._with_child(mine, lambda: time.sleep(60))
+        assert time.monotonic() - t0 < 30
+
+    def test_child_without_a_result_is_a_compute_error(self):
+        def vanish():
+            os._exit(7)
+
+        with pytest.raises(ComputeError, match=r"^the child process running vanish\(\) "
+                                               r"exited with status 7 and sent no result$"):
+            cli._with_child(lambda: None, vanish)
+
+    @pytest.mark.parametrize("error", [StepUnderflow("step below 1e-06 at lam = 0.1"),
+                                       EigFailure(1e-3, 1e-9)], ids=lambda e: type(e).__name__)
+    def test_pes_failure_in_the_child_reads_as_in_process(self, tmp_path, capsys, monkeypatch,
+                                                          error):
+        real = qf.track_eigenstate
+
+        def track(seed, cfg, stops):
+            if np.array_equal(seed, qf.pes_seed(cfg.n_t)):
+                raise error
+            return real(seed, cfg, stops)
+
+        monkeypatch.setattr(qf, "track_eigenstate", track)
+        assert self._run(tmp_path, "husimi-section", "forked") == 3
+        forked = capsys.readouterr()
+        monkeypatch.setattr(cli, "_with_child", _in_process)
+        assert self._run(tmp_path, "husimi-section", "in_process") == 3
+        assert capsys.readouterr() == forked
+        assert forked.err == f"compute error: {error}\n"
+
+    @pytest.mark.parametrize("command,name", [("entanglement-curves", "entanglement_measures"),
+                                              ("husimi-section", "husimi_on_section")])
+    def test_error_in_the_parent_kills_the_child(self, tmp_path, capsys, monkeypatch,
+                                                 command, name):
+        # obs.<name> raises in the parent, and the child hangs
+        parent = os.getpid()
+        real = qf.track_eigenstate
+
+        def fail_here(*args):
+            if os.getpid() == parent:
+                raise TruncationLoss(0.5, "lost in the parent")
+            time.sleep(60)
+
+        def track(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real(*args)
+
+        monkeypatch.setattr(obs, name, fail_here)
+        monkeypatch.setattr(qf, "track_eigenstate", track)
+        t0 = time.monotonic()
+        assert self._run(tmp_path, command) == 3
+        assert time.monotonic() - t0 < 30
+        assert capsys.readouterr().err == "compute error: lost in the parent\n"
+
+    @pytest.mark.parametrize("command,module,name,theirs", [
+        ("entanglement-curves", obs, "entanglement_measures", "second_half"),
+        ("husimi-section", qf, "track_eigenstate", "track_pes")])
+    def test_child_killed_without_a_result_exits_three(self, tmp_path, capsys, monkeypatch,
+                                                       command, module, name, theirs):
+        parent = os.getpid()
+        real = getattr(module, name)
+
+        def killed_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, killed_in_the_child)
+        assert self._run(tmp_path, command) == 3
+        assert capsys.readouterr().err == (f"compute error: the child process running "
+                                           f"{theirs}() exited with status -9 and sent no "
+                                           f"result\n")
+
+    def test_entanglement_rows_keep_grid_order(self, tmp_path):
+        # each row holds the measures of its own coupling, computed here from
+        # the tracked path; the 7 couplings split 3 here and 4 in the child
+        assert self._run(tmp_path, "entanglement-curves") == 0
+        cfg, lams, _ = cli.validate("entanglement-curves", cf.read_entries(
+            SMALL_MODEL + TRACKED_CONFIGS["entanglement-curves"]))
+        assert len(lams) == 7
+        path = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, lams)
+        lines = (tmp_path / "out" / "entanglement_curves.csv").read_text().splitlines()
+        rows = [tuple(map(float, line.split(",")[:4])) for line in lines[1:]]
+        assert rows == [(lam, *obs.entanglement_measures(path.sample_at(lam).state))
+                        for lam in lams]
+
+    @pytest.mark.parametrize("command", ["entanglement-curves", "husimi-section"])
+    def test_output_matches_an_in_process_run(self, tmp_path, capsys, monkeypatch, command):
+        assert self._run(tmp_path, command, "forked") == 0
+        forked = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_with_child", _in_process)
+        assert self._run(tmp_path, command, "in_process") == 0
+        assert capsys.readouterr().out == forked.replace("forked", "in_process")
+        names = sorted(f.name for f in (tmp_path / "forked").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "in_process").iterdir())
+        for name in names:
+            assert (tmp_path / "forked" / name).read_bytes() == \
+                (tmp_path / "in_process" / name).read_bytes()

@@ -3,7 +3,7 @@ spectra, Husimi functions and entanglement measures."""
 
 from .errors import (ComputeError, ConfigError, EigFailure, KickJTError,
                      NonFiniteState, OutOfRange, StepUnderflow, TruncationLoss)
-from .model import ValidatedConfig, acot
+from .model import ValidatedConfig, acot, checked_coupling
 from .classical_map import (SubMap, composed_step, inverse_step,
                             jacobian_canonical, spin_rotation_matrix,
                             step_arrays, step_jacobian, submap)

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classical_map import (_require_phase_points, from_canonical, step_arrays,
                             step_jacobian)
 from .errors import NonFiniteState
-from .model import ValidatedConfig
+from .model import ValidatedConfig, checked_coupling
 
 MULTIPLIER_TOL = 1e-4
 DEDUP_DISTANCE = 1e-6
@@ -300,11 +300,11 @@ def _classify_points(points: np.ndarray, cfg: ValidatedConfig, lam: float
     return [classify_multipliers(jac, float(s_z_k)) for jac, s_z_k in zip(jacs, s_z)]
 
 
-def find_fixed_points(cfg: ValidatedConfig, seeds, failures: list | None = None,
-                      lams=None) -> list[FixedPoint]:
+def find_fixed_points(cfg: ValidatedConfig, seeds, lams,
+                      failures: list | None = None) -> list[FixedPoint]:
     """Newton search from every seed row of the Cartesian stack seeds
-    (k, 7) at every coupling of lams (default: cfg.lam alone), deduplicated
-    and classified coupling by coupling, in list order.
+    (k, 7) at every coupling of the sequence lams, deduplicated and
+    classified coupling by coupling, in list order.
 
     All couplings run as one coupling-major Newton stack, one map call per
     iteration; each coupling's fixed points are, bit for bit, the ones a
@@ -328,7 +328,7 @@ def find_fixed_points(cfg: ValidatedConfig, seeds, failures: list | None = None,
     have appended until that error.
     """
     x0 = _require_phase_points(seeds, "seed").reshape(-1, 7)
-    lams = [cfg.lam] if lams is None else [replace(cfg, lam=lam).lam for lam in lams]
+    lams = [checked_coupling(lam) for lam in lams]
     n = len(x0)
     converged, failed, overflows = _newton_batch(
         np.tile(x0, (len(lams), 1)), cfg, np.repeat(np.asarray(lams, dtype=float), n))
@@ -412,20 +412,21 @@ class PortraitGrid:
 
 
 def portrait(cfg: ValidatedConfig, grid: PortraitGrid, n_iter: int,
-             lams=None) -> np.ndarray:
-    """Point cloud of every visited (q_x, q_y) at each coupling of lams
-    (default: cfg.lam alone), shape (len(lams)*n_points*(n_iter+1), 2).
+             lams) -> np.ndarray:
+    """Point cloud of every visited (q_x, q_y) at each coupling of the
+    sequence lams, shape (len(lams)*n_points*(n_iter+1), 2).
 
     Points are ordered by coupling, then by iteration index, then by
     initial condition, so the output is deterministic for a fixed grid and
     each coupling's block is, bit for bit, its single-coupling cloud.  All
-    couplings are iterated as one stack.  Raises NonFiniteState naming the
-    first coupling in lams with a point that overflows (a coupling far too
-    large for the map to stay bounded).
+    couplings are iterated as one stack.  A coupling that is not finite and
+    >= 0 raises OutOfRange (model.checked_coupling), and NonFiniteState
+    names the first coupling in lams with a point that overflows (a
+    coupling far too large for the map to stay bounded).
     """
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
-    lams = [cfg.lam] if lams is None else [replace(cfg, lam=lam).lam for lam in lams]
+    lams = [checked_coupling(lam) for lam in lams]
     x0 = grid.initial_points(cfg)
     if len(x0) == 0:
         raise ValueError("portrait grid is empty")

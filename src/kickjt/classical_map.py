@@ -24,8 +24,9 @@ oracle and they are what an experiment would realise pulse by pulse.  Each
 sub-map is undone by itself at negated angles, which gives
 :func:`inverse_step`.
 
-All functions are pure.  :func:`step_arrays` is the hot path and checks
-nothing; the canonical chart checks the point it is given.
+All functions are pure and take the coupling lam as an argument.
+:func:`step_arrays` is the hot path and checks nothing, neither the points
+nor the coupling; the canonical chart checks the point it is given.
 """
 
 from __future__ import annotations
@@ -91,29 +92,29 @@ def _spin_rotation_coeffs(ca, sa, cb, sb, delta):
     return row_x, row_y, row_z
 
 
-def spin_rotation_matrix(q_x: float, q_y: float, cfg: ValidatedConfig) -> np.ndarray:
-    """3x3 matrix acting on (s_x, s_y, s_z) in one step; orthogonal, det +1.
+def spin_rotation_matrix(q_x: float, q_y: float, cfg: ValidatedConfig,
+                         lam: float) -> np.ndarray:
+    """3x3 matrix acting on (s_x, s_y, s_z) in one step at the coupling lam;
+    orthogonal, det +1.
 
     Its coefficients depend only on (q_x, q_y) and the parameters.
     """
-    a, b = cfg.lam * q_y, cfg.lam * q_x
+    a, b = lam * q_y, lam * q_x
     rows = _spin_rotation_coeffs(np.cos(a), np.sin(a), np.cos(b), np.sin(b), cfg.delta)
     return np.array(rows, dtype=float)
 
 
-def step_arrays(x, cfg: ValidatedConfig, lam=None) -> np.ndarray:
-    """The closed-form map applied once to the Cartesian points x (..., 7);
-    the images have the shape of x (and its dtype, if complex).
+def step_arrays(x, cfg: ValidatedConfig, lam) -> np.ndarray:
+    """The closed-form map at the coupling lam applied once to the Cartesian
+    points x (..., 7); the images have the shape of x (and its dtype, if
+    complex).
 
-    lam defaults to cfg.lam.  It may also be an array that broadcasts
-    against x.shape[:-1], one coupling per point: lam enters only through
-    elementwise products, so each image is, bit for bit, the one a
-    single-coupling call gives.
+    lam is one coupling or an array that broadcasts against x.shape[:-1],
+    one coupling per point: lam enters only through elementwise products,
+    so each image is, bit for bit, the one a single-coupling call gives.
     """
     x = np.asarray(x)
     q_x, q_y, p_x, p_y, s_x, s_y, s_z = (x[..., k] for k in range(7))
-    if lam is None:
-        lam = cfg.lam
     a = lam * q_y
     b = lam * q_x
     cw, sw = np.cos(cfg.omega), np.sin(cfg.omega)
@@ -160,18 +161,17 @@ def _submap(kind: SubMap, x, omega: float, delta: float, lam: float) -> np.ndarr
     return np.stack(np.broadcast_arrays(*out), axis=-1)
 
 
-def submap(kind: SubMap, x, cfg: ValidatedConfig) -> np.ndarray:
+def submap(kind: SubMap, x, cfg: ValidatedConfig, lam: float) -> np.ndarray:
     """One of the three elementary maps whose composition equals
     :func:`step_arrays`, applied to the Cartesian points x (..., 7)."""
-    return _submap(kind, x, cfg.omega, cfg.delta, cfg.lam)
+    return _submap(kind, x, cfg.omega, cfg.delta, lam)
 
 
 def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig,
-                    lam=None) -> np.ndarray:
+                    lam) -> np.ndarray:
     """(..., 7, 7) Cartesian tangent of one sub-map at the Cartesian points x
-    (..., 7); lam is cfg.lam or one coupling per point, as in step_arrays."""
-    if lam is None:
-        lam = cfg.lam
+    (..., 7); lam is one coupling or one per point, as in step_arrays (the
+    harmonic sub-map does not read it)."""
     jac = np.zeros(x.shape[:-1] + (7, 7))
     jac[..., range(7), range(7)] = 1.0
     if kind is SubMap.KICK_Y:
@@ -199,36 +199,34 @@ def _submap_tangent(kind: SubMap, x: np.ndarray, cfg: ValidatedConfig,
     return jac
 
 
-def step_jacobian(x, cfg: ValidatedConfig, lam=None) -> np.ndarray:
+def step_jacobian(x, cfg: ValidatedConfig, lam) -> np.ndarray:
     """Exact tangent of :func:`step_arrays` at Cartesian points x (..., 7),
     as an array of shape (..., 7, 7): the chain rule over the sub-maps
     Harmonic o KickX o KickY, each tangent taken at that sub-map's input.
 
-    lam defaults to cfg.lam; like step_arrays, it may be an array that
-    broadcasts against x.shape[:-1], one coupling per point.  A stack of
-    points gives, bit for bit, the tangents of the points taken one at a
-    time, each at its own coupling."""
+    Like step_arrays, lam is one coupling or an array that broadcasts
+    against x.shape[:-1], one coupling per point.  A stack of points gives,
+    bit for bit, the tangents of the points taken one at a time, each at
+    its own coupling."""
     x = np.asarray(x, dtype=float)
-    if lam is None:
-        lam = cfg.lam
     mid = _submap(SubMap.KICK_Y, x, cfg.omega, cfg.delta, lam)
-    return (_submap_tangent(SubMap.HARMONIC, mid, cfg)
+    return (_submap_tangent(SubMap.HARMONIC, mid, cfg, lam)
             @ _submap_tangent(SubMap.KICK_X, mid, cfg, lam)
             @ _submap_tangent(SubMap.KICK_Y, x, cfg, lam))
 
 
-def composed_step(x, cfg: ValidatedConfig) -> np.ndarray:
+def composed_step(x, cfg: ValidatedConfig, lam: float) -> np.ndarray:
     """Harmonic o KickX o KickY; must agree with :func:`step_arrays` to 1e-10."""
     for kind in (SubMap.KICK_Y, SubMap.KICK_X, SubMap.HARMONIC):
-        x = submap(kind, x, cfg)
+        x = submap(kind, x, cfg, lam)
     return x
 
 
-def inverse_step(x, cfg: ValidatedConfig) -> np.ndarray:
+def inverse_step(x, cfg: ValidatedConfig, lam: float) -> np.ndarray:
     """Inverse of :func:`step_arrays`: the sub-maps in reverse order, each at
     the negated angles (-omega, -delta, -lam)."""
     for kind in (SubMap.HARMONIC, SubMap.KICK_X, SubMap.KICK_Y):
-        x = _submap(kind, x, -cfg.omega, -cfg.delta, -cfg.lam)
+        x = _submap(kind, x, -cfg.omega, -cfg.delta, -lam)
     return x
 
 
@@ -264,9 +262,9 @@ def from_canonical(vec: Iterable[float]) -> np.ndarray:
     return np.array([q_x, q_y, p_x, p_y, r * math.cos(phi), r * math.sin(phi), s_z])
 
 
-def jacobian_canonical(x, cfg: ValidatedConfig) -> np.ndarray:
-    """Jacobian of one step in the canonical chart at the Cartesian point x
-    (7,), from :func:`step_jacobian`.
+def jacobian_canonical(x, cfg: ValidatedConfig, lam: float) -> np.ndarray:
+    """Jacobian of one step at the coupling lam in the canonical chart at
+    the Cartesian point x (7,), from :func:`step_jacobian`.
 
     Raises ValueError when |s_z| >= POLE_GUARD at the point or at its
     image, where the chart degenerates.  The determinant equals 1 to
@@ -274,7 +272,7 @@ def jacobian_canonical(x, cfg: ValidatedConfig) -> np.ndarray:
     """
     to_canonical(x)
     x = np.asarray(x, dtype=float)
-    image = step_arrays(x, cfg)
+    image = step_arrays(x, cfg, lam)
     to_canonical(image)
     s_x, s_y, s_z = x[4:]
     rho = s_x * s_x + s_y * s_y
@@ -286,4 +284,4 @@ def jacobian_canonical(x, cfg: ValidatedConfig) -> np.ndarray:
     i_x, i_y = image[4], image[5]
     project = np.eye(7)[axes]
     project[4, 4:6] = np.array([-i_y, i_x]) / (i_x * i_x + i_y * i_y)
-    return project @ step_jacobian(x, cfg) @ embed
+    return project @ step_jacobian(x, cfg, lam) @ embed

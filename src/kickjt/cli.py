@@ -201,7 +201,7 @@ def _fp_row(fp) -> tuple:
 def _fixed_point_census(cfg: ValidatedConfig, lams: list[float]) -> list[tuple]:
     """(lam, fixed points) for each coupling of lams, in order, from one
     Newton search over all of them (the default seeds depend on omega only)."""
-    fps = find_fixed_points(cfg, default_seeds(cfg), lams=lams)
+    fps = find_fixed_points(cfg, default_seeds(cfg), lams)
     by_lam = {lam: [] for lam in lams}
     for fp in fps:
         by_lam[fp.lam].append(fp)
@@ -395,10 +395,11 @@ KEYS = {
 
 def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfig, list, dict]:
     """Check a config file's entries against the keys command declares and
-    return its scenario's inputs: the config at lam = 0, the couplings, and
-    {key: value} of its other declared keys.  The keys it does not read are
-    named, with their lines, before any value is evaluated; the grid wins
-    over the list, so a file that sets both does not read model.lambda_list."""
+    return its scenario's inputs: the config (omega, delta and numerics),
+    the couplings, and {key: value} of its other declared keys.  The keys
+    it does not read are named, with their lines, before any value is
+    evaluated; the grid wins over the list, so a file that sets both does
+    not read model.lambda_list."""
     declared = DECLARED[command]
     unread = [f"{key!r} (line {entry.line})" for key, entry in entries.items()
               if key not in declared
@@ -436,7 +437,7 @@ def validate(command: str, entries: dict[str, cf.Entry]) -> tuple[ValidatedConfi
     settings = {key.split(".")[1]: values.pop(key) for key in declared
                 if key.startswith(("model.", "numerics.")) and key in values}
     try:
-        cfg = ValidatedConfig(lam=0.0, **settings)
+        cfg = ValidatedConfig(**settings)
     except OutOfRange as exc:
         raise ConfigError(str(exc))
     # a tracked scenario follows its state from lam = 0 to its largest coupling
@@ -466,26 +467,33 @@ _OPENBLAS_THREAD_FNS = (
 )
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of the OpenBLAS libraries bundled in
-    numpy.libs and scipy.libs that this process has loaded; empty for a BLAS
-    without these entry points.  A library not yet loaded is left unloaded."""
-    controls = []
+def _loaded_openblas() -> list[ctypes.CDLL]:
+    """The OpenBLAS libraries bundled in numpy.libs and scipy.libs that this
+    process has loaded.  A library not yet loaded is left unloaded."""
+    libs = []
     for name in ("numpy", "scipy"):
         # find_spec locates scipy without importing it
         origin = importlib.util.find_spec(name).origin
         libdir = Path(origin).resolve().parent.parent / f"{name}.libs"
         for path in sorted(glob.glob(str(libdir / "*openblas*"))):
             try:
-                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
+                libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW))
             except OSError:
                 continue
-            for get_name, set_name in _OPENBLAS_THREAD_FNS:
-                get_fn, set_fn = getattr(lib, get_name, None), getattr(lib, set_name, None)
-                if get_fn is not None and set_fn is not None:
-                    get_fn.argtypes, get_fn.restype = [], ctypes.c_int
-                    set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
-                    controls.append((get_fn, set_fn))
+    return libs
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of the loaded bundled OpenBLAS
+    libraries; empty for a BLAS without these entry points."""
+    controls = []
+    for lib in _loaded_openblas():
+        for get_name, set_name in _OPENBLAS_THREAD_FNS:
+            get_fn, set_fn = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get_fn is not None and set_fn is not None:
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                controls.append((get_fn, set_fn))
     return controls
 
 
@@ -495,7 +503,11 @@ def _single_thread_blas():
     and OPENBLAS_NUM_THREADS=1 so that a library first loaded in the body
     (scipy's, by a Schur fallback) starts at one thread; then restore the
     variable and the previous counts, so library callers are left as they
-    were, but for such a library, which stays at one thread.
+    were, but for such a library, which stays at one thread.  Last, each
+    loaded library's thread pool is stopped (blas_thread_shutdown_, where
+    exported): after a fork, which stops the pool, restoring a count above
+    one starts a pool thread that spins for about 0.13 s of CPU before it
+    sleeps.  OpenBLAS starts the pool again at its next threaded call.
 
     The last digits of the quantum outputs depend on the BLAS thread count;
     one thread makes them independent of the host and of
@@ -512,6 +524,9 @@ def _single_thread_blas():
     finally:
         for (_, set_fn), count in zip(controls, previous):
             set_fn(count)
+        for lib in _loaded_openblas():
+            if hasattr(lib, "blas_thread_shutdown_"):
+                lib.blas_thread_shutdown_()
         if variable is None:
             del os.environ["OPENBLAS_NUM_THREADS"]
         else:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import ComputeError, EigFailure, StepUnderflow
-from .model import MAX_N_T, ValidatedConfig
+from .model import MAX_N_T, ValidatedConfig, checked_coupling
 
 Axis = Literal["x", "y"]
 
@@ -202,15 +202,15 @@ def _kick_in_place(psi: np.ndarray, n_t: int, sector: str, axis: Axis,
         psi[block] = prop @ psi[block]
 
 
-def _sector_floquet(cfg: ValidatedConfig, sector: str) -> np.ndarray:
-    """The sector block of U in sector coordinates: the y kick assembled
-    from its block propagators, the x kick applied to it block row by
-    block row, then the sector's H0 phases."""
+def _sector_floquet(cfg: ValidatedConfig, lam: float, sector: str) -> np.ndarray:
+    """The sector block of U(lam) in sector coordinates: the y kick
+    assembled from its block propagators, the x kick applied to it block
+    row by block row, then the sector's H0 phases."""
     basis = build_basis(cfg.n_t)
     u = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
-    for block, prop in _kick_block_propagators(cfg.n_t, sector, "y", cfg.lam):
+    for block, prop in _kick_block_propagators(cfg.n_t, sector, "y", lam):
         u[block[:, None], block] = prop
-    _kick_in_place(u, cfg.n_t, sector, "x", cfg.lam)
+    _kick_in_place(u, cfg.n_t, sector, "x", lam)
     u *= h0_phases(cfg)[basis.sector_indices(sector), None]
     return u
 
@@ -230,19 +230,23 @@ def apply_kick(vec: np.ndarray, axis: Axis, lam: float) -> np.ndarray:
     return out
 
 
-def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig) -> np.ndarray:
-    """One period applied to a state (dim,) or to each column of a (dim, k)
-    matrix over cfg.n_t (else ValueError): kick y, kick x, then H0 phases."""
+def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, lam: float) -> np.ndarray:
+    """One period at the coupling lam applied to a state (dim,) or to each
+    column of a (dim, k) matrix over cfg.n_t (else ValueError): kick y,
+    kick x, then H0 phases.  A bad coupling is OutOfRange."""
+    lam = checked_coupling(lam)
     n_t = basis_of(vec).n_t
     if n_t != cfg.n_t:
         raise ValueError(f"state over n_t = {n_t}, config n_t = {cfg.n_t}")
-    out = apply_kick(apply_kick(vec, "y", cfg.lam), "x", cfg.lam)
+    out = apply_kick(apply_kick(vec, "y", lam), "x", lam)
     phases = h0_phases(cfg)
     return out * (phases[:, None] if out.ndim == 2 else phases)
 
 
-def floquet_operator(cfg: ValidatedConfig, sector: str | None = None) -> np.ndarray:
-    """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense.
+def floquet_operator(cfg: ValidatedConfig, lam: float,
+                     sector: str | None = None) -> np.ndarray:
+    """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense;
+    a coupling lam that is not finite and >= 0 is OutOfRange.
 
     With a sector label ("O" or "E") only the block U[idx, idx] over that
     parity sector's indices idx (basis.sector_indices) is built, in sector
@@ -250,13 +254,14 @@ def floquet_operator(cfg: ValidatedConfig, sector: str | None = None) -> np.ndar
     of U on the sector.  Without one, U is assembled from its two sector
     blocks, and every entry between the sectors is exactly zero.
     """
+    lam = checked_coupling(lam)
     if sector is not None:
-        return _sector_floquet(cfg, sector)
+        return _sector_floquet(cfg, lam, sector)
     basis = build_basis(cfg.n_t)
     full = np.zeros((basis.dim, basis.dim), dtype=complex)
     for label in ("O", "E"):
         idx = basis.sector_indices(label)
-        full[np.ix_(idx, idx)] = _sector_floquet(cfg, label)
+        full[np.ix_(idx, idx)] = _sector_floquet(cfg, lam, label)
     return full
 
 
@@ -322,13 +327,14 @@ def _sector_spectrum(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return phases, vecs, residuals
 
 
-def floquet_spectrum(cfg: ValidatedConfig) -> FloquetSpectrum:
-    """Eigenphases and eigenvectors of U, one parity sector at a time.
+def floquet_spectrum(cfg: ValidatedConfig, lam: float) -> FloquetSpectrum:
+    """Eigenphases and eigenvectors of U(lam), one parity sector at a time.
 
     Each sector block (floquet_operator with a sector label, "O" then "E")
     is eigensolved by :func:`_sector_spectrum`, which raises EigFailure
     past EIG_RESIDUAL_TOL; the vectors are embedded as full-space
-    columns and all pairs are sorted by eigenphase (stable sort).
+    columns and all pairs are sorted by eigenphase (stable sort).  The
+    first floquet_operator call refuses a bad coupling.
     """
     basis = build_basis(cfg.n_t)
     phases = np.empty(basis.dim)
@@ -339,7 +345,7 @@ def floquet_spectrum(cfg: ValidatedConfig) -> FloquetSpectrum:
         idx = basis.sector_indices(label)
         block = slice(col, col + idx.size)
         phases[block], vectors[idx, block], residuals[block] = _sector_spectrum(
-            floquet_operator(cfg, label))
+            floquet_operator(cfg, lam, label))
         col += idx.size
     order = np.argsort(phases, kind="stable")
     return FloquetSpectrum(eigenphases=phases[order], vectors=vectors[:, order],
@@ -485,7 +491,7 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
     vec = np.asarray(seed, dtype=complex)
     vec = vec / np.linalg.norm(vec)
 
-    image = apply_floquet(vec, replace(cfg, lam=0.0))
+    image = apply_floquet(vec, cfg, 0.0)
     rayleigh = complex(np.vdot(vec, image))
     phase0 = math.atan2(rayleigh.imag, rayleigh.real)
     resid = np.linalg.norm(image - np.exp(1j * phase0) * vec)
@@ -502,7 +508,7 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
     while stop_list:
         next_stop = stop_list[0]
         target = next_stop if lam + dlam > next_stop - MIN_TRACK_STEP else lam + dlam
-        sub = floquet_operator(replace(cfg, lam=target), sector)
+        sub = floquet_operator(cfg, target, sector)
         phase, new, resid = _rayleigh_refine(sub, current)
         overlap = abs(complex(np.vdot(current, new)))
         if not (resid <= RQI_RESIDUAL_TOL and overlap > math.sqrt(0.5)):

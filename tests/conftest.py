@@ -14,6 +14,8 @@ from kickjt import (ValidatedConfig, build_basis, default_seeds,
 
 OMEGA = math.pi / 60
 DELTA = 2 * math.atan(0.5)
+# the coupling between the two bifurcations, where most checks look
+REFERENCE_LAM = 0.32
 
 # the subcommand each preset file under src/kickjt/presets is written for
 PRESET_COMMANDS = {
@@ -35,8 +37,8 @@ def single_thread_blas():
         yield
 
 
-def reference_config(lam=0.32, **numerics):
-    return ValidatedConfig(OMEGA, DELTA, lam, **numerics)
+def reference_config(**numerics):
+    return ValidatedConfig(OMEGA, DELTA, **numerics)
 
 
 @pytest.fixture(scope="session")
@@ -99,7 +101,7 @@ def entropy_grid():
 @pytest.fixture(scope="session")
 def spin_entropy_22(entropy_grid):
     """Spin entropy of the tracked state at n_t = 22."""
-    cfg = reference_config(0.5, n_t=22)
+    cfg = reference_config(n_t=22)
     path = track_eigenstate(pgs_seed(22), cfg, entropy_grid)
     return np.array([von_neumann_entropy(
         reduced_density(path.sample_at(l).state, "spin"))
@@ -108,17 +110,17 @@ def spin_entropy_22(entropy_grid):
 
 @pytest.fixture(scope="session")
 def census_015():
-    cfg = reference_config(0.15)
-    return find_fixed_points(cfg, default_seeds(cfg))
+    cfg = reference_config()
+    return find_fixed_points(cfg, default_seeds(cfg), [0.15])
 
 
 @pytest.fixture(scope="session")
 def census_032():
-    cfg = reference_config(0.32)
-    return find_fixed_points(cfg, default_seeds(cfg))
+    cfg = reference_config()
+    return find_fixed_points(cfg, default_seeds(cfg), [REFERENCE_LAM])
 
 
 @pytest.fixture(scope="session")
 def census_050():
-    cfg = reference_config(0.50)
-    return find_fixed_points(cfg, default_seeds(cfg))
+    cfg = reference_config()
+    return find_fixed_points(cfg, default_seeds(cfg), [0.50])

@@ -22,7 +22,7 @@ from kickjt import (SpinDirection, Stability, ValidatedConfig, build_basis,
 from kickjt.classical_map import composed_step, from_canonical
 from kickjt.quantum_floquet import EIG_RESIDUAL_TOL
 from kickjt.cli import main
-from conftest import DELTA, OMEGA, PRESET_COMMANDS, reference_config
+from conftest import DELTA, OMEGA, PRESET_COMMANDS, REFERENCE_LAM, reference_config
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "kickjt" / "presets"
 
@@ -55,9 +55,9 @@ def test_criterion_02_fixed_point_census():
     reports = []
     ok = True
     for lam in (0.15, 0.32, 0.50):
-        cfg = reference_config(lam)
+        cfg = reference_config()
         t0 = time.perf_counter()
-        fps = find_fixed_points(cfg, default_seeds(cfg))
+        fps = find_fixed_points(cfg, default_seeds(cfg), [lam])
         elapsed = time.perf_counter() - t0
         classes = sorted(fp.classification.value for fp in fps)
         if lam == 0.15:
@@ -88,12 +88,12 @@ def test_criterion_03_classical_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
-        cfg = ValidatedConfig(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5),
-                              rng.uniform(0.0, 0.6))
+        cfg = ValidatedConfig(rng.uniform(0.02, 1.0), rng.uniform(0.1, 2.5))
+        lam = rng.uniform(0.0, 0.6)
         for _ in range(100):
             state = random_phase_point(rng, z_max=0.5)
-            a = step_arrays(state, cfg)
-            b = composed_step(state, cfg)
+            a = step_arrays(state, cfg, lam)
+            b = composed_step(state, cfg, lam)
             worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.perf_counter() - t0
     check(3, f"closed form vs sub-map composition, worst {worst:.2e} over "
@@ -102,19 +102,19 @@ def test_criterion_03_classical_oracle_equivalence():
 
 
 def test_criterion_04_conservation_and_symplecticity():
-    cfg = reference_config(0.32)
+    cfg = reference_config()
     state = np.array([1.1, -0.7, 0.3, 0.2, 0.1, -0.15,
                       math.sqrt(0.25 - 0.1 ** 2 - 0.15 ** 2)])
     drift = 0.0
     for _ in range(10_000):
-        state = step_arrays(state, cfg)
+        state = step_arrays(state, cfg, REFERENCE_LAM)
         s_x, s_y, s_z = state[4:].tolist()
         norm = math.sqrt(s_x ** 2 + s_y ** 2 + s_z ** 2)
         drift = max(drift, abs(norm - 0.5) / 0.5)
     rng = np.random.default_rng(77)
     det_err = 0.0
     for _ in range(100):
-        jac = jacobian_canonical(random_phase_point(rng), cfg)
+        jac = jacobian_canonical(random_phase_point(rng), cfg, REFERENCE_LAM)
         det_err = max(det_err, abs(np.linalg.det(jac) - 1.0))
     check(4, f"spin-norm drift {drift:.2e} over 1e4 steps; "
              f"max |det J - 1| = {det_err:.2e} over 100 states",
@@ -122,20 +122,19 @@ def test_criterion_04_conservation_and_symplecticity():
 
 
 def test_criterion_05_quantum_structural_invariants(basis18):
-    cfg = reference_config(0.32)
-    u = floquet_operator(cfg)
+    cfg = reference_config()
+    u = floquet_operator(cfg, REFERENCE_LAM)
     eye = np.eye(basis18.dim)
     unitarity = float(np.max(np.abs(u.conj().T @ u - eye)))
     par = basis18.parity
     parity_comm = float(np.max(np.abs(u * par[None, :] - par[:, None] * u)))
     t0 = time.perf_counter()
-    spec = floquet_spectrum(cfg)
+    spec = floquet_spectrum(cfg, REFERENCE_LAM)
     diag_elapsed = time.perf_counter() - t0
     eigvals = np.linalg.eigvals(u)
     moduli_err = float(np.max(np.abs(np.abs(eigvals) - 1.0)))
-    cfg0 = reference_config(0.0)
-    spec0 = floquet_spectrum(cfg0)
-    analytic = -(cfg0.omega * (basis18.total + 1) + cfg0.delta * basis18.sigma / 2)
+    spec0 = floquet_spectrum(cfg, 0.0)
+    analytic = -(cfg.omega * (basis18.total + 1) + cfg.delta * basis18.sigma / 2)
     analytic = (analytic + math.pi) % (2 * math.pi) - math.pi
     phase_err = float(np.max(np.abs(np.sort(spec0.eigenphases) - np.sort(analytic))))
     check(5, f"dim 380: |U+U-I| = {unitarity:.1e}, |[U,P]| = {parity_comm:.1e}, "
@@ -149,7 +148,7 @@ def test_criterion_05_quantum_structural_invariants(basis18):
 def test_criterion_06_small_instance_spectral_oracle():
     basis = build_basis(2)
     lam = 0.1
-    cfg = ValidatedConfig(OMEGA, DELTA, lam, n_t=2)
+    cfg = ValidatedConfig(OMEGA, DELTA, n_t=2)
     from kickjt.quantum_floquet import SPIN_HALF, osc_position_matrix
     q_x = np.kron(osc_position_matrix(2, "x"), np.eye(2))
     q_y = np.kron(osc_position_matrix(2, "y"), np.eye(2))
@@ -160,7 +159,7 @@ def test_criterion_06_small_instance_spectral_oracle():
              @ scipy.linalg.expm(-1j * lam * q_x @ s_x)
              @ scipy.linalg.expm(-1j * lam * q_y @ s_y))
     brute_phases = np.sort(np.angle(np.linalg.eigvals(brute)))
-    mine = np.sort(floquet_spectrum(cfg).eigenphases)
+    mine = np.sort(floquet_spectrum(cfg, lam).eigenphases)
     err = float(np.max(np.abs(mine - brute_phases)))
     check(6, f"12x12 brute-force eigenphase deviation {err:.2e}",
           basis.dim == 12 and err <= 1e-10)
@@ -238,14 +237,14 @@ def test_criterion_11_ehrenfest_property():
     alpha_y = 4.0 * np.exp(-1.1j)
     theta, phi = 2.2, 0.7
     psi = coherent_state(alpha_x, alpha_y, SpinDirection(theta, phi), n_t)
-    cfg = ValidatedConfig(OMEGA, DELTA, 0.05, n_t=n_t)
-    quantum = phase_space_expectations(apply_floquet(psi, cfg))
+    cfg, lam = ValidatedConfig(OMEGA, DELTA, n_t=n_t), 0.05
+    quantum = phase_space_expectations(apply_floquet(psi, cfg, lam))
     q_x, q_y, p_x, p_y, s_x, s_y, s_z = step_arrays(np.array([
         math.sqrt(2) * alpha_x.real, math.sqrt(2) * alpha_y.real,
         math.sqrt(2) * alpha_x.imag, math.sqrt(2) * alpha_y.imag,
         0.5 * math.sin(theta) * math.cos(phi),
         0.5 * math.sin(theta) * math.sin(phi),
-        0.5 * math.cos(theta)]), cfg).tolist()
+        0.5 * math.cos(theta)]), cfg, lam).tolist()
     amp_osc = math.sqrt(2) * 4.0
     errors = {
         "q_x": abs(quantum["q_x"] - q_x) / amp_osc,

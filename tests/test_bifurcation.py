@@ -14,7 +14,7 @@ from kickjt import (NonFiniteState, OutOfRange, PortraitGrid, Stability,
 from kickjt.classical_map import from_canonical
 from kickjt.cli import _fixed_point_census, validate
 from kickjt.configfile import read_entries
-from conftest import DELTA, OMEGA, reference_config
+from conftest import DELTA, OMEGA, REFERENCE_LAM, reference_config
 
 
 class TestCriticalCouplings:
@@ -83,15 +83,15 @@ class TestCensus:
         assert origin[0].classification is Stability.UNSTABLE
 
     def test_residuals_recheck_under_map(self, census_032):
-        cfg = reference_config(0.32)
+        cfg = reference_config()
         for fp in census_032:
-            image = step_arrays(fp.point, cfg)
+            image = step_arrays(fp.point, cfg, REFERENCE_LAM)
             drift = np.max(np.abs(image - fp.point))
             assert drift <= 10 * cfg.newton_tol
             assert fp.residual <= cfg.newton_tol
 
     def test_no_off_origin_roots_below_first_bifurcation(self):
-        cfg = reference_config(0.20)
+        cfg = reference_config()
         seeds = []
         slope = -math.tan(cfg.omega / 2)
         for q_x in np.linspace(-5, 5, 7):
@@ -99,21 +99,21 @@ class TestCensus:
                 for s_z in (-0.45, 0.45):
                     phi = math.atan2(q_y, q_x) if (q_x, q_y) != (0, 0) else 0.0
                     seeds.append(from_canonical((q_x, slope * q_x, q_y, slope * q_y, phi, s_z)))
-        for fp in find_fixed_points(cfg, seeds):
+        for fp in find_fixed_points(cfg, seeds, [0.20]):
             assert math.hypot(fp.point[0], fp.point[1]) <= 1e-6
 
     def test_failures_reported_not_fatal(self):
-        cfg = reference_config(0.32)
+        cfg = reference_config()
         equator_seed = from_canonical((0.0, 0.0, 0.0, 0.0, 0.3, 0.0))
         failures = []
-        fps = find_fixed_points(cfg, [equator_seed], failures=failures)
+        fps = find_fixed_points(cfg, [equator_seed], [REFERENCE_LAM], failures)
         assert fps == []
         assert failures == [(0, "seed on the spin equator is outside both chart hemispheres")]
 
     def test_map_evaluations_do_not_scale_with_seeds(self, monkeypatch):
         # one step_arrays call per Newton iteration for the whole seed stack;
         # a per-seed loop would make about 66 calls per iteration
-        cfg = reference_config(0.32)
+        cfg = reference_config()
         calls = []
         inner = bifurcation.step_arrays
 
@@ -123,11 +123,11 @@ class TestCensus:
 
         monkeypatch.setattr(bifurcation, "step_arrays", counted)
         seeds = default_seeds(cfg)
-        find_fixed_points(cfg, seeds)
+        find_fixed_points(cfg, seeds, [REFERENCE_LAM])
         once = len(calls)
         assert 0 < once <= 2 * bifurcation.NEWTON_MAX_ITER + 2
         calls.clear()
-        find_fixed_points(cfg, np.tile(seeds, (3, 1)))
+        find_fixed_points(cfg, np.tile(seeds, (3, 1)), [REFERENCE_LAM])
         assert len(calls) == once
 
 
@@ -155,40 +155,41 @@ def test_dedup_keeps_what_the_per_row_loop_keeps(steps):
     roots = {k: (point, 1e-13 * k) for k, point in enumerate(points)}
     with mock.patch.object(bifurcation, "_newton_batch",
                            lambda x0, cfg, lam: (roots, {}, set())):
-        fps = find_fixed_points(reference_config(0.1), points)
+        fps = find_fixed_points(reference_config(), points, [0.1])
     kept = _dedup_oracle(points)
     rows = [next(k for k, p in enumerate(points) if np.array_equal(p, vec)) for vec in kept]
     want = sorted((tuple(vec), 1e-13 * k) for vec, k in zip(kept.tolist(), rows))
     assert [(tuple(fp.point.tolist()), fp.residual) for fp in fps] == want
 
 
-def _newton_outcomes(x0, cfg):
-    """Per-row outcome of one batched Newton run: (point, residual) or the
-    failure reason; the whole run is 'non-finite' when a step overflows."""
-    roots, failures, overflows = bifurcation._newton_batch(x0, cfg, cfg.lam)
+def _newton_outcomes(x0, cfg, lam):
+    """Per-row outcome of one batched Newton run at the coupling lam:
+    (point, residual) or the failure reason; the whole run is 'non-finite'
+    when a step overflows."""
+    roots, failures, overflows = bifurcation._newton_batch(x0, cfg, lam)
     if overflows:
         return "non-finite"
     return [(roots[k][0].tolist(), roots[k][1]) if k in roots else failures[k]
             for k in range(len(x0))]
 
 
-def assert_batch_independent(cfg, seeds, chosen):
-    """Newton on the seeds `chosen` (indices into `seeds`, in that order)
-    gives each seed, bit for bit, its outcome when run alone, and the census
-    reports the failures in ascending index."""
+def assert_batch_independent(cfg, lam, seeds, chosen):
+    """Newton at the coupling lam on the seeds `chosen` (indices into
+    `seeds`, in that order) gives each seed, bit for bit, its outcome when
+    run alone, and the census reports the failures in ascending index."""
     x0 = seeds[list(chosen)]
-    alone = [_newton_outcomes(x0[k:k + 1], cfg) for k in range(len(chosen))]
-    batch = _newton_outcomes(x0, cfg)
+    alone = [_newton_outcomes(x0[k:k + 1], cfg, lam) for k in range(len(chosen))]
+    batch = _newton_outcomes(x0, cfg, lam)
     if batch == "non-finite":
         assert "non-finite" in alone
         return
     assert batch == [a[0] for a in alone]
     failures = []
     try:
-        find_fixed_points(cfg, x0, failures=failures)
+        find_fixed_points(cfg, x0, [lam], failures)
     except NonFiniteState:
         # lam^2 overflows the tangent of any root, as it does every Newton step
-        assert cfg.lam == 1e300
+        assert lam == 1e300
         return
     indices = [k for k, _ in failures]
     assert indices == sorted(indices)
@@ -197,9 +198,9 @@ def assert_batch_independent(cfg, seeds, chosen):
 
 class TestBatchIndependence:
     def test_reference_census_in_reverse_order(self):
-        cfg = reference_config(0.45)
+        cfg = reference_config()
         seeds = default_seeds(cfg)
-        assert_batch_independent(cfg, seeds, list(reversed(range(len(seeds)))))
+        assert_batch_independent(cfg, 0.45, seeds, list(reversed(range(len(seeds)))))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(omega=st.floats(0.01, 2 * math.pi - 0.01),
@@ -207,18 +208,18 @@ class TestBatchIndependence:
            lam=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 5.0), st.just(1e300)),
            data=st.data())
     def test_seed_outcome_equals_its_lone_run(self, omega, delta, lam, data):
-        cfg = ValidatedConfig(omega, delta, lam)
+        cfg = ValidatedConfig(omega, delta)
         seeds = default_seeds(cfg)
         order = data.draw(st.permutations(range(len(seeds))))
-        assert_batch_independent(cfg, seeds, order[:data.draw(st.integers(1, 24))])
+        assert_batch_independent(cfg, lam, seeds, order[:data.draw(st.integers(1, 24))])
 
 
-def _census_outcome(cfg, seeds, lams=None):
+def _census_outcome(cfg, seeds, lams):
     """(points as comparable tuples, failures, error text or None) of one
     find_fixed_points call."""
     failures = []
     try:
-        fps = find_fixed_points(cfg, seeds, failures, lams=lams)
+        fps = find_fixed_points(cfg, seeds, lams, failures)
     except NonFiniteState as exc:
         return None, failures, str(exc)
     points = [(fp.lam, fp.point.tolist(), fp.residual, fp.classification,
@@ -241,7 +242,7 @@ class TestCensusStack:
                          min_size=1, max_size=4),
            data=st.data())
     def test_each_coupling_equals_its_lone_call_bit_for_bit(self, omega, delta, lams, data):
-        cfg = ValidatedConfig(omega, delta, 0.0)
+        cfg = ValidatedConfig(omega, delta)
         seeds = default_seeds(cfg)
         chosen = data.draw(st.lists(st.integers(0, len(seeds) - 1), min_size=1,
                                     max_size=12, unique=True))
@@ -250,8 +251,7 @@ class TestCensusStack:
         points, failures, error = _census_outcome(cfg, seeds, lams)
         expected_points, expected_failures = [], []
         for k, lam in enumerate(lams):
-            lone_points, lone_failures, lone_error = _census_outcome(
-                ValidatedConfig(omega, delta, lam), seeds)
+            lone_points, lone_failures, lone_error = _census_outcome(cfg, seeds, [lam])
             if lone_error is not None:
                 # the first coupling in list order whose own search fails
                 assert error == lone_error
@@ -265,7 +265,7 @@ class TestCensusStack:
 
     def test_one_map_call_per_iteration_for_all_couplings(self, monkeypatch):
         # the census makes as many map calls as the longest lone search
-        cfg = reference_config(0.0)
+        cfg = reference_config()
         lams = [round(0.05 * k, 12) for k in range(1, 12)]
         calls = []
         inner = bifurcation.step_arrays
@@ -278,7 +278,7 @@ class TestCensusStack:
         lone = []
         for lam in lams:
             calls.clear()
-            find_fixed_points(reference_config(lam), default_seeds(cfg))
+            find_fixed_points(cfg, default_seeds(cfg), [lam])
             lone.append(len(calls))
         calls.clear()
         table = _fixed_point_census(cfg, lams)
@@ -291,11 +291,11 @@ class TestCensusStack:
                                             ([0.1, 1e300, 1e301], "1e+300")])
     def test_overflow_names_the_first_coupling_in_list_order(self, lams, named):
         # seed 2, the first ring seed, overflows at either huge coupling
-        cfg = reference_config(0.1)
+        cfg = reference_config()
         with pytest.raises(NonFiniteState, match=rf"^fixed-point search at lam = "
                                                  rf"{re.escape(named)}: Newton step from "
                                                  r"seed 2 at \(q_x, .*\) is not finite$"):
-            find_fixed_points(cfg, default_seeds(cfg), lams=lams)
+            find_fixed_points(cfg, default_seeds(cfg), lams)
 
     @pytest.mark.parametrize("lams,message,failed", [
         ([0.1, 2e154, 1e300], "lam = 2e+154: linearisation at the fixed point", [5]),
@@ -307,14 +307,14 @@ class TestCensusStack:
         # roots are classified (row 5 is seed 2 at the second coupling)
         failures = []
         with pytest.raises(NonFiniteState, match=re.escape(message)):
-            find_fixed_points(reference_config(), POLES_AND_FLAT_SEED, failures, lams=lams)
+            find_fixed_points(reference_config(), POLES_AND_FLAT_SEED, lams, failures)
         assert [row for row, _ in failures] == failed
 
     @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
     def test_coupling_out_of_range_refused(self, bad):
         cfg = reference_config()
         with pytest.raises(OutOfRange, match="lambda must be finite and >= 0"):
-            find_fixed_points(cfg, default_seeds(cfg), lams=[0.1, bad])
+            find_fixed_points(cfg, default_seeds(cfg), [0.1, bad])
 
     @pytest.mark.parametrize("order", [[0.5, 0.4], [0.4, 0.5]])
     def test_overflowing_coupling_leaves_and_the_others_go_on(self, monkeypatch, order):
@@ -335,7 +335,7 @@ class TestCensusStack:
         lone = {}
         for lam in order:
             calls.clear()
-            lone[lam] = _census_outcome(reference_config(lam), seeds)[2]
+            lone[lam] = _census_outcome(reference_config(), seeds, [lam])[2]
         calls.clear()
         error = _census_outcome(reference_config(), seeds, order)[2]
         assert error == lone[order[0]]
@@ -385,25 +385,24 @@ class TestBranchScan:
 
 class TestPortrait:
     def test_zero_iterations_returns_grid(self):
-        cfg = reference_config(0.15)
+        cfg = reference_config()
         grid = PortraitGrid(radii=(1.0,), n_angles=8)
-        cloud = portrait(cfg, grid, 0)
+        cloud = portrait(cfg, grid, 0, [0.15])
         x = grid.initial_points(cfg)
         assert x.shape == (8, 7) and cloud.shape == (8, 2)
         assert np.array_equal(cloud, x[:, :2])
 
     def test_empty_grid_rejected(self):
-        cfg = reference_config(0.15)
+        cfg = reference_config()
         with pytest.raises(ValueError):
-            portrait(cfg, PortraitGrid(radii=()), 10)
+            portrait(cfg, PortraitGrid(radii=()), 10, [0.15])
 
     def test_couplings_stack_into_the_single_coupling_clouds_bit_for_bit(self):
-        cfg = reference_config(0.15)
+        cfg = reference_config()
         grid = PortraitGrid(radii=(0.5, 2.0, 4.0), n_angles=5)
         lams = [0.0, 0.15, 0.32, 0.5]
-        singles = [portrait(reference_config(lam), grid, 300) for lam in lams]
+        singles = [portrait(cfg, grid, 300, [lam]) for lam in lams]
         assert np.array_equal(portrait(cfg, grid, 300, lams), np.concatenate(singles))
-        assert np.array_equal(portrait(cfg, grid, 300), singles[1])
 
     def test_one_map_call_per_iteration_for_all_couplings(self, monkeypatch):
         calls = []
@@ -414,7 +413,7 @@ class TestPortrait:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(bifurcation, "step_arrays", counted)
-        cloud = portrait(reference_config(0.15), PortraitGrid(), 7, [0.15, 0.32, 0.5])
+        cloud = portrait(reference_config(), PortraitGrid(), 7, [0.15, 0.32, 0.5])
         assert len(calls) == 7
         assert cloud.shape == (3 * 7 * 16 * 8, 2)
 
@@ -425,37 +424,35 @@ class TestPortrait:
         grid = PortraitGrid(radii=(1.0,), n_angles=4)
         with pytest.raises(NonFiniteState, match=rf"^portrait at lam = {re.escape(named)}: "
                                                  r"\d+ of 16 points are not finite$"):
-            portrait(reference_config(0.1), grid, 3, lams)
+            portrait(reference_config(), grid, 3, lams)
 
     @pytest.mark.parametrize("bad", [-0.3, math.nan, math.inf])
     @pytest.mark.parametrize("entry", ["portrait", "find_fixed_points"])
     def test_coupling_out_of_range_refused_by_both_entry_points(self, entry, bad):
-        cfg = reference_config(0.1)
+        cfg = reference_config()
         with pytest.raises(OutOfRange, match="lambda must be finite and >= 0"):
             if entry == "portrait":
                 portrait(cfg, PortraitGrid(radii=(1.0,), n_angles=8), 3, [bad])
             else:
-                find_fixed_points(cfg, default_seeds(cfg), lams=[bad])
+                find_fixed_points(cfg, default_seeds(cfg), [bad])
 
     def test_numpy_integer_couplings_accepted_by_both_entry_points(self):
-        cfg = reference_config(0.1)
+        cfg = reference_config()
         grid = PortraitGrid(radii=(1.0,), n_angles=4)
         assert np.array_equal(portrait(cfg, grid, 3, np.arange(2)),
                               portrait(cfg, grid, 3, [0.0, 1.0]))
         assert [fp.point.tolist() for fp in find_fixed_points(cfg, default_seeds(cfg),
-                                                             lams=np.arange(2))] == \
+                                                             np.arange(2))] == \
             [fp.point.tolist() for fp in find_fixed_points(cfg, default_seeds(cfg),
-                                                          lams=[0.0, 1.0])]
+                                                          [0.0, 1.0])]
 
     def test_symmetries_below_first_bifurcation(self):
-        cfg = reference_config(0.15)
-        cloud = portrait(cfg, PortraitGrid(), 2000)
+        cloud = portrait(reference_config(), PortraitGrid(), 2000, [0.15])
         for angle in (0.0, 45.0, 90.0, 135.0):
             assert reflection_symmetry_score(cloud, angle) > 0.95
 
     def test_only_diagonal_symmetries_between_bifurcations(self):
-        cfg = reference_config(0.32)
-        cloud = portrait(cfg, PortraitGrid(), 2000)
+        cloud = portrait(reference_config(), PortraitGrid(), 2000, [REFERENCE_LAM])
         assert reflection_symmetry_score(cloud, 45.0) > 0.95
         assert reflection_symmetry_score(cloud, 135.0) > 0.95
         assert reflection_symmetry_score(cloud, 0.0) < 0.8

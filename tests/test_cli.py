@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import re
@@ -713,7 +714,7 @@ class TestTableWriter:
         assert len(list(out.iterdir())) == 2
         grid = PortraitGrid(radii=(0.5, 2.0), n_angles=3)
         for lam in (0.15, 0.32):
-            points = portrait(ValidatedConfig(math.pi / 60, 2 * math.atan(0.5), lam), grid, 5)
+            points = portrait(ValidatedConfig(math.pi / 60, 2 * math.atan(0.5)), grid, 5, [lam])
             rows = [(lam, float(x), float(y)) for x, y in points]
             expected = _oracle_payload(["lam", "q_x", "q_y"], rows)
             assert (out / f"portrait_{lam!r}.csv").read_bytes() == expected
@@ -1153,6 +1154,50 @@ class TestSecondProcess:
         assert capsys.readouterr().err == (f"compute error: the child process running "
                                            f"{theirs}() exited with status -9 and sent no "
                                            f"result\n")
+
+    # runs main with the arguments after -c, then prints the CPU ticks that
+    # the process's other threads gain in the next 0.3 s
+    IDLE_AFTER_MAIN = """
+import json, os, sys, threading, time
+from kickjt import cli
+
+assert cli.main(sys.argv[1:]) == 0
+
+def ticks():
+    counts = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == threading.get_native_id():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:   # the thread has ended
+            continue
+        counts[tid] = int(fields[11]) + int(fields[12])   # utime + stime
+    return counts
+
+before = ticks()
+time.sleep(0.3)
+after = ticks()
+print(json.dumps({tid: after[tid] - before.get(tid, 0) for tid in after}))
+"""
+
+    def test_no_blas_thread_spins_after_a_forked_run(self, tmp_path):
+        # the fork stops OpenBLAS's thread pool, and restoring the thread
+        # count at the end of main starts a pool thread, which spins for
+        # about 0.13 s unless main stops the pool again
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["PYTHONPATH"] = str(SRC_DIR)
+        cfg = write_config(tmp_path, SMALL_MODEL + TRACKED_CONFIGS["entanglement-curves"])
+        run = subprocess.run([sys.executable, "-c", self.IDLE_AFTER_MAIN, "entanglement-curves",
+                              "--config", str(cfg), "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        gained = json.loads(run.stdout.splitlines()[-1])
+        assert not any(gained.values()), gained
 
     def test_entanglement_rows_keep_grid_order(self, tmp_path):
         # each row holds the measures of its own coupling, computed here from

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import asdict, fields, replace
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kickjt import OutOfRange, ValidatedConfig, acot
+import kickjt
+from kickjt import (OutOfRange, PortraitGrid, ValidatedConfig, acot, apply_floquet,
+                    checked_coupling, default_seeds, find_fixed_points,
+                    floquet_operator, floquet_spectrum, pgs_seed, portrait)
 from kickjt.model import MAX_N_T
 
 TWO_PI = 2 * math.pi
@@ -13,10 +17,9 @@ TINY = math.ulp(0.0)
 
 
 def test_reference_parameters_validate():
-    cfg = ValidatedConfig(math.pi / 60, 2 * acot(2), 0.32, n_t=18)
+    cfg = ValidatedConfig(math.pi / 60, 2 * acot(2), n_t=18)
     assert cfg.omega == math.pi / 60
     assert cfg.delta == pytest.approx(2 * math.atan(0.5))
-    assert cfg.lam == 0.32
     assert cfg.n_t == 18
 
 
@@ -27,47 +30,27 @@ def test_acot_is_atan_of_reciprocal():
 
 def test_omega_zero_rejected():
     with pytest.raises(OutOfRange) as err:
-        ValidatedConfig(0.0, 1.0, 0.1)
+        ValidatedConfig(0.0, 1.0)
     assert "omega" in str(err.value)
-
-
-def test_negative_coupling_rejected():
-    with pytest.raises(OutOfRange) as err:
-        ValidatedConfig(0.1, 1.0, -0.1)
-    assert "lambda" in str(err.value)
-
-
-@pytest.mark.parametrize("lam", [math.inf, math.nan])
-def test_non_finite_coupling_rejected(lam):
-    with pytest.raises(OutOfRange) as err:
-        ValidatedConfig(0.1, 1.0, lam)
-    assert "lambda must be finite" in str(err.value)
 
 
 def test_all_violations_reported_together():
     with pytest.raises(OutOfRange) as err:
-        ValidatedConfig(omega=0.0, delta=7.0, lam=-1.0, n_t=-3, newton_tol=0.0)
+        ValidatedConfig(omega=0.0, delta=7.0, n_t=-3, newton_tol=0.0)
     message = str(err.value)
-    assert len(err.value.violations) >= 5
-    for field in ("omega", "delta", "lambda", "n_t", "newton_tol"):
+    assert len(err.value.violations) >= 4
+    for field in ("omega", "delta", "n_t", "newton_tol"):
         assert field in message
 
 
 def test_validation_is_idempotent():
-    cfg = ValidatedConfig(math.pi / 60, 2 * acot(2), 0.32)
+    cfg = ValidatedConfig(math.pi / 60, 2 * acot(2))
     again = ValidatedConfig(**asdict(cfg))
     assert again == cfg
 
 
-def test_replace_lam_revalidates():
-    cfg = ValidatedConfig(0.1, 1.0, 0.1)
-    assert replace(cfg, lam=0.5).lam == 0.5
-    with pytest.raises(OutOfRange):
-        replace(cfg, lam=-0.5)
-
-
 def test_replace_n_t():
-    cfg = ValidatedConfig(0.1, 1.0, 0.1, n_t=4)
+    cfg = ValidatedConfig(0.1, 1.0, n_t=4)
     assert replace(cfg, n_t=8).n_t == 8
     assert replace(cfg, n_t=8).omega == cfg.omega
 
@@ -76,8 +59,8 @@ def test_replace_n_t():
                          ids=["int64", "int32", "uint8"])
 def test_numpy_integer_cutoff_stored_as_int(n_t):
     # any integer type passes, and cfg.n_t is always a plain int
-    for cfg in (ValidatedConfig(0.05, 0.9, 0.1, n_t=n_t),
-                replace(ValidatedConfig(0.05, 0.9, 0.1), n_t=n_t)):
+    for cfg in (ValidatedConfig(0.05, 0.9, n_t=n_t),
+                replace(ValidatedConfig(0.05, 0.9), n_t=n_t)):
         assert cfg.n_t == 4 and type(cfg.n_t) is int
 
 
@@ -95,9 +78,6 @@ FIELD_RANGES = {
               st.one_of(st.floats(max_value=0.0), st.floats(min_value=TWO_PI),
                         st.just(math.nan)),
               "delta"),
-    "lam": (st.floats(min_value=0.0, allow_infinity=False),
-            st.one_of(st.floats(max_value=-TINY), st.just(math.inf), st.just(math.nan)),
-            "lambda"),
     "n_t": (st.one_of(st.integers(0, MAX_N_T), st.integers(0, MAX_N_T).map(np.int64)),
             st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_N_T + 1),
                       st.integers(MAX_N_T + 1, 2**62).map(np.int64), st.floats(),
@@ -138,7 +118,7 @@ def test_construction_and_replace_hold_the_invariant(drawn):
     # fields that are not
     assert set(FIELD_RANGES) == {f.name for f in fields(ValidatedConfig)}
     values, bad, replaced = drawn
-    valid = ValidatedConfig(math.pi / 60, 2 * acot(2), 0.32)
+    valid = ValidatedConfig(math.pi / 60, 2 * acot(2))
     changes = {name: values[name] for name in replaced}
     cases = ((lambda: ValidatedConfig(**values), values, bad),
              (lambda: replace(valid, **changes), {**asdict(valid), **changes}, bad & replaced))
@@ -150,3 +130,51 @@ def test_construction_and_replace_hold_the_invariant(drawn):
             build()
         assert _violated_fields(err.value) == expected_bad
         assert len(err.value.violations) == len(expected_bad)
+
+
+# --- the coupling ---------------------------------------------------------------
+#
+# The coupling is an argument, not a config field.  Each public function
+# that validates it is called here with the coupling lam at a small point.
+
+CFG2 = ValidatedConfig(math.pi / 60, 2 * acot(2), n_t=2)
+COUPLING_CHECKS = {
+    "checked_coupling": checked_coupling,
+    "find_fixed_points": lambda lam: find_fixed_points(CFG2, default_seeds(CFG2)[:2],
+                                                       [0.1, lam]),
+    "portrait": lambda lam: portrait(CFG2, PortraitGrid(radii=(1.0,), n_angles=4), 3,
+                                     [0.1, lam]),
+    "floquet_operator": lambda lam: floquet_operator(CFG2, lam),
+    "floquet_operator of a sector": lambda lam: floquet_operator(CFG2, lam, "O"),
+    "floquet_spectrum": lambda lam: floquet_spectrum(CFG2, lam),
+    "apply_floquet": lambda lam: apply_floquet(pgs_seed(2), CFG2, lam),
+}
+# the map kernels take one coupling or one per point and check nothing, and
+# curve_derivative's lams are the abscissas of a curve
+UNCHECKED = {"step_arrays", "step_jacobian", "submap", "composed_step", "inverse_step",
+             "spin_rotation_matrix", "jacobian_canonical", "apply_kick",
+             "curve_derivative"}
+
+
+def test_every_public_function_with_a_coupling_is_listed():
+    takers = {name for name, fn in vars(kickjt).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and {"lam", "lams"} & set(inspect.signature(fn).parameters)}
+    assert takers == {name.split()[0] for name in COUPLING_CHECKS} | UNCHECKED
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_CHECKS))
+def test_coupling_out_of_range_refused(name):
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(OutOfRange) as err:
+            COUPLING_CHECKS[name](bad)
+        assert str(err.value) == f"lambda must be finite and >= 0, got {bad!r}"
+        assert err.value.violations == [str(err.value)]
+
+
+@pytest.mark.parametrize("lam,expected", [(np.float64(0.32), 0.32), (3, 3.0),
+                                          (np.int64(0), 0.0)],
+                         ids=["float64", "int", "int64"])
+def test_checked_coupling_returns_a_plain_float(lam, expected):
+    value = checked_coupling(lam)
+    assert value == expected and type(value) is float

@@ -465,8 +465,8 @@ class TestApproxBifurcatedStates:
         # at roundoff level (about 4e-16), which parity_sector accepts, so
         # they go through the block negativity; it matches the full partial
         # transpose
-        cfg = reference_config(0.42)
-        stable = [fp for fp in find_fixed_points(cfg, default_seeds(cfg))
+        cfg = reference_config()
+        stable = [fp for fp in find_fixed_points(cfg, default_seeds(cfg), [0.42])
                   if fp.classification is Stability.STABLE and fp.point[0] > 0]
         states = approx_bifurcated_states(stable[0], 26)
         for state, expected in zip(states, (0.738920, 0.740234)):

@@ -18,9 +18,8 @@ ALPHAS = np.array([0.3, 1.0 + 0.5j])
 
 STATE_FUNCTIONS = {
     "apply_kick": lambda vec: apply_kick(vec, "x", 0.1),
-    "apply_floquet": lambda vec: apply_floquet(vec, reference_config(0.1, n_t=6)),
-    "track_eigenstate": lambda vec: track_eigenstate(vec, reference_config(0.0, n_t=6),
-                                                     [0.1]),
+    "apply_floquet": lambda vec: apply_floquet(vec, reference_config(n_t=6), 0.1),
+    "track_eigenstate": lambda vec: track_eigenstate(vec, reference_config(n_t=6), [0.1]),
     "sector_leakage": lambda vec: sector_leakage(vec, "O"),
     "phase_space_expectations": phase_space_expectations,
     "state_tensor": state_tensor,
@@ -44,7 +43,7 @@ def test_length_that_fits_no_truncation_rejected(name):
 
 def test_seed_and_config_truncations_must_agree():
     with pytest.raises(ValueError, match="n_t = 6, config n_t = 18"):
-        track_eigenstate(pgs_seed(6), reference_config(0.0), [0.1])
+        track_eigenstate(pgs_seed(6), reference_config(), [0.1])
 
 
 def test_leakage_is_measured_over_the_state_own_truncation():

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,13 +18,13 @@ from kickjt.model import MAX_N_T
 from kickjt.observables import SpinDirection, log_negativity
 from kickjt.quantum_floquet import (SPIN_HALF, FockBasis, _sector_spectrum,
                                     osc_position_matrix)
-from conftest import DELTA, OMEGA, reference_config
+from conftest import DELTA, OMEGA, REFERENCE_LAM, reference_config
 
 
 class TestParitySector:
     # at omega = 2 pi/3, |3,0,-> (E) shares the eigenphase of |0,0,-> (O)
     # at lam = 0, so a pgs seed leaking into it stays an eigenvector of U
-    CFG = ValidatedConfig(2 * math.pi / 3, 1.0, 0.0, n_t=3)
+    CFG = ValidatedConfig(2 * math.pi / 3, 1.0, n_t=3)
 
     def test_zero_coupling_seeds(self):
         assert qf.parity_sector(pgs_seed(4)) == "O"
@@ -124,16 +123,16 @@ class TestBasis:
         # a mistyped label must not select a sector; floquet_operator takes
         # None as "no sector", the whole space
         basis = build_basis(2)
-        cfg = reference_config(0.3, n_t=2)
+        cfg = reference_config(n_t=2)
         with pytest.raises(ValueError, match=f"got {label!r}"):
             basis.sector_indices(label)
         with pytest.raises(ValueError, match=f"got {label!r}"):
             sector_leakage(pgs_seed(2), label)
         if label is None:
-            assert floquet_operator(cfg, label).shape == (basis.dim, basis.dim)
+            assert floquet_operator(cfg, 0.3, label).shape == (basis.dim, basis.dim)
         else:
             with pytest.raises(ValueError, match=f"got {label!r}"):
-                floquet_operator(cfg, label)
+                floquet_operator(cfg, 0.3, label)
 
     def test_reference_truncation_counts(self, basis18):
         assert basis18.dim == 380
@@ -179,7 +178,7 @@ class TestOperators:
         assert q_x[i, j] == pytest.approx(1 / math.sqrt(2))
 
     def test_h0_phase_on_ground_state(self, basis18):
-        cfg = reference_config(0.0)
+        cfg = reference_config()
         phases = h0_phases(cfg)
         value = np.angle(phases[basis18.index(0, 0, -1)])
         assert value == pytest.approx(-(OMEGA - DELTA / 2))
@@ -232,37 +231,37 @@ class TestKickPropagator:
 
 class TestFloquetOperator:
     def test_diagonal_at_zero_coupling(self):
-        cfg = reference_config(0.0)
-        u = floquet_operator(cfg)
+        cfg = reference_config()
+        u = floquet_operator(cfg, 0.0)
         off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) <= 1e-14
 
     def test_unitarity(self, basis18):
-        cfg = reference_config(0.46)
-        u = floquet_operator(cfg)
+        cfg = reference_config()
+        u = floquet_operator(cfg, 0.46)
         assert np.max(np.abs(u.conj().T @ u - np.eye(basis18.dim))) <= 1e-10
 
     def test_commutes_with_parity(self, basis18):
-        cfg = reference_config(0.32)
-        u = floquet_operator(cfg)
+        cfg = reference_config()
+        u = floquet_operator(cfg, REFERENCE_LAM)
         par = basis18.parity
         assert np.max(np.abs(u * par[None, :] - par[:, None] * u)) <= 1e-10
 
     def test_parity_block_structure(self, basis18):
-        cfg = reference_config(0.32)
-        u = floquet_operator(cfg)
+        cfg = reference_config()
+        u = floquet_operator(cfg, REFERENCE_LAM)
         odd = basis18.sector_indices("O")
         even = basis18.sector_indices("E")
         assert not np.any(u[np.ix_(odd, even)])
         assert not np.any(u[np.ix_(even, odd)])
 
     def test_vector_application_matches_dense(self, basis18):
-        cfg = reference_config(0.32)
+        cfg = reference_config()
         rng = np.random.default_rng(7)
         vec = rng.normal(size=basis18.dim) + 1j * rng.normal(size=basis18.dim)
         vec /= np.linalg.norm(vec)
-        dense = floquet_operator(cfg) @ vec
-        assert np.max(np.abs(apply_floquet(vec, cfg) - dense)) <= 1e-12
+        dense = floquet_operator(cfg, REFERENCE_LAM) @ vec
+        assert np.max(np.abs(apply_floquet(vec, cfg, REFERENCE_LAM) - dense)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -272,11 +271,11 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
     # the dense operator is the period applied column by column, unitary
     # and parity commuting anywhere in parameter space
     basis = build_basis(n_t)
-    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
-    u = floquet_operator(cfg)
+    cfg = ValidatedConfig(omega, delta, n_t=n_t)
+    u = floquet_operator(cfg, lam)
     eye = np.eye(basis.dim, dtype=complex)
     for j in range(basis.dim):
-        assert np.max(np.abs(u[:, j] - apply_floquet(eye[:, j].copy(), cfg))) <= 1e-13
+        assert np.max(np.abs(u[:, j] - apply_floquet(eye[:, j].copy(), cfg, lam))) <= 1e-13
     assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
     par = basis.parity
     assert np.max(np.abs(u * par[None, :] - par[:, None] * u)) <= 1e-12
@@ -288,20 +287,20 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
 def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
     # the sector build is the block U[idx, idx] of the full build
     basis = build_basis(n_t)
-    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
+    cfg = ValidatedConfig(omega, delta, n_t=n_t)
     idx = basis.sector_indices(sector)
-    block = floquet_operator(cfg, sector)
-    full = floquet_operator(cfg)
+    block = floquet_operator(cfg, lam, sector)
+    full = floquet_operator(cfg, lam)
     assert block.shape == (idx.size, idx.size)
     assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-14
 
 
-def expm_sector_block(cfg, sector):
+def expm_sector_block(cfg, lam, sector):
     """Oracle: diag(h0) expm(-i lam q_x s_x) expm(-i lam q_y s_y) over the
     whole basis, restricted to the sector's rows and columns."""
     idx = build_basis(cfg.n_t).sector_indices(sector)
-    kicks = [scipy.linalg.expm(-1j * cfg.lam * np.kron(osc_position_matrix(cfg.n_t, axis),
-                                                       SPIN_HALF[axis]))
+    kicks = [scipy.linalg.expm(-1j * lam * np.kron(osc_position_matrix(cfg.n_t, axis),
+                                                   SPIN_HALF[axis]))
              for axis in ("x", "y")]
     return (h0_phases(cfg)[:, None] * (kicks[0] @ kicks[1]))[np.ix_(idx, idx)]
 
@@ -310,15 +309,17 @@ def expm_sector_block(cfg, sector):
 @given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
        lam=st.floats(0.0, 2.0), n_t=st.integers(0, 6), sector=st.sampled_from(["O", "E"]))
 def test_sector_build_matches_expm(omega, delta, lam, n_t, sector):
-    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
-    assert np.max(np.abs(floquet_operator(cfg, sector) - expm_sector_block(cfg, sector))) <= 1e-12
+    cfg = ValidatedConfig(omega, delta, n_t=n_t)
+    assert np.max(np.abs(floquet_operator(cfg, lam, sector)
+                         - expm_sector_block(cfg, lam, sector))) <= 1e-12
 
 
 @pytest.mark.parametrize("sector", ["O", "E"])
 @pytest.mark.parametrize("lam", [0.32, 0.55])
 def test_sector_build_matches_expm_at_reference_truncation(lam, sector):
-    cfg = reference_config(lam)
-    assert np.max(np.abs(floquet_operator(cfg, sector) - expm_sector_block(cfg, sector))) <= 1e-12
+    cfg = reference_config()
+    assert np.max(np.abs(floquet_operator(cfg, lam, sector)
+                         - expm_sector_block(cfg, lam, sector))) <= 1e-12
 
 
 @pytest.mark.parametrize("sector", ["O", "E"])
@@ -326,10 +327,10 @@ def test_sector_build_matches_expm_at_reference_truncation(lam, sector):
 def test_sector_build_bit_equal_at_reference_truncation(basis18, lam, sector):
     # continuation outputs at the preset truncation stay byte-identical
     # only while the block is the sliced full build bit for bit
-    cfg = reference_config(lam)
+    cfg = reference_config()
     idx = basis18.sector_indices(sector)
-    full = floquet_operator(cfg)
-    assert np.array_equal(floquet_operator(cfg, sector),
+    full = floquet_operator(cfg, lam)
+    assert np.array_equal(floquet_operator(cfg, lam, sector),
                           full[np.ix_(idx, idx)])
 
 
@@ -340,9 +341,9 @@ def test_sector_spectrum_matches_full_matrix_spectrum(omega, delta, lam, n_t):
     # the per-sector spectrum is the spectrum of the whole matrix, with
     # sector-pure orthonormal vectors and residuals within tolerance
     basis = build_basis(n_t)
-    cfg = ValidatedConfig(omega, delta, lam, n_t=n_t)
-    spec = floquet_spectrum(cfg)
-    full_phases, _, _ = _sector_spectrum(floquet_operator(cfg))
+    cfg = ValidatedConfig(omega, delta, n_t=n_t)
+    spec = floquet_spectrum(cfg, lam)
+    full_phases, _, _ = _sector_spectrum(floquet_operator(cfg, lam))
     # compare the two phase multisets on the unit circle, cut open in the
     # middle of the widest gap between neighbouring eigenphases
     ours = spec.eigenphases
@@ -360,8 +361,8 @@ def test_sector_spectrum_matches_full_matrix_spectrum(omega, delta, lam, n_t):
 
 class TestFloquetSpectrum:
     def test_zero_coupling_matches_analytic_diagonal(self, basis18):
-        cfg = reference_config(0.0)
-        spec = floquet_spectrum(cfg)
+        cfg = reference_config()
+        spec = floquet_spectrum(cfg, 0.0)
         analytic = -(cfg.omega * (basis18.total + 1) + cfg.delta * basis18.sigma / 2)
         analytic = (analytic + math.pi) % (2 * math.pi) - math.pi
         assert np.max(np.abs(np.sort(spec.eigenphases) - np.sort(analytic))) <= 1e-12
@@ -370,7 +371,7 @@ class TestFloquetSpectrum:
         basis = build_basis(2)
         assert basis.dim == 12
         lam = 0.1
-        cfg = ValidatedConfig(OMEGA, DELTA, lam, n_t=2)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=2)
         q_x = np.kron(osc_position_matrix(2, "x"), np.eye(2))
         q_y = np.kron(osc_position_matrix(2, "y"), np.eye(2))
         s_x = np.kron(np.eye(basis.osc_dim), SPIN_HALF["x"])
@@ -380,18 +381,18 @@ class TestFloquetSpectrum:
                  @ scipy.linalg.expm(-1j * lam * q_x @ s_x)
                  @ scipy.linalg.expm(-1j * lam * q_y @ s_y))
         brute_phases = np.sort(np.angle(np.linalg.eigvals(brute)))
-        spec = floquet_spectrum(cfg)
+        spec = floquet_spectrum(cfg, lam)
         assert np.max(np.abs(np.sort(spec.eigenphases) - brute_phases)) <= 1e-10
 
     def test_eigenvector_orthonormality(self, basis18):
-        cfg = reference_config(0.32)
-        spec = floquet_spectrum(cfg)
+        cfg = reference_config()
+        spec = floquet_spectrum(cfg, REFERENCE_LAM)
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(basis18.dim))) <= 1e-9
 
     def test_eigenvalue_moduli_on_unit_circle(self):
-        cfg = reference_config(0.32)
-        u = floquet_operator(cfg)
+        cfg = reference_config()
+        u = floquet_operator(cfg, REFERENCE_LAM)
         eigvals = np.linalg.eigvals(u)
         assert np.max(np.abs(np.abs(eigvals) - 1.0)) <= 1e-8
 
@@ -410,8 +411,8 @@ class TestFloquetSpectrum:
         ref_phase = 0.41129
         phases = {}
         for n_t in (18, 22):
-            cfg = reference_config(lam, n_t=n_t)
-            spec = floquet_spectrum(cfg)
+            cfg = reference_config(n_t=n_t)
+            spec = floquet_spectrum(cfg, lam)
             phases[n_t] = spec.eigenphases
         def circ_dist(a, b):
             return np.abs((a - b + math.pi) % (2 * math.pi) - math.pi)
@@ -424,7 +425,7 @@ class TestFloquetSpectrum:
         # truncation-converged in the crossover regime
         phases = {}
         for n_t in (18, 22):
-            cfg = reference_config(0.32, n_t=n_t)
+            cfg = reference_config(n_t=n_t)
             path = track_eigenstate(pgs_seed(n_t), cfg, [0.32])
             phases[n_t] = path.samples[-1].eigenphase
         move = abs((phases[18] - phases[22] + math.pi) % (2 * math.pi) - math.pi)
@@ -458,8 +459,8 @@ class TestTracking:
     def test_tracked_state_matches_unrestricted_eigenvector(self, pgs_path):
         # plain Schur on the full matrix, no parity hint: the matching
         # eigenvector must still live in the odd sector
-        cfg = reference_config(0.32)
-        _, vectors, _ = _sector_spectrum(floquet_operator(cfg))
+        cfg = reference_config()
+        _, vectors, _ = _sector_spectrum(floquet_operator(cfg, REFERENCE_LAM))
         tracked = pgs_path.sample_at(0.32).state
         overlaps = np.abs(vectors.conj().T @ tracked)
         k = int(np.argmax(overlaps))
@@ -483,7 +484,7 @@ class TestTracking:
     def test_mixed_parity_eigenvector_seed_rejected(self):
         # at lam = 0 with delta = 2 omega, |0,0,+> (E) and |2,0,-> (O) share
         # an eigenphase, so their sum is an eigenvector in neither sector
-        cfg = ValidatedConfig(0.3, 0.6, 0.0, n_t=3)
+        cfg = ValidatedConfig(0.3, 0.6, n_t=3)
         basis = build_basis(3)
         seed = (basis.basis_state(0, 0, 1) + basis.basis_state(2, 0, -1)) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="5.000e-01 from O and 5.000e-01 from E"):
@@ -491,7 +492,7 @@ class TestTracking:
 
     @pytest.mark.parametrize("stops", [[0.05, 0.08, 0.1], [0.1]])
     def test_stops_may_be_an_array(self, stops):
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.1, n_t=4)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         want = track_eigenstate(pgs_seed(4), cfg, stops)
         got = track_eigenstate(pgs_seed(4), cfg, np.array(stops))
         assert set(stops) <= {s.lam for s in got.samples}
@@ -502,7 +503,7 @@ class TestTracking:
             assert np.array_equal(g.state, w.state)
 
     def test_stops_in_any_order_repeated_or_not_above_zero(self):
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         want = track_eigenstate(pgs_seed(4), cfg, [0.05, 0.08, 0.1])
         got = track_eigenstate(pgs_seed(4), cfg, [0.08, -0.2, 0.1, 0.0, 0.05, 0.08])
         assert [(s.lam, s.dlam_used) for s in got.samples] == \
@@ -513,20 +514,20 @@ class TestTracking:
 
     @pytest.mark.parametrize("stops", [[], [0.0], [-0.3, 0.0]])
     def test_no_stop_above_zero_refused(self, stops):
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         with pytest.raises(ValueError, match="needs a stop above lam = 0"):
             track_eigenstate(pgs_seed(4), cfg, stops)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_stop_refused_by_name(self, bad):
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         with pytest.raises(ValueError, match=f"continuation stop {bad!r} is not finite"):
             track_eigenstate(pgs_seed(4), cfg, [0.05, bad, 0.1])
 
     def test_unbounded_span_refused_before_any_build(self, monkeypatch):
         builds = []
         monkeypatch.setattr(qf, "floquet_operator", lambda *a: builds.append(a))
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=4)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         with pytest.raises(ComputeError, match=re.escape(
                 "continuation from lam = 0.0 to lam = 1e+300 needs at least"
                 " 5e+301 steps of 0.02, more than 100000")):
@@ -535,14 +536,14 @@ class TestTracking:
 
     def test_step_underflow_on_impossible_threshold(self, monkeypatch):
         monkeypatch.setattr(qf, "OVERLAP_THRESHOLD", 1e-15)
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.3, n_t=3)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=3)
         with pytest.raises(StepUnderflow):
             track_eigenstate(pgs_seed(3), cfg, [0.3])
 
     def test_step_underflow_names_the_last_trial_and_its_overlap(self):
         # the pes seed is not the combination of the degenerate N = 1 pair
         # that the coupling selects here: no step clears the overlap bound
-        cfg = ValidatedConfig(3.75, 1.0, 1.0, n_t=2)
+        cfg = ValidatedConfig(3.75, 1.0, n_t=2)
         with pytest.raises(StepUnderflow) as info:
             track_eigenstate(pes_seed(2), cfg, [1.0])
         match = re.fullmatch(
@@ -572,7 +573,7 @@ class TestLanding:
     @example(step=0.02, end=0.7, n_t=8)
     def test_every_stop_is_a_sample_coupling(self, step, end, n_t):
         stops = grid_stops(f"0:{end!r}:{step!r}")
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=n_t)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=n_t)
         path = track_eigenstate(pgs_seed(n_t), cfg, stops)
         for stop in stops:
             assert path.sample_at(stop).lam == stop
@@ -582,7 +583,7 @@ class TestLanding:
         assert max(s.dlam_used for s in path.samples) < qf.MAX_TRACK_STEP + qf.MIN_TRACK_STEP
 
     def test_lookup_matches_the_coupling_exactly(self):
-        cfg = ValidatedConfig(OMEGA, DELTA, 0.0, n_t=8)
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=8)
         path = track_eigenstate(pgs_seed(8), cfg, grid_stops("0:0.7:0.02"))
         assert path.sample_at(0.14).lam == 0.14
         with pytest.raises(KeyError, match="no tracked sample"):
@@ -598,7 +599,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
     per accepted sample."""
     basis = build_basis(cfg.n_t)
     vec = seed / np.linalg.norm(seed)
-    u0 = floquet_operator(replace(cfg, lam=lam_start))
+    u0 = floquet_operator(cfg, lam_start)
     idx = np.arange(basis.dim)
     for value in (-1, 1):
         sec = np.flatnonzero(basis.parity == value)
@@ -614,7 +615,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
         target = lam + dlam
         if target > stop_list[0] - 1e-6:
             target = stop_list[0]
-        u_t = floquet_operator(replace(cfg, lam=target))
+        u_t = floquet_operator(cfg, target)
         phases, vecs, _ = _sector_spectrum(u_t[np.ix_(idx, idx)])
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
@@ -661,7 +662,7 @@ def compare_with_oracle(lam_end, seed, cfg, step, stops=None):
     assert [(s.lam, s.dlam_used) for s in path.samples] == [(w[0], w[2]) for w in want]
     for sample, w in zip(path.samples, want):
         assert abs(sample.eigenphase - w[1]) <= 1e-12
-        u = floquet_operator(replace(cfg, lam=sample.lam))
+        u = floquet_operator(cfg, sample.lam)
         resid = np.linalg.norm(u @ sample.state - np.exp(1j * sample.eigenphase) * sample.state)
         assert resid <= 1e-12
     return want, path
@@ -677,7 +678,7 @@ def compare_with_oracle(lam_end, seed, cfg, step, stops=None):
 @example(omega=3.75, delta=1.0, n_t=2, step=1.0, lam_end=1.0, excited=True,
          with_stops=False)
 def test_tracking_matches_schur_oracle(omega, delta, n_t, step, lam_end, excited, with_stops):
-    cfg = ValidatedConfig(omega, delta, 0.0, n_t=n_t)
+    cfg = ValidatedConfig(omega, delta, n_t=n_t)
     seed = (pes_seed if excited else pgs_seed)(n_t)
     stops = [0.05 * k for k in range(1, int(lam_end / 0.05) + 1)] if with_stops else None
     compare_with_oracle(lam_end, seed, cfg, step, stops)
@@ -704,7 +705,7 @@ class TestRayleighTracking:
         (8, False, 1.3, 0.4, 1.5, 0.05),
     ])
     def test_states_pinned_to_oracle(self, n_t, excited, omega, delta, lam_end, step):
-        cfg = ValidatedConfig(omega, delta, 0.0, n_t=n_t)
+        cfg = ValidatedConfig(omega, delta, n_t=n_t)
         seed = (pes_seed if excited else pgs_seed)(n_t)
         want, path = compare_with_oracle(lam_end, seed, cfg, step)
         for sample, w in zip(path.samples, want):
@@ -724,7 +725,7 @@ class TestRayleighTracking:
         schur = CountingSchur()
         monkeypatch.setattr(qf, "_rayleigh_refine", spy)
         monkeypatch.setattr(qf, "_sector_spectrum", schur)
-        cfg = reference_config(0.0, n_t=6)
+        cfg = reference_config(n_t=6)
         compare_with_oracle(2.0, pgs_seed(6), cfg, 1.0)
         unconverged = [r for r, o in refined if r > qf.RQI_RESIDUAL_TOL]
         low_overlap = [o for r, o in refined

@@ -53,7 +53,9 @@ from .shortrepr import reprs
 @dataclass
 class Table:
     """One CSV output: header and one equal-length column per header field.
-    A column is a float64 ndarray or any sequence of cells."""
+    A column is an ndarray or any sequence of cells: a float64 array or a
+    sequence of floats is written with shortest round-trip floats, any
+    other column cell by cell with str (see _cell_bytes)."""
 
     header: list[str]
     columns: list
@@ -70,25 +72,23 @@ class ScenarioResult:
     text: str = ""
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _cell_bytes(column) -> np.ndarray:
     """The text of each cell of column as the rows of a uint8 matrix padded
-    with NULs: _fmt_cell's text, which for a float64 cell is its repr."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        bits = column.view(np.int64)
-        if (bits == bits[0]).all():
-            # one value, bit for bit (so 0.0 and -0.0 never merge): one repr
-            text = np.frombuffer(repr(float(column[0])).encode(), dtype=np.uint8)
-            return np.broadcast_to(text, (column.size, text.size))
-        return reprs(column)
-    cells = np.array([_fmt_cell(c).encode() for c in column], dtype=bytes)
+    with NULs.  A float64 column, an ndarray or a sequence of floats, goes
+    to shortrepr.reprs, each cell its repr; any other column is written
+    cell by cell with str (ASCII text)."""
+    cells = np.asarray(column)
+    if cells.dtype == np.float64:
+        if isinstance(column, np.ndarray) or all(isinstance(c, float) for c in column):
+            bits = cells.view(np.int64)
+            if (bits == bits[0]).all():
+                # one value, bit for bit (so 0.0 and -0.0 never merge): one repr
+                text = np.frombuffer(repr(float(cells[0])).encode(), dtype=np.uint8)
+                return np.broadcast_to(text, (cells.size, text.size))
+            return reprs(cells)
+        # ints mixed with floats, or with ints no one integer dtype holds
+        cells = np.asarray(column, dtype=object)
+    cells = cells.astype(bytes)
     return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
 
 
@@ -198,16 +198,6 @@ def _fp_row(fp) -> tuple:
             *fp.multiplier_moduli)
 
 
-def _fixed_point_census(cfg: ValidatedConfig, lams: list[float]) -> list[tuple]:
-    """(lam, fixed points) for each coupling of lams, in order, from one
-    Newton search over all of them (the default seeds depend on omega only)."""
-    fps = find_fixed_points(cfg, default_seeds(cfg), lams)
-    by_lam = {lam: [] for lam in lams}
-    for fp in fps:
-        by_lam[fp.lam].append(fp)
-    return list(by_lam.items())
-
-
 # each scenario takes the inputs that validate() returns
 def scenario_critical_couplings(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     couplings = critical_couplings(cfg.omega, cfg.delta)
@@ -222,7 +212,7 @@ def scenario_critical_couplings(cfg: ValidatedConfig, lams, values) -> ScenarioR
 
 
 def scenario_fixed_points(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
-    rows = [_fp_row(fp) for _, fps in _fixed_point_census(cfg, lams) for fp in fps]
+    rows = [_fp_row(fp) for fp in find_fixed_points(cfg, default_seeds(cfg), lams)]
     return ScenarioResult(tables={"fixed_points.csv": Table.from_rows(_fp_columns(), rows)})
 
 
@@ -233,7 +223,7 @@ def scenario_portrait(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
     tables = {}
     for lam, points in zip(lams, clouds):
         columns = [np.full(len(points), lam), points[:, 0], points[:, 1]]
-        tables[f"portrait_{_fmt_cell(lam)}.csv"] = Table(["lam", "q_x", "q_y"], columns)
+        tables[f"portrait_{lam!r}.csv"] = Table(["lam", "q_x", "q_y"], columns)
     return ScenarioResult(tables=tables)
 
 
@@ -324,9 +314,11 @@ def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> Scenario
 
 
 def scenario_detection_prob(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
+    # one Newton search over all couplings (the default seeds depend on omega only)
+    fps = find_fixed_points(cfg, default_seeds(cfg), lams)
     rows = []
-    for lam, fps in _fixed_point_census(cfg, lams):
-        stable = [fp for fp in fps if fp.classification is Stability.STABLE]
+    for lam in lams:
+        stable = [fp for fp in fps if fp.lam == lam and fp.classification is Stability.STABLE]
         if not stable:
             raise ComputeError(f"no stable fixed point at lam = {lam}")
         target = max(stable, key=lambda fp: (fp.point[0], fp.point[1]))

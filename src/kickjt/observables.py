@@ -109,16 +109,14 @@ def coherent_state(alpha_x: complex, alpha_y: complex, direction: SpinDirection,
 
 def husimi_values(state, alphas_x: np.ndarray, alphas_y: np.ndarray) -> np.ndarray:
     """Spin-traced Husimi sum_sigma |<alpha, sigma | psi>|^2 along paired
-    arrays of coherent amplitudes (an alphas_y of one point pairs with every
-    alphas_x; other unequal lengths are a ValueError), HUSIMI_CHUNK points
-    at a time."""
+    arrays of coherent amplitudes of equal length (else ValueError),
+    HUSIMI_CHUNK points at a time."""
     basis = basis_of(state)
     psi = np.asarray(state, dtype=complex).reshape(basis.osc_dim, 2)
     alphas_x = np.asarray(alphas_x, dtype=complex)
     alphas_y = np.asarray(alphas_y, dtype=complex)
-    if len(alphas_y) not in (1, len(alphas_x)):
+    if len(alphas_y) != len(alphas_x):
         raise ValueError(f"alphas_x has {len(alphas_x)} points but alphas_y has {len(alphas_y)}")
-    alphas_y = np.broadcast_to(alphas_y, alphas_x.shape)
     out = np.empty(alphas_x.shape[0])
     for start in range(0, alphas_x.shape[0], HUSIMI_CHUNK):
         sl = slice(start, min(start + HUSIMI_CHUNK, alphas_x.shape[0]))

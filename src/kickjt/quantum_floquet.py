@@ -202,19 +202,6 @@ def _kick_in_place(psi: np.ndarray, n_t: int, sector: str, axis: Axis,
         psi[block] = prop @ psi[block]
 
 
-def _sector_floquet(cfg: ValidatedConfig, lam: float, sector: str) -> np.ndarray:
-    """The sector block of U(lam) in sector coordinates: the y kick
-    assembled from its block propagators, the x kick applied to it block
-    row by block row, then the sector's H0 phases."""
-    basis = build_basis(cfg.n_t)
-    u = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
-    for block, prop in _kick_block_propagators(cfg.n_t, sector, "y", lam):
-        u[block[:, None], block] = prop
-    _kick_in_place(u, cfg.n_t, sector, "x", lam)
-    u *= h0_phases(cfg)[basis.sector_indices(sector), None]
-    return u
-
-
 def apply_kick(vec: np.ndarray, axis: Axis, lam: float) -> np.ndarray:
     """exp(-i lam q_axis s_axis) applied to a state (dim,) or to each column
     of a (dim, k) matrix, without forming the dense propagator: each parity
@@ -243,26 +230,25 @@ def apply_floquet(vec: np.ndarray, cfg: ValidatedConfig, lam: float) -> np.ndarr
     return out * (phases[:, None] if out.ndim == 2 else phases)
 
 
-def floquet_operator(cfg: ValidatedConfig, lam: float,
-                     sector: str | None = None) -> np.ndarray:
-    """U = exp(-i H0 tau) exp(-i lam q_x s_x) exp(-i lam q_y s_y), dense;
-    a coupling lam that is not finite and >= 0 is OutOfRange.
-
-    With a sector label ("O" or "E") only the block U[idx, idx] over that
-    parity sector's indices idx (basis.sector_indices) is built, in sector
-    coordinates: U commutes with parity, so the block is the whole action
-    of U on the sector.  Without one, U is assembled from its two sector
-    blocks, and every entry between the sectors is exactly zero.
+def floquet_operator(cfg: ValidatedConfig, lam: float, sector: str) -> np.ndarray:
+    """The block U[idx, idx] of U = exp(-i H0 tau) exp(-i lam q_x s_x)
+    exp(-i lam q_y s_y) over the parity sector "O" or "E" (indices idx =
+    basis.sector_indices), dense, in sector coordinates: the y kick
+    assembled from its block propagators, the x kick applied to it block
+    row by block row, then the sector's H0 phases.  U commutes with
+    parity, so the block is the whole action of U on the sector; the dense
+    full U is apply_floquet applied to the identity.  A coupling lam that
+    is not finite and >= 0 is OutOfRange, any other label a ValueError.
     """
     lam = checked_coupling(lam)
-    if sector is not None:
-        return _sector_floquet(cfg, lam, sector)
     basis = build_basis(cfg.n_t)
-    full = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for label in ("O", "E"):
-        idx = basis.sector_indices(label)
-        full[np.ix_(idx, idx)] = _sector_floquet(cfg, lam, label)
-    return full
+    idx = basis.sector_indices(sector)
+    u = np.zeros((basis.osc_dim, basis.osc_dim), dtype=complex)
+    for block, prop in _kick_block_propagators(cfg.n_t, sector, "y", lam):
+        u[block[:, None], block] = prop
+    _kick_in_place(u, cfg.n_t, sector, "x", lam)
+    u *= h0_phases(cfg)[idx, None]
+    return u
 
 
 # --- diagnostics -----------------------------------------------------------
@@ -330,11 +316,11 @@ def _sector_spectrum(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def floquet_spectrum(cfg: ValidatedConfig, lam: float) -> FloquetSpectrum:
     """Eigenphases and eigenvectors of U(lam), one parity sector at a time.
 
-    Each sector block (floquet_operator with a sector label, "O" then "E")
-    is eigensolved by :func:`_sector_spectrum`, which raises EigFailure
-    past EIG_RESIDUAL_TOL; the vectors are embedded as full-space
-    columns and all pairs are sorted by eigenphase (stable sort).  The
-    first floquet_operator call refuses a bad coupling.
+    Each sector block (floquet_operator, "O" then "E") is eigensolved by
+    :func:`_sector_spectrum`, which raises EigFailure past
+    EIG_RESIDUAL_TOL; the vectors are embedded as full-space columns and
+    all pairs are sorted by eigenphase (stable sort).  The first
+    floquet_operator call refuses a bad coupling.
     """
     basis = build_basis(cfg.n_t)
     phases = np.empty(basis.dim)
@@ -441,7 +427,7 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
 
 def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> TrackedPath:
     """Follow one Floquet eigenstate from lam = 0 through every stop above 0,
-    landing on each bit for bit; stops at or below 0 are skipped.
+    landing on each bit for bit; a stop at 0 is the start.
 
     A trial step ends at lam + dlam, or on the next stop's own float when
     lam + dlam lies beyond that stop less MIN_TRACK_STEP (so a step onto a
@@ -462,7 +448,8 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
     decides the step without a Schur form.  Otherwise the full sector
     spectrum (:func:`_sector_spectrum`, with its EigFailure check) decides.
 
-    A stop that is not finite, or no stop above 0, is a ValueError; a
+    Each stop goes through model.checked_coupling, so one that is not
+    finite and >= 0 is OutOfRange; no stop above 0 is a ValueError; a
     largest stop beyond MAX_TRACK_STEPS steps of MAX_TRACK_STEP raises
     ComputeError before any work.
 
@@ -471,14 +458,10 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
     applying one period to it (no matrix is built), and parity pure
     (:func:`parity_sector`, whose ValueError names both leakages).
     The whole continuation runs inside the seed's sector: each trial step
-    builds only the sector block of U (floquet_operator with a sector), and
-    sector leakage is exactly zero along the path.
+    builds only the sector block of U (floquet_operator), and sector
+    leakage is exactly zero along the path.
     """
-    stop_list = sorted({float(s) for s in stops})
-    for stop in stop_list:
-        if not math.isfinite(stop):
-            raise ValueError(f"continuation stop {stop!r} is not finite")
-    stop_list = [s for s in stop_list if s > 0.0]
+    stop_list = sorted({checked_coupling(s) for s in stops} - {0.0})
     if not stop_list:
         raise ValueError("a continuation needs a stop above lam = 0")
     end = stop_list[-1]

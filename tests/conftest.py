@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kickjt import cli
-from kickjt import (ValidatedConfig, build_basis, default_seeds,
+from kickjt import (ValidatedConfig, apply_floquet, build_basis, default_seeds,
                     entanglement_measures, find_fixed_points, pes_seed,
                     pgs_seed, reduced_density, track_eigenstate,
                     von_neumann_entropy)
@@ -39,6 +39,13 @@ def single_thread_blas():
 
 def reference_config(**numerics):
     return ValidatedConfig(OMEGA, DELTA, **numerics)
+
+
+def full_floquet(cfg, lam):
+    """The dense U(lam) over the whole basis: one period applied to each
+    column of the identity, sector by sector, so every entry between the
+    two parity sectors is exactly zero."""
+    return apply_floquet(np.eye(build_basis(cfg.n_t).dim, dtype=complex), cfg, lam)
 
 
 @pytest.fixture(scope="session")

@@ -15,14 +15,15 @@ import scipy.linalg
 
 from kickjt import (SpinDirection, Stability, ValidatedConfig, build_basis,
                     coherent_state, critical_couplings, curve_derivative,
-                    default_seeds, find_fixed_points, floquet_operator,
+                    default_seeds, find_fixed_points,
                     floquet_spectrum, husimi_on_section, husimi_product_grid,
                     h0_phases, jacobian_canonical, phase_space_expectations,
                     section_peaks, step_arrays, apply_floquet)
 from kickjt.classical_map import composed_step, from_canonical
 from kickjt.quantum_floquet import EIG_RESIDUAL_TOL
 from kickjt.cli import main
-from conftest import DELTA, OMEGA, PRESET_COMMANDS, REFERENCE_LAM, reference_config
+from conftest import (DELTA, OMEGA, PRESET_COMMANDS, REFERENCE_LAM, full_floquet,
+                      reference_config)
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "kickjt" / "presets"
 
@@ -123,7 +124,7 @@ def test_criterion_04_conservation_and_symplecticity():
 
 def test_criterion_05_quantum_structural_invariants(basis18):
     cfg = reference_config()
-    u = floquet_operator(cfg, REFERENCE_LAM)
+    u = full_floquet(cfg, REFERENCE_LAM)
     eye = np.eye(basis18.dim)
     unitarity = float(np.max(np.abs(u.conj().T @ u - eye)))
     par = basis18.parity

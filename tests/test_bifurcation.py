@@ -12,7 +12,7 @@ from kickjt import (NonFiniteState, OutOfRange, PortraitGrid, Stability,
                     find_fixed_points, portrait, reflection_symmetry_score,
                     step_arrays)
 from kickjt.classical_map import from_canonical
-from kickjt.cli import _fixed_point_census, validate
+from kickjt.cli import validate
 from kickjt.configfile import read_entries
 from conftest import DELTA, OMEGA, REFERENCE_LAM, reference_config
 
@@ -281,7 +281,7 @@ class TestCensusStack:
             find_fixed_points(cfg, default_seeds(cfg), [lam])
             lone.append(len(calls))
         calls.clear()
-        table = _fixed_point_census(cfg, lams)
+        table = by_coupling(find_fixed_points(cfg, default_seeds(cfg), lams), lams)
         assert len(calls) == max(lone)
         assert [lam for lam, _ in table] == lams
         assert all(fp.lam == lam for lam, fps in table for fp in fps)
@@ -343,13 +343,18 @@ class TestCensusStack:
         assert lone[0.5].startswith("fixed-point search at lam = 0.5: Newton step from seed ")
 
 
+def by_coupling(fps, lams):
+    """(lam, fixed points at lam) for each coupling of lams, in order."""
+    return [(lam, [fp for fp in fps if fp.lam == lam]) for lam in lams]
+
+
 def census_table(lams):
     """The CLI census (fresh default seeds at every coupling) over a list
     of couplings at the reference model, as (lam, fixed points) pairs."""
     cfg, lams, _ = validate("fixed-points", read_entries(
         "model.omega = pi/60\nmodel.delta = 2*acot(2)\n"
         f"model.lambda_list = {', '.join(repr(l) for l in lams)}\n"))
-    return list(_fixed_point_census(cfg, lams))
+    return by_coupling(find_fixed_points(cfg, default_seeds(cfg), lams), lams)
 
 
 class TestBranchScan:

@@ -577,7 +577,8 @@ _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 *(float("7." + "123456789123456"[:k - 1]) for k in range(1, 17)),
                 1000000000000000.25, 1000000000000000.75]
 
-_CELL_KINDS = ["float64 array", "float list", "int list", "int64 array", "int64 list", "str list"]
+_CELL_KINDS = ["float64 array", "float list", "float64 list", "int list", "int64 array",
+               "int64 list", "str list"]
 
 
 @st.composite
@@ -589,6 +590,10 @@ def _tables(draw):
         size = dict(min_size=n_rows, max_size=n_rows)
         if kind.startswith("float"):
             values = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), **size))
+            if kind == "float64 list":
+                # np.float64 cells mixed with Python floats
+                wrap = draw(st.lists(st.booleans(), **size))
+                values = [np.float64(v) if w else v for v, w in zip(values, wrap)]
             columns.append(np.array(values, dtype=np.float64) if kind == "float64 array" else values)
         elif kind == "int list":
             columns.append(draw(st.lists(st.integers(-2**70, 2**70), **size)))
@@ -662,6 +667,13 @@ class TestTableWriter:
             _write_tables(tmp_path, {"k.csv": Table(["x", "y", "u"], columns)})
         table_rows = list(zip(*(column.tolist() for column in columns)))
         assert (tmp_path / "k.csv").read_bytes() == _oracle_payload(["x", "y", "u"], table_rows)
+
+    @pytest.mark.parametrize("column", [[-1, 2 ** 63], [-2 ** 63, 2 ** 64 - 1, 0], [1.5, 2],
+                                        [np.float64(0.1), 3, -0.0]])
+    def test_cells_numpy_makes_float64_keep_their_own_text(self, tmp_path, column):
+        # np.asarray makes each of these columns float64; its ints stay ints
+        _write_tables(tmp_path, {"a.csv": Table(["c"], [column])})
+        assert (tmp_path / "a.csv").read_bytes() == _oracle_payload(["c"], [(v,) for v in column])
 
     def test_edge_values_through_the_kernel(self):
         column = np.array(_EDGE_FLOATS)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import kickjt
 from kickjt import (OutOfRange, PortraitGrid, ValidatedConfig, acot, apply_floquet,
                     checked_coupling, default_seeds, find_fixed_points,
-                    floquet_operator, floquet_spectrum, pgs_seed, portrait)
+                    floquet_operator, floquet_spectrum, pgs_seed, portrait,
+                    track_eigenstate)
 from kickjt.model import MAX_N_T
 
 TWO_PI = 2 * math.pi
@@ -135,7 +136,8 @@ def test_construction_and_replace_hold_the_invariant(drawn):
 # --- the coupling ---------------------------------------------------------------
 #
 # The coupling is an argument, not a config field.  Each public function
-# that validates it is called here with the coupling lam at a small point.
+# that validates it is called here with the coupling lam at a small point
+# (track_eigenstate with it as a stop).
 
 CFG2 = ValidatedConfig(math.pi / 60, 2 * acot(2), n_t=2)
 COUPLING_CHECKS = {
@@ -144,10 +146,10 @@ COUPLING_CHECKS = {
                                                        [0.1, lam]),
     "portrait": lambda lam: portrait(CFG2, PortraitGrid(radii=(1.0,), n_angles=4), 3,
                                      [0.1, lam]),
-    "floquet_operator": lambda lam: floquet_operator(CFG2, lam),
-    "floquet_operator of a sector": lambda lam: floquet_operator(CFG2, lam, "O"),
+    "floquet_operator": lambda lam: floquet_operator(CFG2, lam, "O"),
     "floquet_spectrum": lambda lam: floquet_spectrum(CFG2, lam),
     "apply_floquet": lambda lam: apply_floquet(pgs_seed(2), CFG2, lam),
+    "track_eigenstate": lambda stop: track_eigenstate(pgs_seed(2), CFG2, [0.1, stop]),
 }
 # the map kernels take one coupling or one per point and check nothing, and
 # curve_derivative's lams are the abscissas of a curve
@@ -159,7 +161,7 @@ UNCHECKED = {"step_arrays", "step_jacobian", "submap", "composed_step", "inverse
 def test_every_public_function_with_a_coupling_is_listed():
     takers = {name for name, fn in vars(kickjt).items()
               if inspect.isfunction(fn) and not name.startswith("_")
-              and {"lam", "lams"} & set(inspect.signature(fn).parameters)}
+              and {"lam", "lams", "stops"} & set(inspect.signature(fn).parameters)}
     assert takers == {name.split()[0] for name in COUPLING_CHECKS} | UNCHECKED
 
 

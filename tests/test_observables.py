@@ -132,22 +132,24 @@ class TestHusimi:
         ay = alpha_y + rng.normal(scale=0.8, size=50) + 1j * rng.normal(scale=0.8, size=50)
         assert np.all(husimi_values(state, ax, ay) <= peak + 1e-12)
 
-    @pytest.mark.parametrize("n_x,n_y", [(3, 5), (5, 3), (1, 2), (0, 2)])
+    @pytest.mark.parametrize("n_x,n_y", [(3, 5), (5, 3), (1, 2), (0, 2), (11, 1)])
     def test_unpaired_amplitudes_refused(self, basis6, n_x, n_y):
         state = random_state(np.random.default_rng(4), basis6)
         with pytest.raises(ValueError, match=f"alphas_x has {n_x} points but alphas_y has {n_y}"):
             husimi_values(state, np.linspace(0.0, 1.0, n_x), np.linspace(0.0, 1.0, n_y))
 
-    def test_one_alpha_y_pairs_with_every_alpha_x(self, basis6, monkeypatch):
-        # across chunk boundaries too
-        monkeypatch.setattr(observables, "HUSIMI_CHUNK", 4)
+    def test_chunks_do_not_change_the_values(self, basis6, monkeypatch):
+        # 11 paired points in chunks of 4, so the last chunk is partial,
+        # against the same points in one chunk
         rng = np.random.default_rng(6)
         state = random_state(rng, basis6)
         ax = rng.normal(size=11) + 1j * rng.normal(size=11)
-        ay = np.array([0.4 - 0.7j])
+        ay = rng.normal(size=11) + 1j * rng.normal(size=11)
+        whole = husimi_values(state, ax, ay)
+        monkeypatch.setattr(observables, "HUSIMI_CHUNK", 4)
         got = husimi_values(state, ax, ay)
         assert got.shape == (11,)
-        assert np.array_equal(got, husimi_values(state, ax, np.repeat(ay, 11)))
+        assert np.array_equal(got, whole)
 
     def test_normalization_by_quadrature(self, pgs_path):
         state = pgs_path.sample_at(0.0).state

@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from kickjt import (ComputeError, EigFailure, StepUnderflow, ValidatedConfig, apply_floquet,
-                    build_basis, coherent_amplitudes, coherent_state,
+from kickjt import (ComputeError, EigFailure, OutOfRange, StepUnderflow, ValidatedConfig,
+                    apply_floquet, build_basis, coherent_amplitudes, coherent_state,
                     apply_kick, floquet_operator,
                     floquet_spectrum, h0_phases, pes_seed, pgs_seed,
                     phase_space_expectations, sector_leakage, track_eigenstate)
@@ -18,7 +18,7 @@ from kickjt.model import MAX_N_T
 from kickjt.observables import SpinDirection, log_negativity
 from kickjt.quantum_floquet import (SPIN_HALF, FockBasis, _sector_spectrum,
                                     osc_position_matrix)
-from conftest import DELTA, OMEGA, REFERENCE_LAM, reference_config
+from conftest import DELTA, OMEGA, REFERENCE_LAM, full_floquet, reference_config
 
 
 class TestParitySector:
@@ -120,19 +120,15 @@ class TestBasis:
 
     @pytest.mark.parametrize("label", ["odd", "o", "", None])
     def test_unknown_sector_label_rejected(self, label):
-        # a mistyped label must not select a sector; floquet_operator takes
-        # None as "no sector", the whole space
+        # a mistyped label must not select a sector
         basis = build_basis(2)
         cfg = reference_config(n_t=2)
         with pytest.raises(ValueError, match=f"got {label!r}"):
             basis.sector_indices(label)
         with pytest.raises(ValueError, match=f"got {label!r}"):
             sector_leakage(pgs_seed(2), label)
-        if label is None:
-            assert floquet_operator(cfg, 0.3, label).shape == (basis.dim, basis.dim)
-        else:
-            with pytest.raises(ValueError, match=f"got {label!r}"):
-                floquet_operator(cfg, 0.3, label)
+        with pytest.raises(ValueError, match=f"got {label!r}"):
+            floquet_operator(cfg, 0.3, label)
 
     def test_reference_truncation_counts(self, basis18):
         assert basis18.dim == 380
@@ -232,24 +228,24 @@ class TestKickPropagator:
 class TestFloquetOperator:
     def test_diagonal_at_zero_coupling(self):
         cfg = reference_config()
-        u = floquet_operator(cfg, 0.0)
+        u = full_floquet(cfg, 0.0)
         off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) <= 1e-14
 
     def test_unitarity(self, basis18):
         cfg = reference_config()
-        u = floquet_operator(cfg, 0.46)
+        u = full_floquet(cfg, 0.46)
         assert np.max(np.abs(u.conj().T @ u - np.eye(basis18.dim))) <= 1e-10
 
     def test_commutes_with_parity(self, basis18):
         cfg = reference_config()
-        u = floquet_operator(cfg, REFERENCE_LAM)
+        u = full_floquet(cfg, REFERENCE_LAM)
         par = basis18.parity
         assert np.max(np.abs(u * par[None, :] - par[:, None] * u)) <= 1e-10
 
     def test_parity_block_structure(self, basis18):
         cfg = reference_config()
-        u = floquet_operator(cfg, REFERENCE_LAM)
+        u = full_floquet(cfg, REFERENCE_LAM)
         odd = basis18.sector_indices("O")
         even = basis18.sector_indices("E")
         assert not np.any(u[np.ix_(odd, even)])
@@ -260,7 +256,7 @@ class TestFloquetOperator:
         rng = np.random.default_rng(7)
         vec = rng.normal(size=basis18.dim) + 1j * rng.normal(size=basis18.dim)
         vec /= np.linalg.norm(vec)
-        dense = floquet_operator(cfg, REFERENCE_LAM) @ vec
+        dense = full_floquet(cfg, REFERENCE_LAM) @ vec
         assert np.max(np.abs(apply_floquet(vec, cfg, REFERENCE_LAM) - dense)) <= 1e-12
 
 
@@ -272,7 +268,7 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
     # and parity commuting anywhere in parameter space
     basis = build_basis(n_t)
     cfg = ValidatedConfig(omega, delta, n_t=n_t)
-    u = floquet_operator(cfg, lam)
+    u = full_floquet(cfg, lam)
     eye = np.eye(basis.dim, dtype=complex)
     for j in range(basis.dim):
         assert np.max(np.abs(u[:, j] - apply_floquet(eye[:, j].copy(), cfg, lam))) <= 1e-13
@@ -285,12 +281,12 @@ def test_floquet_operator_properties(omega, delta, lam, n_t):
 @given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
        lam=st.floats(0.0, 2.0), n_t=st.integers(0, 10), sector=st.sampled_from(["O", "E"]))
 def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
-    # the sector build is the block U[idx, idx] of the full build
+    # the sector build is the block U[idx, idx] of the full U
     basis = build_basis(n_t)
     cfg = ValidatedConfig(omega, delta, n_t=n_t)
     idx = basis.sector_indices(sector)
     block = floquet_operator(cfg, lam, sector)
-    full = floquet_operator(cfg, lam)
+    full = full_floquet(cfg, lam)
     assert block.shape == (idx.size, idx.size)
     assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-14
 
@@ -322,18 +318,6 @@ def test_sector_build_matches_expm_at_reference_truncation(lam, sector):
                          - expm_sector_block(cfg, lam, sector))) <= 1e-12
 
 
-@pytest.mark.parametrize("sector", ["O", "E"])
-@pytest.mark.parametrize("lam", [0.0, 0.32, 0.55])
-def test_sector_build_bit_equal_at_reference_truncation(basis18, lam, sector):
-    # continuation outputs at the preset truncation stay byte-identical
-    # only while the block is the sliced full build bit for bit
-    cfg = reference_config()
-    idx = basis18.sector_indices(sector)
-    full = floquet_operator(cfg, lam)
-    assert np.array_equal(floquet_operator(cfg, lam, sector),
-                          full[np.ix_(idx, idx)])
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(omega=st.floats(0.01, 2 * math.pi - 0.01), delta=st.floats(0.01, 2 * math.pi - 0.01),
        lam=st.floats(0.0, 2.0), n_t=st.integers(0, 8))
@@ -343,7 +327,7 @@ def test_sector_spectrum_matches_full_matrix_spectrum(omega, delta, lam, n_t):
     basis = build_basis(n_t)
     cfg = ValidatedConfig(omega, delta, n_t=n_t)
     spec = floquet_spectrum(cfg, lam)
-    full_phases, _, _ = _sector_spectrum(floquet_operator(cfg, lam))
+    full_phases, _, _ = _sector_spectrum(full_floquet(cfg, lam))
     # compare the two phase multisets on the unit circle, cut open in the
     # middle of the widest gap between neighbouring eigenphases
     ours = spec.eigenphases
@@ -392,7 +376,7 @@ class TestFloquetSpectrum:
 
     def test_eigenvalue_moduli_on_unit_circle(self):
         cfg = reference_config()
-        u = floquet_operator(cfg, REFERENCE_LAM)
+        u = full_floquet(cfg, REFERENCE_LAM)
         eigvals = np.linalg.eigvals(u)
         assert np.max(np.abs(np.abs(eigvals) - 1.0)) <= 1e-8
 
@@ -460,7 +444,7 @@ class TestTracking:
         # plain Schur on the full matrix, no parity hint: the matching
         # eigenvector must still live in the odd sector
         cfg = reference_config()
-        _, vectors, _ = _sector_spectrum(floquet_operator(cfg, REFERENCE_LAM))
+        _, vectors, _ = _sector_spectrum(full_floquet(cfg, REFERENCE_LAM))
         tracked = pgs_path.sample_at(0.32).state
         overlaps = np.abs(vectors.conj().T @ tracked)
         k = int(np.argmax(overlaps))
@@ -505,14 +489,14 @@ class TestTracking:
     def test_stops_in_any_order_repeated_or_not_above_zero(self):
         cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         want = track_eigenstate(pgs_seed(4), cfg, [0.05, 0.08, 0.1])
-        got = track_eigenstate(pgs_seed(4), cfg, [0.08, -0.2, 0.1, 0.0, 0.05, 0.08])
+        got = track_eigenstate(pgs_seed(4), cfg, [0.08, 0.1, 0.0, 0.05, 0.08])
         assert [(s.lam, s.dlam_used) for s in got.samples] == \
             [(s.lam, s.dlam_used) for s in want.samples]
         assert got.samples[0].lam == 0.0 and got.samples[-1].lam == 0.1
         for g, w in zip(got.samples, want.samples):
             assert np.array_equal(g.state, w.state)
 
-    @pytest.mark.parametrize("stops", [[], [0.0], [-0.3, 0.0]])
+    @pytest.mark.parametrize("stops", [[], [0.0]])
     def test_no_stop_above_zero_refused(self, stops):
         cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
         with pytest.raises(ValueError, match="needs a stop above lam = 0"):
@@ -521,8 +505,15 @@ class TestTracking:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_stop_refused_by_name(self, bad):
         cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
-        with pytest.raises(ValueError, match=f"continuation stop {bad!r} is not finite"):
+        with pytest.raises(OutOfRange, match=re.escape(
+                f"lambda must be finite and >= 0, got {bad!r}")):
             track_eigenstate(pgs_seed(4), cfg, [0.05, bad, 0.1])
+
+    def test_negative_stop_refused_before_the_missing_stop(self):
+        # a negative stop is a bad coupling, not a stop to skip
+        cfg = ValidatedConfig(OMEGA, DELTA, n_t=4)
+        with pytest.raises(OutOfRange, match=re.escape("lambda must be finite and >= 0, got -0.3")):
+            track_eigenstate(pgs_seed(4), cfg, [-0.3, 0.0])
 
     def test_unbounded_span_refused_before_any_build(self, monkeypatch):
         builds = []
@@ -592,19 +583,17 @@ class TestLanding:
 
 def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
                      initial_dlam=0.01, max_dlam=0.02):
-    """Test oracle: the overlap continuation with the full sector Schur form
-    deciding every trial step, as it ran before Rayleigh-quotient
+    """Test oracle: the overlap continuation of a parity-pure seed with the
+    full sector Schur form deciding every trial step, as it ran before Rayleigh-quotient
     refinement; a trial that ends past a stop less 1e-6 (MIN_TRACK_STEP)
     ends on the stop.  Returns (lam, eigenphase, dlam_used, overlap, state)
     per accepted sample."""
     basis = build_basis(cfg.n_t)
     vec = seed / np.linalg.norm(seed)
-    u0 = floquet_operator(cfg, lam_start)
-    idx = np.arange(basis.dim)
-    for value in (-1, 1):
-        sec = np.flatnonzero(basis.parity == value)
-        if 1.0 - np.sum(np.abs(vec[sec]) ** 2) <= 1e-12:
-            idx = sec
+    u0 = full_floquet(cfg, lam_start)
+    sector = next(label for label in ("O", "E")
+                  if 1.0 - np.sum(np.abs(vec[basis.sector_indices(label)]) ** 2) <= 1e-12)
+    idx = basis.sector_indices(sector)
     current = vec[idx]
     rayleigh = complex(np.vdot(vec, u0 @ vec))
     samples = [(lam_start, math.atan2(rayleigh.imag, rayleigh.real), 0.0, 1.0, vec.copy())]
@@ -615,8 +604,7 @@ def schur_only_track(lam_start, lam_end, seed, cfg, stops=None,
         target = lam + dlam
         if target > stop_list[0] - 1e-6:
             target = stop_list[0]
-        u_t = floquet_operator(cfg, target)
-        phases, vecs, _ = _sector_spectrum(u_t[np.ix_(idx, idx)])
+        phases, vecs, _ = _sector_spectrum(floquet_operator(cfg, target, sector))
         overlaps = np.abs(vecs.conj().T @ current)
         k = int(np.argmax(overlaps))
         if 1.0 - overlaps[k] < qf.OVERLAP_THRESHOLD:
@@ -662,7 +650,7 @@ def compare_with_oracle(lam_end, seed, cfg, step, stops=None):
     assert [(s.lam, s.dlam_used) for s in path.samples] == [(w[0], w[2]) for w in want]
     for sample, w in zip(path.samples, want):
         assert abs(sample.eigenphase - w[1]) <= 1e-12
-        u = floquet_operator(cfg, sample.lam)
+        u = full_floquet(cfg, sample.lam)
         resid = np.linalg.norm(u @ sample.state - np.exp(1j * sample.eigenphase) * sample.state)
         assert resid <= 1e-12
     return want, path

@@ -291,6 +291,18 @@ def test_sector_build_is_the_parity_block(omega, delta, lam, n_t, sector):
     assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-14
 
 
+@pytest.mark.parametrize("sector", ["O", "E"])
+@pytest.mark.parametrize("lam", [0.0, 0.32, 0.55])
+def test_sector_build_bit_equal_at_reference_truncation(basis18, lam, sector):
+    # at the preset truncation the block is the slice of the full U that
+    # apply_floquet gives on the identity, bit for bit
+    cfg = reference_config()
+    idx = basis18.sector_indices(sector)
+    full = full_floquet(cfg, lam)
+    assert np.array_equal(floquet_operator(cfg, lam, sector),
+                          full[np.ix_(idx, idx)])
+
+
 def expm_sector_block(cfg, lam, sector):
     """Oracle: diag(h0) expm(-i lam q_x s_x) expm(-i lam q_y s_y) over the
     whole basis, restricted to the sector's rows and columns."""

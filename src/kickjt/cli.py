@@ -9,10 +9,13 @@ is checked against the scenario's declared keys (DECLARED, KEYS) before it
 runs.  A quantum scenario passes its couplings as they stand to one
 qf.track_eigenstate call per seed, which follows the state from lam = 0
 through them in grid order (portrait and the Newton census run them as
-one stack).  entanglement-curves (the second half of its couplings'
-measures) and husimi-section (its pes track) run independent work in one
-forked child on the second core (_with_child), which returns its result
-or its error through a pipe and is reaped before the scenario returns.
+one stack).  entanglement-curves and husimi-section run independent work
+in one forked child on the second core (_with_child), which returns its
+result or its error through a pipe and is reaped before the scenario
+returns: husimi-section tracks its pes path there, and entanglement-curves
+forks before its track, whose hook hands each grid coupling's state to
+both processes as it lands (_Landings), so the child measures while the
+process tracks and both then share what is left.
 BLAS runs on one thread, and floats are written with shortest round-trip
 precision, so identical configurations produce byte-identical files.  A
 tracked scenario prints the largest weight its states hold on the edge
@@ -32,6 +35,7 @@ import os
 import pickle
 import sys
 import tempfile
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -55,7 +59,7 @@ class Table:
     """One CSV output: header and one equal-length column per header field.
     A column is an ndarray or any sequence of cells: a float64 array or a
     sequence of floats is written with shortest round-trip floats, any
-    other column cell by cell with str (see _cell_bytes)."""
+    other column cell by cell with str (see _cells)."""
 
     header: list[str]
     columns: list
@@ -72,11 +76,12 @@ class ScenarioResult:
     text: str = ""
 
 
-def _cell_bytes(column) -> np.ndarray:
+def _cells(column) -> np.ndarray:
     """The text of each cell of column as the rows of a uint8 matrix padded
-    with NULs.  A float64 column, an ndarray or a sequence of floats, goes
-    to shortrepr.reprs, each cell its repr; any other column is written
-    cell by cell with str (ASCII text)."""
+    with NULs or, for a float64 column of more than one value, its float64
+    cells, whose text shortrepr.reprs gives (see _format_block).  A float64
+    column is an ndarray or a sequence of floats, each cell written as its
+    repr; any other column is written cell by cell with str (ASCII text)."""
     cells = np.asarray(column)
     if cells.dtype == np.float64:
         if isinstance(column, np.ndarray) or all(isinstance(c, float) for c in column):
@@ -85,7 +90,7 @@ def _cell_bytes(column) -> np.ndarray:
                 # one value, bit for bit (so 0.0 and -0.0 never merge): one repr
                 text = np.frombuffer(repr(float(cells[0])).encode(), dtype=np.uint8)
                 return np.broadcast_to(text, (cells.size, text.size))
-            return reprs(cells)
+            return cells
         # ints mixed with floats, or with ints no one integer dtype holds
         cells = np.asarray(column, dtype=object)
     cells = cells.astype(bytes)
@@ -97,8 +102,19 @@ CHUNK_ROWS = 1 << 14
 
 
 def _format_block(table: Table, start: int, stop: int) -> bytes:
-    """The CSV lines of rows [start, stop) of table, each ending in a newline."""
-    cells = [_cell_bytes(column[start:stop]) for column in table.columns]
+    """The CSV lines of rows [start, stop) of table, each ending in a newline.
+
+    The float columns of more than one value share reprs calls of up to
+    CHUNK_ROWS cells: a small table's block makes one call, whose fixed
+    cost then comes once, and a block of CHUNK_ROWS rows one per column."""
+    cells = [_cells(column[start:stop]) for column in table.columns]
+    floats = [k for k, c in enumerate(cells) if c.dtype == np.float64]
+    per_call = max(1, CHUNK_ROWS // (stop - start))
+    for at in range(0, len(floats), per_call):
+        group = floats[at:at + per_call]
+        text = reprs(np.concatenate([cells[k] for k in group]))
+        for k, column_text in zip(group, np.split(text, len(group))):
+            cells[k] = column_text
     # each row: every column's cells followed by ',', the last ',' becoming
     # '\n'; no cell holds a NUL, so dropping the NULs leaves the text
     lines = np.empty((stop - start, sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
@@ -184,6 +200,97 @@ def _with_child(mine, theirs) -> tuple:
     if not ok:
         raise theirs_value
     return value, theirs_value
+
+
+class _Landings:
+    """The tracked states at a grid of couplings, handed out one coupling at
+    a time as the continuation lands on each, to this process and to the
+    child that _with_child forks; (k, entanglement measures of coupling k)
+    are the rows each process returns.
+
+    The states go into one shared anonymous mmap made before the fork, slot
+    k for coupling k, and only indices cross the pipes, 8 bytes each.  The
+    first coupling goes to the child alone through a pipe of its own, the
+    last stays with this process, and every other one goes into one job
+    pipe that both processes read, so each measures at least one coupling
+    and the rest go to whichever is free.  The job pipe is written without
+    blocking: indices that find it full are held here, queued as it drains
+    and, after the track, measured here from the highest down while it
+    stays full, so a grid larger than the pipe neither stalls the track
+    nor hangs a run without os.fork.  Each pipe ends at end of file: the
+    child closes its copies of the write ends first thing, and this process
+    closes its own once nothing is left to queue.
+    """
+
+    def __init__(self, lams, dim: int):
+        import mmap   # loaded only for this scenario
+        self.lams = lams
+        self.states = np.frombuffer(mmap.mmap(-1, len(lams) * dim * np.dtype(complex).itemsize),
+                                    dtype=complex).reshape(len(lams), dim)
+        self.landed = 0
+        self.held = deque()
+        self.first_r, self.first_w = os.pipe()
+        self.jobs_r, self.jobs_w = os.pipe()
+        self.open = {self.first_r, self.first_w, self.jobs_r, self.jobs_w}
+        os.set_blocking(self.jobs_w, False)
+
+    def land(self, sample) -> None:
+        """The on_sample hook of the track: a sample on the next grid
+        coupling goes into its slot, and its index to the child or the queue."""
+        k = self.landed
+        if sample.lam != self.lams[k]:
+            return
+        self.states[k] = sample.state
+        self.landed = k + 1
+        if k == 0:
+            os.write(self.first_w, k.to_bytes(8, "little"))
+            self._close(self.first_w)
+        elif k < len(self.lams) - 1:
+            self.held.append(k)
+            self._queue_held()
+
+    def measures(self) -> list:
+        """This process's rows once its track has returned: the last
+        coupling, the held indices while the job pipe is full, then the queue."""
+        rows = [self._measure(len(self.lams) - 1)]
+        self._queue_held()
+        while self.held:
+            rows.append(self._measure(self.held.pop()))
+            self._queue_held()
+        self._close(self.jobs_w)
+        return rows + [self._measure(k) for k in self._indices(self.jobs_r)]
+
+    def child_measures(self) -> list:
+        """The child's rows: the first coupling, then the queue."""
+        self._close(self.first_w, self.jobs_w)
+        return [self._measure(k) for fd in (self.first_r, self.jobs_r)
+                for k in self._indices(fd)]
+
+    def close(self) -> None:
+        self._close(*self.open)
+
+    def _measure(self, k: int) -> tuple:
+        return k, obs.entanglement_measures(self.states[k])
+
+    def _queue_held(self) -> None:
+        """Move held indices, lowest first, into the job pipe while it has room."""
+        while self.held:
+            try:
+                os.write(self.jobs_w, self.held[0].to_bytes(8, "little"))
+            except BlockingIOError:
+                return
+            self.held.popleft()
+
+    def _close(self, *fds) -> None:
+        for fd in self.open.intersection(fds):
+            os.close(fd)
+            self.open.remove(fd)
+
+    @staticmethod
+    def _indices(fd: int):
+        """The indices read from fd, one at a time, until end of file."""
+        while token := os.read(fd, 8):
+            yield int.from_bytes(token, "little")
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -293,18 +400,20 @@ def scenario_husimi_section(cfg: ValidatedConfig, lams, values) -> ScenarioResul
 
 
 def scenario_entanglement_curves(cfg: ValidatedConfig, lams, values) -> ScenarioResult:
-    path = qf.track_eigenstate(qf.pgs_seed(cfg.n_t), cfg, lams)
-    half = len(lams) // 2
+    seed = qf.pgs_seed(cfg.n_t)
+    landings = _Landings(lams, seed.size)
 
-    def measures(couplings):
-        return [obs.entanglement_measures(path.sample_at(lam).state) for lam in couplings]
+    def track_and_measure():
+        path = qf.track_eigenstate(seed, cfg, lams, on_sample=landings.land)
+        return path, landings.measures()
 
-    def second_half():
-        return measures(lams[half:])
-
-    # the second half of the couplings runs on the second core
-    first, second = _with_child(lambda: measures(lams[:half]), second_half)
-    s_spin, s_osc, e_n = zip(*first, *second)
+    try:
+        # the child measures the couplings as the track lands on them
+        (path, mine), theirs = _with_child(track_and_measure, landings.child_measures)
+    finally:
+        landings.close()
+    rows = dict(mine + theirs)
+    s_spin, s_osc, e_n = zip(*(rows[k] for k in range(len(lams))))
     columns = [lams, s_spin, s_osc, e_n, obs.curve_derivative(lams, s_spin),
                obs.curve_derivative(lams, s_osc), obs.curve_derivative(lams, e_n)]
     header = ["lam", "S_spin", "S_osc_x", "E_N",

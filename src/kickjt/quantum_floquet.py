@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -425,9 +425,15 @@ def _rayleigh_refine(sub: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarra
     return best
 
 
-def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> TrackedPath:
+def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float], *,
+                     on_sample: Callable[[TrackedSample], None] | None = None) -> TrackedPath:
     """Follow one Floquet eigenstate from lam = 0 through every stop above 0,
     landing on each bit for bit; a stop at 0 is the start.
+
+    on_sample, when given, is called with each sample as soon as it is
+    made: the lam = 0 start, then every accepted step in order, so a caller
+    can use each stop's state while the continuation goes on.  An exception
+    it raises ends the continuation.
 
     A trial step ends at lam + dlam, or on the next stop's own float when
     lam + dlam lies beyond that stop less MIN_TRACK_STEP (so a step onto a
@@ -487,6 +493,8 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
     current = vec[idx]
     samples = [TrackedSample(lam=0.0, state=vec.copy(), eigenphase=phase0,
                              dlam_used=0.0, overlap=1.0)]
+    if on_sample is not None:
+        on_sample(samples[0])
     lam, dlam, accept_streak = 0.0, min(INITIAL_TRACK_STEP, end), 0
     while stop_list:
         next_stop = stop_list[0]
@@ -506,6 +514,8 @@ def track_eigenstate(seed, cfg: ValidatedConfig, stops: Sequence[float]) -> Trac
             full[idx] = new
             samples.append(TrackedSample(lam=target, state=full, eigenphase=phase,
                                          dlam_used=target - lam, overlap=overlap))
+            if on_sample is not None:
+                on_sample(samples[-1])
             current, lam = new, target
             if lam == next_stop:
                 stop_list.pop(0)

@@ -739,10 +739,12 @@ def test_cli_start_does_not_load_scipy_signal():
 
 
 def test_cli_start_does_not_load_multiprocessing():
-    # the table writer formats every block in this process
+    # the table writer formats every block in this process, and only
+    # entanglement-curves, when it runs, loads mmap for its shared states
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     code = ("import sys, kickjt.cli; "
             "assert 'multiprocessing' not in sys.modules; "
+            "assert 'mmap' not in sys.modules; "
             "assert 'concurrent.futures' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
@@ -1026,8 +1028,8 @@ def test_tracked_preset_lands_on_every_coupling(monkeypatch, preset):
     calls = []
     real = qf.track_eigenstate
 
-    def spy(seed, cfg, stops):
-        calls.append((stops, real(seed, cfg, stops)))
+    def spy(seed, cfg, stops, **hook):
+        calls.append((stops, real(seed, cfg, stops, **hook)))
         return calls[-1][1]
 
     monkeypatch.setattr(qf, "track_eigenstate", spy)
@@ -1104,22 +1106,30 @@ class TestSecondProcess:
                                                r"exited with status 7 and sent no result$"):
             cli._with_child(lambda: None, vanish)
 
+    # what each forked scenario's child meets first, with the seed that marks
+    # it: the pes track of husimi-section, and the first coupling of
+    # entanglement-curves, lam = 0, whose state is the pgs seed
+    _CHILD_CALLS = {"husimi-section": (qf, "track_eigenstate", qf.pes_seed),
+                    "entanglement-curves": (obs, "entanglement_measures", qf.pgs_seed)}
+
     @pytest.mark.parametrize("error", [StepUnderflow("step below 1e-06 at lam = 0.1"),
                                        EigFailure(1e-3, 1e-9)], ids=lambda e: type(e).__name__)
-    def test_pes_failure_in_the_child_reads_as_in_process(self, tmp_path, capsys, monkeypatch,
-                                                          error):
-        real = qf.track_eigenstate
+    @pytest.mark.parametrize("command", sorted(_CHILD_CALLS))
+    def test_failure_in_the_child_reads_as_in_process(self, tmp_path, capsys, monkeypatch,
+                                                      command, error):
+        module, name, seed = self._CHILD_CALLS[command]
+        real = getattr(module, name)
 
-        def track(seed, cfg, stops):
-            if np.array_equal(seed, qf.pes_seed(cfg.n_t)):
+        def failing(state, *args, **hook):
+            if np.array_equal(state, seed(4)):
                 raise error
-            return real(seed, cfg, stops)
+            return real(state, *args, **hook)
 
-        monkeypatch.setattr(qf, "track_eigenstate", track)
-        assert self._run(tmp_path, "husimi-section", "forked") == 3
+        monkeypatch.setattr(module, name, failing)
+        assert self._run(tmp_path, command, "forked") == 3
         forked = capsys.readouterr()
         monkeypatch.setattr(cli, "_with_child", _in_process)
-        assert self._run(tmp_path, "husimi-section", "in_process") == 3
+        assert self._run(tmp_path, command, "in_process") == 3
         assert capsys.readouterr() == forked
         assert forked.err == f"compute error: {error}\n"
 
@@ -1136,10 +1146,10 @@ class TestSecondProcess:
                 raise TruncationLoss(0.5, "lost in the parent")
             time.sleep(60)
 
-        def track(*args):
+        def track(*args, **hook):
             if os.getpid() != parent:
                 time.sleep(60)
-            return real(*args)
+            return real(*args, **hook)
 
         monkeypatch.setattr(obs, name, fail_here)
         monkeypatch.setattr(qf, "track_eigenstate", track)
@@ -1149,7 +1159,7 @@ class TestSecondProcess:
         assert capsys.readouterr().err == "compute error: lost in the parent\n"
 
     @pytest.mark.parametrize("command,module,name,theirs", [
-        ("entanglement-curves", obs, "entanglement_measures", "second_half"),
+        ("entanglement-curves", obs, "entanglement_measures", "child_measures"),
         ("husimi-section", qf, "track_eigenstate", "track_pes")])
     def test_child_killed_without_a_result_exits_three(self, tmp_path, capsys, monkeypatch,
                                                        command, module, name, theirs):
@@ -1213,7 +1223,8 @@ print(json.dumps({tid: after[tid] - before.get(tid, 0) for tid in after}))
 
     def test_entanglement_rows_keep_grid_order(self, tmp_path):
         # each row holds the measures of its own coupling, computed here from
-        # the tracked path; the 7 couplings split 3 here and 4 in the child
+        # the tracked path; of the 7 couplings the child measures the first,
+        # this process the last, and the other 5 go to whichever is free
         assert self._run(tmp_path, "entanglement-curves") == 0
         cfg, lams, _ = cli.validate("entanglement-curves", cf.read_entries(
             SMALL_MODEL + TRACKED_CONFIGS["entanglement-curves"]))
@@ -1236,3 +1247,125 @@ print(json.dumps({tid: after[tid] - before.get(tid, 0) for tid in after}))
         for name in names:
             assert (tmp_path / "forked" / name).read_bytes() == \
                 (tmp_path / "in_process" / name).read_bytes()
+
+    # the couplings of TRACKED_CONFIGS["entanglement-curves"]
+    CURVE_COUPLINGS = 7
+
+    @staticmethod
+    def _pids(log):
+        """{process id: entanglement_measures calls} from the log of _log_measures."""
+        pids = log.read_text().split() if log.exists() else []
+        return {int(pid): pids.count(pid) for pid in set(pids)}
+
+    def _wait_for(self, log, pid, calls, other=False):
+        """Wait until the process pid (any other process, if other) has
+        logged calls measures; 60 s at most."""
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            counts = self._pids(log)
+            done = sum(n for p, n in counts.items() if p != pid) if other else counts.get(pid, 0)
+            if done >= calls:
+                return
+            time.sleep(0.005)
+
+    @staticmethod
+    def _log_measures(monkeypatch, log):
+        """Each entanglement_measures call, in either process, appends that
+        process's id to log."""
+        real = obs.entanglement_measures
+
+        def logged(state):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(state)
+
+        monkeypatch.setattr(obs, "entanglement_measures", logged)
+
+    def _in_process_bytes(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_with_child", _in_process)
+            assert self._run(tmp_path, "entanglement-curves", "in_process") == 0
+        return (tmp_path / "in_process" / "entanglement_curves.csv").read_bytes()
+
+    @pytest.mark.parametrize("waits", ["child", "process"])
+    def test_forced_split_writes_the_in_process_bytes(self, tmp_path, monkeypatch, waits):
+        # the child waits before it reads its first job until this process
+        # has measured every other coupling, or this process waits after its
+        # track until the child has: the rows stay those of an in-process run
+        expected = self._in_process_bytes(tmp_path, monkeypatch)
+        parent, log = os.getpid(), tmp_path / "calls.log"
+        others = self.CURVE_COUPLINGS - 1
+        self._log_measures(monkeypatch, log)
+        if waits == "child":
+            real = cli._with_child
+
+            def with_child(mine, theirs):
+                def late():
+                    self._wait_for(log, parent, others)
+                    return theirs()
+
+                return real(mine, late)
+
+            monkeypatch.setattr(cli, "_with_child", with_child)
+        else:
+            real = qf.track_eigenstate
+
+            def track(*args, **hook):
+                path = real(*args, **hook)
+                self._wait_for(log, parent, others, other=True)
+                return path
+
+            monkeypatch.setattr(qf, "track_eigenstate", track)
+        assert self._run(tmp_path, "entanglement-curves") == 0
+        assert (tmp_path / "out" / "entanglement_curves.csv").read_bytes() == expected
+        counts = self._pids(log)
+        assert counts.pop(parent) == (others if waits == "child" else 1)
+        assert list(counts.values()) == [1 if waits == "child" else others]
+
+    def test_each_process_measures_a_coupling(self, tmp_path, monkeypatch):
+        # the child always measures the first coupling and this process the
+        # last, however the rest split
+        log = tmp_path / "calls.log"
+        self._log_measures(monkeypatch, log)
+        for run in range(3):
+            log.unlink(missing_ok=True)
+            assert self._run(tmp_path, "entanglement-curves", f"out{run}") == 0
+            counts = self._pids(log)
+            assert len(counts) == 2 and counts.get(os.getpid(), 0) >= 1, counts
+            assert sum(counts.values()) == self.CURVE_COUPLINGS
+
+    @pytest.mark.parametrize("fails", [None, "process", "child"])
+    def test_no_file_descriptor_left(self, tmp_path, monkeypatch, fails):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd")
+        parent = os.getpid()
+        real = obs.entanglement_measures
+
+        def measures(state):
+            if fails == "process" and os.getpid() == parent:
+                raise TruncationLoss(0.5, "lost in the parent")
+            if fails == "child" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(state)
+
+        monkeypatch.setattr(obs, "entanglement_measures", measures)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert self._run(tmp_path, "entanglement-curves") == (0 if fails is None else 3)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_grid_beyond_the_pipe_without_fork(self, tmp_path):
+        # more couplings than the job pipe holds indices (8,192 of 8 bytes in
+        # a 64 KiB pipe): without os.fork nothing reads the pipe during the
+        # track, which must neither block on it nor change a byte
+        cfg = write_config(tmp_path, SMALL_MODEL + ("model.lambda_grid = 0:0.84:0.0001\n"
+                                                    "numerics.n_t = 1\n"))
+        args = ["entanglement-curves", "--config", str(cfg)]
+        assert main([*args, "--out", str(tmp_path / "forked")]) == 0
+        code = ("import os, sys; del os.fork; from kickjt.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path / "unforked")],
+                       env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), check=True,
+                       capture_output=True, timeout=120)
+        forked = (tmp_path / "forked" / "entanglement_curves.csv").read_bytes()
+        assert forked.count(b"\n") == 8402
+        assert (tmp_path / "unforked" / "entanglement_curves.csv").read_bytes() == forked

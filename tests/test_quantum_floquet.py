@@ -447,6 +447,21 @@ class TestTracking:
             assert lam in tracked
             assert pgs_path.sample_at(lam).lam == lam
 
+    def test_on_sample_sees_each_sample_as_it_is_made(self):
+        # the start, then every accepted step, in order: the path's own
+        # samples; an error of the hook at the first step ends the track there
+        cfg, seen = reference_config(n_t=4), []
+        path = track_eigenstate(pgs_seed(4), cfg, [0.05, 0.1], on_sample=seen.append)
+        assert len(seen) == len(path.samples) > 2
+        assert all(a is b for a, b in zip(seen, path.samples))
+
+        def stop_at_the_first_step(sample):
+            if sample.lam > 0:
+                raise RuntimeError(f"stopped at lam = {sample.lam!r}")
+
+        with pytest.raises(RuntimeError, match=re.escape(f"stopped at lam = {path.samples[1].lam!r}")):
+            track_eigenstate(pgs_seed(4), cfg, [0.05, 0.1], on_sample=stop_at_the_first_step)
+
     def test_sector_is_odd_and_leakage_zero(self, pgs_path):
         assert pgs_path.sector == "O"
         for sample in pgs_path.samples:
